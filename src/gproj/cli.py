@@ -45,8 +45,15 @@ from .errors import PdInfiniteOrUnresolved
 
 ENV_GUARD = "GPROJ_DEGREE_GUARD"
 
-COMMANDS = ("gb", "nf", "ann", "resolve", "pd", "ext", "dual", "gclass",
-            "gpd", "lemma45", "lemma312", "k0", "snf", "report")
+# each command with the positional arguments it needs, in order
+ARGUMENTS = {
+    "gb": ("ring",), "nf": ("ring", "polynomial"), "ann": ("ring", "element"),
+    "resolve": ("module",), "pd": ("module",), "ext": ("module", "degree"),
+    "dual": ("module",), "gclass": ("module",), "gpd": ("module", "syzygy index"),
+    "lemma45": ("ring", "element"), "lemma312": ("submodule",),
+    "k0": ("module",), "snf": ("matrix",), "report": (),
+}
+COMMANDS = tuple(ARGUMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +345,8 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
             parts = line.split()[1:]
             if not parts or parts[0] not in COMMANDS:
                 raise ParseError("unknown task command", line=line_no)
+            if parts[0] == "report":
+                raise ParseError("a task cannot run report", line=line_no)
             model.tasks.append(parts)
         else:
             raise ParseError(f"unknown declaration {head!r}", line=line_no)
@@ -394,6 +403,9 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     flag_depth, _, rest = _extract_flags(list(args))
     if flag_depth is not None:
         depth = flag_depth
+    missing = ARGUMENTS.get(cmd, ())[len(rest):]
+    if missing:
+        raise InputError(f"{cmd} needs a {missing[0]} argument")
     report = Report()
     report.add("command", cmd)
     code = 0
@@ -555,10 +567,15 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     ns = parser.parse_args(argv)
 
-    guard = ns.degree_guard
-    if guard is None:
-        guard = int(os.environ.get(ENV_GUARD, DEFAULT_DEGREE_GUARD))
     try:
+        guard = ns.degree_guard
+        if guard is None:
+            raw = os.environ.get(ENV_GUARD, str(DEFAULT_DEGREE_GUARD))
+            try:
+                guard = int(raw)
+            except ValueError:
+                raise InputError(
+                    f"{ENV_GUARD} must be an integer, got {raw!r}") from None
         if ns.model == "-":
             model = ModelFile({}, {}, {}, {}, [])
         else:

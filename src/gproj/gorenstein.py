@@ -17,16 +17,16 @@ from .modules import (
     DoubleDualResult,
     DualModule,
     FPModule,
-    SubmoduleEngine,
+    SubmoduleOfFree,
     _unit_column,
-    canonical_generators,
+    colon_generators,
     double_dual_map,
-    dual_module,
     mat_vec,
     polynomial_extension,
+    subquotient,
 )
 from .rings import QuotRing
-from .resolutions import free_resolution
+from .resolutions import FreeResolution, first_inexact_node, free_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -66,31 +66,22 @@ def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int):
     return cols
 
 
-def _subquotient(R: QuotRing, ambient: int, numerator, denominator) -> FPModule:
-    """Present span(numerator)/span(denominator); denominator must sit inside."""
-    gens = list(numerator)
-    if not gens:
-        return FPModule(R, 0, ())
-    eng = SubmoduleEngine(R, ambient, gens)
-    cols = []
-    for w in denominator:
-        wit = eng.witness(w)
-        if wit is None:
-            raise InputError("denominator not contained in numerator")
-        cols.append(tuple(wit))
-    cols += list(eng.syzygies())
-    return FPModule(R, len(gens), cols)
-
-
 def ext_module(M: FPModule, N: FPModule, i: int) -> ExtResult:
     """Ext^i(M, N) as the homology of Hom(-, N) on a free resolution of M."""
     if i < 0:
         raise InputError("negative Ext degree")
     if M.ring != N.ring:
         raise InputError("Ext needs a common ring")
-    R = M.ring
+    return _ext_from_resolution(free_resolution(M, i + 1), N, i)
+
+
+def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
+    """Ext^i(res.module, N) from a resolution of depth at least i + 1.
+
+    Only d_i and d_{i+1} are read, so a deeper resolution gives the same bytes.
+    """
+    R = N.ring
     g = N.ngens
-    res = free_resolution(M, i + 1)
     ranks = res.ranks
 
     def rank_at(s):
@@ -110,14 +101,11 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> ExtResult:
         kernel_gens = tuple(_unit_column(R, x_dim, j) for j in range(x_dim))
     else:
         Y = _hom_free_into(N, rank_at(i + 1))
-        eng = SubmoduleEngine(R, y_dim, u_cols + list(Y.canonical_relations))
-        kernel_gens = tuple(tuple(s[:x_dim]) for s in eng.syzygies())
-        kernel_gens = canonical_generators(R, x_dim, kernel_gens)
+        kernel_gens = colon_generators(R, y_dim, u_cols, Y.canonical_relations)
     denominator = list(X.canonical_relations)
-    if i >= 1:
-        v_cols = _hom_induced_columns(R, list(d_cols(i)), rank_at(i - 1), g)
-        denominator += v_cols
-    ext = _subquotient(R, x_dim, kernel_gens, denominator)
+    if i >= 1:  # plus the image of Hom(d_i, N)
+        denominator += _hom_induced_columns(R, list(d_cols(i)), rank_at(i - 1), g)
+    ext = subquotient(SubmoduleOfFree(R, x_dim, kernel_gens), denominator)
     return ExtResult(i, ext, ext.is_zero())
 
 
@@ -147,37 +135,6 @@ def _transpose(cols, nrows: int):
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(nrows))
 
 
-def _exact_at(R: QuotRing, incoming, outgoing, rank_here: int, rank_next: int) -> bool:
-    """Exactness at a node: composite vanishes and ker(outgoing) <= im(incoming)."""
-    for col in incoming:
-        if outgoing:
-            image = mat_vec(R, list(outgoing), col)
-            if any(not p.is_zero() for p in image):
-                return False
-    if rank_here == 0:
-        return True
-    if not outgoing or rank_next == 0:
-        kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
-    else:
-        kernel = SubmoduleEngine(R, rank_next, list(outgoing)).syzygies()
-    eng = SubmoduleEngine(R, rank_here, list(incoming))
-    return all(eng.contains(kg) for kg in kernel)
-
-
-def _chain_first_inexact(R: QuotRing, ranks, maps) -> Optional[int]:
-    """First interior node (1..len-2) where exactness fails, or None.
-
-    Left-to-right convention: maps[j] sends node j to node j+1; at node i the
-    incoming map is maps[i-1] and the outgoing map is maps[i].
-    """
-    for node in range(1, len(ranks) - 1):
-        incoming = maps[node - 1]
-        outgoing = maps[node]
-        if not _exact_at(R, incoming, outgoing, ranks[node], ranks[node + 1]):
-            return node
-    return None
-
-
 def _dual_chain(ranks, maps):
     """Apply Hom(-, R): reverse the node order and transpose every matrix."""
     L = len(ranks)
@@ -204,8 +161,27 @@ def complete_resolution_check(M: FPModule, window: int
     """
     if window < 1:
         raise InputError("window must be at least 1")
+
+    def dual_side():
+        mu = double_dual_map(M)
+        if mu.verdict != "iso":
+            raise NoCoresolutionAvailable(
+                "no periodicity and the double-duality map is not an isomorphism")
+        return mu, free_resolution(mu.dual.module, window)
+
+    return _complete_window(free_resolution(M, window + 1), window, dual_side)
+
+
+def _complete_window(res: FreeResolution, window: int, dual_side
+                     ) -> Union[CompleteResolutionWindow, CompleteResolutionFailure]:
+    """`complete_resolution_check` on res = free_resolution(M, window + 1).
+
+    `dual_side()` is called only on the dual_of_dual_resolution route. It
+    returns the double-duality map of M, which must be an isomorphism, and a
+    resolution of the dual M* of depth at least window.
+    """
+    M = res.module
     R = M.ring
-    res = free_resolution(M, window + 1)
     left_maps = list(res.maps)  # d_1, d_2, ...
     left_ranks = res.ranks  # F_0, F_1, ...
 
@@ -213,14 +189,18 @@ def complete_resolution_check(M: FPModule, window: int
     nodes_ltr = list(reversed(left_ranks))  # F_L, ..., F_1, F_0
     maps_ltr = list(reversed(left_maps))  # d_L, ..., d_1
     dranks, dmaps = _dual_chain(nodes_ltr, maps_ltr)
-    bad = _chain_first_inexact(R, dranks, dmaps)
+    bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         step = len(dranks) - 1 - bad  # dual node index back to resolution step
         return CompleteResolutionFailure(
             "left_dual_exactness", step,
             f"Hom(-, R) loses exactness at resolution step {step}")
 
-    # build the right tail, still reading left to right
+    # splice a right tail onto F_depth, ..., F_0, still reading left to
+    # right; a free module instead gets a trivial window of its own
+    module_position = min(window, len(left_maps))
+    nodes_ltr = [left_ranks[s] for s in range(module_position, -1, -1)]
+    maps_ltr = [left_maps[s] for s in range(module_position - 1, -1, -1)]
     n = M.ngens
     if not M.canonical_relations:
         route = "trivial_projective"
@@ -236,29 +216,17 @@ def complete_resolution_check(M: FPModule, window: int
         splice = left_maps[p - 1]
         cycle_maps = [splice] + [left_maps[s] for s in range(p - 2, -1, -1)]
         cycle_ranks = [left_ranks[p - 1 - j] for j in range(p)]
-        depth_used = min(window, len(left_maps))
-        nodes_ltr = [left_ranks[s] for s in range(depth_used, -1, -1)]
-        maps_ltr = [left_maps[s] for s in range(depth_used - 1, -1, -1)]
-        module_position = depth_used
         for j in range(window):
             maps_ltr.append(cycle_maps[j % p])
             nodes_ltr.append(cycle_ranks[j % p])
     else:
-        mu = double_dual_map(M)
-        if mu.verdict != "iso":
-            raise NoCoresolutionAvailable(
-                "no periodicity and the double-duality map is not an isomorphism")
+        mu, dual_res = dual_side()
         route = "dual_of_dual_resolution"
-        dual_res = free_resolution(mu.dual.module, window)
         g_ranks = dual_res.ranks
         dd_eval = list(mu.double_dual.evaluation)
         tau = tuple(
             mat_vec(R, dd_eval, col) if dd_eval else (R.zero(),) * g_ranks[0]
             for col in mu.map.columns)
-        depth_used = min(window, len(left_maps))
-        nodes_ltr = [left_ranks[s] for s in range(depth_used, -1, -1)]
-        maps_ltr = [left_maps[s] for s in range(depth_used - 1, -1, -1)]
-        module_position = depth_used
         maps_ltr.append(tau)
         nodes_ltr.append(g_ranks[0])
         for s, d in enumerate(dual_res.maps):
@@ -268,12 +236,12 @@ def complete_resolution_check(M: FPModule, window: int
             nodes_ltr.append(len(d))
 
     ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
-    bad = _chain_first_inexact(R, ranks_t, maps_t)
+    bad = first_inexact_node(R, ranks_t, maps_t)
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
     dranks, dmaps = _dual_chain(ranks_t, maps_t)
-    bad = _chain_first_inexact(R, dranks, dmaps)
+    bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         return CompleteResolutionFailure(
             "window_dual_exactness", bad,
@@ -324,39 +292,31 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
         raise InputError("depth must be at least 1")
     R = M.ring
     free_rank_one = FPModule.free(R, 1)
-    cond1 = tuple(ext_module(M, free_rank_one, m) for m in range(1, depth + 1))
-    dual = dual_module(M)
-    cond2 = tuple(ext_module(dual.module, free_rank_one, m)
+    res = free_resolution(M, depth + 1)
+    cond1 = tuple(_ext_from_resolution(res, free_rank_one, m)
                   for m in range(1, depth + 1))
     mu = double_dual_map(M)
+    dual_res = free_resolution(mu.dual.module, depth + 1)
+    cond2 = tuple(_ext_from_resolution(dual_res, free_rank_one, m)
+                  for m in range(1, depth + 1))
 
-    fail_witness = None
-    for r in cond1:
-        if not r.is_zero:
-            fail_witness = ("cond1", r.i, r)
-            break
-    if fail_witness is None:
-        for r in cond2:
-            if not r.is_zero:
-                fail_witness = ("cond2", r.i, r)
-                break
-    if fail_witness is None and mu.verdict != "iso":
-        fail_witness = ("cond3", None, mu.verdict)
-    if fail_witness is not None:
-        return GClassReport(depth, cond1, cond2, mu.verdict, dual, mu,
-                            "fail", None, fail_witness)
+    witnesses = [(kind, r.i, r) for kind, results in (("cond1", cond1), ("cond2", cond2))
+                 for r in results if not r.is_zero]
+    if mu.verdict != "iso":
+        witnesses.append(("cond3", None, mu.verdict))
+    if witnesses:
+        return GClassReport(depth, cond1, cond2, mu.verdict, mu.dual, mu,
+                            "fail", None, witnesses[0])
 
-    certified_by = None
-    try:
-        crc = complete_resolution_check(M, depth)
-        if isinstance(crc, CompleteResolutionWindow):
-            certified_by = "complete_resolution"
-    except NoCoresolutionAvailable:
-        pass
-    if certified_by is None and ring_is_self_injective_catalog(R):
+    if isinstance(_complete_window(res, depth, lambda: (mu, dual_res)),
+                  CompleteResolutionWindow):
+        certified_by = "complete_resolution"
+    elif ring_is_self_injective_catalog(R):
         certified_by = "self_injective_catalog"
+    else:
+        certified_by = None
     kind = "certified" if certified_by else "pass_up_to_depth"
-    return GClassReport(depth, cond1, cond2, mu.verdict, dual, mu,
+    return GClassReport(depth, cond1, cond2, mu.verdict, mu.dual, mu,
                         kind, certified_by, None)
 
 

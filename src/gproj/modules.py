@@ -935,16 +935,20 @@ class IntersectionCriterionResult(NamedTuple):
     induced_map: ModuleMap
 
 
-def _quotient_presentation(big: SubmoduleOfFree, small: SubmoduleOfFree) -> FPModule:
-    """Present big/small: generators of big, relations from small plus syzygies."""
+def subquotient(numerator: SubmoduleOfFree, denominator) -> FPModule:
+    """Present numerator/span(denominator) on the numerator's generators.
+
+    The relations are membership witnesses of the denominator columns, which
+    must lie in the numerator, plus the syzygies of the numerator generators.
+    """
     cols = []
-    for g in small.generators:
-        wit = big.witness(g)
+    for w in denominator:
+        wit = numerator.witness(w)
         if wit is None:
-            raise InputError("inclusion certificate fails")
+            raise InputError("denominator not contained in numerator")
         cols.append(tuple(wit))
-    cols += list(big.syzygies())
-    return FPModule(big.ring, len(big.generators), cols)
+    cols += list(numerator.syzygies())
+    return FPModule(numerator.ring, len(numerator.generators), cols)
 
 
 def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
@@ -960,8 +964,8 @@ def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
                            (A, A1, "A in A1"), (A1, B1, "A1 in B1")):
         if not sup.contains_submodule(sub):
             raise InputError(f"inclusion certificate fails: {what}")
-    Q = _quotient_presentation(B, A)
-    Q1 = _quotient_presentation(B1, A1)
+    Q = subquotient(B, A.generators)
+    Q1 = subquotient(B1, A1.generators)
     cols = []
     for g in B.generators:
         wit = B1.witness(g)

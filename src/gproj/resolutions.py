@@ -108,38 +108,48 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     return FreeResolution(M, maps_t, depth, _find_periodicity(maps_t))
 
 
-def verify_exactness(res: FreeResolution) -> bool:
-    """Independent check: composites vanish and homology is zero at each step.
+def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
+    """First interior node (1..len-2) where the chain is not exact, or None.
 
-    Uses membership both ways (image inside kernel and kernel inside image),
-    not the construction that produced the maps.
+    Reads the chain left to right: maps[j] sends node j to node j+1 as a
+    column list. Exactness at a node is checked by membership both ways
+    (image inside kernel and kernel inside image), not by the construction
+    that produced the maps.
+    """
+    for node in range(1, len(ranks) - 1):
+        incoming, outgoing = maps[node - 1], maps[node]
+        for col in incoming:
+            if outgoing and any(not p.is_zero()
+                                for p in mat_vec(R, list(outgoing), col)):
+                return node
+        rank_here, rank_next = ranks[node], ranks[node + 1]
+        if rank_here == 0:
+            continue
+        if not outgoing or rank_next == 0:
+            kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
+        else:
+            kernel = _syzygy_columns(R, rank_next, outgoing)
+        eng = SubmoduleEngine(R, rank_here, list(incoming))
+        if not all(eng.contains(kg) for kg in kernel):
+            return node
+    return None
+
+
+def verify_exactness(res: FreeResolution) -> bool:
+    """Independent check: F_0 presents the module and the chain is exact.
+
+    The kernel of F_0 ->> M must equal the relation span, and every interior
+    node of F_L -> ... -> F_0 must pass `first_inexact_node`.
     """
     R = res.module.ring
-    ranks = res.ranks
     maps = res.maps
-    # kernel of F_0 ->> M equals the relation span
     if maps:
-        for col in maps[0]:
-            if not res.module.rel_span_contains(col):
-                return False
-        for col in res.module.relations:
-            if not SubmoduleEngine(R, ranks[0], list(maps[0])).contains(col):
-                return False
-    for s in range(len(maps) - 1):
-        d, d_next = maps[s], maps[s + 1]
-        if not d:
-            continue
-        # composite is zero
-        for col in d_next:
-            image = mat_vec(R, list(d), col)
-            if any(not p.is_zero() for p in image):
-                return False
-        # homology vanishes: every syzygy of d lies in the span of d_next
-        eng = SubmoduleEngine(R, ranks[s], list(d_next)) if d_next else None
-        for syz in _syzygy_columns(R, ranks[s], d):
-            if eng is None or not eng.contains(syz):
-                return False
-    return True
+        if not all(res.module.rel_span_contains(col) for col in maps[0]):
+            return False
+        eng = SubmoduleEngine(R, res.module.ngens, list(maps[0]))
+        if not all(eng.contains(col) for col in res.module.relations):
+            return False
+    return first_inexact_node(R, res.ranks[::-1], maps[::-1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +275,8 @@ def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCert
     if failures:
         return InfinitePdCertificate(False, tuple(failures), None, None, None)
     ideal_module = FPModule(R, 1, [(a,)])
-    res = free_resolution(ideal_module, depth)
     verdict = pd_bounded(ideal_module, depth - 1)
+    res = verdict.resolution
     accepted = (verdict.kind == "infinite_periodic" and res.periodicity == (0, 1))
     if not accepted:
         failures.append("periodic certificate did not materialize")

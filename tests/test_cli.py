@@ -159,3 +159,32 @@ def test_degree_guard_env_override(tmp_path, capsys, monkeypatch):
     assert "DegreeGuardExceeded" in err
     monkeypatch.delenv("GPROJ_DEGREE_GUARD")
     assert main(["nf", str(path), "S", "x^4"]) == 0
+
+
+def test_nested_report_task_is_a_parse_error(tmp_path, capsys):
+    text = FLAGSHIP + "task report\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model_file(text)
+    assert exc.value.line == 7
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert "input error: a task cannot run report at line 7" in capsys.readouterr().err
+
+
+def test_non_integer_degree_guard_env_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    monkeypatch.setenv("GPROJ_DEGREE_GUARD", "abc")
+    assert main(["pd", str(path), "I"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: GPROJ_DEGREE_GUARD must be an integer")
+
+
+def test_missing_command_argument_is_named(tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    assert main(["pd", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: pd needs a module argument\n"
+    assert main(["ext", str(path), "I", "--depth", "3"]) == 2
+    assert capsys.readouterr().err == "input error: ext needs a degree argument\n"

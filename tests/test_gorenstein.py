@@ -1,9 +1,12 @@
+import pytest
+
 from gproj import (
     GF,
     QQ,
     CompleteResolutionFailure,
     CompleteResolutionWindow,
     FPModule,
+    NoCoresolutionAvailable,
     PolyRing,
     complete_resolution_check,
     dual_module,
@@ -266,3 +269,49 @@ def test_g_class_robust_on_random_small_modules():
         assert rep.verdict_kind in ("certified", "pass_up_to_depth", "fail")
         if rep.verdict_kind == "fail":
             assert rep.fail_witness is not None
+
+
+# ----- g_class_test against the standalone routes -----
+
+def _residue_field_of_xy_squares():
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    return FPModule(R, 1, [(R.poly("x"),), (R.poly("y"),)])
+
+
+def _x_squared_over_gf5_chain_ring():
+    R = PolyRing(GF(5), ("x",)).quotient(["x^4"])
+    return FPModule(R, 1, [(R.poly("x^2"),)])
+
+
+def _residue_field_of_cube_of_maximal_ideal():
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "x*y", "y^2"])
+    return FPModule(R, 1, [(R.poly("x"),), (R.poly("y"),)])
+
+
+@pytest.mark.parametrize("build, depth, verdict", [
+    (_residue_field_of_xy_squares, 4, "Certified(complete_resolution)"),
+    (_x_squared_over_gf5_chain_ring, 4, "Certified(complete_resolution)"),
+    (_residue_field_of_cube_of_maximal_ideal, 1, "Fail(cond1 at m=1)"),
+])
+def test_g_class_test_matches_standalone_routes(build, depth, verdict):
+    # g_class_test reuses one resolution of M and of M*; every part of its
+    # report must equal what the public entry points compute from scratch
+    M = build()
+    R1 = FPModule.free(M.ring, 1)
+    rep = g_class_test(M, depth)
+    assert rep.verdict_str() == verdict
+    dual = dual_module(M)
+    for m in range(1, depth + 1):
+        for got, module in ((rep.cond1[m - 1], M), (rep.cond2[m - 1], dual.module)):
+            want = ext_module(module, R1, m)
+            assert got.i == m and got.is_zero == want.is_zero
+            assert got.module.ngens == want.module.ngens
+            assert got.module.canonical_relations == want.module.canonical_relations
+    assert rep.dual.module.same_presentation(dual.module)
+    assert rep.dual.evaluation == dual.evaluation
+    try:
+        certified = isinstance(complete_resolution_check(M, depth),
+                               CompleteResolutionWindow)
+    except NoCoresolutionAvailable:
+        certified = False
+    assert (rep.certified_by == "complete_resolution") == certified

@@ -4,6 +4,7 @@ from gproj import (
     GF,
     QQ,
     FPModule,
+    FreeResolution,
     ModuleMap,
     NotRegularOnQuotient,
     PolyRing,
@@ -19,6 +20,7 @@ from gproj import (
     verify_short_exact,
 )
 from gproj.modules import mat_vec
+from gproj.resolutions import first_inexact_node
 
 from helpers import ring_elements, span_of_columns, vector_space
 
@@ -73,6 +75,62 @@ def test_resolution_homology_cross_checked_by_enumeration():
                   if all(p.is_zero() for p in mat_vec(R, list(d), v))}
         image = span_of_columns(R, ranks[s + 1], d_next, elements)
         assert kernel == image
+
+
+def _residue_field_resolution(depth):
+    # over GF(2)[x,y]/(x^2,y^2) the ranks are 1, 2, 3, ...; d_2 has columns
+    # (x, 0), (y, x), (0, y)
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    k = FPModule(R, 1, [(R.poly("x"),), (R.poly("y"),)])
+    return R, k, free_resolution(k, depth)
+
+
+def _first_inexact(res):
+    return first_inexact_node(res.module.ring, res.ranks[::-1], res.maps[::-1])
+
+
+def test_exactness_checker_accepts_the_intact_resolution():
+    _, _, res = _residue_field_resolution(3)
+    assert verify_exactness(res)
+    assert _first_inexact(res) is None
+
+
+def test_exactness_checker_rejects_missing_d2_column():
+    # without (0, y) the syzygy (0, y) of d_1 is no longer a boundary at F_1
+    _, k, res = _residue_field_resolution(1)
+    d1, d2 = res.maps
+    broken = FreeResolution(k, (d1, d2[:2]), 1, None)
+    assert not verify_exactness(broken)
+    assert _first_inexact(broken) == 1  # nodes F_2, F_1, F_0: F_1 is node 1
+
+
+def test_exactness_checker_rejects_a_non_syzygy_in_d2():
+    # (1, 0) is not a syzygy of d_1 = [x, y], so d_1 d_2 != 0 at F_1
+    R, k, res = _residue_field_resolution(1)
+    d1, d2 = res.maps
+    broken = FreeResolution(k, (d1, d2[:2] + ((R.one(), R.zero()),)), 1, None)
+    assert not verify_exactness(broken)
+    assert _first_inexact(broken) == 1
+
+
+def test_exactness_checker_reports_the_first_inexact_node():
+    # the same bad column in a deeper resolution also breaks d_2 d_3 at F_2;
+    # read left to right F_4, F_3, F_2, F_1, F_0, F_2 is node 2 and F_1 node 3
+    R, k, res = _residue_field_resolution(3)
+    d2 = res.maps[1][:2] + ((R.one(), R.zero()),)
+    broken = FreeResolution(k, (res.maps[0], d2) + res.maps[2:], 3, None)
+    assert not verify_exactness(broken)
+    assert _first_inexact(broken) == 2
+    ranks, maps = broken.ranks[::-1], broken.maps[::-1]
+    assert first_inexact_node(R, ranks[2:], maps[2:]) == 1  # F_1 fails too
+
+
+def test_exactness_checker_rejects_a_wrong_presentation_at_f0():
+    R, k, res = _residue_field_resolution(1)
+    x_only = (res.maps[0][0],)  # misses the relation y
+    assert not verify_exactness(FreeResolution(k, (x_only,), 0, None))
+    outside = ((R.one(),),)  # 1 is not a relation of k
+    assert not verify_exactness(FreeResolution(k, (outside,), 0, None))
 
 
 # ----- pd verdicts -----

@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .errors import GprojError, InputError, MathRejection, ParseError
+from .errors import DegreeGuardExceeded, GprojError, InputError, MathRejection, ParseError
 from .fields import GF, QQ
 from .gorenstein import ext_module, g_class_test, gpd_bounded
 from .kgroups import catalog_for, class_decompose, euler_class, smith_normal_form
@@ -236,6 +236,14 @@ _SUBMODULE_RE = re.compile(
     r"ambient\s+(?P<n>\d+)\s+gens\s+(?P<mat>\[.*\])\s*$")
 
 
+def _declaration_error(exc: GprojError, line_no: int) -> GprojError:
+    """A declaration that failed to build is a ParseError at its line, except
+    a degree-guard trip, which stays a mathematical rejection (exit 1)."""
+    if isinstance(exc, DegreeGuardExceeded):
+        return DegreeGuardExceeded(f"{exc} at line {line_no}")
+    return ParseError(str(exc), line=line_no)
+
+
 def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> ModelFile:
     """Parse and fully validate a model file, or fail with a line diagnostic."""
     model = ModelFile({}, {}, {}, {}, [])
@@ -277,7 +285,7 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
                 gens = [base.poly(s) for s in mod_strings]
                 ring = QuotRing(base, Ideal(base, gens))
             except GprojError as exc:
-                raise ParseError(str(exc), line=line_no) from None
+                raise _declaration_error(exc, line_no) from None
             canonical_mod = tuple(format_poly(g) for g in gens)
             model.rings[name] = RingDecl(name, field_text, variables, order,
                                          canonical_mod, ring)
@@ -296,7 +304,7 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
             try:
                 module = FPModule.from_strings(ring, ngens, rows)
             except GprojError as exc:
-                raise ParseError(str(exc), line=line_no) from None
+                raise _declaration_error(exc, line_no) from None
             canonical = tuple(tuple(format_poly(p) for p in row)
                               for row in module.relation_rows())
             model.modules[name] = ModuleDecl(name, ring_name, ngens, canonical,
@@ -316,7 +324,7 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
                 mp = ModuleMap.from_strings(model.modules[src].module,
                                             model.modules[dst].module, rows)
             except GprojError as exc:
-                raise ParseError(str(exc), line=line_no) from None
+                raise _declaration_error(exc, line_no) from None
             canonical = tuple(tuple(format_poly(p) for p in row)
                               for row in mp.rows())
             model.maps[name] = MapDecl(name, src, dst, canonical, mp)
@@ -336,7 +344,7 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
                 gens = [tuple(ring.poly(s) for s in row) for row in rows]
                 sub = SubmoduleOfFree(ring, ambient, gens)
             except GprojError as exc:
-                raise ParseError(str(exc), line=line_no) from None
+                raise _declaration_error(exc, line_no) from None
             canonical = tuple(tuple(format_poly(p) for p in g)
                               for g in sub.generators)
             model.submodules[name] = SubmoduleDecl(name, ring_name, ambient,

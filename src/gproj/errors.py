@@ -33,7 +33,10 @@ class MathRejection(GprojError):
 
 
 class DegreeGuardExceeded(MathRejection):
-    """A Groebner-type computation exceeded the configured total-degree cap."""
+    """A Groebner-type computation exceeded the configured total-degree cap.
+
+    The message starts with the operation that tripped it: "Groebner basis",
+    "module basis at rank r" or "normal form"."""
 
 
 class MapNotWellDefined(MathRejection):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import (
-    DegreeGuardExceeded,
     InputError,
     MapNotWellDefined,
     NotMonic,
@@ -25,182 +24,21 @@ from .errors import (
     ZeroDivisorInRing,
 )
 from .rings import (
+    FreeModuleGB,
     Ideal,
     Poly,
     PolyRing,
     QuotRing,
+    Vec,
     coeffs_by_variable,
     embed_poly,
     extend_ring,
     is_monic_in_var,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
     reduce_by_monic_in_var,
     restrict_poly,
 )
 
-Vec = dict  # {(pos, expt): coeff}
 Column = tuple  # tuple[Poly, ...]
-
-
-# ---------------------------------------------------------------------------
-# free-module Groebner bases over the ambient polynomial ring
-# ---------------------------------------------------------------------------
-
-class FreeModuleGB:
-    """Reduced Groebner basis of a submodule of P^rank (POT order)."""
-
-    def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
-        self.ring = ring
-        self.rank = rank
-        self._rkey = ring._key
-        self.basis = self._buchberger([dict(v) for v in vectors if v])
-
-    def _mkey(self, mono):
-        pos, expt = mono
-        return (-pos,) + tuple(self._rkey(expt))
-
-    def _lead(self, v: Vec):
-        return max(v, key=self._mkey)
-
-    def _monic(self, v: Vec) -> Vec:
-        field = self.ring.field
-        lead = self._lead(v)
-        c = field.inv(v[lead])
-        return {m: field.mul(cc, c) for m, cc in v.items()}
-
-    def reduce(self, v: Vec) -> Vec:
-        """Full normal form: every term gets reduced, result is unique."""
-        field = self.ring.field
-        guard = self.ring.degree_guard
-        work = dict(v)
-        remainder: Vec = {}
-        by_pos = self._by_pos
-        while work:
-            mono = max(work, key=self._mkey)
-            pos, expt = mono
-            c = work[mono]
-            hit = None
-            for lead_expt, g in by_pos.get(pos, ()):
-                if monomial_divides(lead_expt, expt):
-                    hit = (lead_expt, g)
-                    break
-            if hit is None:
-                remainder[mono] = c
-                del work[mono]
-                continue
-            lead_expt, g = hit
-            shift = monomial_div(expt, lead_expt)
-            for (p2, e2), cc in g.items():
-                e3 = monomial_mul(e2, shift)
-                if sum(e3) > guard:
-                    raise DegreeGuardExceeded(
-                        f"module term degree {sum(e3)} exceeds guard {guard}")
-                key = (p2, e3)
-                s = field.sub(work.get(key, field.zero), field.mul(cc, c))
-                if s == 0:
-                    work.pop(key, None)
-                else:
-                    work[key] = s
-        return remainder
-
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
-
-    def _rebuild_index(self, basis):
-        by_pos: dict[int, list] = {}
-        for g in basis:
-            pos, expt = self._lead(g)
-            by_pos.setdefault(pos, []).append((expt, g))
-        self._by_pos = by_pos
-
-    def _buchberger(self, vectors: list[Vec]) -> list[Vec]:
-        guard = self.ring.degree_guard
-        field = self.ring.field
-        basis = [self._monic(v) for v in vectors]
-        basis.sort(key=lambda g: self._mkey(self._lead(g)), reverse=True)
-        self._rebuild_index(basis)
-        ring_case = self.rank == 1
-
-        def spair(f, g):
-            (pos, a) = self._lead(f)
-            (_, b) = self._lead(g)
-            lcm = monomial_lcm(a, b)
-            sa, sb = monomial_div(lcm, a), monomial_div(lcm, b)
-            out: Vec = {}
-            for (p, e), c in f.items():
-                out[(p, monomial_mul(e, sa))] = c
-            for (p, e), c in g.items():
-                key = (p, monomial_mul(e, sb))
-                s = field.sub(out.get(key, field.zero), c)
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            return out
-
-        def pair_key(i, j):
-            (pos, a) = self._lead(basis[i])
-            (_, b) = self._lead(basis[j])
-            lcm = monomial_lcm(a, b)
-            return (sum(lcm), pos, lcm, i, j)
-
-        pairs = set()
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if self._lead(basis[i])[0] == self._lead(basis[j])[0]:
-                    pairs.add((i, j))
-        while pairs:
-            i, j = min(pairs, key=lambda p: pair_key(*p))
-            pairs.discard((i, j))
-            (pos, a) = self._lead(basis[i])
-            (_, b) = self._lead(basis[j])
-            if ring_case and monomial_lcm(a, b) == monomial_mul(a, b):
-                continue  # coprime criterion is only sound in the rank-1 case
-            r = self.reduce(spair(basis[i], basis[j]))
-            if not r:
-                continue
-            top_deg = max(sum(e) for (_, e) in r)
-            if top_deg > guard:
-                raise DegreeGuardExceeded(
-                    f"module basis degree {top_deg} exceeds guard {guard}")
-            basis.append(self._monic(r))
-            k = len(basis) - 1
-            self._rebuild_index(basis)
-            lead_k = self._lead(basis[k])[0]
-            for t in range(k):
-                if self._lead(basis[t])[0] == lead_k:
-                    pairs.add((t, k))
-        return self._interreduce(basis)
-
-    def _interreduce(self, basis: list[Vec]) -> list[Vec]:
-        basis = [g for g in basis if g]
-        keep = []
-        leads = [self._lead(g) for g in basis]
-        for i, g in enumerate(basis):
-            pos, expt = leads[i]
-            redundant = False
-            for j in range(len(basis)):
-                if j == i:
-                    continue
-                pj, ej = leads[j]
-                if pj == pos and monomial_divides(ej, expt) and (ej != expt or j < i):
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append(g)
-        reduced = []
-        for i, g in enumerate(keep):
-            others = keep[:i] + keep[i + 1:]
-            self._rebuild_index(others)
-            r = self.reduce(g) if others else g
-            if r:
-                reduced.append(self._monic(r))
-        reduced.sort(key=lambda g: self._mkey(self._lead(g)), reverse=True)
-        self._rebuild_index(reduced)
-        return reduced
 
 
 def _column_to_vec(col: Column) -> Vec:

@@ -2,6 +2,8 @@
 
 Polynomials are sparse: a tuple of (exponent vector, coefficient) pairs kept
 strictly descending in the ring's monomial order, with no zero coefficients.
+One Groebner engine, FreeModuleGB, serves both ideals (rank 1) and
+submodules of free modules.
 Every value here is immutable after construction; ideals compute their reduced
 Groebner basis at construction time, never lazily, so instances can be shared
 freely across threads.
@@ -10,7 +12,10 @@ freely across threads.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import add, le, neg, sub
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DegreeGuardExceeded,
@@ -38,21 +43,25 @@ def _key_grevlex(expt: Monomial):
 
 _ORDER_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
 
+# the order keys negated, so the smallest heap key is the largest monomial
+_HEAP_KEYS = {"lex": lambda expt: tuple(map(neg, expt)),
+              "grevlex": lambda expt: (-sum(expt),) + expt[::-1]}
+
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class PolyRing:
@@ -369,59 +378,233 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# normal forms and the Groebner engine
 # ---------------------------------------------------------------------------
 
+Vec = dict  # {(position, exponent): coeff}, an element of the free module P^r
+
+
+class _Element(NamedTuple):
+    """A monic basis vector, split at its lead term once, on insertion."""
+    pos: int  # the lead term is (pos, expt) with coefficient 1
+    expt: Monomial
+    tail: tuple  # ((pos, expt), coeff) for every other term
+    top: int  # largest total degree among all the terms
+
+
+def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
+    return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
+
+
 def reduce_poly(f: Poly, basis: list[Poly], guard: Optional[int] = None) -> Poly:
-    """Full normal form of f modulo basis (every term reduced)."""
+    """Full normal form of f modulo basis (every term reduced).
+
+    The basis leads are read once per call, and the largest live term is
+    popped from a heap instead of searched for at every step.
+    """
     ring = f.ring
     if guard is None:
         guard = ring.degree_guard
     field = ring.field
+    zero, one = field.zero, field.one
+    hkey = _HEAP_KEYS[ring.order]
+    leads = [(g.terms[0][0], g.terms[0][1], g.terms[1:]) for g in basis if g.terms]
+    work = dict(f.terms)
+    heap = [(hkey(e), e) for e in work]
+    heapify(heap)
     remainder: dict = {}
-    work = f._dict()
-    key = ring._key
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        hit = None
-        for g in basis:
-            if monomial_divides(g.lead_monomial(), m):
-                hit = g
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        for lead, lc, tail in leads:
+            if monomial_divides(lead, m):
                 break
-        if hit is None:
+        else:
             remainder[m] = c
-            del work[m]
             continue
-        shift = monomial_div(m, hit.lead_monomial())
-        factor = field.div(c, hit.lead_coeff())
-        for e, cc in hit.terms:
+        if sum(m) > guard:
+            raise _guard_exceeded("normal form", "term", sum(m), guard)
+        shift = monomial_div(m, lead)
+        factor = c if lc == one else field.div(c, lc)
+        for e, cc in tail:
             e2 = monomial_mul(e, shift)
             if sum(e2) > guard:
-                raise DegreeGuardExceeded(
-                    f"term degree {sum(e2)} exceeds guard {guard} during reduction")
-            s = field.sub(work.get(e2, field.zero), field.mul(cc, factor))
+                raise _guard_exceeded("normal form", "term", sum(e2), guard)
+            old = work.get(e2)
+            if old is None:
+                heappush(heap, (hkey(e2), e2))
+                old = zero
+            s = field.sub(old, field.mul(cc, factor))
             if s == 0:
-                work.pop(e2, None)
+                del work[e2]
             else:
                 work[e2] = s
     return ring.from_dict(remainder)
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    lcm = monomial_lcm(f.lead_monomial(), g.lead_monomial())
-    a = f.mul_monomial(monomial_div(lcm, f.lead_monomial()),
-                       f.ring.field.inv(f.lead_coeff()))
-    b = g.mul_monomial(monomial_div(lcm, g.lead_monomial()),
-                       g.ring.field.inv(g.lead_coeff()))
-    return a - b
+class FreeModuleGB:
+    """Reduced Groebner basis of a submodule of P^rank (POT order).
+
+    This is the one Buchberger in gproj; an ideal is the rank-1 case. Pairs
+    leave a heap by the normal selection strategy, keyed
+    (deg lcm, position, lcm, i, j), and are pruned by the Gebauer-Moeller
+    update: the chain criterion within one position at every rank, the
+    coprime criterion only at rank 1, the one case where it is sound.
+    """
+
+    def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
+        self.ring = ring
+        self.rank = rank
+        self._hkey = _HEAP_KEYS[ring.order]
+        self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
+        self._index: dict[int, list[_Element]] = {}  # position -> reducers
+        reduced = self._buchberger([v for v in vectors if v])
+        one = ring.field.one
+        self.basis = [{(g.pos, g.expt): one, **dict(g.tail)} for g in reduced]
+        self._index = {}
+        for g in reduced:
+            self._index.setdefault(g.pos, []).append(g)
+        self._operation = "normal form"
+
+    def _lead_key(self, mono):
+        return (mono[0],) + self._hkey(mono[1])
+
+    def _element(self, v: Vec) -> _Element:
+        field = self.ring.field
+        lead = min(v, key=self._lead_key)
+        c = v[lead]
+        if c != field.one:
+            c = field.inv(c)
+            v = {m: field.mul(cc, c) for m, cc in v.items()}
+        tail = tuple((m, cc) for m, cc in v.items() if m != lead)
+        return _Element(lead[0], lead[1], tail, max(sum(e) for _, e in v))
+
+    def reduce(self, v: Vec) -> Vec:
+        """Full normal form: every term gets reduced, result is unique."""
+        field = self.ring.field
+        zero = field.zero
+        guard = self.ring.degree_guard
+        hkey = self._hkey
+        index = self._index
+        work = dict(v)
+        heap = [((pos,) + hkey(e), (pos, e)) for pos, e in work]
+        heapify(heap)
+        remainder: Vec = {}
+        while heap:
+            mono = heappop(heap)[1]
+            c = work.pop(mono, None)
+            if c is None:
+                continue  # cancelled after it was queued
+            pos, expt = mono
+            for g in index.get(pos, ()):
+                if monomial_divides(g.expt, expt):
+                    break
+            else:
+                remainder[mono] = c
+                continue
+            shift = monomial_div(expt, g.expt)
+            if g.top + sum(shift) > guard:
+                raise _guard_exceeded(self._operation, "term", g.top + sum(shift), guard)
+            for (p2, e2), cc in g.tail:
+                key = (p2, monomial_mul(e2, shift))
+                old = work.get(key)
+                if old is None:
+                    heappush(heap, ((p2,) + hkey(key[1]), key))
+                    old = zero
+                s = field.sub(old, field.mul(cc, c))
+                if s == 0:
+                    del work[key]
+                else:
+                    work[key] = s
+        return remainder
+
+    def contains(self, v: Vec) -> bool:
+        return not self.reduce(v)
+
+    def _svector(self, f: _Element, g: _Element, lcm: Monomial) -> Vec:
+        """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read."""
+        field = self.ring.field
+        zero = field.zero
+        sf, sg = monomial_div(lcm, f.expt), monomial_div(lcm, g.expt)
+        out: Vec = {(p, monomial_mul(e, sf)): c for (p, e), c in f.tail}
+        for (p, e), c in g.tail:
+            key = (p, monomial_mul(e, sg))
+            s = field.sub(out.get(key, zero), c)
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return out
+
+    def _buchberger(self, vectors: list[Vec]) -> list[_Element]:
+        guard = self.ring.degree_guard
+        elements: list[_Element] = []
+        live: dict[int, list[int]] = {}  # position -> indices of the reducers
+        pairs: list = []  # heap of (deg lcm, pos, lcm, i, j)
+
+        def update(h: _Element) -> None:
+            """Gebauer-Moeller: add h, prune the pairs, update the reducers."""
+            nonlocal pairs
+            k = len(elements)
+            elements.append(h)
+            pos, lm = h.pos, h.expt
+            cands = [(monomial_lcm(lm, elements[i].expt), i) for i in live.get(pos, ())]
+            # new pairs: drop one whose lcm is divisible by the lcm of another
+            # new pair still standing (of equal lcms the last one stays)
+            new = []
+            for n, (lcm, i) in enumerate(cands):
+                coprime = self.rank == 1 and lcm == monomial_mul(lm, elements[i].expt)
+                if coprime or not any(monomial_divides(other[0], lcm)
+                                      for other in chain(cands[n + 1:], new)):
+                    new.append((lcm, i, coprime))
+            # old pairs (i, j): drop one whose lcm LM(h) divides, unless the
+            # lcm of h with i or with j equals it
+            kept = [p for p in pairs if p[1] != pos or not monomial_divides(lm, p[2])
+                    or monomial_lcm(elements[p[3]].expt, lm) == p[2]
+                    or monomial_lcm(elements[p[4]].expt, lm) == p[2]]
+            kept.extend((sum(lcm), pos, lcm, i, k) for lcm, i, coprime in new if not coprime)
+            heapify(kept)
+            pairs = kept
+            live[pos] = [i for i in live.get(pos, ())
+                         if not monomial_divides(lm, elements[i].expt)] + [k]
+            self._index[pos] = [elements[i] for i in live[pos]]
+
+        # inputs go in as they are, largest lead first, so no reducer's lead
+        # ever divides another's: a later lead cannot be a proper multiple
+        for v in sorted(vectors, key=lambda v: min(map(self._lead_key, v))):
+            update(self._element(v))
+        while pairs:
+            _, _, lcm, i, j = heappop(pairs)
+            r = self.reduce(self._svector(elements[i], elements[j], lcm))
+            if not r:
+                continue
+            h = self._element(r)
+            if h.top > guard:
+                raise _guard_exceeded(self._operation, "basis element", h.top, guard)
+            update(h)
+        # the reducers are a minimal Groebner basis, and no term of a tail is
+        # a multiple of its own lead, so reducing each tail against all of
+        # them leaves the reduced basis, leads unchanged
+        reduced = []
+        for indices in live.values():
+            for i in indices:
+                g = elements[i]
+                tail = self.reduce(dict(g.tail)) if g.tail else {}
+                top = max([sum(g.expt)] + [sum(e) for _, e in tail])
+                reduced.append(g._replace(tail=tuple(tail.items()), top=top))
+        reduced.sort(key=lambda g: self._lead_key((g.pos, g.expt)))
+        return reduced
 
 
 def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tuple[Poly, ...]:
-    """Reduced Groebner basis via Buchberger with the normal selection strategy.
+    """Reduced Groebner basis of the ideal generated by gens.
 
-    Output is deterministic: monic, fully auto-reduced, sorted by descending
-    leading monomial.
+    Computed by the rank-1 FreeModuleGB: Buchberger with the normal
+    selection strategy and Gebauer-Moeller pair pruning, the same engine
+    that builds module bases. Output is deterministic: monic, fully
+    auto-reduced, sorted by descending leading monomial.
     """
     gens = [g for g in gens if isinstance(g, Poly)]
     if ring is None:
@@ -431,53 +614,8 @@ def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tup
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators in different rings")
-    guard = ring.degree_guard
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    basis.sort(key=lambda p: ring._key(p.lead_monomial()), reverse=True)
-
-    def pair_key(i, j):
-        lcm = monomial_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
-        return (sum(lcm), lcm)
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(pairs, key=lambda p: pair_key(*p))
-        pairs.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = fi.lead_monomial(), fj.lead_monomial()
-        if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = reduce_poly(_spoly(fi, fj), basis, guard)
-        if r.is_zero():
-            continue
-        if r.total_degree() > guard:
-            raise DegreeGuardExceeded(
-                f"basis element of degree {r.total_degree()} exceeds guard {guard}")
-        basis.append(r.monic())
-        k = len(basis) - 1
-        pairs.update((t, k) for t in range(k))
-    return _interreduce(basis, ring)
-
-
-def _interreduce(basis: list[Poly], ring: PolyRing) -> tuple[Poly, ...]:
-    basis = [g for g in basis if not g.is_zero()]
-    # minimalize: drop any element whose lead is divisible by another lead
-    keep: list[Poly] = []
-    for i, g in enumerate(basis):
-        lm = g.lead_monomial()
-        if any(j != i and monomial_divides(basis[j].lead_monomial(), lm)
-               and (basis[j].lead_monomial() != lm or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
-    # fully reduce each survivor against all the others
-    reduced: list[Poly] = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda p: ring._key(p.lead_monomial()), reverse=True)
-    return tuple(reduced)
+    gb = FreeModuleGB(ring, 1, [{(0, e): c for e, c in g.terms} for g in gens])
+    return tuple(ring.from_dict({e: c for (_, e), c in v.items()}) for v in gb.basis)
 
 
 # ---------------------------------------------------------------------------

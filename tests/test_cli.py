@@ -188,3 +188,16 @@ def test_missing_command_argument_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: pd needs a module argument\n"
     assert main(["ext", str(path), "I", "--depth", "3"]) == 2
     assert capsys.readouterr().err == "input error: ext needs a degree argument\n"
+
+
+def test_degree_guard_trip_while_parsing_is_a_rejection(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.model"
+    path.write_text("# runs away under a tight guard\n"
+                    "ring S = QQ[x, y] order lex mod [x-y^3, x^2+y]\n")
+    monkeypatch.setenv("GPROJ_DEGREE_GUARD", "4")
+    assert main(["gb", str(path), "S"]) == 1
+    assert capsys.readouterr().err == ("rejected: DegreeGuardExceeded: Groebner basis: "
+                                       "term degree 6 exceeds guard 4 at line 2\n")
+    monkeypatch.delenv("GPROJ_DEGREE_GUARD")
+    assert main(["gb", str(path), "S", "--format", "machine"]) == 0
+    assert "g1 = y^6+y" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from gproj import (
     GF,
     QQ,
+    DegreeGuardExceeded,
     FPModule,
     ModuleMap,
     NotRegularOnModule,
@@ -30,6 +31,7 @@ from gproj import (
     restrict_scalars_monic,
 )
 from gproj.errors import MapNotWellDefined
+from gproj.modules import FreeModuleGB
 from gproj.rings import substitute_zero, restrict_poly
 
 from helpers import module_cosets, ring_elements, span_of_columns, vector_space
@@ -421,3 +423,23 @@ def test_direct_sum_presentation():
     s = M.direct_sum(N)
     assert s.ngens == 2
     assert len(s.relations) == 1
+
+
+def test_degree_guard_aborts_runaway_module_basis():
+    # the graph basis of (x - y^3, x^2 + y) at rank 3 reaches degree 9 in lex
+    def build(guard):
+        P = PolyRing(QQ, ("x", "y"), "lex", degree_guard=guard)
+        f, g = P.poly("x - y^3"), P.poly("x^2 + y")
+        vectors = [{**{(0, e): c for e, c in f.terms}, (1, (0, 0)): QQ.one},
+                   {**{(0, e): c for e, c in g.terms}, (2, (0, 0)): QQ.one}]
+        return FreeModuleGB(P, 3, vectors)
+
+    for guard in (4, 8):
+        with pytest.raises(DegreeGuardExceeded, match="^module basis at rank 3: term degree"):
+            build(guard)
+    gb = build(9)
+    assert [sorted(v) for v in gb.basis] == [
+        [(0, (0, 3)), (0, (1, 0)), (1, (0, 0))],
+        [(0, (0, 1)), (0, (0, 6)), (1, (0, 3)), (1, (1, 0)), (2, (0, 0))],
+        [(1, (0, 1)), (1, (2, 0)), (2, (0, 3)), (2, (1, 0))],
+    ]

@@ -229,3 +229,23 @@ def test_is_unit_in_quotient():
     R = R4()
     assert R.is_unit(R.poly("x+1"))
     assert not R.is_unit(R.poly("x"))
+
+
+def test_degree_guard_aborts_runaway_groebner_basis():
+    # lex: the S-polynomial x*y^3 + y reduces through y^6, so the build
+    # needs guard 6 even though both generators have degree at most 3
+    for guard in (4, 5):
+        P = PolyRing(QQ, ("x", "y"), "lex", degree_guard=guard)
+        with pytest.raises(DegreeGuardExceeded) as exc:
+            groebner_basis([P.poly("x - y^3"), P.poly("x^2 + y")], P)
+        assert str(exc.value) == f"Groebner basis: term degree 6 exceeds guard {guard}"
+    P = PolyRing(QQ, ("x", "y"), "lex", degree_guard=6)
+    gb = groebner_basis([P.poly("x - y^3"), P.poly("x^2 + y")], P)
+    assert [str(g) for g in gb] == ["x-y^3", "y^6+y"]
+
+
+def test_degree_guard_names_normal_form():
+    base = PolyRing(QQ, ("x", "y"), "lex", degree_guard=6)
+    R = base.quotient(["x - y^3"])
+    with pytest.raises(DegreeGuardExceeded, match="^normal form: term degree"):
+        R.nf(base.poly("x^4"))

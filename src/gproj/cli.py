@@ -547,11 +547,17 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         rows = _parse_matrix(literal, 0)
         matrix = [[int(v) for v in row] for row in rows]
         result = smith_normal_form(matrix)
-        report.add("diagonal", list(result.diagonal))
-        for name, mat in (("U", result.U), ("S", result.S), ("V", result.V)):
-            sub = report.block(name)
-            for i, row in enumerate(mat):
-                sub.add(f"row{i}", list(row))
+        try:
+            report.add("diagonal", list(result.diagonal))
+            for name, mat in (("U", result.U), ("S", result.S), ("V", result.V)):
+                sub = report.block(name)
+                for i, row in enumerate(mat):
+                    sub.add(f"row{i}", list(row))
+        except ValueError:  # only raised by the interpreter's integer digit limit
+            raise MathRejection(
+                "Smith form entries exceed the limit of "
+                f"{sys.get_int_max_str_digits()} digits for integer string "
+                "conversion") from None
     elif cmd == "report":
         for i, task in enumerate(model.tasks):
             sub, sub_code = run_command(task[0], task[1:], model, depth)

@@ -2,14 +2,21 @@
 groups, class decomposition over catalog rings, and the Euler/pushdown maps.
 
 Catalog rings are exactly the families where presentation matrices admit
-diagonal canonical forms, making module classes computable: fields, k[x]
-(Euclidean reduction), and the chain rings k[x]/(x^n) (valuation reduction).
+diagonal canonical forms, making module classes computable: fields, k[x],
+and the chain rings k[x]/(x^n). One Euclidean diagonalizer serves these
+families and the integers. Each ring hands it a Euclidean size (absolute
+value on Z, degree on k and k[x], valuation on k[x]/(x^n)), a division with
+remainder, and the unit that turns an element into its canonical associate
+(nonnegative, monic, x^v). It returns the diagonal with the divisibility
+chain, and the transforms only for the integer Smith form, which prints them.
 Class vectors print as formal sums like 2*[R] + 1*[R/(x)].
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import operator
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
 from .modules import (
@@ -19,7 +26,160 @@ from .modules import (
     shrink_ring,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
-from .rings import Poly, QuotRing, format_poly, restrict_poly, substitute_zero
+from .rings import (Poly, QuotRing, format_poly, monomial_div, monomial_divides,
+                    restrict_poly, substitute_zero)
+
+
+# ---------------------------------------------------------------------------
+# one diagonalizer for Euclidean rings
+# ---------------------------------------------------------------------------
+
+class _Euclid(NamedTuple):
+    """What the diagonalizer needs to know about a Euclidean ring."""
+
+    is_zero: Callable
+    size: Callable  # Euclidean size of a nonzero element
+    divmod: Callable  # (q, r) with a = q*b + r, r zero or of smaller size than b
+    unit: Callable  # unit making a nonzero element its canonical associate, or None
+    nf: Optional[Callable] = None  # normal form applied after every ring operation
+
+
+def _term_divmod(a: Poly, b: Poly, end: int, nf=None):
+    """Divide a by b, cancelling the remainder's term at `end` (0 = top,
+    -1 = bottom) for as long as b's term there divides it."""
+    field = a.ring.field
+    eb, cb = b.terms[end]
+    q = {}
+    r = a
+    while r.terms and monomial_divides(eb, r.terms[end][0]):
+        e = monomial_div(r.terms[end][0], eb)
+        q[e] = field.div(r.terms[end][1], cb)
+        r = r - b.mul_monomial(e, q[e])
+        if nf is not None:
+            r = nf(r)
+    return a.ring.from_dict(q), r
+
+
+def _monic_unit(a: Poly):
+    field = a.ring.field
+    lead = a.terms[0][1]
+    return None if lead == field.one else a.ring.constant(field.inv(lead))
+
+
+_INTEGERS = _Euclid(operator.not_, abs, divmod, lambda a: -1 if a < 0 else None)
+# k is k[x] with no variable: every nonzero entry has size 0 and divides exactly
+_POLYNOMIALS = _Euclid(Poly.is_zero, Poly.total_degree, partial(_term_divmod, end=0),
+                       _monic_unit)
+
+
+def _chain_ring(R: QuotRing) -> _Euclid:
+    """k[x]/(x^n): a = u*x^v with u a unit, so size is the valuation v and
+    division from the bottom term is exact whenever v(a) >= v(b)."""
+    divide = partial(_term_divmod, end=-1, nf=R.nf)
+    one = R.base.field.one
+
+    def unit(a: Poly):
+        (v,), c = a.terms[-1]
+        if len(a.terms) == 1 and c == one:
+            return None
+        return divide(R.base.from_dict({(v,): one}), a)[0]
+
+    return _Euclid(Poly.is_zero, lambda a: a.terms[-1][0][0], divide, unit, R.nf)
+
+
+def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
+    """Diagonal form d_1 | d_2 | ... of a matrix over a Euclidean ring.
+
+    Returns (diagonal, S, U, V): the nonzero diagonal entries as canonical
+    associates, S = U*A*V, and the unimodular integer transforms U and V,
+    which are None unless `transforms` is set (integer matrices only).
+    """
+    is_zero, size, divide, unit, nf = ring
+
+    def reduced(entries):
+        return entries if nf is None else [nf(a) for a in entries]
+
+    S = [reduced(list(r)) for r in rows]
+    nrows = len(S)
+    ncols = len(S[0]) if nrows else 0
+    U = V = None
+    row_mats = col_mats = (S,)
+    if transforms:
+        U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+        V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        row_mats, col_mats = (S, U), (S, V)
+
+    def row_sub(i, t, q):  # row i -= q * row t; q may be an integer scalar
+        for M in row_mats:
+            M[i] = reduced([a - b * q for a, b in zip(M[i], M[t])])
+
+    def row_swap(i, t):
+        for M in row_mats:
+            M[i], M[t] = M[t], M[i]
+
+    def col_sub(j, t, q):  # column j -= q * column t
+        for M in col_mats:
+            for r in M:
+                r[j] = r[j] - r[t] * q if nf is None else nf(r[j] - r[t] * q)
+
+    def col_swap(j, t):
+        for M in col_mats:
+            for r in M:
+                r[j], r[t] = r[t], r[j]
+
+    def clear_pivot(t):
+        # a nonzero remainder becomes the pivot; no swap in a pass means the
+        # pivot's row and column are clean
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(nrows):
+                if i != t and not is_zero(S[i][t]):
+                    row_sub(i, t, divide(S[i][t], S[t][t])[0])
+                    if not is_zero(S[i][t]):
+                        row_swap(i, t)
+                        dirty = True
+            for j in range(ncols):
+                if j != t and not is_zero(S[t][j]):
+                    col_sub(j, t, divide(S[t][j], S[t][t])[0])
+                    if not is_zero(S[t][j]):
+                        col_swap(j, t)
+                        dirty = True
+
+    def offending_row(t):
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if not is_zero(divide(S[i][j], S[t][t])[1]):
+                    return i
+        return None
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if not is_zero(S[i][j]):
+                    s = size(S[i][j])
+                    if best is None or s < best:
+                        best, pivot = s, (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_swap(pivot[0], t)
+        if pivot[1] != t:
+            col_swap(pivot[1], t)
+        clear_pivot(t)
+        # enforce the divisibility chain into the remaining block
+        while (offender := offending_row(t)) is not None:
+            row_sub(t, offender, -1)  # row t += the offending row
+            clear_pivot(t)
+        u = unit(S[t][t])
+        if u is not None:
+            for M in row_mats:
+                M[t] = reduced([a * u for a in M[t]])
+        t += 1
+    return [S[i][i] for i in range(t)], S, U, V
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +193,19 @@ class SNFResult(NamedTuple):
     diagonal: tuple[int, ...]  # nonzero diagonal entries, in chain order
 
 
-def _identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def int_mat_mul(A, B):
     if not A or not B:
         return []
     n, k, m = len(A), len(B), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
+
+
+def _integer(a) -> int:
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise InputError(f"matrix entry {a!r} is not an integer") from None
 
 
 def smith_normal_form(A) -> SNFResult:
@@ -52,87 +215,10 @@ def smith_normal_form(A) -> SNFResult:
     for row in A:
         if len(row) != cols:
             raise InputError("ragged integer matrix")
-    S = [list(map(int, row)) for row in A]
-    U = _identity(rows)
-    V = _identity(cols)
-
-    def row_sub(i, t, q):
-        S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-
-    def row_swap(i, t):
-        S[i], S[t] = S[t], S[i]
-        U[i], U[t] = U[t], U[i]
-
-    def col_sub(j, t, q):
-        for r in S:
-            r[j] -= q * r[t]
-        for r in V:
-            r[j] -= q * r[t]
-
-    def col_swap(j, t):
-        for r in S:
-            r[j], r[t] = r[t], r[j]
-        for r in V:
-            r[j], r[t] = r[t], r[j]
-
-    def clear_pivot(t):
-        while True:
-            for i in range(rows):
-                if i != t and S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_sub(i, t, q)
-                    if S[i][t]:
-                        row_swap(i, t)
-            for j in range(cols):
-                if j != t and S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_sub(j, t, q)
-                    if S[t][j]:
-                        col_swap(j, t)
-            col_clean = all(S[i][t] == 0 for i in range(rows) if i != t)
-            row_clean = all(S[t][j] == 0 for j in range(cols) if j != t)
-            if col_clean and row_clean:
-                return
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(pivot[0], t)
-        if pivot[1] != t:
-            col_swap(pivot[1], t)
-        clear_pivot(t)
-        # enforce the divisibility chain into the remaining block
-        while True:
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if S[i][j] % S[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            S[t] = [a + b for a, b in zip(S[t], S[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
-            clear_pivot(t)
-        if S[t][t] < 0:
-            S[t] = [-a for a in S[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    diagonal = tuple(S[i][i] for i in range(min(rows, cols)) if S[i][i])
+    diagonal, S, U, V = _diagonalize([list(map(_integer, row)) for row in A],
+                                     _INTEGERS, transforms=True)
     return SNFResult(tuple(map(tuple, U)), tuple(map(tuple, S)),
-                     tuple(map(tuple, V)), diagonal)
+                     tuple(map(tuple, V)), tuple(diagonal))
 
 
 class AbGroupPresentation(NamedTuple):
@@ -167,7 +253,7 @@ class AbGroupPresentation(NamedTuple):
 
 def group_from_relations(labels, relation_rows) -> AbGroupPresentation:
     labels = tuple(labels)
-    rows = [tuple(map(int, r)) for r in relation_rows]
+    rows = [tuple(map(_integer, r)) for r in relation_rows]
     for r in rows:
         if len(r) != len(labels):
             raise InputError("relation width does not match the generators")
@@ -236,197 +322,6 @@ class KClass:
         return f"KClass({self})"
 
 
-def _field_matrix_rank(rows, field) -> int:
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != field.zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][c])
-        rows[rank] = [field.mul(a, inv) for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != field.zero:
-                factor = rows[r][c]
-                rows[r] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _poly_divmod_univariate(a: Poly, b: Poly):
-    """Quotient and remainder in k[x] (single variable)."""
-    ring = a.ring
-    q = ring.zero()
-    r = a
-    db = b.degree_in(0)
-    lead_b = b.coeff_of((db,))
-    while not r.is_zero() and r.degree_in(0) >= db:
-        dr = r.degree_in(0)
-        c = ring.field.div(r.coeff_of((dr,)), lead_b)
-        t = ring.from_dict({(dr - db,): c})
-        q = q + t
-        r = r - t * b
-    return q, r
-
-
-def _euclid_diagonalize_poly(rows, ring) -> list[Poly]:
-    """Diagonal with divisibility chain over k[x]; returns monic diagonal."""
-    S = [list(r) for r in rows]
-    nrows = len(S)
-    ncols = len(S[0]) if nrows else 0
-    diag = []
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                p = S[i][j]
-                if not p.is_zero():
-                    d = p.degree_in(0)
-                    if best is None or d < best:
-                        best, pivot = d, (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        S[i0], S[t] = S[t], S[i0]
-        for r in S:
-            r[j0], r[t] = r[t], r[j0]
-        while True:
-            dirty = False
-            for i in range(nrows):
-                if i != t and not S[i][t].is_zero():
-                    q, rem = _poly_divmod_univariate(S[i][t], S[t][t])
-                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                    if not S[i][t].is_zero():
-                        S[i], S[t] = S[t], S[i]
-                        dirty = True
-            for j in range(ncols):
-                if j != t and not S[t][j].is_zero():
-                    q, rem = _poly_divmod_univariate(S[t][j], S[t][t])
-                    for r in S:
-                        r[j] = r[j] - q * r[t]
-                    if not S[t][j].is_zero():
-                        for r in S:
-                            r[j], r[t] = r[t], r[j]
-                        dirty = True
-            if not dirty:
-                break
-        while True:
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    _, rem = _poly_divmod_univariate(S[i][j], S[t][t])
-                    if not rem.is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            S[t] = [a + b for a, b in zip(S[t], S[offender])]
-            # re-clean the pivot after absorbing the offending row
-            while True:
-                dirty = False
-                for i in range(nrows):
-                    if i != t and not S[i][t].is_zero():
-                        q, rem = _poly_divmod_univariate(S[i][t], S[t][t])
-                        S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                        if not S[i][t].is_zero():
-                            S[i], S[t] = S[t], S[i]
-                            dirty = True
-                for j in range(ncols):
-                    if j != t and not S[t][j].is_zero():
-                        q, rem = _poly_divmod_univariate(S[t][j], S[t][t])
-                        for r in S:
-                            r[j] = r[j] - q * r[t]
-                        if not S[t][j].is_zero():
-                            for r in S:
-                                r[j], r[t] = r[t], r[j]
-                            dirty = True
-                if not dirty:
-                    break
-        diag.append(S[t][t].monic())
-        t += 1
-    return diag
-
-
-def _chain_valuation(p: Poly) -> int:
-    return min(e[0] for e, _ in p.terms)
-
-
-def _chain_unit_inverse(u: Poly, n: int) -> Poly:
-    """Inverse of a unit in k[x]/(x^n) by triangular solving."""
-    ring = u.ring
-    field = ring.field
-    coeffs = {e[0]: c for e, c in u.terms}
-    u0 = coeffs.get(0)
-    if u0 is None:
-        raise InputError("not a unit in the chain ring")
-    inv0 = field.inv(u0)
-    out = {0: inv0}
-    for d in range(1, n):
-        acc = field.zero
-        for j in range(d):
-            acc = field.add(acc, field.mul(coeffs.get(d - j, field.zero), out[j]))
-        out[d] = field.neg(field.mul(acc, inv0))
-    return ring.from_dict({(d,): c for d, c in out.items() if c != 0})
-
-
-def _chain_diagonalize(rows, ring: QuotRing, n: int) -> list[int]:
-    """Diagonal valuations over k[x]/(x^n); every entry is unit * x^v."""
-    S = [[ring.nf(p) for p in r] for r in rows]
-    nrows = len(S)
-    ncols = len(S[0]) if nrows else 0
-    base = ring.base
-    x = base.var(base.variables[0])
-    vals = []
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                p = S[i][j]
-                if not p.is_zero():
-                    v = _chain_valuation(p)
-                    if best is None or v < best:
-                        best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        S[i0], S[t] = S[t], S[i0]
-        for r in S:
-            r[j0], r[t] = r[t], r[j0]
-        v = best
-        unit = base.from_dict({(e[0] - v,): c for e, c in S[t][t].terms})
-        inv = _chain_unit_inverse(unit, n)
-        S[t] = [ring.nf(p * inv) for p in S[t]]  # pivot is now x^v
-        for i in range(nrows):
-            if i != t and not S[i][t].is_zero():
-                w = base.from_dict({(e[0] - v,): c for e, c in S[i][t].terms})
-                S[i] = [ring.nf(a - w * b) for a, b in zip(S[i], S[t])]
-        for j in range(ncols):
-            if j != t and not S[t][j].is_zero():
-                w = base.from_dict({(e[0] - v,): c for e, c in S[t][j].terms})
-                for r in S:
-                    r[j] = ring.nf(r[j] - w * r[t])
-        vals.append(v)
-        t += 1
-    return vals
-
-
 class Catalog(NamedTuple):
     """A ring family with computable diagonal canonical forms."""
 
@@ -468,12 +363,10 @@ class Catalog(NamedTuple):
         for label, c in cls.coords.items():
             if label == self.unit_label:
                 total += c * (self.chain_power if self.family == "chain" else 1)
-            elif self.family == "poly":
-                total += 0
             elif self.family == "chain":
                 f = self.ring.base.poly(label[4:-2])
                 total += c * f.degree_in(0)
-            else:
+            elif self.family != "poly":
                 raise InputError(f"label {label!r} outside the catalog")
         return total
 
@@ -499,43 +392,13 @@ def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
         cat = catalog_for(M.ring)
     if M.ring != cat.ring:
         raise RingNotInCatalog("module ring does not match the catalog")
-    rows = M.relation_rows()
-    n = M.ngens
-    coords: dict[str, int] = {}
-
-    def bump(label, amount=1):
-        coords[label] = coords.get(label, 0) + amount
-
-    if cat.family == "field":
-        value_rows = [[p.constant_value() for p in row] for row in rows]
-        rank = _field_matrix_rank(value_rows, M.ring.base.field)
-        if n - rank:
-            bump("[k]", n - rank)
-        return KClass(coords)
-
-    if cat.family == "poly":
-        diag = _euclid_diagonalize_poly(rows, M.ring.base)
-        for f in diag:
-            if f.is_constant():
-                continue  # unit relation cancels a generator
-            bump(f"[R/({format_poly(f)})]")
-        free = n - len(diag)
-        if free:
-            bump("[R]", free)
-        return KClass(coords)
-
-    # chain family
-    vals = _chain_diagonalize(rows, M.ring, cat.chain_power)
-    x = M.ring.base.var(M.ring.base.variables[0])
-    survivors = 0
-    for v in vals:
-        if v == 0:
-            continue  # unit relation
-        survivors += 1
-        bump(f"[R/({format_poly(x ** v)})]")
-    free = n - len(vals)
-    if free:
-        bump("[R]", free)
+    ring = _chain_ring(M.ring) if cat.family == "chain" else _POLYNOMIALS
+    diagonal, *_ = _diagonalize(M.relation_rows(), ring)
+    coords: dict[str, int] = {cat.unit_label: M.ngens - len(diagonal)}
+    for d in diagonal:
+        if not d.is_constant():  # a unit relation cancels a generator
+            label = f"[R/({format_poly(d)})]"
+            coords[label] = coords.get(label, 0) + 1
     return KClass(coords)
 
 

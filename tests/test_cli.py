@@ -201,3 +201,15 @@ def test_degree_guard_trip_while_parsing_is_a_rejection(tmp_path, capsys, monkey
     monkeypatch.delenv("GPROJ_DEGREE_GUARD")
     assert main(["gb", str(path), "S", "--format", "machine"]) == 0
     assert "g1 = y^6+y" in capsys.readouterr().out
+
+
+def test_snf_past_the_integer_digit_limit_is_a_rejection(capsys):
+    # small entries, but a transform entry grows past 4,300 digits
+    literal = ("[[-31,-34,-37,6,-14],[-9,33,-25,30,-11],[-3,32,26,-37,36],"
+               "[-15,-5,35,6,-8],[-27,-46,-34,-33,-21]]")
+    assert main(["snf", "-", literal]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rejected: MathRejection: Smith form entries exceed "
+                                   "the limit of ")
+    assert "digits for integer string conversion" in captured.err

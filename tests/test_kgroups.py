@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from gproj import (
     GF,
     QQ,
     FPModule,
+    InputError,
     KClass,
     ModuleMap,
     PdInfiniteOrUnresolved,
@@ -67,6 +69,44 @@ def test_snf_rectangular():
     assert r.diagonal == (1,)
     r2 = smith_normal_form([[2], [4], [6]])
     assert r2.diagonal == (2,)
+
+
+# U and V as the integer elimination has always produced them: `snf` prints
+# them, so its sequence of row and column operations is part of the output
+PINNED_SNF = [
+    ([[2, 0], [0, 3]],
+     ((1, 1), (3, 2)), ((-1, 3), (1, -2)), (1, 6)),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+     ((1, 0, 0), (2, -1, -1), (3, -4, -3)),
+     ((1, -2, 2), (0, 1, -2), (0, 0, 1)), (2, 6, 12)),
+    ([[-3, 5], [7, -2], [4, 6]],
+     ((-1, -3, 0), (-12, -9, 7), (-50, -38, 29)), ((0, 1), (1, 18)), (1, 1)),
+    ([[1, 2, 3], [2, 4, 6], [-1, 0, 5]],
+     ((1, 0, 0), (1, 0, 1), (-2, 1, 0)),
+     ((1, -2, 5), (0, 1, -4), (0, 0, 1)), (1, 2)),
+    ([[6, -10, 15, 0], [4, 9, -7, 3]],
+     ((1, -7), (-2, 15)),
+     ((0, 12, -35, -30), (0, 212, -618, -531), (1, 137, -398, -342),
+      (3, -332, 972, 835)), (1, 1)),
+    ([[-4]], ((-1,),), ((1,),), (4,)),
+]
+
+
+@pytest.mark.parametrize("A, U, V, diagonal", PINNED_SNF)
+def test_snf_transforms_are_pinned(A, U, V, diagonal):
+    r = smith_normal_form(A)
+    assert (r.U, r.V, r.diagonal) == (U, V, diagonal)
+    assert int_mat_mul(int_mat_mul(r.U, A), r.V) == [list(row) for row in r.S]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: smith_normal_form([[1.5, 0], [0, 2.9]]),
+    lambda: smith_normal_form([[Fraction(1, 2)]]),
+    lambda: group_from_relations(["a"], [["3"]]),
+], ids=["float", "fraction", "string"])
+def test_non_integer_entries_are_rejected(build):
+    with pytest.raises(InputError, match="is not an integer"):
+        build()
 
 
 # ----- abelian group presentations -----

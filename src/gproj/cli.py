@@ -29,6 +29,8 @@ from .modules import (
     dual_module,
 )
 from .resolutions import (
+    FreeResolution,
+    _find_periodicity,
     free_resolution,
     infinite_pd_detector,
     pd_bounded,
@@ -442,7 +444,12 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
             report.add(f"a{i}", format_poly(g))
     elif cmd == "resolve":
         decl = _need(model, "modules", rest[0], "module")
-        res = free_resolution(decl.module, depth)
+        if depth >= 1:  # print the verdict's resolution, cut back to this depth
+            verdict = pd_bounded(decl.module, depth)
+            maps = verdict.resolution.maps[:depth + 1]
+            res = FreeResolution(decl.module, maps, depth, _find_periodicity(maps))
+        else:
+            verdict, res = None, free_resolution(decl.module, depth)
         report.add("module", decl.name)
         for line in res.report_lines():
             key, sep, value = line.partition(" = ")
@@ -450,8 +457,8 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 report.add(key, value)
             else:
                 report.add("info", line)
-        if depth >= 1:
-            report.add("verdict", str(pd_bounded(decl.module, depth)))
+        if verdict is not None:
+            report.add("verdict", str(verdict))
     elif cmd == "pd":
         decl = _need(model, "modules", rest[0], "module")
         verdict = pd_bounded(decl.module, depth)

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import DegreeGuardExceeded, InputError, NoCoresolutionAvailable
 from .modules import (
+    Column,
     DoubleDualResult,
     DualModule,
     FPModule,
@@ -39,18 +40,16 @@ class ExtResult(NamedTuple):
     is_zero: bool
 
 
-def _hom_free_into(N: FPModule, a: int) -> FPModule:
-    """Hom(R^a, N) = N^a; generator (t, b) of the result sits at t*g + b."""
-    R = N.ring
+def _hom_free_into(N: FPModule, a: int) -> list[Column]:
+    """Canonical relations of Hom(R^a, N) = N^a; generator (t, b) sits at t*g + b.
+
+    N's canonical relations shifted into each block already form the reduced
+    basis: position-over-term never pairs leads in different positions.
+    """
+    zero = N.ring.zero()
     g = N.ngens
-    cols = []
-    for t in range(a):
-        for rel in N.canonical_relations:
-            col = [R.zero()] * (a * g)
-            for b in range(g):
-                col[t * g + b] = rel[b]
-            cols.append(tuple(col))
-    return FPModule(R, a * g, cols)
+    return [(zero,) * (t * g) + rel + (zero,) * ((a - 1 - t) * g)
+            for t in range(a) for rel in N.canonical_relations]
 
 
 def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int):
@@ -82,29 +81,20 @@ def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
     """
     R = N.ring
     g = N.ngens
-    ranks = res.ranks
-
-    def rank_at(s):
-        return ranks[s] if s < len(ranks) else 0
-
-    def d_cols(s):  # d_{s}: F_s -> F_{s-1}
-        return res.maps[s - 1] if s - 1 < len(res.maps) else ()
-
-    x_dim = rank_at(i) * g
+    x_dim = res.rank(i) * g
     if x_dim == 0:
         return ExtResult(i, FPModule(R, 0, ()), True)
-    X = _hom_free_into(N, rank_at(i))
-    # u = Hom(d_{i+1}, N): X -> Hom(F_{i+1}, N)
-    u_cols = _hom_induced_columns(R, list(d_cols(i + 1)), rank_at(i), g)
-    y_dim = rank_at(i + 1) * g
+    # u = Hom(d_{i+1}, N): Hom(F_i, N) -> Hom(F_{i+1}, N)
+    u_cols = _hom_induced_columns(R, res.map(i), res.rank(i), g)
+    y_dim = res.rank(i + 1) * g
     if y_dim == 0:
         kernel_gens = tuple(_unit_column(R, x_dim, j) for j in range(x_dim))
     else:
-        Y = _hom_free_into(N, rank_at(i + 1))
-        kernel_gens = colon_generators(R, y_dim, u_cols, Y.canonical_relations)
-    denominator = list(X.canonical_relations)
+        kernel_gens = colon_generators(R, y_dim, u_cols,
+                                       _hom_free_into(N, res.rank(i + 1)))
+    denominator = _hom_free_into(N, res.rank(i))
     if i >= 1:  # plus the image of Hom(d_i, N)
-        denominator += _hom_induced_columns(R, list(d_cols(i)), rank_at(i - 1), g)
+        denominator += _hom_induced_columns(R, res.map(i - 1), res.rank(i - 1), g)
     ext = subquotient(SubmoduleOfFree(R, x_dim, kernel_gens), denominator)
     return ExtResult(i, ext, ext.is_zero())
 

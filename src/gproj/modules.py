@@ -104,12 +104,12 @@ class SubmoduleEngine:
     def __init__(self, R: QuotRing, rank: int, columns):
         self.R = R
         self.rank = rank
-        self.columns = [_nf_column(R, c) for c in columns]
-        m = len(self.columns)
+        columns = [_nf_column(R, c) for c in columns]
+        m = len(columns)
         self.m = m
         vectors = []
         zero_expt = (0,) * R.base.nvars
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(columns):
             v = _column_to_vec(col)
             v[(rank + j, zero_expt)] = R.base.field.one
             vectors.append(v)
@@ -151,8 +151,9 @@ def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols) -> tuple
     """Generators of {v : sum v_j * image_j lies in span(modifiers)} in R^len(image)."""
     n = len(image_cols)
     eng = SubmoduleEngine(R, rank, list(image_cols) + list(modifier_cols))
-    out = [tuple(s[:n]) for s in eng.syzygies()]
-    return canonical_generators(R, n, out)
+    if not modifier_cols:  # the syzygies are already canonical in R^n
+        return eng.syzygies()
+    return canonical_generators(R, n, [tuple(s[:n]) for s in eng.syzygies()])
 
 
 # ---------------------------------------------------------------------------

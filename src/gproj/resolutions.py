@@ -10,6 +10,7 @@ periodicity detection is a literal matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .errors import InputError, NotRegularOnQuotient
@@ -47,6 +48,15 @@ class FreeResolution:
         for m in self.maps:
             out.append(len(m))
         return out
+
+    def rank(self, s: int) -> int:
+        """Rank of F_s; 0 past the end of the resolution."""
+        ranks = self.ranks
+        return ranks[s] if s < len(ranks) else 0
+
+    def map(self, s: int) -> tuple:
+        """d_{s+1}: F_{s+1} -> F_s; () past the end of the resolution."""
+        return self.maps[s] if s < len(self.maps) else ()
 
     def syzygy_module(self, n: int) -> FPModule:
         """The n-th syzygy as an abstract f.p. module (n = 0 gives the module)."""
@@ -114,8 +124,11 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
     Reads the chain left to right: maps[j] sends node j to node j+1 as a
     column list. Exactness at a node is checked by membership both ways
     (image inside kernel and kernel inside image), not by the construction
-    that produced the maps.
+    that produced the maps. One engine per map serves both its kernel at
+    node j and its image at node j+1.
     """
+    # the span of maps[j] inside R^ranks[j+1], built on first use
+    engine = cache(lambda j: SubmoduleEngine(R, ranks[j + 1], list(maps[j])))
     for node in range(1, len(ranks) - 1):
         incoming, outgoing = maps[node - 1], maps[node]
         for col in incoming:
@@ -128,9 +141,9 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
         if not outgoing or rank_next == 0:
             kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
         else:
-            kernel = _syzygy_columns(R, rank_next, outgoing)
-        eng = SubmoduleEngine(R, rank_here, list(incoming))
-        if not all(eng.contains(kg) for kg in kernel):
+            kernel = engine(node).syzygies()
+        image = engine(node - 1)
+        if not all(image.contains(kg) for kg in kernel):
             return node
     return None
 
@@ -218,20 +231,15 @@ def pd_bounded(M: FPModule, depth: int) -> PdVerdict:
         raise InputError("depth must be at least 1")
     R = M.ring
     res = free_resolution(M, depth + 1)
-    maps = res.maps
-    ranks = res.ranks
-    splittings: dict[int, Optional[tuple]] = {}
-    for s in range(min(depth, len(maps) - 1) + 1):
-        kernel_gens = maps[s] if s < len(maps) else ()
-        ambient = ranks[s]
-        H = split_surjection_onto_kernel(R, ambient, list(kernel_gens))
-        splittings[s] = H
+    for s in range(min(depth, len(res.maps) - 1) + 1):
+        H = split_surjection_onto_kernel(R, res.rank(s), list(res.maps[s]))
         if H is not None:
             return PdVerdict("finite", s, None, None, res, H)
+    # a periodic start s has s <= len(res.maps) - 2 <= depth, so the loop
+    # above already found that its syzygy does not split
     if res.periodicity is not None:
         s, p = res.periodicity
-        if splittings.get(s) is None:
-            return PdVerdict("infinite_periodic", None, s, p, res, None)
+        return PdVerdict("infinite_periodic", None, s, p, res, None)
     return PdVerdict("at_least", depth, None, None, res, None)
 
 
@@ -336,18 +344,6 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
     res_a = free_resolution(A, depth)
     res_c = free_resolution(C, depth)
 
-    def a_map(s):
-        return res_a.maps[s] if s < len(res_a.maps) else ()
-
-    def c_map(s):
-        return res_c.maps[s] if s < len(res_c.maps) else ()
-
-    def a_rank(s):
-        return res_a.ranks[s] if s < len(res_a.ranks) else 0
-
-    def c_rank(s):
-        return res_c.ranks[s] if s < len(res_c.ranks) else 0
-
     # lift each C-generator through proj
     proj_engine = SubmoduleEngine(R, C.ngens,
                                   list(proj.columns) + list(C.canonical_relations))
@@ -361,7 +357,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
                                   list(incl.columns) + list(B.canonical_relations))
     h_blocks: list[list[Column]] = []
     h1 = []
-    for col in c_map(0):
+    for col in res_c.map(0):
         v = mat_vec(R, beta, col) if beta else _zero_column(R, B.ngens)
         wit = incl_engine.witness(v)
         if wit is None:
@@ -371,9 +367,9 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
 
     maps = []
     for s in range(depth):
-        a_cols = a_map(s)
-        c_cols = c_map(s)
-        ra, rc = a_rank(s), c_rank(s)
+        a_cols = res_a.map(s)
+        c_cols = res_c.map(s)
+        ra, rc = res_a.rank(s), res_c.rank(s)
         h = h_blocks[s]
         block = []
         for col in a_cols:
@@ -383,9 +379,9 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
         maps.append(tuple(block))
         # solve the next correction block: a_s * h_{s+1} = -(h_s * c_{s+1})
         nxt = []
-        if c_map(s + 1):
+        if res_c.map(s + 1):
             solver = SubmoduleEngine(R, ra, list(a_cols)) if a_cols else None
-            for col in c_map(s + 1):
+            for col in res_c.map(s + 1):
                 rhs = mat_vec(R, h, col) if h else _zero_column(R, ra)
                 rhs = tuple(R.neg(p) for p in rhs)
                 if all(p.is_zero() for p in rhs):
@@ -398,7 +394,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
                     raise InputError(f"horseshoe lift failed at level {s + 1}")
                 nxt.append(tuple(wit))
         h_blocks.append(nxt)
-        if not a_map(s + 1) and not c_map(s + 1):
+        if not res_a.map(s + 1) and not res_c.map(s + 1):
             break
     combined_rank = A.ngens + C.ngens
     middle = FPModule(R, combined_rank, maps[0] if maps else ())

@@ -460,13 +460,17 @@ class FreeModuleGB:
         self._hkey = _HEAP_KEYS[ring.order]
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._index: dict[int, list[_Element]] = {}  # position -> reducers
-        reduced = self._buchberger([v for v in vectors if v])
-        one = ring.field.one
-        self.basis = [{(g.pos, g.expt): one, **dict(g.tail)} for g in reduced]
+        self._reduced = self._buchberger([v for v in vectors if v])
         self._index = {}
-        for g in reduced:
+        for g in self._reduced:
             self._index.setdefault(g.pos, []).append(g)
         self._operation = "normal form"
+
+    @property
+    def basis(self) -> list[Vec]:
+        """The reduced basis as vectors, built on each read so it is stored once."""
+        one = self.ring.field.one
+        return [{(g.pos, g.expt): one, **dict(g.tail)} for g in self._reduced]
 
     def _lead_key(self, mono):
         return (mono[0],) + self._hkey(mono[1])
@@ -680,7 +684,7 @@ class QuotRing:
     def nf(self, f: Poly) -> Poly:
         if f.ring != self.base:
             raise RingMismatch("variable mismatch with the base ring")
-        if self.modulus.is_zero():
+        if f.is_zero() or self.modulus.is_zero():
             return f
         return reduce_poly(f, list(self.modulus.reduced_gb))
 

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from gproj import ParseError, parse_model_file, run_command
+from gproj import ParseError, free_resolution, parse_model_file, pd_bounded, run_command
 from gproj.cli import main
 
 FLAGSHIP = """\
@@ -213,3 +215,30 @@ def test_snf_past_the_integer_digit_limit_is_a_rejection(capsys):
     assert captured.err.startswith("rejected: MathRejection: Smith form entries exceed "
                                    "the limit of ")
     assert "digits for integer string conversion" in captured.err
+
+
+XY_SQUARES = """\
+ring T = GF(2)[x,y] order grevlex mod [x^2, y^2]
+module kT over T gens 1 relations [[x, y]]
+"""
+FLAGSHIP_MODEL = (Path(__file__).resolve().parent.parent
+                  / "demos" / "flagship.model").read_text()
+
+
+@pytest.mark.parametrize("text, name", [
+    (XY_SQUARES, "kT"), (FLAGSHIP_MODEL, "I"),
+    (FLAGSHIP_MODEL, "FreeMod"), (FLAGSHIP_MODEL, "k"),
+])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_resolve_prints_the_standalone_resolution_and_pd_verdict(text, name, depth):
+    # resolve reads its printout off the resolution pd_bounded makes; the
+    # lines must be those of a resolution computed to exactly this depth
+    model = parse_model_file(text)
+    module = model.modules[name].module
+    report, code = run_command("resolve", ["--depth", str(depth), name], model)
+    assert code == 0
+    want = ["command = resolve", f"module = {name}"]
+    want += [line if " = " in line else f"info = {line}"
+             for line in free_resolution(module, depth).report_lines()]
+    want.append(f"verdict = {pd_bounded(module, depth)}")
+    assert report.render("machine").splitlines() == want

@@ -315,3 +315,39 @@ def test_g_class_test_matches_standalone_routes(build, depth, verdict):
     except NoCoresolutionAvailable:
         certified = False
     assert (rep.certified_by == "complete_resolution") == certified
+
+
+def test_g_class_test_builds_at_most_232_module_bases(monkeypatch):
+    # Hom terms are column lists and the exactness checker spans each map
+    # once, so no basis is built only to be read back
+    from gproj.rings import FreeModuleGB
+    M = _residue_field_of_xy_squares()
+    builds = []
+    init = FreeModuleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeModuleGB, "__init__", counting_init)
+    rep = g_class_test(M, 8)
+    assert rep.verdict_str() == "Certified(complete_resolution)"
+    assert len(builds) <= 232
+
+
+@pytest.mark.parametrize("ring", [
+    lambda: PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"]),
+    lambda: PolyRing(GF(5), ("x",)).quotient(["x^4"]),
+    QxQ,
+])
+def test_hom_free_into_is_the_canonical_presentation_of_the_sum(ring):
+    # the reduced basis of N^3 is N's reduced basis shifted into each block
+    from gproj.gorenstein import _hom_free_into
+    R = ring()
+    x = R.poly("x")
+    N = FPModule(R, 2, [(x, x * x), (x * x * x, R.zero()), (x * x, x + x * x)])
+    assert N.canonical_relations
+    zero = (R.zero(),) * 2
+    blocks = [zero * t + rel + zero * (2 - t)
+              for t in range(3) for rel in N.relations]
+    assert tuple(_hom_free_into(N, 3)) == FPModule(R, 6, blocks).canonical_relations

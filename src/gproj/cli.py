@@ -27,6 +27,7 @@ from .modules import (
     SubmoduleOfFree,
     annihilator_of_element,
     dual_module,
+    span_scope,
 )
 from .resolutions import (
     FreeResolution,
@@ -408,6 +409,7 @@ def _matrix_block(report: Report, key: str, rows) -> None:
         sub.add(f"row{i}", "[" + ", ".join(format_poly(p) for p in row) + "]")
 
 
+@span_scope
 def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Report, int]:
     """Dispatch one command against a parsed model; returns (report, exit code)."""
     flag_depth, _, rest = _extract_flags(list(args))

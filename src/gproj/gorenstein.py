@@ -24,6 +24,7 @@ from .modules import (
     double_dual_map,
     mat_vec,
     polynomial_extension,
+    span_scope,
     subquotient,
 )
 from .rings import QuotRing
@@ -65,6 +66,7 @@ def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int):
     return cols
 
 
+@span_scope
 def ext_module(M: FPModule, N: FPModule, i: int) -> ExtResult:
     """Ext^i(M, N) as the homology of Hom(-, N) on a free resolution of M."""
     if i < 0:
@@ -134,11 +136,13 @@ def _dual_chain(ranks, maps):
     return dranks, dmaps
 
 
+@span_scope
 def ring_is_self_injective_catalog(R: QuotRing) -> bool:
     """Quasi-Frobenius catalog flag: k[x]/(f) with f nonzero."""
     return R.base.nvars == 1 and not R.modulus.is_zero()
 
 
+@span_scope
 def complete_resolution_check(M: FPModule, window: int
                               ) -> Union[CompleteResolutionWindow, CompleteResolutionFailure]:
     """Assemble a two-sided window around M and verify dual exactness on it.
@@ -269,6 +273,7 @@ class GClassReport(NamedTuple):
         return f"Fail({kind}{at})"
 
 
+@span_scope
 def g_class_test(M: FPModule, depth: int) -> GClassReport:
     """Run the three conditions to the given depth; certify when possible.
 
@@ -323,6 +328,7 @@ class GpdVerdict(NamedTuple):
         return "FailWitness"
 
 
+@span_scope
 def gpd_bounded(M: FPModule, n: int, depth: int) -> GpdVerdict:
     """Test whether the n-th syzygy passes the three-condition test."""
     if n < 0:
@@ -352,6 +358,7 @@ class GpdCompareReport(NamedTuple):
                 and self.base_verdict.n == self.extended_verdict.n)
 
 
+@span_scope
 def fresh_variable(R: QuotRing) -> str:
     for name in ("y", "z", "w", "u", "v", "s"):
         if name not in R.base.variables:
@@ -362,6 +369,7 @@ def fresh_variable(R: QuotRing) -> str:
     return f"t{i}"
 
 
+@span_scope
 def gpd_extension_compare(M: FPModule, n: int, depth: int) -> GpdCompareReport:
     """Run the bounded gpd test on M and on its polynomial extension."""
     var = fresh_variable(M.ring)

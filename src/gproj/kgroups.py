@@ -21,9 +21,9 @@ from typing import Callable, NamedTuple, Optional
 from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
 from .modules import (
     FPModule,
-    SubmoduleEngine,
     polynomial_extension,
     shrink_ring,
+    span_engine,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
 from .rings import (Poly, QuotRing, format_poly, monomial_div, monomial_divides,
@@ -447,7 +447,7 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
     a_cols = M.canonical_relations
     if not a_cols:
         return free_class
-    a_rels = SubmoduleEngine(S, M.ngens, list(a_cols)).syzygies()
+    a_rels = span_engine(S, M.ngens, a_cols).syzygies()
     small = R.base
     reduced_cols = [
         tuple(R.nf(restrict_poly(substitute_zero(p, idx), small)) for p in col)

@@ -5,12 +5,17 @@ ordered position-over-term: position i beats position j > i, ties broken by the
 ring's monomial order. One graph-basis computation per generating set yields
 membership tests, membership witnesses, and syzygies over the quotient ring.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs, so concurrent read-only sharing is safe.
+Values are immutable after construction, save that an engine keeps its
+syzygies once asked (an idempotent write), and every operation is a pure
+function of its inputs, so concurrent read-only sharing is safe. Inside one
+top-level call of a `span_scope` entry point, each engine and canonical
+generating set is built once; nothing is shared across calls or threads.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+from functools import wraps
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -68,6 +73,43 @@ def _unit_column(R: QuotRing, rank: int, i: int) -> Column:
     return tuple(R.one() if j == i else R.zero() for j in range(rank))
 
 
+# the running top-level call's span cache, None outside any scope
+_SPANS: ContextVar[Optional[dict]] = ContextVar("gproj_spans", default=None)
+_new_spans = dict  # opens a top-level call's cache
+
+
+def span_scope(fn):
+    """Run fn inside a span cache: opened by the outermost scoped call, joined
+    by nested ones, and dropped when the outermost call returns or raises."""
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        if _SPANS.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SPANS.set(_new_spans())
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SPANS.reset(token)
+    return scoped
+
+
+def _per_scope(build):
+    """build(R, rank, columns), memoised in the span cache; the key holds the
+    degree guard because ring equality ignores it."""
+    @wraps(build, updated=())
+    def memo(R: QuotRing, rank: int, columns):
+        columns, spans = tuple(columns), _SPANS.get()
+        if spans is None:
+            return build(R, rank, columns)
+        key = (build, R, R.base.degree_guard, rank, columns)
+        hit = spans.get(key)
+        if hit is None:
+            hit = spans[key] = build(R, rank, columns)
+        return hit
+    return memo
+
+
+@_per_scope
 def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     """Unique reduced generating set of the R-submodule spanned by columns.
 
@@ -117,6 +159,7 @@ class SubmoduleEngine:
             for i in range(rank):
                 vectors.append({(i, e): c for e, c in g.terms})
         self.gb = FreeModuleGB(R.base, rank + m, vectors)
+        self._syzygies = None
 
     def witness(self, column) -> Optional[list[Poly]]:
         """Coefficients expressing the column in the generators, or None."""
@@ -139,18 +182,24 @@ class SubmoduleEngine:
 
     def syzygies(self) -> tuple[Column, ...]:
         """Canonical generating set of the syzygy module of the columns."""
-        raw = []
-        for b in self.gb.basis:
-            if all(pos >= self.rank for (pos, _) in b):
-                shifted = {(pos - self.rank, e): c for (pos, e), c in b.items()}
-                raw.append(_vec_to_column(shifted, self.m, self.R.base))
-        return canonical_generators(self.R, self.m, raw)
+        if self._syzygies is None:
+            raw = []
+            for b in self.gb.basis:
+                if all(pos >= self.rank for (pos, _) in b):
+                    shifted = {(pos - self.rank, e): c for (pos, e), c in b.items()}
+                    raw.append(_vec_to_column(shifted, self.m, self.R.base))
+            self._syzygies = canonical_generators(self.R, self.m, raw)
+        return self._syzygies
+
+
+# the one way to build an engine: once per column list in a span scope
+span_engine = _per_scope(SubmoduleEngine)
 
 
 def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols) -> tuple[Column, ...]:
     """Generators of {v : sum v_j * image_j lies in span(modifiers)} in R^len(image)."""
     n = len(image_cols)
-    eng = SubmoduleEngine(R, rank, list(image_cols) + list(modifier_cols))
+    eng = span_engine(R, rank, list(image_cols) + list(modifier_cols))
     if not modifier_cols:  # the syzygies are already canonical in R^n
         return eng.syzygies()
     return canonical_generators(R, n, [tuple(s[:n]) for s in eng.syzygies()])
@@ -179,7 +228,7 @@ class FPModule:
         self.ngens = ngens
         self.relations = tuple(cols)
         self.canonical_relations = canonical_generators(ring, ngens, cols)
-        self._engine = SubmoduleEngine(ring, ngens, list(self.canonical_relations))
+        self._engine = span_engine(ring, ngens, self.canonical_relations)
 
     @classmethod
     def free(cls, ring: QuotRing, n: int) -> "FPModule":
@@ -332,12 +381,11 @@ class ModuleMap:
                    for g in self.kernel_preimage_generators())
 
     def cokernel_is_zero(self) -> bool:
-        if self.target.ngens == 0:
+        T = self.target
+        if T.ngens == 0:
             return True
-        eng = SubmoduleEngine(self.target.ring, self.target.ngens,
-                              list(self.columns) + list(self.target.canonical_relations))
-        return all(eng.contains(_unit_column(self.target.ring, self.target.ngens, i))
-                   for i in range(self.target.ngens))
+        eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
+        return all(eng.contains(_unit_column(T.ring, T.ngens, i)) for i in range(T.ngens))
 
     def is_iso(self) -> bool:
         return self.kernel_is_zero() and self.cokernel_is_zero()
@@ -374,7 +422,7 @@ class SubmoduleOfFree:
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.generators = tuple(gens)
-        self._engine = SubmoduleEngine(ring, ambient_rank, gens)
+        self._engine = span_engine(ring, ambient_rank, gens)
 
     def contains_vector(self, column) -> bool:
         return self._engine.contains(column)
@@ -403,7 +451,7 @@ class SubmoduleOfFree:
         if not self.generators or not other.generators:
             return SubmoduleOfFree(self.ring, self.ambient_rank, ())
         combined = list(self.generators) + list(other.generators)
-        eng = SubmoduleEngine(self.ring, self.ambient_rank, combined)
+        eng = span_engine(self.ring, self.ambient_rank, combined)
         n = len(self.generators)
         cols = []
         for s in eng.syzygies():
@@ -425,7 +473,7 @@ class SubmoduleOfFree:
 def annihilator_of_element(a: Poly, R: QuotRing) -> Ideal:
     """(0 : a) in R, returned with its canonical generating set."""
     a = R.nf(a)
-    syz = SubmoduleEngine(R, 1, [(a,)]).syzygies()
+    syz = span_engine(R, 1, [(a,)]).syzygies()
     return Ideal(R.base, [col[0] for col in syz])
 
 
@@ -467,8 +515,8 @@ def dual_module(M: FPModule) -> DualModule:
     if m == 0:
         kernel = tuple(_unit_column(R, n, j) for j in range(n))
     else:
-        kernel = SubmoduleEngine(R, m, transpose).syzygies()
-    rels = SubmoduleEngine(R, n, list(kernel)).syzygies() if kernel else ()
+        kernel = span_engine(R, m, transpose).syzygies()
+    rels = span_engine(R, n, kernel).syzygies() if kernel else ()
     return DualModule(FPModule(R, len(kernel), rels), kernel)
 
 
@@ -476,7 +524,7 @@ def dual_map(f: ModuleMap, dual_target: DualModule, dual_source: DualModule) -> 
     """Hom(f, R): from the dual of f's target to the dual of f's source."""
     R = f.source.ring
     n_src = f.source.ngens
-    src_engine = SubmoduleEngine(R, n_src, list(dual_source.evaluation))
+    src_engine = span_engine(R, n_src, dual_source.evaluation)
     cols = []
     for w in dual_target.evaluation:
         # the functional w pulled back along f, as a row on source generators
@@ -498,13 +546,14 @@ class DoubleDualResult(NamedTuple):
     double_dual: DualModule
 
 
+@span_scope
 def double_dual_map(M: FPModule) -> DoubleDualResult:
     """The evaluation map into the double dual, built as an explicit matrix."""
     R = M.ring
     D = dual_module(M)
     DD = dual_module(D.module)
     k = D.module.ngens
-    engine = SubmoduleEngine(R, k, list(DD.evaluation))
+    engine = span_engine(R, k, DD.evaluation)
     cols = []
     for a in range(M.ngens):
         u = tuple(D.evaluation[i][a] for i in range(k))
@@ -645,7 +694,7 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
     if f.target.ngens == 0:
         gens = [_unit_column(R, f.source.ngens, i) for i in range(f.source.ngens)]
         return SubmoduleOfFree(R, f.source.ngens, gens)
-    syz = SubmoduleEngine(R, f.target.ngens, list(f.columns)).syzygies()
+    syz = span_engine(R, f.target.ngens, f.columns).syzygies()
     return SubmoduleOfFree(R, f.source.ngens, syz)
 
 
@@ -739,7 +788,7 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
         return tuple(out)
 
     high = [coords(w, k, bound + 1) for w in multiples]
-    syz = SubmoduleEngine(R, (bound + 1 - k) * r, high).syzygies()
+    syz = span_engine(R, (bound + 1 - k) * r, high).syzygies()
     lows = [coords(w, 0, k) for w in multiples]
     cols = []
     for s in syz:

@@ -10,7 +10,6 @@ periodicity detection is a literal matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple, Optional
 
 from .errors import InputError, NotRegularOnQuotient
@@ -18,7 +17,6 @@ from .modules import (
     Column,
     FPModule,
     ModuleMap,
-    SubmoduleEngine,
     SubmoduleOfFree,
     _unit_column,
     _zero_column,
@@ -28,6 +26,8 @@ from .modules import (
     mat_vec,
     polynomial_extension,
     shrink_ring,
+    span_engine,
+    span_scope,
     window_vector_to_ambient,
 )
 from .rings import Poly, QuotRing, embed_poly, format_poly
@@ -88,7 +88,7 @@ class FreeResolution:
 def _syzygy_columns(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     if not columns:
         return ()
-    return SubmoduleEngine(R, rank, list(columns)).syzygies()
+    return span_engine(R, rank, columns).syzygies()
 
 
 def _find_periodicity(maps) -> Optional[tuple[int, int]]:
@@ -100,6 +100,7 @@ def _find_periodicity(maps) -> Optional[tuple[int, int]]:
     return None
 
 
+@span_scope
 def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     """Resolve to the requested depth by iterated syzygy computation."""
     if depth < 0:
@@ -118,17 +119,16 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     return FreeResolution(M, maps_t, depth, _find_periodicity(maps_t))
 
 
+@span_scope
 def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
     """First interior node (1..len-2) where the chain is not exact, or None.
 
     Reads the chain left to right: maps[j] sends node j to node j+1 as a
     column list. Exactness at a node is checked by membership both ways
     (image inside kernel and kernel inside image), not by the construction
-    that produced the maps. One engine per map serves both its kernel at
-    node j and its image at node j+1.
+    that produced the maps. The span cache gives one engine per map, which
+    serves both its kernel at node j and its image at node j+1.
     """
-    # the span of maps[j] inside R^ranks[j+1], built on first use
-    engine = cache(lambda j: SubmoduleEngine(R, ranks[j + 1], list(maps[j])))
     for node in range(1, len(ranks) - 1):
         incoming, outgoing = maps[node - 1], maps[node]
         for col in incoming:
@@ -141,13 +141,14 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
         if not outgoing or rank_next == 0:
             kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
         else:
-            kernel = engine(node).syzygies()
-        image = engine(node - 1)
+            kernel = span_engine(R, rank_next, outgoing).syzygies()
+        image = span_engine(R, rank_here, incoming)
         if not all(image.contains(kg) for kg in kernel):
             return node
     return None
 
 
+@span_scope
 def verify_exactness(res: FreeResolution) -> bool:
     """Independent check: F_0 presents the module and the chain is exact.
 
@@ -159,7 +160,7 @@ def verify_exactness(res: FreeResolution) -> bool:
     if maps:
         if not all(res.module.rel_span_contains(col) for col in maps[0]):
             return False
-        eng = SubmoduleEngine(R, res.module.ngens, list(maps[0]))
+        eng = span_engine(R, res.module.ngens, maps[0])
         if not all(eng.contains(col) for col in res.module.relations):
             return False
     return first_inexact_node(R, res.ranks[::-1], maps[::-1]) is None
@@ -185,6 +186,7 @@ class PdVerdict(NamedTuple):
         return f"AtLeast({self.n})"
 
 
+@span_scope
 def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
                                  ) -> Optional[tuple]:
     """Retraction of R^ambient onto the span of kernel_gens, or None.
@@ -211,7 +213,7 @@ def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     for a in range(q):
         for l in range(w):
             target.append(kernel_gens[l][a])
-    eng = SubmoduleEngine(R, q * w, sys_cols)
+    eng = span_engine(R, q * w, sys_cols)
     wit = eng.witness(tuple(target))
     if wit is None:
         return None
@@ -219,6 +221,7 @@ def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     return tuple(tuple(row) for row in H)
 
 
+@span_scope
 def pd_bounded(M: FPModule, depth: int) -> PdVerdict:
     """Scan syzygies for a certified splitting; detect periodic repetition.
 
@@ -259,6 +262,7 @@ class InfinitePdCertificate(NamedTuple):
         return self.accepted
 
 
+@span_scope
 def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCertificate:
     """Certify pd = infinity for the principal ideal of a square-zero element.
 
@@ -307,6 +311,7 @@ class ShortExactReport(NamedTuple):
                 and self.kernel_in_image and self.surjective)
 
 
+@span_scope
 def verify_short_exact(incl: ModuleMap, proj: ModuleMap) -> ShortExactReport:
     """Membership-based exactness check for 0 -> A -> B -> C -> 0."""
     R = incl.source.ring
@@ -317,8 +322,7 @@ def verify_short_exact(incl: ModuleMap, proj: ModuleMap) -> ShortExactReport:
     surjective = proj.cokernel_is_zero()
     # kernel of proj inside the image of incl (plus target relations of B)
     kernel_gens = proj.kernel_preimage_generators()
-    eng = SubmoduleEngine(R, incl.target.ngens,
-                          list(incl.columns) + list(incl.target.canonical_relations))
+    eng = span_engine(R, incl.target.ngens, incl.columns + incl.target.canonical_relations)
     kernel_in_image = all(eng.contains(g) for g in kernel_gens)
     return ShortExactReport(injective, composite_zero, kernel_in_image, surjective)
 
@@ -328,6 +332,7 @@ class HorseshoeResult(NamedTuple):
     augmentation: ModuleMap  # free module on combined generators ->> middle
 
 
+@span_scope
 def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> HorseshoeResult:
     """Resolution of the middle of a short exact sequence from the outer two.
 
@@ -345,16 +350,14 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
     res_c = free_resolution(C, depth)
 
     # lift each C-generator through proj
-    proj_engine = SubmoduleEngine(R, C.ngens,
-                                  list(proj.columns) + list(C.canonical_relations))
+    proj_engine = span_engine(R, C.ngens, proj.columns + C.canonical_relations)
     beta = []
     for i in range(C.ngens):
         wit = proj_engine.witness(_unit_column(R, C.ngens, i))
         beta.append(tuple(wit[:B.ngens]))
 
     # h_1: correction into F^A_0 for each column of c_1
-    incl_engine = SubmoduleEngine(R, B.ngens,
-                                  list(incl.columns) + list(B.canonical_relations))
+    incl_engine = span_engine(R, B.ngens, incl.columns + B.canonical_relations)
     h_blocks: list[list[Column]] = []
     h1 = []
     for col in res_c.map(0):
@@ -380,7 +383,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
         # solve the next correction block: a_s * h_{s+1} = -(h_s * c_{s+1})
         nxt = []
         if res_c.map(s + 1):
-            solver = SubmoduleEngine(R, ra, list(a_cols)) if a_cols else None
+            solver = span_engine(R, ra, a_cols) if a_cols else None
             for col in res_c.map(s + 1):
                 rhs = mat_vec(R, h, col) if h else _zero_column(R, ra)
                 rhs = tuple(R.neg(p) for p in rhs)
@@ -419,6 +422,7 @@ class TruncationSequence(NamedTuple):
     exactness: ShortExactReport
 
 
+@span_scope
 def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None,
                         check_regular: bool = True) -> TruncationSequence:
     """Resolve a submodule M of F[x] by degree windows over the base ring.
@@ -479,7 +483,7 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None,
 
     # psi columns: each B-generator, rebuilt as an ambient vector, inside M
     psi_cols = []
-    M_engine = SubmoduleEngine(S, r, list(Msub.generators))
+    M_engine = span_engine(S, r, Msub.generators)
     for b_col in B_sub.generators:
         ambient = window_vector_to_ambient(b_col, r, S, var)
         wit = M_engine.witness(ambient)

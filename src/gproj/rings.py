@@ -255,8 +255,8 @@ class Poly:
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.ring, self.terms))
+    def __hash__(self):  # lead exponent and size: Fraction coefficients hash slowly
+        return hash((len(self.terms), self.terms[0][0] if self.terms else None))
 
     def __str__(self):
         return format_poly(self)

@@ -317,22 +317,20 @@ def test_g_class_test_matches_standalone_routes(build, depth, verdict):
     assert (rep.certified_by == "complete_resolution") == certified
 
 
-def test_g_class_test_builds_at_most_232_module_bases(monkeypatch):
-    # Hom terms are column lists and the exactness checker spans each map
-    # once, so no basis is built only to be read back
-    from gproj.rings import FreeModuleGB
-    M = _residue_field_of_xy_squares()
-    builds = []
-    init = FreeModuleGB.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FreeModuleGB, "__init__", counting_init)
-    rep = g_class_test(M, 8)
+def test_g_class_test_builds_at_most_77_module_bases(count_bases):
+    # Hom terms are column lists, and within one call each column list is
+    # spanned once: the window, the Ext kernels and the dual resolution
+    # reuse the bases the resolutions built
+    rep, builds = count_bases(g_class_test, _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert len(builds) <= 232
+    assert builds <= 77
+
+
+def test_gpd_bounded_builds_at_most_53_module_bases(count_bases):
+    # the G-class test of the first syzygy reuses the resolution of M
+    verdict, builds = count_bases(gpd_bounded, _residue_field_of_xy_squares(), 1, 2)
+    assert str(verdict) == "AtMost(1)"
+    assert builds <= 53
 
 
 @pytest.mark.parametrize("ring", [

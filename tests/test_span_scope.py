@@ -1,0 +1,148 @@
+"""The per-call span cache: scoped to one top-level call, never shared across
+calls or threads, keyed on the degree guard, and invisible in every output."""
+
+import sys
+import threading
+
+import pytest
+
+from gproj import (
+    GF,
+    QQ,
+    DegreeGuardExceeded,
+    FPModule,
+    ModuleMap,
+    PolyRing,
+    complete_resolution_check,
+    g_class_test,
+    gpd_bounded,
+)
+from gproj import modules
+from gproj.modules import canonical_generators, span_engine, span_scope
+
+# the rings of the gclass benchmark workload: field, variables, modulus
+RINGS = {
+    "A": (GF(2), ("x", "y"), ["x^2", "y^2"]),
+    "B": (GF(2), ("x", "y", "z"), ["x^2", "y^2", "z^2"]),
+    "C": (QQ, ("x", "y"), ["x^2", "y^2"]),
+    "D": (GF(3), ("x", "y"), ["x*y"]),
+    "E": (GF(2), ("x", "y"), ["x^2", "x*y", "y^2"]),
+    "chain2": (GF(7), ("x",), ["x^2"]),
+    "chain4": (GF(5), ("x",), ["x^4"]),
+    "chain5": (GF(3), ("x",), ["x^5"]),
+}
+
+
+def ring(key, guard=32):
+    field, variables, modulus = RINGS[key]
+    return PolyRing(field, variables, degree_guard=guard).quotient(modulus)
+
+
+def residue_field(R):
+    return FPModule(R, 1, [(v,) for v in R.base.gens()])
+
+
+def principal(R, text):
+    return FPModule(R, 1, [(R.poly(text),)])
+
+
+def canon(x) -> str:
+    """Every presentation, matrix and verdict in a result, as one string."""
+    def walk(v):
+        if isinstance(v, FPModule):
+            return ("FPModule", v.ngens, walk(v.canonical_relations))
+        if isinstance(v, ModuleMap):
+            return ("ModuleMap", walk(v.source), walk(v.target), walk(v.columns))
+        if isinstance(v, tuple):  # named tuples keep their type name
+            return (type(v).__name__,) + tuple(walk(e) for e in v)
+        return repr(v)
+    return repr(walk(x))
+
+
+def outcome(fn, *args) -> str:
+    try:
+        return canon(fn(*(a() if callable(a) else a for a in args)))
+    except Exception as exc:  # a trip or a rejection is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_second_identical_call_builds_as_many_bases(count_bases):
+    M = residue_field(ring("A"))
+    first, n1 = count_bases(g_class_test, M, 4)
+    second, n2 = count_bases(g_class_test, M, 4)
+    assert n1 == n2 > 0
+    assert canon(first) == canon(second)
+    assert modules._SPANS.get() is None
+
+
+def test_scope_is_cleared_after_a_guard_trip():
+    M = residue_field(ring("chain5", guard=4))
+    with pytest.raises(DegreeGuardExceeded):
+        g_class_test(M, 3)
+    assert modules._SPANS.get() is None
+
+
+def test_lower_guard_copy_of_the_ring_still_trips_in_one_scope():
+    high = PolyRing(GF(2), ("x", "y"), degree_guard=8).quotient([])
+    low = PolyRing(GF(2), ("x", "y"), degree_guard=3).quotient([])
+    assert high == low  # ring equality ignores the guard
+
+    def columns(R):  # reduced, of degree 3; their bases reach degree 4
+        return [(R.poly("x^2*y"),), (R.poly("x^2*y+x^3"),)]
+
+    @span_scope
+    def both():
+        for build in (span_engine, canonical_generators):
+            build(high, 1, columns(high))
+            with pytest.raises(DegreeGuardExceeded):
+                build(low, 1, columns(low))
+
+    both()
+
+
+def test_threads_match_serial_runs():
+    # more threads than cores, switching often: each call keeps its own cache
+    jobs = [(residue_field(ring("A")), 6), (principal(ring("chain4"), "x^2"), 6),
+            (residue_field(ring("E")), 2), (principal(ring("D"), "y"), 4)]
+    serial = [canon(g_class_test(M, d)) for M, d in jobs]
+    barrier = threading.Barrier(len(jobs))
+    got = {}
+
+    def worker(j):
+        barrier.wait()
+        got[j] = [canon(g_class_test(*jobs[j])) for _ in range(2)]
+
+    threads = [threading.Thread(target=worker, args=(j,)) for j in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert [got[j] for j in range(len(jobs))] == [[c, c] for c in serial]
+
+
+@pytest.mark.parametrize("key", sorted(RINGS))
+def test_outputs_identical_with_the_scope_off(key, monkeypatch):
+    # every route and every guard trip is the same whether or not bases are
+    # shared within a call: the cache only skips deterministic rebuilds
+    def run_all():
+        out = []
+        for guard in (4, 6, 8):
+            R = ring(key, guard)
+            # modules are built inside `outcome`, since building one may trip
+            k, x = (lambda: residue_field(R)), (lambda: principal(R, "x"))
+            out += [outcome(g_class_test, k, 2), outcome(g_class_test, x, 2),
+                    outcome(gpd_bounded, k, 1, 2),
+                    outcome(complete_resolution_check, k, 2),
+                    outcome(complete_resolution_check, x, 2),
+                    outcome(complete_resolution_check, lambda: FPModule.free(R, 1), 2)]
+        return out
+
+    scoped = run_all()
+    monkeypatch.setattr(modules, "_new_spans", lambda: None)
+    assert run_all() == scoped

@@ -350,7 +350,7 @@ class Catalog(NamedTuple):
             return FPModule.free(self.ring, 1)
         if label.startswith("[R/(") and label.endswith(")]"):
             f = self.ring.base.poly(label[4:-2])
-            return FPModule(self.ring, 1, [(self.ring.nf(f),)])
+            return FPModule(self.ring, 1, [(f,)])
         raise InputError(f"unknown catalog label {label!r}")
 
     def group_value(self, cls: KClass) -> int:
@@ -450,7 +450,7 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
     a_rels = span_engine(S, M.ngens, a_cols).syzygies()
     small = R.base
     reduced_cols = [
-        tuple(R.nf(restrict_poly(substitute_zero(p, idx), small)) for p in col)
+        tuple(restrict_poly(substitute_zero(p, idx), small) for p in col)
         for col in a_rels]
     a_bar = FPModule(R, len(a_cols), reduced_cols)
     return free_class - class_decompose(a_bar, cat)

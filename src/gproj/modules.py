@@ -5,6 +5,13 @@ ordered position-over-term: position i beats position j > i, ties broken by the
 ring's monomial order. One graph-basis computation per generating set yields
 membership tests, membership witnesses, and syzygies over the quotient ring.
 
+Every Poly in a column held by an FPModule, ModuleMap, SubmoduleOfFree,
+SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
+ring's modulus. Only new polynomials are reduced: products, base changes,
+parses, columns read out of a preimage basis, and the columns a caller hands
+to a public constructor or query. Normal form is linear, so sums and
+negations of reduced columns are reduced.
+
 Values are immutable after construction, save that an engine keeps its
 syzygies once asked (an idempotent write), and every operation is a pure
 function of its inputs, so concurrent read-only sharing is safe. Inside one
@@ -55,10 +62,11 @@ def _column_to_vec(col: Column) -> Vec:
 
 
 def _vec_to_column(v: Vec, rank: int, ring: PolyRing) -> Column:
-    per_pos: list[dict] = [dict() for _ in range(rank)]
+    """Split v, whose terms run in descending POT order, into polynomials."""
+    per_pos: list[list] = [[] for _ in range(rank)]
     for (pos, e), c in v.items():
-        per_pos[pos][e] = c
-    return tuple(ring.from_dict(d) for d in per_pos)
+        per_pos[pos].append((e, c))
+    return tuple(Poly(ring, tuple(terms)) for terms in per_pos)
 
 
 def _nf_column(R: QuotRing, col) -> Column:
@@ -118,11 +126,9 @@ def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     with the pure modulus part discarded. Canonical: depends only on the
     submodule, not on the generating set handed in.
     """
-    cols = [_nf_column(R, c) for c in columns]
-    cols = [c for c in cols if any(not p.is_zero() for p in c)]
-    if rank == 0 or (not cols and R.modulus.is_zero()):
+    vectors = [v for v in map(_column_to_vec, columns) if v]
+    if rank == 0 or (not vectors and R.modulus.is_zero()):
         return ()
-    vectors = [_column_to_vec(c) for c in cols]
     for g in R.modulus.reduced_gb:
         for i in range(rank):
             vectors.append({(i, e): c for e, c in g.terms})
@@ -140,13 +146,13 @@ class SubmoduleEngine:
 
     One graph basis serves all three queries: generators are tagged with unit
     vectors in an extra block, modulus multiples enter untagged, and the POT
-    order eliminates the ambient block first.
+    order eliminates the ambient block first. Columns and queries must be
+    reduced: an unreduced one gets the same answers but may trip the guard.
     """
 
     def __init__(self, R: QuotRing, rank: int, columns):
         self.R = R
         self.rank = rank
-        columns = [_nf_column(R, c) for c in columns]
         m = len(columns)
         self.m = m
         vectors = []
@@ -163,19 +169,16 @@ class SubmoduleEngine:
 
     def witness(self, column) -> Optional[list[Poly]]:
         """Coefficients expressing the column in the generators, or None."""
-        col = _nf_column(self.R, column)
-        r = self.gb.reduce(_column_to_vec(col))
+        r = self.gb.reduce(_column_to_vec(column))
         if any(pos < self.rank for (pos, _) in r):
             return None
-        parts: list[dict] = [dict() for _ in range(self.m)]
+        # reduced and in POT order: the module holds g*e_(rank+j) for each
+        # modulus element g, so no tag term is divisible by a modulus lead
+        neg = self.R.base.field.neg
+        parts: list[list] = [[] for _ in range(self.m)]
         for (pos, e), c in r.items():
-            parts[pos - self.rank][e] = c
-        field = self.R.base.field
-        out = []
-        for d in parts:
-            p = self.R.base.from_dict({e: field.neg(c) for e, c in d.items()})
-            out.append(self.R.nf(p))
-        return out
+            parts[pos - self.rank].append((e, neg(c)))
+        return [Poly(self.R.base, tuple(terms)) for terms in parts]
 
     def contains(self, column) -> bool:
         return self.witness(column) is not None
@@ -183,9 +186,13 @@ class SubmoduleEngine:
     def syzygies(self) -> tuple[Column, ...]:
         """Canonical generating set of the syzygy module of the columns."""
         if self._syzygies is None:
+            # the tag block, less the elements led by a modulus lead g: each is
+            # g*e_j plus a combination of the others, which are all reduced
+            modulus_leads = {g.lead_monomial() for g in self.R.modulus.reduced_gb}
             raw = []
             for b in self.gb.basis:
-                if all(pos >= self.rank for (pos, _) in b):
+                lead_pos, lead = next(iter(b))
+                if lead_pos >= self.rank and lead not in modulus_leads:
                     shifted = {(pos - self.rank, e): c for (pos, e), c in b.items()}
                     raw.append(_vec_to_column(shifted, self.m, self.R.base))
             self._syzygies = canonical_generators(self.R, self.m, raw)
@@ -241,8 +248,7 @@ class FPModule:
             return cls(ring, ngens, ())
         if len(rows) != ngens:
             raise InputError(f"expected {ngens} rows, got {len(rows)}")
-        parsed = [[ring.poly(s) if isinstance(s, str) else ring.nf(s) for s in row]
-                  for row in rows]
+        parsed = [[ring.poly(s) if isinstance(s, str) else s for s in row] for row in rows]
         width = {len(row) for row in parsed}
         if len(width) > 1:
             raise InputError("ragged relation matrix")
@@ -251,10 +257,10 @@ class FPModule:
         return cls(ring, ngens, cols)
 
     def rel_span_contains(self, column) -> bool:
-        return self._engine.contains(column)
+        return self._engine.contains(_nf_column(self.ring, column))
 
     def rel_witness(self, column):
-        return self._engine.witness(column)
+        return self._engine.witness(_nf_column(self.ring, column))
 
     def is_zero(self) -> bool:
         if self.ngens == 0:
@@ -320,7 +326,7 @@ class ModuleMap:
         if check:
             for rel in source.relations:
                 image = self._apply(rel)
-                if not target.rel_span_contains(image):
+                if not target._engine.contains(image):
                     raise MapNotWellDefined(
                         "image of a source relation misses the target relation span")
 
@@ -339,8 +345,7 @@ class ModuleMap:
         R = source.ring
         if len(rows) != target.ngens:
             raise InputError(f"expected {target.ngens} rows")
-        parsed = [[R.poly(s) if isinstance(s, str) else R.nf(s) for s in row]
-                  for row in rows]
+        parsed = [[R.poly(s) if isinstance(s, str) else s for s in row] for row in rows]
         for row in parsed:
             if len(row) != source.ngens:
                 raise InputError(f"expected {source.ngens} columns")
@@ -377,7 +382,7 @@ class ModuleMap:
                                 self.columns, self.target.canonical_relations)
 
     def kernel_is_zero(self) -> bool:
-        return all(self.source.rel_span_contains(g)
+        return all(self.source._engine.contains(g)
                    for g in self.kernel_preimage_generators())
 
     def cokernel_is_zero(self) -> bool:
@@ -398,10 +403,9 @@ def maps_equal(f: ModuleMap, g: ModuleMap) -> bool:
     """Equality as maps: the difference lands in the target relation span."""
     if f.source.ngens != g.source.ngens or f.target.ngens != g.target.ngens:
         return False
-    R = f.source.ring
     for cf, cg in zip(f.columns, g.columns):
-        diff = tuple(R.sub(a, b) for a, b in zip(cf, cg))
-        if not f.target.rel_span_contains(diff):
+        diff = tuple(a - b for a, b in zip(cf, cg))
+        if not f.target._engine.contains(diff):
             return False
     return True
 
@@ -425,13 +429,13 @@ class SubmoduleOfFree:
         self._engine = span_engine(ring, ambient_rank, gens)
 
     def contains_vector(self, column) -> bool:
-        return self._engine.contains(column)
+        return self._engine.contains(_nf_column(self.ring, column))
 
     def witness(self, column):
-        return self._engine.witness(column)
+        return self._engine.witness(_nf_column(self.ring, column))
 
     def contains_submodule(self, other: "SubmoduleOfFree") -> bool:
-        return all(self.contains_vector(g) for g in other.generators)
+        return all(self._engine.contains(g) for g in other.generators)
 
     def equals(self, other: "SubmoduleOfFree") -> bool:
         return self.contains_submodule(other) and other.contains_submodule(self)
@@ -486,7 +490,7 @@ def is_regular_element(u: Poly, M: FPModule) -> bool:
         return True
     mult_cols = [tuple(u if j == i else R.zero() for j in range(n)) for i in range(n)]
     preimage = colon_generators(R, n, mult_cols, M.canonical_relations)
-    return all(M.rel_span_contains(g) for g in preimage)
+    return all(M._engine.contains(g) for g in preimage)
 
 
 def is_regular_in_ring(u: Poly, R: QuotRing) -> bool:
@@ -528,11 +532,7 @@ def dual_map(f: ModuleMap, dual_target: DualModule, dual_source: DualModule) -> 
     cols = []
     for w in dual_target.evaluation:
         # the functional w pulled back along f, as a row on source generators
-        row = tuple(
-            R.nf(sum((w[i] * f.columns[j][i] for i in range(f.target.ngens)),
-                     R.base.zero()))
-            for j in range(n_src))
-        wit = src_engine.witness(row)
+        wit = src_engine.witness(mat_vec(R, f.rows(), w))
         if wit is None:
             raise MapNotWellDefined("pulled-back functional misses the dual module")
         cols.append(tuple(wit))
@@ -586,14 +586,13 @@ def quotient_by_regular_element(M: FPModule, u: Poly) -> FPModule:
     if not is_regular_element(u, M):
         raise NotRegularOnModule(f"{u} is not regular on the module")
     quotient = QuotRing(R.base, Ideal(R.base, list(R.modulus.generators) + [u]))
-    cols = [tuple(quotient.nf(p) for p in col) for col in M.relations]
-    return FPModule(quotient, M.ngens, cols)
+    return FPModule(quotient, M.ngens, M.relations)
 
 
 def polynomial_extension(M: FPModule, var: str) -> FPModule:
     """M[x]: the same relation matrix over the ring with one fresh variable."""
     big = extend_ring(M.ring, var)
-    cols = [tuple(big.nf(embed_poly(p, big.base)) for p in col) for col in M.relations]
+    cols = [tuple(embed_poly(p, big.base) for p in col) for col in M.relations]
     return FPModule(big, M.ngens, cols)
 
 
@@ -653,7 +652,7 @@ def restrict_scalars_monic(N: FPModule, var: str, f: Poly) -> FPModule:
             for i, p in enumerate(shifted):
                 p = reduce_by_monic_in_var(p, f, idx)
                 for d, q in coeffs_by_variable(p, idx).items():
-                    entries[i * k + d] = R.nf(restrict_poly(q, small))
+                    entries[i * k + d] = restrict_poly(q, small)
             new_cols.append(tuple(entries))
     return FPModule(R, n * k, new_cols)
 
@@ -670,13 +669,10 @@ def module_over_cover(M: FPModule, cover: QuotRing) -> FPModule:
     for g in cover.modulus.generators:
         if not R.modulus.contains(g):
             raise InputError("cover modulus is not contained in the module's modulus")
-    cols = [tuple(cover.nf(p) for p in col) for col in M.relations]
-    for q in R.modulus.generators:
-        q2 = cover.nf(q)
-        if q2.is_zero():
-            continue
-        for i in range(M.ngens):
-            cols.append(tuple(q2 if j == i else cover.zero() for j in range(M.ngens)))
+    cols = list(M.relations)
+    for q in R.modulus.generators:  # FPModule drops the ones cover already kills
+        cols += [tuple(q if j == i else cover.zero() for j in range(M.ngens))
+                 for i in range(M.ngens)]
     return FPModule(cover, M.ngens, cols)
 
 
@@ -827,11 +823,12 @@ def subquotient(numerator: SubmoduleOfFree, denominator) -> FPModule:
     """Present numerator/span(denominator) on the numerator's generators.
 
     The relations are membership witnesses of the denominator columns, which
-    must lie in the numerator, plus the syzygies of the numerator generators.
+    must be reduced and lie in the numerator, plus the syzygies of the
+    numerator generators.
     """
     cols = []
     for w in denominator:
-        wit = numerator.witness(w)
+        wit = numerator._engine.witness(w)
         if wit is None:
             raise InputError("denominator not contained in numerator")
         cols.append(tuple(wit))
@@ -856,7 +853,7 @@ def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
     Q1 = subquotient(B1, A1.generators)
     cols = []
     for g in B.generators:
-        wit = B1.witness(g)
+        wit = B1._engine.witness(g)
         cols.append(tuple(wit))
     h = ModuleMap(Q, Q1, cols)
     mono = h.kernel_is_zero()

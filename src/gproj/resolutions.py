@@ -365,7 +365,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
         wit = incl_engine.witness(v)
         if wit is None:
             raise InputError("horseshoe lift failed at level 0")
-        h1.append(tuple(R.neg(p) for p in wit[:A.ngens]))
+        h1.append(tuple(-p for p in wit[:A.ngens]))
     h_blocks.append(h1)
 
     maps = []
@@ -386,7 +386,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
             solver = span_engine(R, ra, a_cols) if a_cols else None
             for col in res_c.map(s + 1):
                 rhs = mat_vec(R, h, col) if h else _zero_column(R, ra)
-                rhs = tuple(R.neg(p) for p in rhs)
+                rhs = tuple(-p for p in rhs)
                 if all(p.is_zero() for p in rhs):
                     nxt.append(_zero_column(R, len(a_cols)))
                     continue

@@ -441,7 +441,8 @@ def reduce_poly(f: Poly, basis: list[Poly], guard: Optional[int] = None) -> Poly
                 del work[e2]
             else:
                 work[e2] = s
-    return ring.from_dict(remainder)
+    # terms leave the heap largest first, and each new one is smaller
+    return Poly(ring, tuple(remainder.items()))
 
 
 class FreeModuleGB:
@@ -468,7 +469,8 @@ class FreeModuleGB:
 
     @property
     def basis(self) -> list[Vec]:
-        """The reduced basis as vectors, built on each read so it is stored once."""
+        """The reduced basis as vectors, built on each read so it is stored once;
+        each lists its lead, then its tail in descending POT order."""
         one = self.ring.field.one
         return [{(g.pos, g.expt): one, **dict(g.tail)} for g in self._reduced]
 
@@ -619,7 +621,7 @@ def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tup
         if g.ring != ring:
             raise RingMismatch("generators in different rings")
     gb = FreeModuleGB(ring, 1, [{(0, e): c for e, c in g.terms} for g in gens])
-    return tuple(ring.from_dict({e: c for (_, e), c in v.items()}) for v in gb.basis)
+    return tuple(Poly(ring, tuple((e, c) for (_, e), c in v.items())) for v in gb.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +650,7 @@ class Ideal:
         return not self.reduced_gb
 
     def contains(self, f: Poly) -> bool:
-        return reduce_poly(f, list(self.reduced_gb)).is_zero()
+        return reduce_poly(f, list(self.reduced_gb), self.ring.degree_guard).is_zero()
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.reduced_gb)
@@ -686,7 +688,7 @@ class QuotRing:
             raise RingMismatch("variable mismatch with the base ring")
         if f.is_zero() or self.modulus.is_zero():
             return f
-        return reduce_poly(f, list(self.modulus.reduced_gb))
+        return reduce_poly(f, list(self.modulus.reduced_gb), self.base.degree_guard)
 
     def poly(self, text: str) -> Poly:
         return self.nf(self.base.poly(text))

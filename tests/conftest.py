@@ -1,23 +1,20 @@
 import pytest
 
-from gproj.rings import FreeModuleGB
-
 
 @pytest.fixture
-def count_bases(monkeypatch):
-    """count_bases(fn, *args) -> (fn(*args), module Groebner bases it built)."""
-    builds = []
-    init = FreeModuleGB.__init__
+def count_calls():
+    """count_calls(owner, name, fn, *args) -> (fn(*args), calls of owner.name it made)."""
+    def count(owner, name, fn, *args):
+        calls = []
+        original = getattr(owner, name)
 
-    def counting_init(self, *args, **kwargs):
-        builds.append(None)
-        init(self, *args, **kwargs)
+        def counting(*a, **kw):
+            calls.append(None)
+            return original(*a, **kw)
 
-    monkeypatch.setattr(FreeModuleGB, "__init__", counting_init)
-
-    def count(fn, *args):
-        before = len(builds)
-        result = fn(*args)
-        return result, len(builds) - before
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, name, counting)
+            result = fn(*args)
+        return result, len(calls)
 
     return count

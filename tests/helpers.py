@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, deliberately independent of the library
 internals: brute-force enumeration over finite rings, a Groebner-free
-linear-algebra ideal-membership oracle, and classic integer-matrix oracles.
+linear-algebra ideal-membership oracle, and classic integer-matrix oracles;
+also the rings of the gclass benchmark workload, which several tests share.
 """
 
 from __future__ import annotations
@@ -8,8 +9,25 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
-from gproj import FPModule, QuotRing
+from gproj import GF, QQ, FPModule, PolyRing, QuotRing
 from gproj.modules import mat_vec
+
+# the rings of the gclass benchmark workload: field, variables, modulus
+GCLASS_RINGS = {
+    "A": (GF(2), ("x", "y"), ["x^2", "y^2"]),
+    "B": (GF(2), ("x", "y", "z"), ["x^2", "y^2", "z^2"]),
+    "C": (QQ, ("x", "y"), ["x^2", "y^2"]),
+    "D": (GF(3), ("x", "y"), ["x*y"]),
+    "E": (GF(2), ("x", "y"), ["x^2", "x*y", "y^2"]),
+    "chain2": (GF(7), ("x",), ["x^2"]),
+    "chain4": (GF(5), ("x",), ["x^4"]),
+    "chain5": (GF(3), ("x",), ["x^5"]),
+}
+
+
+def gclass_ring(key, guard=32):
+    field, variables, modulus = GCLASS_RINGS[key]
+    return PolyRing(field, variables, degree_guard=guard).quotient(modulus)
 
 
 # ---------------------------------------------------------------------------

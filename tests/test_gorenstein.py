@@ -16,6 +16,7 @@ from gproj import (
     gpd_extension_compare,
     polynomial_ring,
 )
+from gproj.rings import FreeModuleGB, QuotRing
 
 from helpers import module_cosets, ring_elements
 
@@ -317,20 +318,31 @@ def test_g_class_test_matches_standalone_routes(build, depth, verdict):
     assert (rep.certified_by == "complete_resolution") == certified
 
 
-def test_g_class_test_builds_at_most_77_module_bases(count_bases):
+def test_g_class_test_builds_at_most_77_module_bases(count_calls):
     # Hom terms are column lists, and within one call each column list is
     # spanned once: the window, the Ext kernels and the dual resolution
     # reuse the bases the resolutions built
-    rep, builds = count_bases(g_class_test, _residue_field_of_xy_squares(), 8)
+    rep, builds = count_calls(FreeModuleGB, "__init__", g_class_test,
+                              _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
     assert builds <= 77
 
 
-def test_gpd_bounded_builds_at_most_53_module_bases(count_bases):
+def test_gpd_bounded_builds_at_most_53_module_bases(count_calls):
     # the G-class test of the first syzygy reuses the resolution of M
-    verdict, builds = count_bases(gpd_bounded, _residue_field_of_xy_squares(), 1, 2)
+    verdict, builds = count_calls(FreeModuleGB, "__init__", gpd_bounded,
+                                  _residue_field_of_xy_squares(), 1, 2)
     assert str(verdict) == "AtMost(1)"
     assert builds <= 53
+
+
+def test_g_class_test_makes_at_most_5311_normal_forms(count_calls):
+    # columns are held in normal form, so only new products, the columns read
+    # out of a preimage basis and the constructors' inputs get reduced
+    rep, calls = count_calls(QuotRing, "nf", g_class_test,
+                             _residue_field_of_xy_squares(), 8)
+    assert rep.verdict_str() == "Certified(complete_resolution)"
+    assert calls <= 5311
 
 
 @pytest.mark.parametrize("ring", [

@@ -249,3 +249,17 @@ def test_degree_guard_names_normal_form():
     R = base.quotient(["x - y^3"])
     with pytest.raises(DegreeGuardExceeded, match="^normal form: term degree"):
         R.nf(base.poly("x^4"))
+
+
+def test_quotient_reduces_under_its_own_guard():
+    # ring equality ignores the guard, so a polynomial built in a copy of the
+    # base ring with another guard passes the ring check; the quotient's
+    # own guard must still govern its normal forms and memberships
+    R = PolyRing(GF(2), ("x",), degree_guard=4).quotient(["x^2"])
+    copy32 = PolyRing(GF(2), ("x",), degree_guard=32)
+    assert copy32 == R.base
+    for f in (copy32.poly("x^10"), R.base.poly("x^10")):
+        with pytest.raises(DegreeGuardExceeded, match="guard 4$"):
+            R.nf(f)
+        with pytest.raises(DegreeGuardExceeded, match="guard 4$"):
+            R.modulus.contains(f)

@@ -8,7 +8,6 @@ import pytest
 
 from gproj import (
     GF,
-    QQ,
     DegreeGuardExceeded,
     FPModule,
     ModuleMap,
@@ -19,24 +18,9 @@ from gproj import (
 )
 from gproj import modules
 from gproj.modules import canonical_generators, span_engine, span_scope
+from gproj.rings import FreeModuleGB
 
-# the rings of the gclass benchmark workload: field, variables, modulus
-RINGS = {
-    "A": (GF(2), ("x", "y"), ["x^2", "y^2"]),
-    "B": (GF(2), ("x", "y", "z"), ["x^2", "y^2", "z^2"]),
-    "C": (QQ, ("x", "y"), ["x^2", "y^2"]),
-    "D": (GF(3), ("x", "y"), ["x*y"]),
-    "E": (GF(2), ("x", "y"), ["x^2", "x*y", "y^2"]),
-    "chain2": (GF(7), ("x",), ["x^2"]),
-    "chain4": (GF(5), ("x",), ["x^4"]),
-    "chain5": (GF(3), ("x",), ["x^5"]),
-}
-
-
-def ring(key, guard=32):
-    field, variables, modulus = RINGS[key]
-    return PolyRing(field, variables, degree_guard=guard).quotient(modulus)
-
+from helpers import GCLASS_RINGS as RINGS, gclass_ring as ring
 
 def residue_field(R):
     return FPModule(R, 1, [(v,) for v in R.base.gens()])
@@ -66,10 +50,10 @@ def outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_second_identical_call_builds_as_many_bases(count_bases):
+def test_second_identical_call_builds_as_many_bases(count_calls):
     M = residue_field(ring("A"))
-    first, n1 = count_bases(g_class_test, M, 4)
-    second, n2 = count_bases(g_class_test, M, 4)
+    first, n1 = count_calls(FreeModuleGB, "__init__", g_class_test, M, 4)
+    second, n2 = count_calls(FreeModuleGB, "__init__", g_class_test, M, 4)
     assert n1 == n2 > 0
     assert canon(first) == canon(second)
     assert modules._SPANS.get() is None

@@ -103,7 +103,7 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return self is other or isinstance(other, RationalField)
 
     def __hash__(self):
         return hash("QQ")
@@ -146,7 +146,7 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return self is other or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("GF", self.p))

@@ -135,7 +135,7 @@ def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     gb = FreeModuleGB(R.base, rank, vectors)
     out = []
     for b in gb.basis:
-        col = _nf_column(R, _vec_to_column(b, rank, R.base))
+        col = tuple(p if p.is_zero() else R.nf(p) for p in _vec_to_column(b, rank, R.base))
         if any(not p.is_zero() for p in col):
             out.append(col)
     return tuple(out)
@@ -169,7 +169,7 @@ class SubmoduleEngine:
 
     def witness(self, column) -> Optional[list[Poly]]:
         """Coefficients expressing the column in the generators, or None."""
-        r = self.gb.reduce(_column_to_vec(column))
+        r = self.gb.reduce_vec(_column_to_vec(column))
         if any(pos < self.rank for (pos, _) in r):
             return None
         # reduced and in POT order: the module holds g*e_(rank+j) for each

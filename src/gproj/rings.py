@@ -3,7 +3,16 @@
 Polynomials are sparse: a tuple of (exponent vector, coefficient) pairs kept
 strictly descending in the ring's monomial order, with no zero coefficients.
 One Groebner engine, FreeModuleGB, serves both ideals (rank 1) and
-submodules of free modules.
+submodules of free modules. Inside it a term (position, exponent) is one int:
+a low part of equal-width fields (total degree, then e_{n-1} .. e_0 up to the
+top), each field below a guard bit, then a key part, a linear form in the
+exponents plus an offset, whose int order is the monomial order reversed, then
+the position. So a product by a monomial is one add, the heap pops the smallest
+int first, divisibility is ((m | H) - lead) & H == H for the guard bits H, and
+the degree is a mask. Fields hold twice the larger of the degree guard and the
+input degree, the most an S-vector or lcm reaches; a wider query meets the
+reducers repacked at its width. Guard checks, trips and messages are the same
+as on exponent tuples.
 Every value here is immutable after construction; ideals compute their reduced
 Groebner basis at construction time, never lazily, so instances can be shared
 freely across threads.
@@ -12,10 +21,12 @@ freely across threads.
 from __future__ import annotations
 
 import re
+from copy import copy
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import add, le, neg, sub
-from typing import Iterable, NamedTuple, Optional
+from operator import add, le, mul, neg, sub
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
     DegreeGuardExceeded,
@@ -60,10 +71,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 class PolyRing:
     """k[x_1, ..., x_n] with a fixed monomial order ('grevlex' or 'lex')."""
 
@@ -94,8 +101,9 @@ class PolyRing:
         return self._key(expt)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and self.field == other.field
-                and self.variables == other.variables and self.order == other.order)
+        return self is other or (
+            isinstance(other, PolyRing) and self.field == other.field
+            and self.variables == other.variables and self.order == other.order)
 
     def __hash__(self):
         return hash((self.field, self.variables, self.order))
@@ -384,12 +392,49 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 Vec = dict  # {(position, exponent): coeff}, an element of the free module P^r
 
 
-class _Element(NamedTuple):
-    """A monic basis vector, split at its lead term once, on insertion."""
-    pos: int  # the lead term is (pos, expt) with coefficient 1
-    expt: Monomial
-    tail: tuple  # ((pos, expt), coeff) for every other term
-    top: int  # largest total degree among all the terms
+class _Layout(NamedTuple):
+    """One packing of terms into ints; its functions close over the rest."""
+    cap: int  # the largest exponent or total degree a field holds
+    low: int  # mask of the low part: at one degree its int order is lex, e_0 highest
+    guards: int  # the top bit of each exponent field
+    degree: int  # mask of the total-degree field, the lowest one
+    pshift: int  # bit offset of the position
+    pack: Callable[[int, Monomial], int]
+    unpack: Callable[[int], tuple[int, Monomial]]
+    lcm: Callable[[int, int], int]  # the low part of the lcm of two terms
+
+
+@lru_cache(maxsize=32)
+def _layout(nvars: int, order: str, width: int) -> _Layout:
+    n, w, base = nvars, width, 1 << width
+    low, cap = (n + 1) * w, (1 << (w - 1)) - 1
+    offsets = [(n - i) * w for i in range(n)]  # of the fields of e_0 .. e_{n-1}
+    # the key: digits B - degree, e_{n-1} .. e_0 for grevlex; B^(n+1) - E for
+    # lex, E the exponent fields read as one number
+    keys = [base**i - base**n if order == "grevlex" else -(base ** (n - 1 - i)) for i in range(n)]
+    weights = [(k << low) + (1 << s) + 1 for k, s in zip(keys, offsets)]
+    pshift, origin, degree = low + (n + 2) * w, base ** (n + 1) << low, base - 1
+    units = sum(1 << s for s in offsets)  # a 1 in each exponent field
+    exponents, guards, ones = cap * units, (cap + 1) * units, sum(base**i for i in range(n))
+
+    # few distinct monomials cross the engine boundary: remember them
+    monomial = lru_cache(maxsize=512)(lambda expt: sum(map(mul, expt, weights), origin))
+    exponent = lru_cache(maxsize=512)(lambda m: tuple([(m >> s) & cap for s in offsets]))
+
+    def lcm(a: int, b: int) -> int:
+        la, lb = a & exponents, b & exponents
+        ge = ((la | guards) - lb) & guards  # the guard bits where a's field is the larger
+        mx = lb ^ ((la ^ lb) & (ge - (ge >> (w - 1))))
+        return mx + ((mx * ones >> (n * w)) & degree)
+
+    return _Layout(cap, exponents | degree, guards, degree, pshift,
+                   lambda pos, expt: (pos << pshift) + monomial(expt),
+                   lambda m: (m >> pshift, exponent(m & (exponents | degree))), lcm)
+
+
+def _width(degree: int) -> int:
+    """Bits per field, so that a field holds 0 .. degree below its guard bit."""
+    return max(degree, 1).bit_length() + 1
 
 
 def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
@@ -453,142 +498,173 @@ class FreeModuleGB:
     (deg lcm, position, lcm, i, j), and are pruned by the Gebauer-Moeller
     update: the chain criterion within one position at every rank, the
     coprime criterion only at rank 1, the one case where it is sound.
+    Inside, every term is a packed int (see the module docstring) and a
+    reducer is a tuple (lead, tail, top): its monic lead term, the other
+    terms as (term, coeff) pairs, and the largest total degree among them.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
         self.ring = ring
         self.rank = rank
-        self._hkey = _HEAP_KEYS[ring.order]
+        # S-vector terms and lcms reach at most twice the larger of the guard
+        # and the input degree; no product past the guard is ever made
+        top = max((sum(e) for v in vectors for _, e in v), default=0)
+        self._layout = _layout(ring.nvars, ring.order, _width(2 * max(top, ring.degree_guard)))
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
-        self._index: dict[int, list[_Element]] = {}  # position -> reducers
-        self._reduced = self._buchberger([v for v in vectors if v])
-        self._index = {}
-        for g in self._reduced:
-            self._index.setdefault(g.pos, []).append(g)
+        self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
+        self._index = self._indexed(self._buchberger([self._packed(v) for v in vectors if v]))
         self._operation = "normal form"
 
     @property
     def basis(self) -> list[Vec]:
         """The reduced basis as vectors, built on each read so it is stored once;
         each lists its lead, then its tail in descending POT order."""
-        one = self.ring.field.one
-        return [{(g.pos, g.expt): one, **dict(g.tail)} for g in self._reduced]
+        one, unpack = self.ring.field.one, self._layout.unpack
+        return [{unpack(m): c for m, c in chain(((lead, one),), tail)}
+                for lead, tail, _ in chain.from_iterable(self._index.values())]
 
-    def _lead_key(self, mono):
-        return (mono[0],) + self._hkey(mono[1])
+    def reduce_vec(self, v: Vec) -> Vec:
+        """reduce() on {(position, exponent): coeff} vectors. A query too wide
+        for the layout meets the reducers repacked at a width that holds it."""
+        gb, top = self, max((sum(e) for _, e in v), default=0)
+        if top > self._layout.cap:
+            gb = copy(self)
+            gb._layout = _layout(self.ring.nvars, self.ring.order, _width(top))
+            gb._index = gb._indexed(gb._element(gb._packed(b)) for b in self.basis)
+        return {gb._layout.unpack(m): c for m, c in gb.reduce(gb._packed(v)).items()}
 
-    def _element(self, v: Vec) -> _Element:
+    def _packed(self, v: Vec) -> dict:
+        pack = self._layout.pack
+        return {pack(p, e): c for (p, e), c in v.items()}
+
+    def _indexed(self, reducers: Iterable[tuple]) -> dict[int, list[tuple]]:
+        index: dict[int, list[tuple]] = {}
+        for g in reducers:  # in basis order
+            index.setdefault(g[0] >> self._layout.pshift, []).append(g)
+        return index
+
+    def reduce(self, v: dict) -> dict:
+        """Full normal form of a packed vector {term: coeff}: every term gets
+        reduced, the result is unique and lists its terms in descending POT
+        order."""
         field = self.ring.field
-        lead = min(v, key=self._lead_key)
+        sub, mul, zero = field.sub, field.mul, field.zero
+        guard = self.ring.degree_guard
+        guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
+        index = self._index
+        work = dict(v)
+        heap = list(work)  # the smallest int is the largest term
+        heapify(heap)
+        remainder = {}
+        while heap:
+            m = heappop(heap)
+            c = work.pop(m, None)
+            if c is None:
+                continue  # cancelled after it was queued
+            mg = m | guards
+            for lead, tail, top in index.get(m >> pshift, ()):
+                if (mg - lead) & guards == guards:  # lead divides m
+                    break
+            else:
+                remainder[m] = c
+                continue
+            shift = m - lead  # the packed quotient m / lead
+            if top + (shift & degree) > guard:
+                raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
+            for t, cc in tail:
+                t += shift
+                old = work.get(t)
+                if old is None:
+                    heappush(heap, t)
+                    old = zero
+                s = sub(old, mul(cc, c))
+                if s == 0:
+                    del work[t]
+                else:
+                    work[t] = s
+        return remainder
+
+    def _element(self, v: dict) -> tuple:
+        """The monic reducer (lead, tail, top) of a packed vector."""
+        field = self.ring.field
+        lead = min(v)
         c = v[lead]
         if c != field.one:
             c = field.inv(c)
             v = {m: field.mul(cc, c) for m, cc in v.items()}
-        tail = tuple((m, cc) for m, cc in v.items() if m != lead)
-        return _Element(lead[0], lead[1], tail, max(sum(e) for _, e in v))
+        degree = self._layout.degree
+        return lead, tuple(t for t in v.items() if t[0] != lead), max([m & degree for m in v])
 
-    def reduce(self, v: Vec) -> Vec:
-        """Full normal form: every term gets reduced, result is unique."""
-        field = self.ring.field
-        zero = field.zero
-        guard = self.ring.degree_guard
-        hkey = self._hkey
-        index = self._index
-        work = dict(v)
-        heap = [((pos,) + hkey(e), (pos, e)) for pos, e in work]
-        heapify(heap)
-        remainder: Vec = {}
-        while heap:
-            mono = heappop(heap)[1]
-            c = work.pop(mono, None)
-            if c is None:
-                continue  # cancelled after it was queued
-            pos, expt = mono
-            for g in index.get(pos, ()):
-                if monomial_divides(g.expt, expt):
-                    break
-            else:
-                remainder[mono] = c
-                continue
-            shift = monomial_div(expt, g.expt)
-            if g.top + sum(shift) > guard:
-                raise _guard_exceeded(self._operation, "term", g.top + sum(shift), guard)
-            for (p2, e2), cc in g.tail:
-                key = (p2, monomial_mul(e2, shift))
-                old = work.get(key)
-                if old is None:
-                    heappush(heap, ((p2,) + hkey(key[1]), key))
-                    old = zero
-                s = field.sub(old, field.mul(cc, c))
-                if s == 0:
-                    del work[key]
-                else:
-                    work[key] = s
-        return remainder
-
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
-
-    def _svector(self, f: _Element, g: _Element, lcm: Monomial) -> Vec:
+    def _svector(self, f: tuple, g: tuple, lcm: int) -> dict:
         """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read."""
         field = self.ring.field
-        zero = field.zero
-        sf, sg = monomial_div(lcm, f.expt), monomial_div(lcm, g.expt)
-        out: Vec = {(p, monomial_mul(e, sf)): c for (p, e), c in f.tail}
-        for (p, e), c in g.tail:
-            key = (p, monomial_mul(e, sg))
-            s = field.sub(out.get(key, zero), c)
+        sub, zero = field.sub, field.zero
+        sf, sg = lcm - f[0], lcm - g[0]
+        out = {m + sf: c for m, c in f[1]}
+        for m, c in g[1]:
+            m += sg
+            s = sub(out.get(m, zero), c)
             if s == 0:
-                out.pop(key, None)
+                out.pop(m, None)
             else:
-                out[key] = s
+                out[m] = s
         return out
 
-    def _buchberger(self, vectors: list[Vec]) -> list[_Element]:
+    def _buchberger(self, vectors: list[dict]) -> list[tuple]:
         guard = self.ring.degree_guard
-        elements: list[_Element] = []
+        layout = self._layout
+        guards, degree, pshift, low = layout.guards, layout.degree, layout.pshift, layout.low
+        lcm, pack, unpack = layout.lcm, layout.pack, layout.unpack
+        coprime_sound = self.rank == 1
+        elements: list[tuple] = []
         live: dict[int, list[int]] = {}  # position -> indices of the reducers
-        pairs: list = []  # heap of (deg lcm, pos, lcm, i, j)
+        pairs: list = []  # heap of (deg lcm, pos, low part of lcm, i, j)
 
-        def update(h: _Element) -> None:
+        def update(h: tuple) -> None:
             """Gebauer-Moeller: add h, prune the pairs, update the reducers."""
             nonlocal pairs
             k = len(elements)
             elements.append(h)
-            pos, lm = h.pos, h.expt
-            cands = [(monomial_lcm(lm, elements[i].expt), i) for i in live.get(pos, ())]
+            lm = h[0]
+            pos = lm >> pshift
+            if pos not in live:  # the first reducer at a position has no pairs
+                live[pos], self._index[pos] = [k], [h]
+                return
+            cands = [(lcm(lm, elements[i][0]), i) for i in live[pos]]
             # new pairs: drop one whose lcm is divisible by the lcm of another
             # new pair still standing (of equal lcms the last one stays)
             new = []
-            for n, (lcm, i) in enumerate(cands):
-                coprime = self.rank == 1 and lcm == monomial_mul(lm, elements[i].expt)
-                if coprime or not any(monomial_divides(other[0], lcm)
+            for n, (lc, i) in enumerate(cands):
+                coprime = coprime_sound and lc == (lm & low) + (elements[i][0] & low)
+                lg = lc | guards
+                if coprime or not any((lg - other[0]) & guards == guards
                                       for other in chain(cands[n + 1:], new)):
-                    new.append((lcm, i, coprime))
+                    new.append((lc, i, coprime))
             # old pairs (i, j): drop one whose lcm LM(h) divides, unless the
             # lcm of h with i or with j equals it
-            kept = [p for p in pairs if p[1] != pos or not monomial_divides(lm, p[2])
-                    or monomial_lcm(elements[p[3]].expt, lm) == p[2]
-                    or monomial_lcm(elements[p[4]].expt, lm) == p[2]]
-            kept.extend((sum(lcm), pos, lcm, i, k) for lcm, i, coprime in new if not coprime)
+            kept = [p for p in pairs if p[1] != pos or ((p[2] | guards) - lm) & guards != guards
+                    or lcm(elements[p[3]][0], lm) == p[2]
+                    or lcm(elements[p[4]][0], lm) == p[2]]
+            kept.extend((lc & degree, pos, lc, i, k) for lc, i, coprime in new if not coprime)
             heapify(kept)
             pairs = kept
-            live[pos] = [i for i in live.get(pos, ())
-                         if not monomial_divides(lm, elements[i].expt)] + [k]
+            live[pos] = [i for i in live[pos]
+                         if ((elements[i][0] | guards) - lm) & guards != guards] + [k]
             self._index[pos] = [elements[i] for i in live[pos]]
 
         # inputs go in as they are, largest lead first, so no reducer's lead
         # ever divides another's: a later lead cannot be a proper multiple
-        for v in sorted(vectors, key=lambda v: min(map(self._lead_key, v))):
+        for v in sorted(vectors, key=min):
             update(self._element(v))
         while pairs:
-            _, _, lcm, i, j = heappop(pairs)
-            r = self.reduce(self._svector(elements[i], elements[j], lcm))
+            _, pos, lc, i, j = heappop(pairs)
+            lc = pack(pos, unpack(lc)[1])  # the whole packed lcm, key part included
+            r = self.reduce(self._svector(elements[i], elements[j], lc))
             if not r:
                 continue
             h = self._element(r)
-            if h.top > guard:
-                raise _guard_exceeded(self._operation, "basis element", h.top, guard)
+            if h[2] > guard:
+                raise _guard_exceeded(self._operation, "basis element", h[2], guard)
             update(h)
         # the reducers are a minimal Groebner basis, and no term of a tail is
         # a multiple of its own lead, so reducing each tail against all of
@@ -596,11 +672,11 @@ class FreeModuleGB:
         reduced = []
         for indices in live.values():
             for i in indices:
-                g = elements[i]
-                tail = self.reduce(dict(g.tail)) if g.tail else {}
-                top = max([sum(g.expt)] + [sum(e) for _, e in tail])
-                reduced.append(g._replace(tail=tuple(tail.items()), top=top))
-        reduced.sort(key=lambda g: self._lead_key((g.pos, g.expt)))
+                lead, tail, _ = elements[i]
+                tail = self.reduce(dict(tail)) if tail else {}
+                reduced.append((lead, tuple(tail.items()),
+                                max([lead & degree] + [m & degree for m in tail])))
+        reduced.sort()  # by lead: no two reducers share one
         return reduced
 
 

@@ -336,13 +336,14 @@ def test_gpd_bounded_builds_at_most_53_module_bases(count_calls):
     assert builds <= 53
 
 
-def test_g_class_test_makes_at_most_5311_normal_forms(count_calls):
-    # columns are held in normal form, so only new products, the columns read
-    # out of a preimage basis and the constructors' inputs get reduced
+def test_g_class_test_makes_at_most_3343_normal_forms(count_calls):
+    # columns are held in normal form, so only new products, the nonzero
+    # polynomials of the columns read out of a preimage basis and the
+    # constructors' inputs get reduced
     rep, calls = count_calls(QuotRing, "nf", g_class_test,
                              _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert calls <= 5311
+    assert calls <= 3343
 
 
 @pytest.mark.parametrize("ring", [

@@ -14,7 +14,13 @@ from gproj import (
     normal_form,
     polynomial_ring,
 )
-from gproj.rings import reduce_by_monic_in_var
+from gproj.rings import (
+    FreeModuleGB,
+    _layout,
+    _width,
+    monomial_divides,
+    reduce_by_monic_in_var,
+)
 
 from helpers import LinearMembershipOracle, poly_to_int_dict, univariate_gcd
 
@@ -263,3 +269,123 @@ def test_quotient_reduces_under_its_own_guard():
             R.nf(f)
         with pytest.raises(DegreeGuardExceeded, match="guard 4$"):
             R.modulus.contains(f)
+
+
+# ----- packed terms inside FreeModuleGB -----
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def packings(draw):
+    """A layout, its ring, and exponents whose sums stay within the layout."""
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.sampled_from(["lex", "grevlex"]))
+    layout = _layout(nvars, order, _width(draw(st.integers(1, 300))))
+    ring = PolyRing(GF(2), [f"x{i}" for i in range(nvars)], order)
+    expt = st.tuples(*[st.integers(0, layout.cap // (2 * nvars))] * nvars)
+    return layout, ring, draw(st.lists(st.tuples(st.integers(0, 3), expt), min_size=2, max_size=2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packings())
+def test_packing_is_order_isomorphic_additive_and_invertible(case):
+    layout, ring, ((p, a), (q, b)) = case
+    x, y = layout.pack(p, a), layout.pack(q, b)
+    assert layout.unpack(x) == (p, a)
+    assert x & layout.degree == sum(a)
+    # smaller ints are larger terms: position first, then the ring's order
+    assert (x < y) == ((p, ring.key(b)) < (q, ring.key(a)))
+    assert (x == y) == ((p, a) == (q, b))
+    ab = tuple(map(sum, zip(a, b)))
+    assert x + layout.pack(0, b) - layout.pack(0, (0,) * len(a)) == layout.pack(p, ab)
+    divides = ((layout.pack(p, b) | layout.guards) - x) & layout.guards == layout.guards
+    assert divides == monomial_divides(a, b)
+    assert layout.lcm(x, layout.pack(p, b)) == layout.pack(p, tuple(map(max, a, b))) & layout.low
+
+
+def _cyclic(n):
+    v = [f"x{i}" for i in range(n)]
+    eqs = [" + ".join("*".join(v[(s + k) % n] for k in range(d)) for s in range(n))
+           for d in range(1, n)]
+    return v, eqs + ["*".join(v) + " - 1"]
+
+
+def _katsura(n):
+    v = [f"u{i}" for i in range(n + 1)]
+
+    def u(i):
+        return v[abs(i)] if abs(i) <= n else None
+
+    eqs = [" + ".join(f"{u(m)}*{u(k - m)}" for m in range(-n, n + 1) if u(m) and u(k - m))
+           + f" - {v[k]}" for k in range(n)]
+    return v, eqs + [" + ".join([v[0]] + [f"2*{x}" for x in v[1:]]) + " - 1"]
+
+
+@pytest.mark.parametrize("system, n, calls", [(_cyclic, 4, 18), (_cyclic, 5, 129),
+                                              (_katsura, 4, 43)])
+def test_groebner_basis_makes_the_pinned_number_of_reductions(count_calls, system, n, calls):
+    # one reduction per S-vector left after pruning, plus one per nonempty
+    # tail at the end: the count moves if pair order or pruning does
+    variables, eqs = system(n)
+    P = PolyRing(GF(32003), variables)
+    gb, reductions = count_calls(FreeModuleGB, "reduce", groebner_basis,
+                                 [P.poly(e) for e in eqs], P)
+    assert reductions == calls
+    assert all(g.lead_coeff() == 1 for g in gb)
+
+
+def _graph_basis(guard):
+    # x*e_0 + e_1 in GF(7)[x, y]^2: the packing is sized for degree 2*max(guard, 1)
+    P = PolyRing(GF(7), ("x", "y"), degree_guard=guard)
+    return FreeModuleGB(P, 2, [{(0, (1, 0)): 1, (1, (0, 0)): 1}])
+
+
+@pytest.mark.parametrize("guard", [2, 10**12])
+def test_queries_past_the_packing_width(guard):
+    big = 10 * guard
+    gb = _graph_basis(guard)
+    # an irreducible term of any degree is kept, the rest reduces as usual
+    for degree in (500, big):
+        r = gb.reduce_vec({(0, (0, degree)): 1, (0, (1, 0)): 3})
+        assert list(r.items()) == [((0, (0, degree)), 1), ((1, (0, 0)), 4)]
+    # a reducible one trips the guard with the degree it would have reached
+    with pytest.raises(DegreeGuardExceeded, match=f"^normal form: term degree {big} exceeds "
+                       f"guard {guard}$"):
+        gb.reduce_vec({(0, (big, 0)): 1})
+    if guard == 2:
+        with pytest.raises(DegreeGuardExceeded, match="term degree 500 exceeds guard 2$"):
+            gb.reduce_vec({(0, (499, 1)): 1})
+    else:
+        assert gb.reduce_vec({(0, (499, 1)): 1}) == {(1, (498, 1)): 6}
+
+
+@pytest.mark.parametrize("guard", [-1, 0])
+def test_guards_below_one(guard):
+    gb = _graph_basis(guard)
+    assert gb.reduce_vec({(1, (0, 0)): 2}) == {(1, (0, 0)): 2}
+    for degree in (1, 500):
+        with pytest.raises(DegreeGuardExceeded, match=f"^normal form: term degree {degree} "
+                           f"exceeds guard {guard}$"):
+            gb.reduce_vec({(0, (degree, 0)): 1})
+    P = PolyRing(GF(7), ("x", "y"), degree_guard=guard)
+    assert [str(g) for g in groebner_basis([P.poly("x^2"), P.poly("y^2")], P)] == ["x^2", "y^2"]
+    assert [str(g) for g in groebner_basis([P.poly("x - 1")], P)] == ["x+6"]
+    with pytest.raises(DegreeGuardExceeded, match="^Groebner basis: basis element degree 2 "
+                       f"exceeds guard {guard}$"):
+        groebner_basis([P.poly("x^2 - y"), P.poly("x*y - 1")], P)
+
+
+@pytest.mark.parametrize("guard", [4, 8, 32])
+def test_s_vectors_reach_twice_the_guard(guard):
+    # the coprime pair x^g*e_0 + y^g*e_1, y^g*e_0 + x^g*e_1 is not pruned at
+    # rank 2; its S-vector y^2g*e_1 - x^2g*e_1 meets the reducer x*e_1, so the
+    # packing must hold degree 2g to see x divide x^2g
+    P = PolyRing(QQ, ("x", "y"), degree_guard=guard)
+    g = guard
+    vectors = [{(0, (g, 0)): 1, (1, (0, g)): 1}, {(0, (0, g)): 1, (1, (g, 0)): 1},
+               {(1, (1, 0)): 1}]
+    with pytest.raises(DegreeGuardExceeded, match=f"^module basis at rank 2: term degree "
+                       f"{2 * g} exceeds guard {g}$"):
+        FreeModuleGB(P, 2, vectors)

@@ -28,7 +28,7 @@ from .modules import (
     subquotient,
 )
 from .rings import QuotRing
-from .resolutions import FreeResolution, first_inexact_node, free_resolution
+from .resolutions import FreeResolution, _kernel_in_image, first_inexact_node, free_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,9 @@ from .resolutions import FreeResolution, first_inexact_node, free_resolution
 # ---------------------------------------------------------------------------
 
 class ExtResult(NamedTuple):
+    """Ext^i with a presentation. A vanishing Ext^m(M, R) in a GClassReport is
+    presented on its kernel generators with the unit columns as relations."""
+
     i: int
     module: FPModule
     is_zero: bool
@@ -53,8 +56,9 @@ def _hom_free_into(N: FPModule, a: int) -> list[Column]:
             for t in range(a) for rel in N.canonical_relations]
 
 
-def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int):
-    """Columns of Hom(d, N): Hom(R^rank_from, N) -> Hom(R^len(d_cols), N)."""
+def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int) -> tuple:
+    """Columns of Hom(d, N): Hom(R^rank_from, N) -> Hom(R^len(d_cols), N);
+    with g = 1 (N = R), the columns of the transposed matrix."""
     a_to = len(d_cols)
     cols = []
     for l in range(rank_from):
@@ -63,7 +67,7 @@ def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int):
             for t in range(a_to):
                 col[t * g + b] = d_cols[t][l]
             cols.append(tuple(col))
-    return cols
+    return tuple(cols)
 
 
 @span_scope
@@ -101,6 +105,18 @@ def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
     return ExtResult(i, ext, ext.is_zero())
 
 
+def _ext_into_ring(res: FreeResolution, m: int) -> ExtResult:
+    """Ext^m(res.module, R), m >= 1: zero, certified by membership, when
+    Hom(F_., R) is exact at F_m; else the `_ext_from_resolution` subquotient."""
+    R = res.module.ring
+    incoming = _hom_induced_columns(R, res.map(m - 1), res.rank(m - 1), 1)
+    outgoing = _hom_induced_columns(R, res.map(m), res.rank(m), 1)
+    kernel, vanishes = _kernel_in_image(R, res.rank(m), res.rank(m + 1), incoming, outgoing)
+    if vanishes:
+        return ExtResult(m, FPModule.zero(R, len(kernel)), True)
+    return _ext_from_resolution(res, FPModule.free(R, 1), m)
+
+
 # ---------------------------------------------------------------------------
 # complete-resolution windows
 # ---------------------------------------------------------------------------
@@ -121,17 +137,11 @@ class CompleteResolutionFailure(NamedTuple):
     detail: str
 
 
-def _transpose(cols, nrows: int):
-    """Columns of the transposed matrix (length = original column count)."""
-    m = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(nrows))
-
-
-def _dual_chain(ranks, maps):
+def _dual_chain(R: QuotRing, ranks, maps):
     """Apply Hom(-, R): reverse the node order and transpose every matrix."""
     L = len(ranks)
     dranks = tuple(reversed(ranks))
-    dmaps = tuple(_transpose(list(maps[k]), ranks[k + 1])
+    dmaps = tuple(_hom_induced_columns(R, maps[k], ranks[k + 1], 1)
                   for k in range(L - 2, -1, -1))
     return dranks, dmaps
 
@@ -182,7 +192,7 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     # dual exactness of the left tail alone; failures here are nonzero Ext^s
     nodes_ltr = list(reversed(left_ranks))  # F_L, ..., F_1, F_0
     maps_ltr = list(reversed(left_maps))  # d_L, ..., d_1
-    dranks, dmaps = _dual_chain(nodes_ltr, maps_ltr)
+    dranks, dmaps = _dual_chain(R, nodes_ltr, maps_ltr)
     bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         step = len(dranks) - 1 - bad  # dual node index back to resolution step
@@ -226,7 +236,7 @@ def _complete_window(res: FreeResolution, window: int, dual_side
         for s, d in enumerate(dual_res.maps):
             if len(nodes_ltr) - module_position > window:
                 break
-            maps_ltr.append(_transpose(list(d), g_ranks[s]))
+            maps_ltr.append(_hom_induced_columns(R, d, g_ranks[s], 1))
             nodes_ltr.append(len(d))
 
     ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
@@ -234,7 +244,7 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
-    dranks, dmaps = _dual_chain(ranks_t, maps_t)
+    dranks, dmaps = _dual_chain(R, ranks_t, maps_t)
     bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         return CompleteResolutionFailure(
@@ -249,6 +259,10 @@ def _complete_window(res: FreeResolution, window: int, dual_side
 # ---------------------------------------------------------------------------
 
 class GClassReport(NamedTuple):
+    """A vanishing Ext in cond1 or cond2 holds the unit columns as its raw
+    relations; only a nonzero one, the fail witness among them, is a full
+    subquotient presentation, as `ext_module` gives."""
+
     depth: int
     cond1: tuple[ExtResult, ...]  # Ext^m(M, R), m = 1..depth
     cond2: tuple[ExtResult, ...]  # Ext^m(M*, R)
@@ -286,14 +300,11 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     if depth < 1:
         raise InputError("depth must be at least 1")
     R = M.ring
-    free_rank_one = FPModule.free(R, 1)
     res = free_resolution(M, depth + 1)
-    cond1 = tuple(_ext_from_resolution(res, free_rank_one, m)
-                  for m in range(1, depth + 1))
+    cond1 = tuple(_ext_into_ring(res, m) for m in range(1, depth + 1))
     mu = double_dual_map(M)
     dual_res = free_resolution(mu.dual.module, depth + 1)
-    cond2 = tuple(_ext_from_resolution(dual_res, free_rank_one, m)
-                  for m in range(1, depth + 1))
+    cond2 = tuple(_ext_into_ring(dual_res, m) for m in range(1, depth + 1))
 
     witnesses = [(kind, r.i, r) for kind, results in (("cond1", cond1), ("cond2", cond2))
                  for r in results if not r.is_zero]

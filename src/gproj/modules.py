@@ -12,11 +12,11 @@ parses, columns read out of a preimage basis, and the columns a caller hands
 to a public constructor or query. Normal form is linear, so sums and
 negations of reduced columns are reduced.
 
-Values are immutable after construction, save that an engine keeps its
-syzygies once asked (an idempotent write), and every operation is a pure
-function of its inputs, so concurrent read-only sharing is safe. Inside one
-top-level call of a `span_scope` entry point, each engine and canonical
-generating set is built once; nothing is shared across calls or threads.
+Values are immutable after construction, save idempotent writes: an engine
+keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
+is a pure function of its inputs, so concurrent read-only sharing is safe.
+Inside one top-level call of a `span_scope` entry point, each engine and
+canonical generating set is built once; nothing is shared across calls or threads.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _vec_to_column(v: Vec, rank: int, ring: PolyRing) -> Column:
 
 
 def _nf_column(R: QuotRing, col) -> Column:
-    return tuple(R.nf(p) for p in col)
+    return tuple(p if p.is_zero() and p.ring == R.base else R.nf(p) for p in col)
 
 
 def _zero_column(R: QuotRing, rank: int) -> Column:
@@ -219,7 +219,7 @@ def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols) -> tuple
 class FPModule:
     """Cokernel of a relation matrix over a QuotRing; columns are relations."""
 
-    __slots__ = ("ring", "ngens", "relations", "canonical_relations", "_engine")
+    __slots__ = ("ring", "ngens", "relations", "canonical_relations", "_span")
 
     def __init__(self, ring: QuotRing, ngens: int, relations=()):
         if ngens < 0:
@@ -235,11 +235,26 @@ class FPModule:
         self.ngens = ngens
         self.relations = tuple(cols)
         self.canonical_relations = canonical_generators(ring, ngens, cols)
-        self._engine = span_engine(ring, ngens, self.canonical_relations)
+        self._span = span_engine(ring, ngens, self.canonical_relations)
+
+    @property
+    def _engine(self) -> SubmoduleEngine:
+        if self._span is None:  # deferred by FPModule.zero
+            self._span = span_engine(self.ring, self.ngens, self.canonical_relations)
+        return self._span
 
     @classmethod
     def free(cls, ring: QuotRing, n: int) -> "FPModule":
         return cls(ring, n, ())
+
+    @classmethod
+    def zero(cls, ring: QuotRing, n: int) -> "FPModule":
+        """FPModule(ring, n, unit columns), built with no basis."""
+        module = object.__new__(cls)
+        module.ring, module.ngens, module._span, one = ring, n, None, ring.one()
+        module.relations = module.canonical_relations = () if one.is_zero() else tuple(
+            tuple(one if j == i else ring.zero() for j in range(n)) for i in range(n))
+        return module
 
     @classmethod
     def from_strings(cls, ring: QuotRing, ngens: int, rows) -> "FPModule":
@@ -303,7 +318,7 @@ def mat_vec(R: QuotRing, columns, vec) -> Column:
         for i in range(rank):
             if not col[i].is_zero():
                 acc[i] = acc[i] + col[i] * c
-    return tuple(R.nf(p) for p in acc)
+    return tuple(p if p.is_zero() else R.nf(p) for p in acc)
 
 
 class ModuleMap:

@@ -126,8 +126,7 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
     Reads the chain left to right: maps[j] sends node j to node j+1 as a
     column list. Exactness at a node is checked by membership both ways
     (image inside kernel and kernel inside image), not by the construction
-    that produced the maps. The span cache gives one engine per map, which
-    serves both its kernel at node j and its image at node j+1.
+    that produced the maps; `_kernel_in_image` does the second half.
     """
     for node in range(1, len(ranks) - 1):
         incoming, outgoing = maps[node - 1], maps[node]
@@ -135,17 +134,23 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
             if outgoing and any(not p.is_zero()
                                 for p in mat_vec(R, list(outgoing), col)):
                 return node
-        rank_here, rank_next = ranks[node], ranks[node + 1]
-        if rank_here == 0:
-            continue
-        if not outgoing or rank_next == 0:
-            kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
-        else:
-            kernel = span_engine(R, rank_next, outgoing).syzygies()
-        image = span_engine(R, rank_here, incoming)
-        if not all(image.contains(kg) for kg in kernel):
+        if not _kernel_in_image(R, ranks[node], ranks[node + 1], incoming, outgoing)[1]:
             return node
     return None
+
+
+def _kernel_in_image(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing):
+    """Generators of ker(outgoing: R^rank_here -> R^rank_next), and whether all
+    lie in span(incoming). In a span scope one engine per map serves both its
+    kernel here and its image at the next node."""
+    if rank_here == 0:
+        return (), True
+    if not outgoing or rank_next == 0:
+        kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
+    else:
+        kernel = span_engine(R, rank_next, outgoing).syzygies()
+    image = span_engine(R, rank_here, incoming)
+    return kernel, all(image.contains(kg) for kg in kernel)
 
 
 @span_scope

@@ -178,12 +178,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e, _ in self.terms)
 
-    def constant_value(self):
-        for e, c in self.terms:
-            if sum(e) == 0:
-                return c
-        return self.ring.field.zero
-
     def _dict(self) -> dict:
         return dict(self.terms)
 

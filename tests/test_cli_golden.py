@@ -1,0 +1,52 @@
+"""Machine-format output of CLI `gclass`, `gpd`, `ext` and `report`, pinned
+byte for byte with its exit code, on the flagship model and on a model whose
+G-class tests fail (`golden/gclass_fail.model`)."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from gproj.cli import ENV_GUARD, main
+
+HERE = Path(__file__).parent
+MODELS = {
+    "flagship": HERE.parent / "demos" / "flagship.model",
+    "gclass_fail": HERE / "golden" / "gclass_fail.model",
+}
+COMMANDS = {
+    "flagship": [
+        ["gclass", "I", "--depth", "5"], ["gclass", "k", "--depth", "3"],
+        ["gclass", "FreeMod", "--depth", "2"], ["gpd", "I", "0", "--depth", "3"],
+        ["gpd", "k", "1", "--depth", "2"], ["ext", "I", "0"], ["ext", "I", "1"],
+        ["ext", "I", "2"], ["ext", "k", "0"], ["ext", "k", "1"], ["ext", "k", "2"],
+        ["report"],
+    ],
+    "gclass_fail": [
+        ["gclass", "k", "--depth", "1"], ["gclass", "k", "--depth", "3"],
+        ["gclass", "xE", "--depth", "2"], ["gpd", "k", "0", "--depth", "2"],
+        ["gpd", "k", "1", "--depth", "2"], ["gpd", "xE", "2", "--depth", "1"],
+        ["ext", "k", "1"], ["ext", "k", "2"], ["ext", "xE", "1"], ["ext", "F", "1"],
+        ["gclass", "kB", "--depth", "2"], ["gclass", "kB", "--depth", "1", "--degree-guard", "3"],
+        ["gpd", "kB", "1", "--depth", "1", "--degree-guard", "3"], ["ext", "kB", "2"],
+        ["report"],
+    ],
+}
+GOLDEN = HERE / "golden" / "cli_machine.json"
+
+
+def cases():
+    return [(model, cmd) for model in COMMANDS for cmd in COMMANDS[model]]
+
+
+def run(model, cmd, capsys):
+    code = main([cmd[0], str(MODELS[model]), *cmd[1:], "--format", "machine"])
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("model, cmd", cases(), ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_machine_output_is_byte_identical(model, cmd, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_GUARD, raising=False)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[model + " " + " ".join(cmd)]
+    assert run(model, cmd, capsys) == want

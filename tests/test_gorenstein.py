@@ -16,9 +16,10 @@ from gproj import (
     gpd_extension_compare,
     polynomial_ring,
 )
+from gproj import gorenstein
 from gproj.rings import FreeModuleGB, QuotRing
 
-from helpers import module_cosets, ring_elements
+from helpers import GCLASS_RINGS, gclass_ring, module_cosets, ring_elements
 
 
 def R4():
@@ -289,25 +290,29 @@ def _residue_field_of_cube_of_maximal_ideal():
     return FPModule(R, 1, [(R.poly("x"),), (R.poly("y"),)])
 
 
-@pytest.mark.parametrize("build, depth, verdict", [
-    (_residue_field_of_xy_squares, 4, "Certified(complete_resolution)"),
-    (_x_squared_over_gf5_chain_ring, 4, "Certified(complete_resolution)"),
-    (_residue_field_of_cube_of_maximal_ideal, 1, "Fail(cond1 at m=1)"),
-])
-def test_g_class_test_matches_standalone_routes(build, depth, verdict):
-    # g_class_test reuses one resolution of M and of M*; every part of its
-    # report must equal what the public entry points compute from scratch
-    M = build()
+def _principal_quotient(R):
+    return FPModule(R, 1, [(R.base.gens()[0],)])
+
+
+def _residue_field(R):
+    return FPModule(R, 1, [(v,) for v in R.base.gens()])
+
+
+def _assert_report_matches_standalone_routes(M, depth, rep):
+    # g_class_test reuses one resolution of M and of M*, and certifies a
+    # vanishing Ext by membership; every part of its report must equal what
+    # the public entry points compute from scratch
     R1 = FPModule.free(M.ring, 1)
-    rep = g_class_test(M, depth)
-    assert rep.verdict_str() == verdict
     dual = dual_module(M)
     for m in range(1, depth + 1):
         for got, module in ((rep.cond1[m - 1], M), (rep.cond2[m - 1], dual.module)):
             want = ext_module(module, R1, m)
             assert got.i == m and got.is_zero == want.is_zero
+            assert got.module.is_zero() == want.module.is_zero() == got.is_zero
             assert got.module.ngens == want.module.ngens
             assert got.module.canonical_relations == want.module.canonical_relations
+            if not got.is_zero:  # a nonzero Ext is presented in full
+                assert got.module.relations == want.module.relations
     assert rep.dual.module.same_presentation(dual.module)
     assert rep.dual.evaluation == dual.evaluation
     try:
@@ -318,32 +323,95 @@ def test_g_class_test_matches_standalone_routes(build, depth, verdict):
     assert (rep.certified_by == "complete_resolution") == certified
 
 
-def test_g_class_test_builds_at_most_77_module_bases(count_calls):
+@pytest.mark.parametrize("build, depth, verdict", [
+    (_residue_field_of_xy_squares, 4, "Certified(complete_resolution)"),
+    (_x_squared_over_gf5_chain_ring, 4, "Certified(complete_resolution)"),
+    (_residue_field_of_cube_of_maximal_ideal, 1, "Fail(cond1 at m=1)"),
+])
+def test_g_class_test_verdicts_match_standalone_routes(build, depth, verdict):
+    M = build()
+    rep = g_class_test(M, depth)
+    assert rep.verdict_str() == verdict
+    _assert_report_matches_standalone_routes(M, depth, rep)
+
+
+@pytest.mark.parametrize("key", sorted(GCLASS_RINGS))
+@pytest.mark.parametrize("build", [_residue_field, _principal_quotient])
+def test_g_class_test_matches_standalone_routes(key, build):
+    M = build(gclass_ring(key))
+    for depth in range(1, 5):
+        _assert_report_matches_standalone_routes(M, depth, g_class_test(M, depth))
+
+
+@pytest.mark.parametrize("ring", [
+    lambda: gclass_ring("A"),
+    lambda: gclass_ring("C"),
+    QxQ,
+    lambda: PolyRing(GF(3), ("x", "y")).quotient(["x*y - 1", "x"]),  # 1 in the modulus
+])
+def test_zero_module_equals_the_module_on_unit_relations(ring):
+    R = ring()
+    for n in (0, 1, 3):
+        units = [tuple(R.one() if j == i else R.zero() for j in range(n)) for i in range(n)]
+        want = FPModule(R, n, units)
+        got = FPModule.zero(R, n)
+        assert got.ngens == want.ngens == n
+        assert got.relations == want.relations
+        assert got.canonical_relations == want.canonical_relations
+        assert got.is_zero() and want.is_zero()
+        for col in units:
+            assert got.rel_witness(col) == want.rel_witness(col)
+
+
+def test_zero_module_builds_no_basis(count_calls):
+    R = gclass_ring("A")
+    _, builds = count_calls(FreeModuleGB, "__init__", FPModule.zero, R, 3)
+    assert builds == 0
+
+
+def test_certified_run_presents_no_ext(count_calls):
+    # counted on the name g_class_test calls, `gorenstein.subquotient`
+    rep, calls = count_calls(gorenstein, "subquotient", g_class_test,
+                             _residue_field_of_xy_squares(), 4)
+    assert rep.verdict_str() == "Certified(complete_resolution)"
+    assert calls == 0
+
+
+def test_failing_run_presents_each_nonzero_ext_once(count_calls):
+    rep, calls = count_calls(gorenstein, "subquotient", g_class_test,
+                             _residue_field_of_cube_of_maximal_ideal(), 3)
+    assert rep.verdict_str() == "Fail(cond1 at m=1)"
+    nonzero = [r for r in rep.cond1 + rep.cond2 if not r.is_zero]
+    assert nonzero and calls == len(nonzero)
+
+
+def test_g_class_test_builds_at_most_43_module_bases(count_calls):
     # Hom terms are column lists, and within one call each column list is
     # spanned once: the window, the Ext kernels and the dual resolution
-    # reuse the bases the resolutions built
+    # reuse the bases the resolutions built, and a vanishing Ext is
+    # certified by membership in a span the window needs anyway
     rep, builds = count_calls(FreeModuleGB, "__init__", g_class_test,
                               _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert builds <= 77
+    assert builds <= 43
 
 
-def test_gpd_bounded_builds_at_most_53_module_bases(count_calls):
+def test_gpd_bounded_builds_at_most_34_module_bases(count_calls):
     # the G-class test of the first syzygy reuses the resolution of M
     verdict, builds = count_calls(FreeModuleGB, "__init__", gpd_bounded,
                                   _residue_field_of_xy_squares(), 1, 2)
     assert str(verdict) == "AtMost(1)"
-    assert builds <= 53
+    assert builds <= 34
 
 
-def test_g_class_test_makes_at_most_3343_normal_forms(count_calls):
+def test_g_class_test_makes_at_most_650_normal_forms(count_calls):
     # columns are held in normal form, so only new products, the nonzero
     # polynomials of the columns read out of a preimage basis and the
-    # constructors' inputs get reduced
+    # constructors' nonzero inputs get reduced
     rep, calls = count_calls(QuotRing, "nf", g_class_test,
                              _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert calls <= 3343
+    assert calls <= 650
 
 
 @pytest.mark.parametrize("ring", [

@@ -30,7 +30,7 @@ from gproj import (
     quotient_by_regular_element,
     restrict_scalars_monic,
 )
-from gproj.errors import MapNotWellDefined
+from gproj.errors import MapNotWellDefined, RingMismatch
 from gproj.modules import FreeModuleGB
 from gproj.rings import substitute_zero, restrict_poly
 
@@ -443,3 +443,19 @@ def test_degree_guard_aborts_runaway_module_basis():
         [(0, (0, 1)), (0, (0, 6)), (1, (0, 3)), (1, (1, 0)), (2, (0, 0))],
         [(1, (0, 1)), (1, (2, 0)), (2, (0, 3)), (2, (1, 0))],
     ]
+
+
+def test_zero_polynomials_skip_normal_form(count_calls):
+    # a zero polynomial is its own normal form; only the nonzero entries of
+    # a column, or of a matrix-vector product, go to QuotRing.nf
+    from gproj.modules import _nf_column, mat_vec
+    from gproj.rings import QuotRing
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    x, y, z = R.poly("x"), R.poly("y"), R.zero()
+    col, calls = count_calls(QuotRing, "nf", _nf_column, R, (x, z, y * y, z))
+    assert col == (x, z, z, z) and calls == 2
+    prod, calls = count_calls(QuotRing, "nf", mat_vec, R, [(x, z, z), (y, z, x)], (x, y))
+    assert prod == (z, z, x * y) and calls == 2  # x^2 + y^2 was not yet zero
+    other = PolyRing(GF(2), ("u",))
+    with pytest.raises(RingMismatch):
+        _nf_column(R, (other.zero(),))

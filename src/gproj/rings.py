@@ -11,8 +11,9 @@ the position. So a product by a monomial is one add, the heap pops the smallest
 int first, divisibility is ((m | H) - lead) & H == H for the guard bits H, and
 the degree is a mask. Fields hold twice the larger of the degree guard and the
 input degree, the most an S-vector or lcm reaches; a wider query meets the
-reducers repacked at its width. Guard checks, trips and messages are the same
-as on exponent tuples.
+reducers repacked at its width. FreeModuleGB.reduce is the one reduction loop:
+normal forms and ideal membership run it on the rank-1 basis each Ideal keeps.
+A step past the degree guard trips, naming the largest degree it would reach.
 Every value here is immutable after construction; ideals compute their reduced
 Groebner basis at construction time, never lazily, so instances can be shared
 freely across threads.
@@ -25,7 +26,7 @@ from copy import copy
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -53,10 +54,6 @@ def _key_grevlex(expt: Monomial):
 
 
 _ORDER_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
-
-# the order keys negated, so the smallest heap key is the largest monomial
-_HEAP_KEYS = {"lex": lambda expt: tuple(map(neg, expt)),
-              "grevlex": lambda expt: (-sum(expt),) + expt[::-1]}
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -113,7 +110,10 @@ class PolyRing:
 
     # ----- element constructors -----
     def from_dict(self, d: dict[Monomial, object]) -> "Poly":
-        terms = [(e, c) for e, c in d.items() if c != 0]
+        from_int, terms = self.field.from_int, []
+        for e, c in d.items():  # raw int coefficients are mapped into the field
+            if (c := from_int(c) if isinstance(c, int) else c) != 0:
+                terms.append((e, c))
         terms.sort(key=lambda t: self._key(t[0]), reverse=True)
         return Poly(self, tuple(terms))
 
@@ -435,55 +435,6 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
     return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
 
 
-def reduce_poly(f: Poly, basis: list[Poly], guard: Optional[int] = None) -> Poly:
-    """Full normal form of f modulo basis (every term reduced).
-
-    The basis leads are read once per call, and the largest live term is
-    popped from a heap instead of searched for at every step.
-    """
-    ring = f.ring
-    if guard is None:
-        guard = ring.degree_guard
-    field = ring.field
-    zero, one = field.zero, field.one
-    hkey = _HEAP_KEYS[ring.order]
-    leads = [(g.terms[0][0], g.terms[0][1], g.terms[1:]) for g in basis if g.terms]
-    work = dict(f.terms)
-    heap = [(hkey(e), e) for e in work]
-    heapify(heap)
-    remainder: dict = {}
-    while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was queued
-        for lead, lc, tail in leads:
-            if monomial_divides(lead, m):
-                break
-        else:
-            remainder[m] = c
-            continue
-        if sum(m) > guard:
-            raise _guard_exceeded("normal form", "term", sum(m), guard)
-        shift = monomial_div(m, lead)
-        factor = c if lc == one else field.div(c, lc)
-        for e, cc in tail:
-            e2 = monomial_mul(e, shift)
-            if sum(e2) > guard:
-                raise _guard_exceeded("normal form", "term", sum(e2), guard)
-            old = work.get(e2)
-            if old is None:
-                heappush(heap, (hkey(e2), e2))
-                old = zero
-            s = field.sub(old, field.mul(cc, factor))
-            if s == 0:
-                del work[e2]
-            else:
-                work[e2] = s
-    # terms leave the heap largest first, and each new one is smaller
-    return Poly(ring, tuple(remainder.items()))
-
-
 class FreeModuleGB:
     """Reduced Groebner basis of a submodule of P^rank (POT order).
 
@@ -518,14 +469,19 @@ class FreeModuleGB:
                 for lead, tail, _ in chain.from_iterable(self._index.values())]
 
     def reduce_vec(self, v: Vec) -> Vec:
-        """reduce() on {(position, exponent): coeff} vectors. A query too wide
-        for the layout meets the reducers repacked at a width that holds it."""
-        gb, top = self, max((sum(e) for _, e in v), default=0)
-        if top > self._layout.cap:
-            gb = copy(self)
-            gb._layout = _layout(self.ring.nvars, self.ring.order, _width(top))
-            gb._index = gb._indexed(gb._element(gb._packed(b)) for b in self.basis)
-        return {gb._layout.unpack(m): c for m, c in gb.reduce(gb._packed(v)).items()}
+        """reduce() on {(position, exponent): coeff} vectors."""
+        gb = self._holding(max((sum(e) for _, e in v), default=0))
+        r = gb.reduce(gb._packed(v), self.ring.degree_guard)
+        return {gb._layout.unpack(m): c for m, c in r.items()}
+
+    def _holding(self, degree: int) -> "FreeModuleGB":
+        """self, or if degree is too wide for it, a copy repacked to hold degree."""
+        if degree <= self._layout.cap:
+            return self
+        gb = copy(self)
+        gb._layout = _layout(self.ring.nvars, self.ring.order, _width(degree))
+        gb._index = gb._indexed(gb._element(gb._packed(b)) for b in self.basis)
+        return gb
 
     def _packed(self, v: Vec) -> dict:
         pack = self._layout.pack
@@ -537,13 +493,12 @@ class FreeModuleGB:
             index.setdefault(g[0] >> self._layout.pshift, []).append(g)
         return index
 
-    def reduce(self, v: dict) -> dict:
+    def reduce(self, v: dict, guard: int) -> dict:
         """Full normal form of a packed vector {term: coeff}: every term gets
         reduced, the result is unique and lists its terms in descending POT
-        order."""
+        order. The degree guard must not pass the layout's cap."""
         field = self.ring.field
         sub, mul, zero = field.sub, field.mul, field.zero
-        guard = self.ring.degree_guard
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
         index = self._index
         work = dict(v)
@@ -653,7 +608,7 @@ class FreeModuleGB:
         while pairs:
             _, pos, lc, i, j = heappop(pairs)
             lc = pack(pos, unpack(lc)[1])  # the whole packed lcm, key part included
-            r = self.reduce(self._svector(elements[i], elements[j], lc))
+            r = self.reduce(self._svector(elements[i], elements[j], lc), guard)
             if not r:
                 continue
             h = self._element(r)
@@ -667,11 +622,19 @@ class FreeModuleGB:
         for indices in live.values():
             for i in indices:
                 lead, tail, _ = elements[i]
-                tail = self.reduce(dict(tail)) if tail else {}
+                tail = self.reduce(dict(tail), guard) if tail else {}
                 reduced.append((lead, tuple(tail.items()),
                                 max([lead & degree] + [m & degree for m in tail])))
         reduced.sort()  # by lead: no two reducers share one
         return reduced
+
+
+def reduce_poly(f: Poly, gb: FreeModuleGB, guard: int) -> Poly:
+    """Full normal form of f modulo the rank-1 basis gb, tripping past guard."""
+    gb = gb._holding(max(guard, f.total_degree()))
+    pack, unpack = gb._layout.pack, gb._layout.unpack
+    r = gb.reduce({pack(0, e): c for e, c in f.terms}, guard)
+    return Poly(f.ring, tuple((unpack(m)[1], c) for m, c in r.items()))
 
 
 def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tuple[Poly, ...]:
@@ -690,8 +653,7 @@ def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tup
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators in different rings")
-    gb = FreeModuleGB(ring, 1, [{(0, e): c for e, c in g.terms} for g in gens])
-    return tuple(Poly(ring, tuple((e, c) for (_, e), c in v.items())) for v in gb.basis)
+    return Ideal(ring, gens).reduced_gb
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +661,10 @@ def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tup
 # ---------------------------------------------------------------------------
 
 class Ideal:
-    """A finitely generated ideal with its reduced Groebner basis cached."""
+    """A finitely generated ideal with its rank-1 FreeModuleGB, which membership
+    and quotient normal forms reduce through, and that basis as polynomials."""
 
-    __slots__ = ("ring", "generators", "reduced_gb")
+    __slots__ = ("ring", "generators", "reduced_gb", "_gb")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Poly]):
         gens = []
@@ -714,13 +677,19 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self.reduced_gb = groebner_basis(gens, ring) if gens else ()
+        self._gb, self.reduced_gb = None, ()  # the zero ideal builds no basis
+        if gens:
+            self._gb = FreeModuleGB(ring, 1, [{(0, e): c for e, c in g.terms} for g in gens])
+            self.reduced_gb = tuple(Poly(ring, tuple((e, c) for (_, e), c in v.items()))
+                                    for v in self._gb.basis)
 
     def is_zero(self) -> bool:
         return not self.reduced_gb
 
     def contains(self, f: Poly) -> bool:
-        return reduce_poly(f, list(self.reduced_gb), self.ring.degree_guard).is_zero()
+        if self.is_zero():
+            return f.is_zero()
+        return reduce_poly(f, self._gb, self.ring.degree_guard).is_zero()
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.reduced_gb)
@@ -758,7 +727,7 @@ class QuotRing:
             raise RingMismatch("variable mismatch with the base ring")
         if f.is_zero() or self.modulus.is_zero():
             return f
-        return reduce_poly(f, list(self.modulus.reduced_gb), self.base.degree_guard)
+        return reduce_poly(f, self.modulus._gb, self.base.degree_guard)
 
     def poly(self, text: str) -> Poly:
         return self.nf(self.base.poly(text))
@@ -767,7 +736,8 @@ class QuotRing:
         return self.base.zero()
 
     def one(self) -> Poly:
-        return self.nf(self.base.one())
+        # a proper ideal's reduced basis has no constant lead, so 1 is reduced
+        return self.base.zero() if self.modulus.contains_one() else self.base.one()
 
     def add(self, a: Poly, b: Poly) -> Poly:
         return self.nf(a + b)

@@ -1,5 +1,7 @@
 """Reduced Groebner bases agree with sympy's, term by term, where sympy is installed."""
 
+import random
+
 import pytest
 
 from gproj import GF, QQ, PolyRing, groebner_basis
@@ -59,3 +61,43 @@ def test_reduced_basis_matches_sympy(system, n, field, order):
     expected = sympy_basis(ring, eqs)
     expected.sort(key=lambda g: ring.key(g.lead_monomial()), reverse=True)
     assert [g.terms for g in gb] == [g.terms for g in expected]
+
+
+def _random_poly(rng, ring, degree, nterms, nvars):
+    """Up to nterms terms in the first nvars variables, total degree <= degree."""
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.randint(-5, 5)
+    return ring.from_dict(terms)
+
+
+def _to_sympy(p, syms):
+    return sum((sympy.Rational(c) * sympy.Mul(*[s**k for s, k in zip(syms, e)])
+                for e, c in p.terms), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_normal_forms_match_sympy_remainders(field, order):
+    rng = random.Random(f"nf-{field!r}-{order}")
+    ring = PolyRing(field, ("x", "y", "z"), order)
+    syms = sympy.symbols(ring.variables)
+    extra = {} if field == QQ else {"modulus": field.p}
+    # generators in x and y only, so no lead is divisible by z and a z^k
+    # term past the packing width stays in the normal form
+    R = ring.quotient([_random_poly(rng, ring, 3, 3, 2) + ring.poly(lead)
+                       for lead in ("x^2", "y^3")])
+    G = [_to_sympy(g, syms) for g in R.modulus.reduced_gb]
+    wide = R.modulus._gb._layout.cap + 1
+    for n in range(24):
+        f = _random_poly(rng, ring, 6, 5, 3)
+        if n % 3 == 0:
+            f = f + ring.var("z") ** (wide + n)
+        _, r = sympy.reduced(_to_sympy(f, syms), G, *syms, order=order, polys=True, **extra)
+        want = ring.from_dict({e: field.from_fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+                               for e, c in r.terms()})
+        assert R.nf(f) == want
+        assert R.modulus.contains(f) == want.is_zero()

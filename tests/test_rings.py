@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from gproj import (
 )
 from gproj.rings import (
     FreeModuleGB,
+    QuotRing,
     _layout,
     _width,
     monomial_divides,
@@ -255,6 +257,10 @@ def test_degree_guard_names_normal_form():
     R = base.quotient(["x - y^3"])
     with pytest.raises(DegreeGuardExceeded, match="^normal form: term degree"):
         R.nf(base.poly("x^4"))
+    # the lead x is not the top-degree term of x - y^3: the step on x^7 would
+    # make x^6*y^3, and the message gives that largest degree, 9
+    with pytest.raises(DegreeGuardExceeded, match="^normal form: term degree 9 exceeds guard 6$"):
+        R.nf(base.poly("x^7"))
 
 
 def test_quotient_reduces_under_its_own_guard():
@@ -269,6 +275,42 @@ def test_quotient_reduces_under_its_own_guard():
             R.nf(f)
         with pytest.raises(DegreeGuardExceeded, match="guard 4$"):
             R.modulus.contains(f)
+    # a modulus built over a copy with a lower or a higher guard: the
+    # quotient's guard governs its normal forms and ideal memberships, the
+    # modulus's guard its own memberships; y^18 is wider than the packing of
+    # a basis built at guard 4
+    lex = {g: PolyRing(QQ, ("x", "y"), "lex", degree_guard=g) for g in (4, 32)}
+    for guard, other in ((4, 32), (32, 4)):
+        Q = QuotRing(lex[guard], Ideal(lex[other], ["x - y^3"]))
+        f, r = lex[guard].poly("x^6"), lex[guard].poly("y^18")
+        tripping = "guard 4$"
+        if guard == 4:
+            with pytest.raises(DegreeGuardExceeded, match=tripping):
+                Q.nf(f)
+            with pytest.raises(DegreeGuardExceeded, match=tripping):
+                Q.ideal_contains([], f - r)
+            assert Q.modulus.contains(f - r)
+        else:
+            assert Q.nf(f) == r
+            assert Q.ideal_contains([], f - r)
+            with pytest.raises(DegreeGuardExceeded, match=tripping):
+                Q.modulus.contains(f - r)
+
+
+def test_one_is_the_normal_form_of_one():
+    P = PolyRing(GF(3), ("x", "y"))
+    for gens in (["x^2", "x*y - 1"], ["x*y - 1", "x"], []):  # proper, 1 inside, zero
+        R = P.quotient(gens)
+        assert R.one() == R.nf(P.one())
+    assert P.quotient(["x*y - 1", "x"]).one().is_zero()
+    assert P.quotient(["x^2"]).one() == P.one()
+
+
+def test_from_dict_maps_int_coefficients_into_the_field():
+    P = PolyRing(GF(2), ("x", "y"))
+    assert P.from_dict({(1, 0): 2}).is_zero()
+    assert P.from_dict({(1, 0): 3, (0, 1): -1, (0, 0): 4}) == P.poly("x + y")
+    assert PolyRing(QQ, ("x",)).from_dict({(1,): 2}).terms == (((1,), Fraction(2)),)
 
 
 # ----- packed terms inside FreeModuleGB -----

@@ -9,13 +9,16 @@ value on Z, degree on k and k[x], valuation on k[x]/(x^n)), a division with
 remainder, and the unit that turns an element into its canonical associate
 (nonnegative, monic, x^v). It returns the diagonal with the divisibility
 chain, and the transforms only for the integer Smith form, which prints them.
-Class vectors print as formal sums like 2*[R] + 1*[R/(x)].
+The catalog rings have at most one variable, so their division runs on one
+coefficient dict keyed by degree, with the chain ring's normal form a
+truncation below x^n. Class vectors print as formal sums like 2*[R] + 1*[R/(x)].
 """
 
 from __future__ import annotations
 
 import operator
 from functools import partial
+from math import inf
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
@@ -24,10 +27,10 @@ from .modules import (
     polynomial_extension,
     shrink_ring,
     span_engine,
+    span_scope,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
-from .rings import (Poly, QuotRing, format_poly, monomial_div, monomial_divides,
-                    restrict_poly, substitute_zero)
+from .rings import Poly, QuotRing, format_poly, restrict_poly, substitute_zero
 
 
 # ---------------------------------------------------------------------------
@@ -44,20 +47,28 @@ class _Euclid(NamedTuple):
     nf: Optional[Callable] = None  # normal form applied after every ring operation
 
 
-def _term_divmod(a: Poly, b: Poly, end: int, nf=None):
+def _term_divmod(a: Poly, b: Poly, end: int, below: float = inf):
     """Divide a by b, cancelling the remainder's term at `end` (0 = top,
-    -1 = bottom) for as long as b's term there divides it."""
-    field = a.ring.field
-    eb, cb = b.terms[end]
-    q = {}
-    r = a
-    while r.terms and monomial_divides(eb, r.terms[end][0]):
-        e = monomial_div(r.terms[end][0], eb)
-        q[e] = field.div(r.terms[end][1], cb)
-        r = r - b.mul_monomial(e, q[e])
-        if nf is not None:
-            r = nf(r)
-    return a.ring.from_dict(q), r
+    -1 = bottom) for as long as b's term there divides it. The ring has at
+    most one variable, so the remainder is one dict of coefficients keyed by
+    degree; in k[x]/(x^below) it keeps only the degrees under `below`, and a
+    is taken reduced."""
+    ring, field = a.ring, a.ring.field
+    sub, mul, zero = field.sub, field.mul, field.zero
+    pick = max if end == 0 else min
+    terms = [(sum(e), c) for e, c in b.terms]
+    db, inv = terms[end][0], field.inv(terms[end][1])
+    q, r = {}, {sum(e): c for e, c in a.terms}
+    while r and (d := pick(r)) >= db:
+        c = q[d - db] = mul(r[d], inv)
+        for e, cb in terms:
+            if (t := e + d - db) < below:
+                if (s := sub(r.get(t, zero), mul(cb, c))) == 0:
+                    del r[t]
+                else:
+                    r[t] = s
+    n = ring.nvars  # a degree d is the exponent (d,), or () in k itself
+    return tuple(ring.from_dict({(e,) * n: c for e, c in part.items()}) for part in (q, r))
 
 
 def _monic_unit(a: Poly):
@@ -72,10 +83,11 @@ _POLYNOMIALS = _Euclid(Poly.is_zero, Poly.total_degree, partial(_term_divmod, en
                        _monic_unit)
 
 
-def _chain_ring(R: QuotRing) -> _Euclid:
+def _chain_ring(R: QuotRing, n: int) -> _Euclid:
     """k[x]/(x^n): a = u*x^v with u a unit, so size is the valuation v and
-    division from the bottom term is exact whenever v(a) >= v(b)."""
-    divide = partial(_term_divmod, end=-1, nf=R.nf)
+    division from the bottom term is exact whenever v(a) >= v(b). The modulus
+    is (x^n), so a normal form is a truncation below degree n."""
+    divide = partial(_term_divmod, end=-1, below=n)
     one = R.base.field.one
 
     def unit(a: Poly):
@@ -392,7 +404,7 @@ def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
         cat = catalog_for(M.ring)
     if M.ring != cat.ring:
         raise RingNotInCatalog("module ring does not match the catalog")
-    ring = _chain_ring(M.ring) if cat.family == "chain" else _POLYNOMIALS
+    ring = _chain_ring(M.ring, cat.chain_power) if cat.family == "chain" else _POLYNOMIALS
     diagonal, *_ = _diagonalize(M.relation_rows(), ring)
     coords: dict[str, int] = {cat.unit_label: M.ngens - len(diagonal)}
     for d in diagonal:
@@ -406,6 +418,7 @@ def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
 # the Euler map, the pushdown map, and the extension map
 # ---------------------------------------------------------------------------
 
+@span_scope
 def euler_class(M: FPModule, depth: int = 8) -> KClass:
     """Alternating sum of free ranks of a finite free resolution, as m*[R].
 
@@ -424,6 +437,7 @@ def euler_class(M: FPModule, depth: int = 8) -> KClass:
     return KClass({label: total})
 
 
+@span_scope
 def pushdown_class(M: FPModule, var: Optional[str] = None,
                    cat: Optional[Catalog] = None) -> KClass:
     """Class of a module over R[x] pushed down to the base-ring catalog.
@@ -469,6 +483,7 @@ class EulerMapReport(NamedTuple):
     additivity_results: tuple  # one bool (or None if skipped) per sequence
 
 
+@span_scope
 def euler_map_report(cat: Catalog, sequences=(), depth: int = 8) -> EulerMapReport:
     """Verify the Euler map against the projective-class embedding.
 

@@ -10,6 +10,7 @@ periodicity detection is a literal matrix comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import InputError, NotRegularOnQuotient
@@ -42,12 +43,9 @@ class FreeResolution:
     verified_depth: int
     periodicity: Optional[tuple[int, int]]  # (start s, period p)
 
-    @property
+    @cached_property  # read once per step by report_lines, rank() and pd_bounded
     def ranks(self) -> list[int]:
-        out = [self.module.ngens]
-        for m in self.maps:
-            out.append(len(m))
-        return out
+        return [self.module.ngens] + [len(m) for m in self.maps]
 
     def rank(self, s: int) -> int:
         """Rank of F_s; 0 past the end of the resolution."""
@@ -92,12 +90,14 @@ def _syzygy_columns(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
 
 
 def _find_periodicity(maps) -> Optional[tuple[int, int]]:
-    n = len(maps)
-    for s in range(n):
-        for p in range(1, n - s):
-            if maps[s] == maps[s + p] and maps[s]:
-                return (s, p)
-    return None
+    """The smallest s, then the smallest p, with maps[s] == maps[s + p] nonzero:
+    the first repeat of each map gives its p, one pass over the maps."""
+    first: dict = {}
+    found = None
+    for t, m in enumerate(maps):
+        if m and (s := first.setdefault(m, t)) < t and (found is None or s < found[0]):
+            found = (s, t - s)
+    return found
 
 
 @span_scope
@@ -203,23 +203,18 @@ def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     if w == 0:
         return ()
     q = ambient_rank
-    # unknowns H[i][j], i < w, j < q; equation vec(U H U) = vec(U)
-    # column (i, j) of the linear system is vec(u_i * U[j, :])
-    U_rows = [[kernel_gens[i][a] for i in range(w)] for a in range(q)]
-    sys_cols = []
-    for i in range(w):
-        for j in range(q):
-            col = []
-            for a in range(q):
-                for l in range(w):
-                    col.append(R.mul(kernel_gens[i][a], U_rows[j][l]))
-            sys_cols.append(tuple(col))
-    target = []
-    for a in range(q):
-        for l in range(w):
-            target.append(kernel_gens[l][a])
-    eng = span_engine(R, q * w, sys_cols)
-    wit = eng.witness(tuple(target))
+    # unknowns H[i][j], i < w, j < q; equation vec(U H U) = vec(U) with
+    # U[a][i] = kernel_gens[i][a] at index a*w + i of u = vec(U). Entry (a, l)
+    # of system column (i, j) is u[a*w + i] * u[j*w + l]: one product per
+    # unordered pair of indices
+    u = tuple(kernel_gens[i][a] for a in range(q) for i in range(w))
+    prod = [[None] * (q * w) for _ in u]
+    for k, f in enumerate(u):
+        for m in range(k, q * w):
+            prod[k][m] = prod[m][k] = R.mul(f, u[m])
+    sys_cols = [tuple(prod[a * w + i][j * w + l] for a in range(q) for l in range(w))
+                for i in range(w) for j in range(q)]
+    wit = span_engine(R, q * w, sys_cols).witness(u)
     if wit is None:
         return None
     H = [[wit[i * q + j] for j in range(q)] for i in range(w)]

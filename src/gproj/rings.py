@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import re
 from copy import copy
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import add, le, mul, sub
+from math import lcm
+from operator import add, le, mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -58,14 +60,6 @@ _ORDER_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
-
-
-def monomial_div(b: Monomial, a: Monomial) -> Monomial:
-    return tuple(map(sub, b, a))
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 class PolyRing:
@@ -147,6 +141,15 @@ class PolyRing:
         return QuotRing(self, Ideal(self, gens))
 
 
+def _integer_terms(f: "Poly") -> tuple[list, int]:
+    """(terms, d): the terms of d*f, all with integer coefficients, d the least
+    common denominator; over a prime field, f's own terms and d = 1."""
+    if f.ring.field.kind != "rationals":
+        return f.terms, 1
+    d = lcm(*(c.denominator for _, c in f.terms))
+    return [(e, c.numerator * (d // c.denominator)) for e, c in f.terms], d
+
+
 class Poly:
     """Sparse multivariate polynomial over a PolyRing."""
 
@@ -206,17 +209,15 @@ class Poly:
             return self.scale(other)
         if self.ring != other.ring:
             raise RingMismatch("polynomial rings differ")
-        f = self.ring.field
-        d: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = monomial_mul(e1, e2)
-                s = f.add(d.get(e, f.zero), f.mul(c1, c2))
-                if s == 0:
-                    d.pop(e, None)
-                else:
-                    d[e] = s
-        return self.ring.from_dict(d)
+        (a, da), (b, db) = _integer_terms(self), _integer_terms(other)
+        d: dict = {}  # the product's integer numerators over da * db
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                d[e] = d.get(e, 0) + c1 * c2
+        if da * db != 1:
+            d = {e: Fraction(n, da * db) for e, n in d.items()}
+        return self.ring.from_dict(d)  # maps the ints into the field, drops zeros
 
     def scale(self, c) -> "Poly":
         f = self.ring.field
@@ -241,11 +242,6 @@ class Poly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def mul_monomial(self, expt: Monomial, coeff) -> "Poly":
-        f = self.ring.field
-        return Poly(self.ring, tuple((monomial_mul(e, expt), f.mul(c, coeff))
-                                     for e, c in self.terms))
 
     def coeff_of(self, expt: Monomial):
         for e, c in self.terms:
@@ -640,19 +636,19 @@ def reduce_poly(f: Poly, gb: FreeModuleGB, guard: int) -> Poly:
 def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the ideal generated by gens.
 
+    A generator that is not a Poly is parsed in `ring`, which defaults to the
+    ring of the first Poly among gens; `Ideal` checks the rings.
+
     Computed by the rank-1 FreeModuleGB: Buchberger with the normal
     selection strategy and Gebauer-Moeller pair pruning, the same engine
     that builds module bases. Output is deterministic: monic, fully
     auto-reduced, sorted by descending leading monomial.
     """
-    gens = [g for g in gens if isinstance(g, Poly)]
+    gens = list(gens)
     if ring is None:
-        if not gens:
-            raise InputError("cannot infer ring from empty generator list")
-        ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("generators in different rings")
+        ring = next((g.ring for g in gens if isinstance(g, Poly)), None)
+        if ring is None:
+            raise InputError("cannot infer the ring: no polynomial among the generators")
     return Ideal(ring, gens).reduced_gb
 
 
@@ -687,6 +683,8 @@ class Ideal:
         return not self.reduced_gb
 
     def contains(self, f: Poly) -> bool:
+        if f.ring != self.ring:
+            raise RingMismatch("polynomial and ideal over different rings")
         if self.is_zero():
             return f.is_zero()
         return reduce_poly(f, self._gb, self.ring.degree_guard).is_zero()
@@ -706,8 +704,6 @@ class Ideal:
 
 
 def ideal_membership(f: Poly, ideal: Ideal) -> bool:
-    if f.ring != ideal.ring:
-        raise RingMismatch("polynomial and ideal over different rings")
     return ideal.contains(f)
 
 

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, deliberately independent of the library
 internals: brute-force enumeration over finite rings, a Groebner-free
-linear-algebra ideal-membership oracle, and classic integer-matrix oracles;
+linear-algebra ideal-membership oracle, a schoolbook polynomial product,
+and classic integer-matrix oracles;
 also the rings of the gclass benchmark workload, which several tests share.
 """
 
@@ -298,6 +299,19 @@ class LinearMembershipOracle:
 def poly_to_int_dict(p):
     """A gproj Poly over GF(p) as {exponent: int} for the oracle."""
     return {e: int(c) for e, c in p.terms}
+
+
+def schoolbook_product(a, b):
+    """The terms of a * b, multiplied term by term through the field's own
+    mul and add: no zero coefficients, in the ring's order."""
+    field, ring = a.ring.field, a.ring
+    out = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = field.add(out.get(e, field.zero), field.mul(c1, c2))
+    return tuple(sorted(((e, c) for e, c in out.items() if c != field.zero),
+                        key=lambda t: ring.key(t[0]), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Machine-format output of CLI `gclass`, `gpd`, `ext` and `report`, pinned
+"""Machine-format output of CLI `gclass`, `gpd`, `ext`, `resolve` and `report`, pinned
 byte for byte with its exit code, on the flagship model and on a model whose
 G-class tests fail (`golden/gclass_fail.model`)."""
 
@@ -21,6 +21,9 @@ COMMANDS = {
         ["gpd", "k", "1", "--depth", "2"], ["ext", "I", "0"], ["ext", "I", "1"],
         ["ext", "I", "2"], ["ext", "k", "0"], ["ext", "k", "1"], ["ext", "k", "2"],
         ["report"],
+        # long periodic tails: rank 1 and period 1 at every depth
+        ["resolve", "I", "--depth", "50"], ["resolve", "I", "--depth", "200"],
+        ["gclass", "I", "--depth", "50"], ["gclass", "I", "--depth", "200"],
     ],
     "gclass_fail": [
         ["gclass", "k", "--depth", "1"], ["gclass", "k", "--depth", "3"],

@@ -25,8 +25,9 @@ from gproj import (
     quotient_by_regular_element,
     smith_normal_form,
 )
-from gproj.kgroups import int_mat_mul
-from gproj.rings import restrict_poly, substitute_zero
+from gproj.kgroups import _POLYNOMIALS, _chain_ring, int_mat_mul
+from gproj.resolutions import pd_bounded
+from gproj.rings import FreeModuleGB, restrict_poly, substitute_zero
 
 from helpers import int_determinant, minors_gcd_invariant_factors
 
@@ -190,6 +191,34 @@ def test_chain_decomposition_cardinality_by_enumeration():
         assert len(reps) == predicted
 
 
+def _random_poly(rng, ring, top, n=None):
+    k = ring.field
+    d = {(e,) * ring.nvars: (k.from_fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           if k == QQ else k.from_int(rng.randrange(k.p)))
+         for e in range(top + 1) if rng.random() < 0.7}
+    p = ring.from_dict(d)
+    return p if n is None else ring.from_dict({e: c for e, c in p.terms if e[0] < n})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+def test_term_divmod_divides_with_remainder(field):
+    # k and k[x] divide from the top term, k[x]/(x^n) from the bottom one:
+    # a = q*b + r, and b's term at that end does not divide r's
+    rng = random.Random(11)
+    k, kx = PolyRing(field, ()), PolyRing(field, ("x",))
+    for ring, n in [(k, None), (kx, None)] + [(kx, n) for n in (1, 2, 3, 4)]:
+        R = ring.quotient([] if n is None else [f"x^{n}"])
+        divmod_ = _POLYNOMIALS.divmod if n is None else _chain_ring(R, n).divmod
+        end = 0 if n is None else -1
+        for _ in range(60):
+            a, b = (_random_poly(rng, ring, rng.randrange(6), n) for _ in range(2))
+            if b.is_zero():
+                continue
+            q, r = divmod_(a, b)
+            assert R.nf(q * b + r) == a and R.nf(q) == q and R.nf(r) == r
+            assert r.is_zero() or sum(r.terms[end][0]) < sum(b.terms[end][0])
+
+
 def test_snf_zero_matrix():
     r = smith_normal_form([[0, 0], [0, 0]])
     assert r.diagonal == ()
@@ -253,6 +282,18 @@ def test_euler_error_exactly_on_infinite_verdicts():
                 euler_class(M)
         else:
             euler_class(M)  # must not raise
+
+
+def test_euler_class_resolves_once(count_calls):
+    # the pd scan and the resolution read off its ranks share one span cache,
+    # so euler_class builds no more module bases than pd_bounded alone
+    Qx = QxQ()
+    M = FPModule.from_strings(Qx, 3, [["x^2-1", "x+1", "1/2*x^2"], ["2*x+3", "-x^2+x", "x-2"],
+                                      ["x", "3", "x^2+x+1"]])
+    verdict, pd_builds = count_calls(FreeModuleGB, "__init__", pd_bounded, M, 8)
+    cls, builds = count_calls(FreeModuleGB, "__init__", euler_class, M, 8)
+    assert str(verdict) == "Finite(1)" and cls.is_zero()
+    assert builds == pd_builds == 2
 
 
 # ----- pushdown and extension -----

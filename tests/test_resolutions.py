@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gproj import (
@@ -19,10 +21,10 @@ from gproj import (
     verify_exactness,
     verify_short_exact,
 )
-from gproj.modules import mat_vec
-from gproj.resolutions import first_inexact_node
+from gproj.modules import mat_vec, span_engine
+from gproj.resolutions import _find_periodicity, first_inexact_node, split_surjection_onto_kernel
 
-from helpers import ring_elements, span_of_columns, vector_space
+from helpers import gclass_ring, ring_elements, span_of_columns, vector_space
 
 
 def R4():
@@ -174,6 +176,64 @@ def test_periodicity_soundness_two_extra_periods():
     longer = free_resolution(I, 4 + 2 * p)
     for step in range(s, s + 2 * p):
         assert longer.maps[step] == longer.maps[step + p]
+
+
+def _split_by_the_full_system(R, q, kernel_gens):
+    """split_surjection_onto_kernel with every one of the (qw)^2 products made."""
+    w = len(kernel_gens)
+    cols = [tuple(R.mul(kernel_gens[i][a], kernel_gens[l][j]) for a in range(q) for l in range(w))
+            for i in range(w) for j in range(q)]
+    target = tuple(kernel_gens[l][a] for a in range(q) for l in range(w))
+    wit = span_engine(R, q * w, cols).witness(target)
+    return None if wit is None else tuple(tuple(wit[i * q + j] for j in range(q)) for i in range(w))
+
+
+@pytest.mark.parametrize("ring", ["QQ[x]", "GF(3)[x]", "A", "chain2"])
+def test_splitting_matches_the_full_system(ring):
+    rng = random.Random(5)
+    if ring.endswith("[x]"):
+        R = polynomial_ring(QQ if ring == "QQ[x]" else GF(3), ("x",))
+    else:
+        R = gclass_ring(ring)
+    monomials = ["1", "x", "x^2"] + (["y", "x*y"] if R.base.nvars > 1 else [])
+
+    def entry():
+        if rng.random() < 0.3:
+            return R.zero()
+        text = " + ".join(f"{rng.randint(1, 4)}*{m}" for m in rng.sample(monomials, rng.randint(1, 3)))
+        return R.poly(text)
+
+    found = set()
+    for _ in range(12):
+        q, w = rng.randint(1, 3), rng.randint(1, 3)
+        gens = [tuple(entry() for _ in range(q)) for _ in range(w)]
+        if rng.random() < 0.4:  # a unit column makes a split more likely
+            gens[0] = tuple(R.one() if a == 0 else R.zero() for a in range(q))
+        H = split_surjection_onto_kernel(R, q, gens)
+        assert H == _split_by_the_full_system(R, q, gens)
+        found.add(H is None)
+    assert found == {True, False}
+
+
+def test_periodicity_matches_the_pairwise_scan():
+    def pairwise(maps):
+        for s in range(len(maps)):
+            for p in range(1, len(maps) - s):
+                if maps[s] == maps[s + p] and maps[s]:
+                    return (s, p)
+        return None
+
+    rng = random.Random(3)
+    for _ in range(2000):
+        maps = tuple(rng.choice([(), ("a",), ("b",), ("c",), ("a", "b")])
+                     for _ in range(rng.randint(0, 9)))
+        assert _find_periodicity(maps) == pairwise(maps)
+
+
+def test_ranks_are_computed_once():
+    R = R4()
+    res = free_resolution(FPModule(R, 1, [(R.poly("x"),)]), 5)
+    assert res.ranks is res.ranks and res.ranks == [1] * 7
 
 
 def test_pd_shift_under_regular_quotient():

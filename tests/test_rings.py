@@ -8,8 +8,10 @@ from gproj import (
     QQ,
     DegreeGuardExceeded,
     Ideal,
+    InputError,
     ParseError,
     PolyRing,
+    RingMismatch,
     groebner_basis,
     ideal_membership,
     normal_form,
@@ -24,7 +26,7 @@ from gproj.rings import (
     reduce_by_monic_in_var,
 )
 
-from helpers import LinearMembershipOracle, poly_to_int_dict, univariate_gcd
+from helpers import LinearMembershipOracle, poly_to_int_dict, schoolbook_product, univariate_gcd
 
 
 def QxQ():
@@ -233,6 +235,33 @@ def test_reduce_by_monic_in_var():
         reduce_by_monic_in_var(P.poly("x^3"), P.poly("2*x^2"), 0)
 
 
+def test_groebner_basis_parses_string_generators():
+    P = PolyRing(GF(7), ("x", "y"))
+    want = Ideal(P, ["x^2", "y"]).reduced_gb
+    assert [str(g) for g in want] == ["x^2", "y"]
+    assert groebner_basis(["x^2", P.poly("y")], P) == want
+    assert groebner_basis([P.poly("y"), "x^2"]) == want  # the ring of the Poly
+    assert groebner_basis(["x^2", "y"], P) == want
+    with pytest.raises(InputError, match="cannot infer the ring"):
+        groebner_basis(["x^2", "y"])
+    with pytest.raises(RingMismatch):
+        groebner_basis(["x^2", PolyRing(GF(7), ("x", "z")).poly("z")], P)
+
+
+def test_ideal_contains_checks_the_ring():
+    k = GF(7)
+    P, big = PolyRing(k, ("x", "y")), PolyRing(k, ("x", "y", "z"))
+    xz = big.poly("x*z")
+    for ideal in (Ideal(P, ["x"]), Ideal(P, [])):
+        with pytest.raises(RingMismatch):
+            ideal.contains(xz)
+    with pytest.raises(RingMismatch):
+        P.quotient([]).ideal_contains([P.poly("x")], xz)
+    assert Ideal(P, ["x"]).contains(P.poly("x*y"))
+    # an equal ring, built again, passes
+    assert Ideal(P, ["x"]).contains(PolyRing(k, ("x", "y")).poly("x^2"))
+
+
 def test_is_unit_in_quotient():
     R = R4()
     assert R.is_unit(R.poly("x+1"))
@@ -431,3 +460,47 @@ def test_s_vectors_reach_twice_the_guard(guard):
     with pytest.raises(DegreeGuardExceeded, match=f"^module basis at rank 2: term degree "
                        f"{2 * g} exceeds guard {g}$"):
         FreeModuleGB(P, 2, vectors)
+
+
+# ----- products on integer numerators -----
+
+@st.composite
+def factor_pairs(draw):
+    """Two polynomials of one ring: QQ with large coprime denominators and
+    both signs, or GF(2) or GF(32003); 0-4 variables, lex or grevlex. Small
+    coefficient and exponent ranges make terms of the product cancel."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
+    nvars = draw(st.integers(0, 4))
+    ring = PolyRing(field, [f"x{i}" for i in range(nvars)], draw(st.sampled_from(["lex", "grevlex"])))
+    if field is QQ:
+        big = st.integers(-10**30, 10**30)
+        coeff = st.one_of(st.integers(-3, 3), st.builds(Fraction, big, st.integers(1, 10**25)),
+                          st.builds(Fraction, st.integers(-5, 5), st.sampled_from([2, 3, 7, 2**61 - 1])))
+    else:
+        coeff = st.integers(-3, 40000)
+    expt = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def poly():
+        return ring.from_dict(dict(draw(st.lists(st.tuples(expt, coeff), max_size=6))))
+    return poly(), poly()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(factor_pairs())
+def test_product_matches_the_schoolbook_product(pair):
+    a, b = pair
+    for p, q in ((a, b), (b, a), (a, a)):
+        assert (p * q).terms == schoolbook_product(p, q)
+        assert all(type(c) is type(p.ring.field.zero) for _, c in (p * q).terms)
+
+
+def test_products_that_cancel():
+    Q = PolyRing(QQ, ("x", "y"))
+    assert Q.poly("x + y") * Q.poly("x - y") == Q.poly("x^2 - y^2")
+    assert (Q.poly("1/3*x - 2/5") * Q.poly("0")).is_zero()
+    assert Q.poly("1/2*x + 1/3") * Q.poly("6") == Q.poly("3*x + 2")
+    assert Q.poly("2/3*x") * Q.poly("3/2*y") == Q.poly("x*y")  # denominators cancel to 1
+    F = PolyRing(GF(2), ("x",))
+    assert F.poly("x + 1") * F.poly("x + 1") == F.poly("x^2 + 1")
+    k = PolyRing(GF(3), ())
+    assert (k.poly("2") * k.poly("2")).terms == (((), 1),)

@@ -178,11 +178,8 @@ class ModelFile:
             lines.append("task " + " ".join(t))
         return "\n".join(lines) + "\n"
 
-    def signature(self):
-        return self.serialize()
-
     def __eq__(self, other):
-        return isinstance(other, ModelFile) and self.signature() == other.signature()
+        return isinstance(other, ModelFile) and self.serialize() == other.serialize()
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -370,7 +367,6 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
 
 def _extract_flags(args):
     depth = None
-    fmt = None
     rest = []
     i = 0
     while i < len(args):
@@ -382,15 +378,14 @@ def _extract_flags(args):
             i += 2
         elif a == "--degree-guard":
             i += 2  # consumed by main() before parsing; ignored here
-        elif a == "--format":
+        elif a == "--format":  # read by main(); a task's own is checked and ignored
             if i + 1 >= len(args):
                 raise InputError("--format needs a value")
-            fmt = args[i + 1]
             i += 2
         else:
             rest.append(a)
             i += 1
-    return depth, fmt, rest
+    return depth, rest
 
 
 def _need(model, table, name, what):
@@ -412,7 +407,7 @@ def _matrix_block(report: Report, key: str, rows) -> None:
 @span_scope
 def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Report, int]:
     """Dispatch one command against a parsed model; returns (report, exit code)."""
-    flag_depth, _, rest = _extract_flags(list(args))
+    flag_depth, rest = _extract_flags(list(args))
     if flag_depth is not None:
         depth = flag_depth
     missing = ARGUMENTS.get(cmd, ())[len(rest):]

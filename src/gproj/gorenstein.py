@@ -28,7 +28,7 @@ from .modules import (
     subquotient,
 )
 from .rings import QuotRing
-from .resolutions import FreeResolution, _kernel_in_image, first_inexact_node, free_resolution
+from .resolutions import FreeResolution, exact_kernel, first_inexact_node, free_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,8 @@ def _ext_into_ring(res: FreeResolution, m: int) -> ExtResult:
     R = res.module.ring
     incoming = _hom_induced_columns(R, res.map(m - 1), res.rank(m - 1), 1)
     outgoing = _hom_induced_columns(R, res.map(m), res.rank(m), 1)
-    kernel, vanishes = _kernel_in_image(R, res.rank(m), res.rank(m + 1), incoming, outgoing)
-    if vanishes:
+    kernel = exact_kernel(R, res.rank(m), res.rank(m + 1), incoming, outgoing)
+    if kernel is not None:
         return ExtResult(m, FPModule.zero(R, len(kernel)), True)
     return _ext_from_resolution(res, FPModule.free(R, 1), m)
 

@@ -15,8 +15,9 @@ negations of reduced columns are reduced.
 Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
-Inside one top-level call of a `span_scope` entry point, each engine and
-canonical generating set is built once; nothing is shared across calls or threads.
+Inside one top-level call of a `span_scope` entry point, each engine,
+canonical generating set and node verdict of `resolutions.exact_kernel` is
+built once; nothing is shared across calls or threads.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def _unit_column(R: QuotRing, rank: int, i: int) -> Column:
 # the running top-level call's span cache, None outside any scope
 _SPANS: ContextVar[Optional[dict]] = ContextVar("gproj_spans", default=None)
 _new_spans = dict  # opens a top-level call's cache
+_MISS = object()  # a key not built yet: a cached build may be None
 
 
 def span_scope(fn):
@@ -102,17 +104,19 @@ def span_scope(fn):
 
 
 def _per_scope(build):
-    """build(R, rank, columns), memoised in the span cache; the key holds the
-    degree guard because ring equality ignores it."""
+    """build(R, *args), memoised in the span cache with list arguments keyed
+    (and passed) as tuples; the key holds the degree guard because ring
+    equality ignores it."""
     @wraps(build, updated=())
-    def memo(R: QuotRing, rank: int, columns):
-        columns, spans = tuple(columns), _SPANS.get()
+    def memo(R: QuotRing, *args):
+        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+        spans = _SPANS.get()
         if spans is None:
-            return build(R, rank, columns)
-        key = (build, R, R.base.degree_guard, rank, columns)
-        hit = spans.get(key)
-        if hit is None:
-            hit = spans[key] = build(R, rank, columns)
+            return build(R, *args)
+        key = (build, R, R.base.degree_guard, args)
+        hit = spans.get(key, _MISS)
+        if hit is _MISS:
+            hit = spans[key] = build(R, *args)
         return hit
     return memo
 
@@ -145,8 +149,9 @@ class SubmoduleEngine:
     """Membership, witnesses, and syzygies for an R-submodule of R^rank.
 
     One graph basis serves all three queries: generators are tagged with unit
-    vectors in an extra block, modulus multiples enter untagged, and the POT
-    order eliminates the ambient block first. Columns and queries must be
+    vectors in an extra block, modulus multiples enter at every position
+    (the tag-block ones keep the build's tags reduced), and the POT order
+    eliminates the ambient block first. Columns and queries must be
     reduced: an unreduced one gets the same answers but may trip the guard.
     """
 
@@ -162,7 +167,7 @@ class SubmoduleEngine:
             v[(rank + j, zero_expt)] = R.base.field.one
             vectors.append(v)
         for g in R.modulus.reduced_gb:
-            for i in range(rank):
+            for i in range(rank + m):
                 vectors.append({(i, e): c for e, c in g.terms})
         self.gb = FreeModuleGB(R.base, rank + m, vectors)
         self._syzygies = None
@@ -456,7 +461,7 @@ class SubmoduleOfFree:
         return self.contains_submodule(other) and other.contains_submodule(self)
 
     def is_zero(self) -> bool:
-        return not canonical_generators(self.ring, self.ambient_rank, self.generators)
+        return not self.generators  # each held generator is reduced and nonzero
 
     def syzygies(self) -> tuple[Column, ...]:
         return self._engine.syzygies()
@@ -498,14 +503,9 @@ def annihilator_of_element(a: Poly, R: QuotRing) -> Ideal:
 
 def is_regular_element(u: Poly, M: FPModule) -> bool:
     """True iff multiplication by u on M has zero kernel."""
-    R = M.ring
-    u = R.nf(u)
-    n = M.ngens
-    if n == 0:
-        return True
-    mult_cols = [tuple(u if j == i else R.zero() for j in range(n)) for i in range(n)]
-    preimage = colon_generators(R, n, mult_cols, M.canonical_relations)
-    return all(M._engine.contains(g) for g in preimage)
+    R, n = M.ring, M.ngens
+    cols = [tuple(u if j == i else R.zero() for j in range(n)) for i in range(n)]
+    return ModuleMap(M, M, cols, check=False).kernel_is_zero()
 
 
 def is_regular_in_ring(u: Poly, R: QuotRing) -> bool:

@@ -19,6 +19,7 @@ from .modules import (
     FPModule,
     ModuleMap,
     SubmoduleOfFree,
+    _per_scope,
     _unit_column,
     _zero_column,
     annihilator_of_element,
@@ -119,38 +120,41 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     return FreeResolution(M, maps_t, depth, _find_periodicity(maps_t))
 
 
-@span_scope
-def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
-    """First interior node (1..len-2) where the chain is not exact, or None.
+@_per_scope
+def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
+                 ) -> Optional[tuple[Column, ...]]:
+    """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
+    outgoing is exact at this node (image inside kernel, then kernel inside
+    image, both by membership), else None.
 
-    Reads the chain left to right: maps[j] sends node j to node j+1 as a
-    column list. Exactness at a node is checked by membership both ways
-    (image inside kernel and kernel inside image), not by the construction
-    that produced the maps; `_kernel_in_image` does the second half.
+    A verdict depends only on its key, and a span scope asks each key once,
+    so a chain whose maps repeat literally (a periodic resolution, its dual,
+    a periodic window) checks nothing past its first period again. One engine
+    per map serves its kernel here and its image at the next node.
     """
-    for node in range(1, len(ranks) - 1):
-        incoming, outgoing = maps[node - 1], maps[node]
-        for col in incoming:
-            if outgoing and any(not p.is_zero()
-                                for p in mat_vec(R, list(outgoing), col)):
-                return node
-        if not _kernel_in_image(R, ranks[node], ranks[node + 1], incoming, outgoing)[1]:
-            return node
-    return None
-
-
-def _kernel_in_image(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing):
-    """Generators of ker(outgoing: R^rank_here -> R^rank_next), and whether all
-    lie in span(incoming). In a span scope one engine per map serves both its
-    kernel here and its image at the next node."""
     if rank_here == 0:
-        return (), True
+        return ()
+    if outgoing and any(not p.is_zero() for col in incoming
+                        for p in mat_vec(R, outgoing, col)):
+        return None
     if not outgoing or rank_next == 0:
         kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
     else:
         kernel = span_engine(R, rank_next, outgoing).syzygies()
     image = span_engine(R, rank_here, incoming)
-    return kernel, all(image.contains(kg) for kg in kernel)
+    return kernel if all(image.contains(kg) for kg in kernel) else None
+
+
+@span_scope
+def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
+    """First interior node (1..len-2) where the chain is not exact, or None.
+
+    Reads the chain left to right: maps[j] sends node j to node j+1 as a
+    column list. Each node is checked by `exact_kernel`, not by the
+    construction that produced the maps."""
+    return next((node for node in range(1, len(ranks) - 1)
+                 if exact_kernel(R, ranks[node], ranks[node + 1],
+                                 maps[node - 1], maps[node]) is None), None)
 
 
 @span_scope

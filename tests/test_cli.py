@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from gproj import ParseError, free_resolution, parse_model_file, pd_bounded, run_command
+from gproj import InputError, ParseError, free_resolution, parse_model_file, pd_bounded, run_command
 from gproj.cli import main
 
 FLAGSHIP = """\
@@ -172,6 +172,19 @@ def test_nested_report_task_is_a_parse_error(tmp_path, capsys):
     path.write_text(text)
     assert main(["report", str(path)]) == 2
     assert "input error: a task cannot run report at line 7" in capsys.readouterr().err
+
+
+def test_task_format_flag_is_ignored_but_needs_a_value(tmp_path, capsys):
+    model = parse_model_file(FLAGSHIP)
+    plain, _ = run_command("pd", ["I"], model)
+    flagged, _ = run_command("pd", ["I", "--format", "text"], model)
+    assert flagged.render("machine") == plain.render("machine")
+    with pytest.raises(InputError, match="--format needs a value"):
+        run_command("pd", ["I", "--format"], model)
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP + "task pd I --format\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: --format needs a value\n"
 
 
 def test_non_integer_degree_guard_env_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -459,3 +459,14 @@ def test_zero_polynomials_skip_normal_form(count_calls):
     other = PolyRing(GF(2), ("u",))
     with pytest.raises(RingMismatch):
         _nf_column(R, (other.zero(),))
+
+
+def test_submodule_is_zero_builds_no_basis(count_calls):
+    # held generators are reduced and nonzero, so emptiness is the answer
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    x, y = R.poly("x"), R.poly("y")
+    nonzero = SubmoduleOfFree(R, 2, [(x, y), (x * y, R.zero())])
+    zero = SubmoduleOfFree(R, 2, [(x * x, R.zero()), (R.zero(), R.zero())])
+    for sub, expected in ((nonzero, False), (zero, True)):
+        verdict, builds = count_calls(FreeModuleGB, "__init__", sub.is_zero)
+        assert verdict is expected and builds == 0

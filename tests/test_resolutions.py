@@ -215,6 +215,18 @@ def test_splitting_matches_the_full_system(ring):
     assert found == {True, False}
 
 
+@pytest.mark.parametrize("columns", [
+    [["2*x^2", "3*x+4", "0"], ["0", "0", "x^2+3*x+3"], ["2*x^2+4*x", "3", "3*x^2"]],
+    [["3*x^2+2*x", "3*x", "3*x^2+3*x"], ["0", "4*x+3", "4*x^2+3*x+3"]],
+], ids=["three_columns", "two_columns"])
+def test_splitting_over_a_chain_ring_stays_below_the_guard(columns):
+    # with modulus multiples seeded in the tag block too, the engine's tag
+    # polynomials stay reduced; unseeded, these trip at degree 34 and 42
+    R = gclass_ring("chain4")
+    kernel_gens = [tuple(R.poly(p) for p in col) for col in columns]
+    assert split_surjection_onto_kernel(R, 3, kernel_gens) is None
+
+
 def test_periodicity_matches_the_pairwise_scan():
     def pairwise(maps):
         for s in range(len(maps)):

@@ -126,6 +126,8 @@ class PrimeField(Field):
         return n % self.p
 
     def from_fraction(self, num, den):
+        if den % self.p == 0:
+            raise InputError(f"coefficient {num}/{den} has denominator 0 in {self!r}")
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def add(self, a, b):

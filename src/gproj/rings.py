@@ -13,6 +13,8 @@ the degree is a mask. Fields hold twice the larger of the degree guard and the
 input degree, the most an S-vector or lcm reaches; a wider query meets the
 reducers repacked at its width. FreeModuleGB.reduce is the one reduction loop:
 normal forms and ideal membership run it on the rank-1 basis each Ideal keeps.
+It calls no Field method: over GF(p) a coefficient is a plain int, left
+unreduced as steps add products to it and taken mod p once, when it is popped.
 A step past the degree guard trips, naming the largest degree it would reach.
 Every value here is immutable after construction; ideals compute their reduced
 Groebner basis at construction time, never lazily, so instances can be shared
@@ -442,6 +444,8 @@ class FreeModuleGB:
     Inside, every term is a packed int (see the module docstring) and a
     reducer is a tuple (lead, tail, top): its monic lead term, the other
     terms as (term, coeff) pairs, and the largest total degree among them.
+    Coefficients are plain values under operators, not Field methods: ints
+    in [0, p) over GF(p), Fractions over QQ; only reduce() holds unreduced sums.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
@@ -452,6 +456,7 @@ class FreeModuleGB:
         top = max((sum(e) for v in vectors for _, e in v), default=0)
         self._layout = _layout(ring.nvars, ring.order, _width(2 * max(top, ring.degree_guard)))
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
+        self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
         self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
         self._index = self._indexed(self._buchberger([self._packed(v) for v in vectors if v]))
         self._operation = "normal form"
@@ -492,9 +497,11 @@ class FreeModuleGB:
     def reduce(self, v: dict, guard: int) -> dict:
         """Full normal form of a packed vector {term: coeff}: every term gets
         reduced, the result is unique and lists its terms in descending POT
-        order. The degree guard must not pass the layout's cap."""
-        field = self.ring.field
-        sub, mul, zero = field.sub, field.mul, field.zero
+        order. The degree guard must not pass the layout's cap. A popped
+        coefficient is negated once, tail steps add cc * -c with no mod and no
+        zero test, and a term is taken mod p when popped, then skipped before
+        the guard check if it is 0."""
+        p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
         index = self._index
         work = dict(v)
@@ -503,8 +510,10 @@ class FreeModuleGB:
         remainder = {}
         while heap:
             m = heappop(heap)
-            c = work.pop(m, None)
-            if c is None:
+            c = work.pop(m)  # queued once: every term queued after m is smaller
+            if p:
+                c %= p
+            if not c:
                 continue  # cancelled after it was queued
             mg = m | guards
             for lead, tail, top in index.get(m >> pshift, ()):
@@ -516,43 +525,42 @@ class FreeModuleGB:
             shift = m - lead  # the packed quotient m / lead
             if top + (shift & degree) > guard:
                 raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
+            c = -c
             for t, cc in tail:
                 t += shift
                 old = work.get(t)
                 if old is None:
                     heappush(heap, t)
-                    old = zero
-                s = sub(old, mul(cc, c))
-                if s == 0:
-                    del work[t]
+                    work[t] = cc * c
                 else:
-                    work[t] = s
+                    work[t] = old + cc * c
         return remainder
 
     def _element(self, v: dict) -> tuple:
         """The monic reducer (lead, tail, top) of a packed vector."""
-        field = self.ring.field
         lead = min(v)
         c = v[lead]
-        if c != field.one:
-            c = field.inv(c)
-            v = {m: field.mul(cc, c) for m, cc in v.items()}
+        if c != 1:
+            c, p = self.ring.field.inv(c), self._p
+            v = {m: cc * c % p for m, cc in v.items()} if p else {m: cc * c for m, cc in v.items()}
         degree = self._layout.degree
         return lead, tuple(t for t in v.items() if t[0] != lead), max([m & degree for m in v])
 
     def _svector(self, f: tuple, g: tuple, lcm: int) -> dict:
-        """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read."""
-        field = self.ring.field
-        sub, zero = field.sub, field.zero
+        """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read.
+        Over GF(p) each coefficient is taken mod p, a cancelled one dropped."""
+        p = self._p
         sf, sg = lcm - f[0], lcm - g[0]
         out = {m + sf: c for m, c in f[1]}
         for m, c in g[1]:
             m += sg
-            s = sub(out.get(m, zero), c)
-            if s == 0:
-                out.pop(m, None)
-            else:
+            s = out.get(m, 0) - c
+            if p:
+                s %= p
+            if s:
                 out[m] = s
+            else:
+                del out[m]
         return out
 
     def _buchberger(self, vectors: list[dict]) -> list[tuple]:

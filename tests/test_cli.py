@@ -218,6 +218,15 @@ def test_degree_guard_trip_while_parsing_is_a_rejection(tmp_path, capsys, monkey
     assert "g1 = y^6+y" in capsys.readouterr().out
 
 
+def test_coefficient_with_a_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text("ring R = GF(5)[x] mod [x^2 - 1/5]\n")
+    assert main(["gb", str(path), "R"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: coefficient 1/5 has denominator 0 in GF(5) at line 1\n"
+
+
 def test_snf_past_the_integer_digit_limit_is_a_rejection(capsys):
     # small entries, but a transform entry grows past 4,300 digits
     literal = ("[[-31,-34,-37,6,-14],[-9,33,-25,30,-11],[-3,32,26,-37,36],"

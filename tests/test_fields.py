@@ -25,6 +25,16 @@ def test_gf_inverses_random():
         GF(5).inv(0)
 
 
+def test_fraction_with_a_denominator_divisible_by_p_is_an_input_error():
+    assert GF(5).from_fraction(3, 7) == 4
+    for num, den in ((1, 5), (2, 10), (1, 0)):
+        with pytest.raises(InputError, match=f"^coefficient {num}/{den} has denominator 0 "
+                           r"in GF\(5\)$"):
+            GF(5).from_fraction(num, den)
+    with pytest.raises(InputError):
+        QQ.from_fraction(1, 0)
+
+
 def test_rationals_lowest_terms():
     a = QQ.from_fraction(4, -6)
     assert a == Fraction(-2, 3)

@@ -8,6 +8,11 @@ from gproj import GF, QQ, PolyRing, groebner_basis
 
 sympy = pytest.importorskip("sympy")
 
+# the two ends of the prime range: over GF(2) every cancellation leaves a
+# numerator 0 mod 2, and under the 2^31 cap the reduction loop's unreduced
+# sums of coefficient products can pass 2^62
+EDGE_PRIMES = (GF(2), GF(2147483647))
+
 
 def cyclic(n):
     v = [f"x{i}" for i in range(n)]
@@ -52,6 +57,10 @@ def sympy_basis(ring, eqs):
     (cyclic, 5, GF(32003), "grevlex"),
     (katsura, 4, QQ, "grevlex"),
     (cyclic, 4, QQ, "lex"),
+    (cyclic, 5, GF(2), "grevlex"),
+    (cyclic, 4, GF(2), "lex"),
+    (katsura, 4, GF(2147483647), "grevlex"),
+    (cyclic, 4, GF(2147483647), "lex"),
 ])
 def test_reduced_basis_matches_sympy(system, n, field, order):
     variables, eqs = system(n)
@@ -79,7 +88,7 @@ def _to_sympy(p, syms):
                 for e, c in p.terms), sympy.Integer(0))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, GF(32003), *EDGE_PRIMES], ids=repr)
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_normal_forms_match_sympy_remainders(field, order):
     rng = random.Random(f"nf-{field!r}-{order}")

@@ -17,6 +17,7 @@ from gproj import (
     normal_form,
     polynomial_ring,
 )
+from gproj.fields import PrimeField
 from gproj.rings import (
     FreeModuleGB,
     QuotRing,
@@ -405,6 +406,30 @@ def test_groebner_basis_makes_the_pinned_number_of_reductions(count_calls, syste
                                  [P.poly(e) for e in eqs], P)
     assert reductions == calls
     assert all(g.lead_coeff() == 1 for g in gb)
+
+
+def test_the_reduction_loop_makes_no_field_method_calls():
+    # over GF(p) the engine does its arithmetic on plain ints: neither a
+    # Groebner basis nor a batch of normal forms calls PrimeField.add, sub or mul
+    variables, eqs = _cyclic(4)
+    P = PolyRing(GF(32003), variables)
+    gens = [P.poly(e) for e in eqs]
+    R = P.quotient(gens)
+    queries = [a * b for a in gens for b in gens] + [P.var(v) ** 6 for v in variables]
+    calls = []
+
+    def counting(name):
+        original = getattr(PrimeField, name)
+        return lambda self, a, b: calls.append(name) or original(self, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("add", "sub", "mul"):
+            patch.setattr(PrimeField, name, counting(name))
+        gb = groebner_basis(gens, P)
+        forms = [R.nf(f) for f in queries]
+    assert calls == []
+    assert gb == R.modulus.reduced_gb
+    assert sum(not f.is_zero() for f in forms) == len(variables)
 
 
 def _graph_basis(guard):

@@ -377,7 +377,8 @@ def _extract_flags(args):
             depth = int(args[i + 1])
             i += 2
         elif a == "--degree-guard":
-            i += 2  # consumed by main() before parsing; ignored here
+            raise InputError("--degree-guard is set on the command line, "
+                             "for the whole model, not in a task")
         elif a == "--format":  # read by main(); a task's own is checked and ignored
             if i + 1 >= len(args):
                 raise InputError("--format needs a value")
@@ -586,14 +587,16 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
 
     try:
-        guard = ns.degree_guard
+        guard, source = ns.degree_guard, "--degree-guard"
         if guard is None:
-            raw = os.environ.get(ENV_GUARD, str(DEFAULT_DEGREE_GUARD))
+            raw, source = os.environ.get(ENV_GUARD, str(DEFAULT_DEGREE_GUARD)), ENV_GUARD
             try:
                 guard = int(raw)
             except ValueError:
                 raise InputError(
                     f"{ENV_GUARD} must be an integer, got {raw!r}") from None
+        if guard < 0:
+            raise InputError(f"{source} must be a non-negative integer, got {guard}")
         if ns.model == "-":
             model = ModelFile({}, {}, {}, {}, [])
         else:

@@ -19,13 +19,14 @@ from .modules import (
     DualModule,
     FPModule,
     SubmoduleOfFree,
-    _unit_column,
     colon_generators,
     double_dual_map,
+    identity,
     mat_vec,
     polynomial_extension,
     span_scope,
     subquotient,
+    transpose,
 )
 from .rings import QuotRing
 from .resolutions import FreeResolution, exact_kernel, first_inexact_node, free_resolution
@@ -57,8 +58,8 @@ def _hom_free_into(N: FPModule, a: int) -> list[Column]:
 
 
 def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int) -> tuple:
-    """Columns of Hom(d, N): Hom(R^rank_from, N) -> Hom(R^len(d_cols), N);
-    with g = 1 (N = R), the columns of the transposed matrix."""
+    """Columns of Hom(d, N): Hom(R^rank_from, N) -> Hom(R^len(d_cols), N)
+    for N on g generators; with g = 1 this is `transpose(d_cols, rank_from)`."""
     a_to = len(d_cols)
     cols = []
     for l in range(rank_from):
@@ -92,12 +93,8 @@ def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
         return ExtResult(i, FPModule(R, 0, ()), True)
     # u = Hom(d_{i+1}, N): Hom(F_i, N) -> Hom(F_{i+1}, N)
     u_cols = _hom_induced_columns(R, res.map(i), res.rank(i), g)
-    y_dim = res.rank(i + 1) * g
-    if y_dim == 0:
-        kernel_gens = tuple(_unit_column(R, x_dim, j) for j in range(x_dim))
-    else:
-        kernel_gens = colon_generators(R, y_dim, u_cols,
-                                       _hom_free_into(N, res.rank(i + 1)))
+    kernel_gens = colon_generators(R, res.rank(i + 1) * g, u_cols,
+                                   _hom_free_into(N, res.rank(i + 1)))
     denominator = _hom_free_into(N, res.rank(i))
     if i >= 1:  # plus the image of Hom(d_i, N)
         denominator += _hom_induced_columns(R, res.map(i - 1), res.rank(i - 1), g)
@@ -109,9 +106,8 @@ def _ext_into_ring(res: FreeResolution, m: int) -> ExtResult:
     """Ext^m(res.module, R), m >= 1: zero, certified by membership, when
     Hom(F_., R) is exact at F_m; else the `_ext_from_resolution` subquotient."""
     R = res.module.ring
-    incoming = _hom_induced_columns(R, res.map(m - 1), res.rank(m - 1), 1)
-    outgoing = _hom_induced_columns(R, res.map(m), res.rank(m), 1)
-    kernel = exact_kernel(R, res.rank(m), res.rank(m + 1), incoming, outgoing)
+    kernel = exact_kernel(R, res.rank(m), res.rank(m + 1),
+                          res.dual_map(m - 1), res.dual_map(m))
     if kernel is not None:
         return ExtResult(m, FPModule.zero(R, len(kernel)), True)
     return _ext_from_resolution(res, FPModule.free(R, 1), m)
@@ -137,13 +133,10 @@ class CompleteResolutionFailure(NamedTuple):
     detail: str
 
 
-def _dual_chain(R: QuotRing, ranks, maps):
+def _dual_chain(ranks, maps):
     """Apply Hom(-, R): reverse the node order and transpose every matrix."""
-    L = len(ranks)
-    dranks = tuple(reversed(ranks))
-    dmaps = tuple(_hom_induced_columns(R, maps[k], ranks[k + 1], 1)
-                  for k in range(L - 2, -1, -1))
-    return dranks, dmaps
+    dmaps = tuple(transpose(maps[k], ranks[k + 1]) for k in range(len(ranks) - 2, -1, -1))
+    return tuple(reversed(ranks)), dmaps
 
 
 @span_scope
@@ -186,40 +179,33 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     """
     M = res.module
     R = M.ring
-    left_maps = list(res.maps)  # d_1, d_2, ...
-    left_ranks = res.ranks  # F_0, F_1, ...
 
-    # dual exactness of the left tail alone; failures here are nonzero Ext^s
-    nodes_ltr = list(reversed(left_ranks))  # F_L, ..., F_1, F_0
-    maps_ltr = list(reversed(left_maps))  # d_L, ..., d_1
-    dranks, dmaps = _dual_chain(R, nodes_ltr, maps_ltr)
-    bad = first_inexact_node(R, dranks, dmaps)
-    if bad is not None:
-        step = len(dranks) - 1 - bad  # dual node index back to resolution step
+    # dual exactness of the left tail alone, node s of Hom(F., R) being step
+    # s; failures here are nonzero Ext^s
+    step = first_inexact_node(R, res.ranks, res.dual_maps)
+    if step is not None:
         return CompleteResolutionFailure(
             "left_dual_exactness", step,
             f"Hom(-, R) loses exactness at resolution step {step}")
 
     # splice a right tail onto F_depth, ..., F_0, still reading left to
     # right; a free module instead gets a trivial window of its own
-    module_position = min(window, len(left_maps))
-    nodes_ltr = [left_ranks[s] for s in range(module_position, -1, -1)]
-    maps_ltr = [left_maps[s] for s in range(module_position - 1, -1, -1)]
+    module_position = min(window, len(res.maps))
+    nodes_ltr = [res.ranks[s] for s in range(module_position, -1, -1)]
+    maps_ltr = [res.maps[s] for s in range(module_position - 1, -1, -1)]
     n = M.ngens
     if not M.canonical_relations:
         route = "trivial_projective"
-        identity = tuple(_unit_column(R, n, i) for i in range(n))
-        to_zero = tuple(() for _ in range(n))  # F_0 -> 0
         nodes_ltr = [0, n, n, 0]
-        maps_ltr = [(), identity, to_zero]
+        maps_ltr = [(), identity(R, n), transpose((), n)]  # the last is F_0 -> 0
         module_position = 1
     elif res.periodicity is not None and res.periodicity[0] == 0:
         route = "periodic"
         _, p = res.periodicity
         # after F_0 the ranks cycle F_{p-1}, ..., F_0 with the splice d_p first
-        splice = left_maps[p - 1]
-        cycle_maps = [splice] + [left_maps[s] for s in range(p - 2, -1, -1)]
-        cycle_ranks = [left_ranks[p - 1 - j] for j in range(p)]
+        splice = res.maps[p - 1]
+        cycle_maps = [splice] + [res.maps[s] for s in range(p - 2, -1, -1)]
+        cycle_ranks = [res.ranks[p - 1 - j] for j in range(p)]
         for j in range(window):
             maps_ltr.append(cycle_maps[j % p])
             nodes_ltr.append(cycle_ranks[j % p])
@@ -233,18 +219,18 @@ def _complete_window(res: FreeResolution, window: int, dual_side
             for col in mu.map.columns)
         maps_ltr.append(tau)
         nodes_ltr.append(g_ranks[0])
-        for s, d in enumerate(dual_res.maps):
+        for s, d in enumerate(dual_res.dual_maps):
             if len(nodes_ltr) - module_position > window:
                 break
-            maps_ltr.append(_hom_induced_columns(R, d, g_ranks[s], 1))
-            nodes_ltr.append(len(d))
+            maps_ltr.append(d)
+            nodes_ltr.append(dual_res.rank(s + 1))
 
     ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
     bad = first_inexact_node(R, ranks_t, maps_t)
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
-    dranks, dmaps = _dual_chain(R, ranks_t, maps_t)
+    dranks, dmaps = _dual_chain(ranks_t, maps_t)
     bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         return CompleteResolutionFailure(

@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple, Optional
 from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
 from .modules import (
     FPModule,
+    colon_generators,
     polynomial_extension,
     shrink_ring,
-    span_engine,
     span_scope,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
@@ -461,7 +461,7 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
     a_cols = M.canonical_relations
     if not a_cols:
         return free_class
-    a_rels = span_engine(S, M.ngens, a_cols).syzygies()
+    a_rels = colon_generators(S, M.ngens, a_cols)
     small = R.base
     reduced_cols = [
         tuple(restrict_poly(substitute_zero(p, idx), small) for p in col)

@@ -78,8 +78,16 @@ def _zero_column(R: QuotRing, rank: int) -> Column:
     return tuple(R.zero() for _ in range(rank))
 
 
-def _unit_column(R: QuotRing, rank: int, i: int) -> Column:
-    return tuple(R.one() if j == i else R.zero() for j in range(rank))
+def identity(R: QuotRing, n: int, u: Optional[Poly] = None) -> tuple[Column, ...]:
+    """The n columns of u times the identity matrix; u = 1 when omitted."""
+    u = R.one() if u is None else u
+    return tuple(tuple(u if j == i else R.zero() for j in range(n)) for i in range(n))
+
+
+def transpose(columns, nrows: int) -> tuple[Column, ...]:
+    """The transpose of a matrix given as columns of length nrows: nrows
+    columns, each as long as the column list (empty when it is)."""
+    return tuple(tuple(col[i] for col in columns) for i in range(nrows))
 
 
 # the running top-level call's span cache, None outside any scope
@@ -208,9 +216,16 @@ class SubmoduleEngine:
 span_engine = _per_scope(SubmoduleEngine)
 
 
-def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols) -> tuple[Column, ...]:
-    """Generators of {v : sum v_j * image_j lies in span(modifiers)} in R^len(image)."""
+def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols=()
+                     ) -> tuple[Column, ...]:
+    """Generators of {v : sum v_j * image_j lies in span(modifiers)} in R^len(image);
+    with no modifiers, the one kernel routine for a column matrix into R^rank.
+    No columns (a map from R^0) gives (); rank 0 gives R^len(image), no engine."""
     n = len(image_cols)
+    if n == 0:
+        return ()
+    if rank == 0:
+        return identity(R, n)
     eng = span_engine(R, rank, list(image_cols) + list(modifier_cols))
     if not modifier_cols:  # the syzygies are already canonical in R^n
         return eng.syzygies()
@@ -256,9 +271,9 @@ class FPModule:
     def zero(cls, ring: QuotRing, n: int) -> "FPModule":
         """FPModule(ring, n, unit columns), built with no basis."""
         module = object.__new__(cls)
-        module.ring, module.ngens, module._span, one = ring, n, None, ring.one()
-        module.relations = module.canonical_relations = () if one.is_zero() else tuple(
-            tuple(one if j == i else ring.zero() for j in range(n)) for i in range(n))
+        module.ring, module.ngens, module._span = ring, n, None
+        module.relations = module.canonical_relations = (
+            () if ring.one().is_zero() else identity(ring, n))
         return module
 
     @classmethod
@@ -283,10 +298,7 @@ class FPModule:
         return self._engine.witness(_nf_column(self.ring, column))
 
     def is_zero(self) -> bool:
-        if self.ngens == 0:
-            return True
-        return all(self._engine.contains(_unit_column(self.ring, self.ngens, i))
-                   for i in range(self.ngens))
+        return all(self._engine.contains(e) for e in identity(self.ring, self.ngens))
 
     def is_free_presentation(self) -> bool:
         return not self.canonical_relations
@@ -352,8 +364,7 @@ class ModuleMap:
 
     @classmethod
     def identity(cls, module: FPModule) -> "ModuleMap":
-        cols = [_unit_column(module.ring, module.ngens, i) for i in range(module.ngens)]
-        return cls(module, module, cols, check=False)
+        return cls(module, module, identity(module.ring, module.ngens), check=False)
 
     @classmethod
     def zero(cls, source: FPModule, target: FPModule) -> "ModuleMap":
@@ -393,11 +404,6 @@ class ModuleMap:
 
     def kernel_preimage_generators(self) -> tuple[Column, ...]:
         """Generators in R^{source.ngens} of the preimage of the kernel."""
-        if self.source.ngens == 0:
-            return ()
-        if self.target.ngens == 0:
-            return tuple(_unit_column(self.source.ring, self.source.ngens, i)
-                         for i in range(self.source.ngens))
         return colon_generators(self.source.ring, self.target.ngens,
                                 self.columns, self.target.canonical_relations)
 
@@ -410,7 +416,7 @@ class ModuleMap:
         if T.ngens == 0:
             return True
         eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
-        return all(eng.contains(_unit_column(T.ring, T.ngens, i)) for i in range(T.ngens))
+        return all(eng.contains(e) for e in identity(T.ring, T.ngens))
 
     def is_iso(self) -> bool:
         return self.kernel_is_zero() and self.cokernel_is_zero()
@@ -474,15 +480,11 @@ class SubmoduleOfFree:
             raise RingMismatch("intersection needs a common ambient module")
         if not self.generators or not other.generators:
             return SubmoduleOfFree(self.ring, self.ambient_rank, ())
-        combined = list(self.generators) + list(other.generators)
-        eng = span_engine(self.ring, self.ambient_rank, combined)
         n = len(self.generators)
-        cols = []
-        for s in eng.syzygies():
-            combo = mat_vec(self.ring, list(self.generators), s[:n])
-            if any(not p.is_zero() for p in combo):
-                cols.append(combo)
-        cols = canonical_generators(self.ring, self.ambient_rank, cols)
+        syz = colon_generators(self.ring, self.ambient_rank,
+                               self.generators + other.generators)
+        cols = canonical_generators(self.ring, self.ambient_rank,
+                                    [mat_vec(self.ring, self.generators, s[:n]) for s in syz])
         return SubmoduleOfFree(self.ring, self.ambient_rank, cols)
 
     def __repr__(self):
@@ -497,15 +499,12 @@ class SubmoduleOfFree:
 def annihilator_of_element(a: Poly, R: QuotRing) -> Ideal:
     """(0 : a) in R, returned with its canonical generating set."""
     a = R.nf(a)
-    syz = span_engine(R, 1, [(a,)]).syzygies()
-    return Ideal(R.base, [col[0] for col in syz])
+    return Ideal(R.base, [col[0] for col in colon_generators(R, 1, [(a,)])])
 
 
 def is_regular_element(u: Poly, M: FPModule) -> bool:
     """True iff multiplication by u on M has zero kernel."""
-    R, n = M.ring, M.ngens
-    cols = [tuple(u if j == i else R.zero() for j in range(n)) for i in range(n)]
-    return ModuleMap(M, M, cols, check=False).kernel_is_zero()
+    return ModuleMap(M, M, identity(M.ring, M.ngens, u), check=False).kernel_is_zero()
 
 
 def is_regular_in_ring(u: Poly, R: QuotRing) -> bool:
@@ -527,15 +526,9 @@ def dual_module(M: FPModule) -> DualModule:
     Each generator of the dual is recorded as a row vector on M's generators,
     which is exactly its evaluation data.
     """
-    R = M.ring
-    n, cols = M.ngens, M.canonical_relations
-    m = len(cols)
-    transpose = [tuple(cols[l][j] for l in range(m)) for j in range(n)]
-    if m == 0:
-        kernel = tuple(_unit_column(R, n, j) for j in range(n))
-    else:
-        kernel = span_engine(R, m, transpose).syzygies()
-    rels = span_engine(R, n, kernel).syzygies() if kernel else ()
+    R, cols = M.ring, M.canonical_relations
+    kernel = colon_generators(R, len(cols), transpose(cols, M.ngens))
+    rels = colon_generators(R, M.ngens, kernel)
     return DualModule(FPModule(R, len(kernel), rels), kernel)
 
 
@@ -567,11 +560,9 @@ def double_dual_map(M: FPModule) -> DoubleDualResult:
     R = M.ring
     D = dual_module(M)
     DD = dual_module(D.module)
-    k = D.module.ngens
-    engine = span_engine(R, k, DD.evaluation)
+    engine = span_engine(R, D.module.ngens, DD.evaluation)
     cols = []
-    for a in range(M.ngens):
-        u = tuple(D.evaluation[i][a] for i in range(k))
+    for u in transpose(D.evaluation, M.ngens):
         wit = engine.witness(u)
         if wit is None:
             raise MapNotWellDefined("evaluation vector misses the double dual")
@@ -686,8 +677,7 @@ def module_over_cover(M: FPModule, cover: QuotRing) -> FPModule:
             raise InputError("cover modulus is not contained in the module's modulus")
     cols = list(M.relations)
     for q in R.modulus.generators:  # FPModule drops the ones cover already kills
-        cols += [tuple(q if j == i else cover.zero() for j in range(M.ngens))
-                 for i in range(M.ngens)]
+        cols += identity(cover, M.ngens, q)
     return FPModule(cover, M.ngens, cols)
 
 
@@ -700,13 +690,7 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
     if not f.source.is_free_presentation() or not f.target.is_free_presentation():
         raise InputError("kernel_of_map expects free source and target")
     R = f.source.ring
-    if f.source.ngens == 0:
-        return SubmoduleOfFree(R, 0, ())
-    if f.target.ngens == 0:
-        gens = [_unit_column(R, f.source.ngens, i) for i in range(f.source.ngens)]
-        return SubmoduleOfFree(R, f.source.ngens, gens)
-    syz = span_engine(R, f.target.ngens, f.columns).syzygies()
-    return SubmoduleOfFree(R, f.source.ngens, syz)
+    return SubmoduleOfFree(R, f.source.ngens, colon_generators(R, f.target.ngens, f.columns))
 
 
 def _poly_matrix_rank(columns, nrows: int) -> int:
@@ -774,7 +758,7 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
     r = Msub.ambient_rank
     if k <= 0 or r == 0:
         return SubmoduleOfFree(R, max(r * k, 0), ())
-    gens = [g for g in Msub.generators]
+    gens = Msub.generators
     if not gens:
         return SubmoduleOfFree(R, r * k, ())
     small = R.base
@@ -799,15 +783,9 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
         return tuple(out)
 
     high = [coords(w, k, bound + 1) for w in multiples]
-    syz = span_engine(R, (bound + 1 - k) * r, high).syzygies()
     lows = [coords(w, 0, k) for w in multiples]
-    cols = []
-    for s in syz:
-        combo = mat_vec(R, lows, s)
-        if any(not p.is_zero() for p in combo):
-            cols.append(combo)
-    cols = canonical_generators(R, r * k, cols)
-    return SubmoduleOfFree(R, r * k, cols)
+    cols = [mat_vec(R, lows, s) for s in colon_generators(R, (bound + 1 - k) * r, high)]
+    return SubmoduleOfFree(R, r * k, canonical_generators(R, r * k, cols))
 
 
 def window_vector_to_ambient(col, r: int, S: QuotRing, var: str) -> Column:

@@ -20,9 +20,10 @@ from .modules import (
     ModuleMap,
     SubmoduleOfFree,
     _per_scope,
-    _unit_column,
     _zero_column,
     annihilator_of_element,
+    colon_generators,
+    identity,
     intersect_with_truncation,
     is_regular_element,
     mat_vec,
@@ -30,6 +31,7 @@ from .modules import (
     shrink_ring,
     span_engine,
     span_scope,
+    transpose,
     window_vector_to_ambient,
 )
 from .rings import Poly, QuotRing, embed_poly, format_poly
@@ -57,6 +59,18 @@ class FreeResolution:
         """d_{s+1}: F_{s+1} -> F_s; () past the end of the resolution."""
         return self.maps[s] if s < len(self.maps) else ()
 
+    @cached_property  # Hom(F., R), built once and read by every Ext and window check
+    def dual_maps(self) -> tuple:
+        """dual_maps[s] = d_{s+1}^T: F_s* -> F_{s+1}*, so node s of the dual
+        chain is resolution step s."""
+        return tuple(transpose(m, self.rank(s)) for s, m in enumerate(self.maps))
+
+    def dual_map(self, s: int) -> tuple:
+        """d_{s+1}^T: F_s* -> F_{s+1}*; past the end, the map to zero (rank(s)
+        empty columns, not the no-source ())."""
+        maps = self.dual_maps
+        return maps[s] if s < len(maps) else transpose((), self.rank(s))
+
     def syzygy_module(self, n: int) -> FPModule:
         """The n-th syzygy as an abstract f.p. module (n = 0 gives the module)."""
         if n == 0:
@@ -65,7 +79,7 @@ class FreeResolution:
             raise InputError(f"resolution too short for syzygy {n}")
         gens = len(self.maps[n - 1])
         rels = self.maps[n] if n < len(self.maps) else \
-            _syzygy_columns(self.module.ring, self.ranks[n - 1], self.maps[n - 1])
+            colon_generators(self.module.ring, self.ranks[n - 1], self.maps[n - 1])
         return FPModule(self.module.ring, gens, rels)
 
     def report_lines(self) -> list[str]:
@@ -82,12 +96,6 @@ class FreeResolution:
         else:
             lines.append("periodicity = none")
         return lines
-
-
-def _syzygy_columns(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
-    if not columns:
-        return ()
-    return span_engine(R, rank, columns).syzygies()
 
 
 def _find_periodicity(maps) -> Optional[tuple[int, int]]:
@@ -114,7 +122,7 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
         if not current:
             break  # previous kernel was zero; the resolution has terminated
         rank_next = len(current)
-        maps.append(_syzygy_columns(R, rank, current))
+        maps.append(colon_generators(R, rank, current))
         rank = rank_next
     maps_t = tuple(maps)
     return FreeResolution(M, maps_t, depth, _find_periodicity(maps_t))
@@ -125,7 +133,8 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
                  ) -> Optional[tuple[Column, ...]]:
     """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
     outgoing is exact at this node (image inside kernel, then kernel inside
-    image, both by membership), else None.
+    image, both by membership), else None. outgoing holds rank_here columns,
+    empty ones when rank_next is 0: () would be a map with no source.
 
     A verdict depends only on its key, and a span scope asks each key once,
     so a chain whose maps repeat literally (a periodic resolution, its dual,
@@ -134,13 +143,9 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
     """
     if rank_here == 0:
         return ()
-    if outgoing and any(not p.is_zero() for col in incoming
-                        for p in mat_vec(R, outgoing, col)):
+    if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col)):
         return None
-    if not outgoing or rank_next == 0:
-        kernel = tuple(_unit_column(R, rank_here, j) for j in range(rank_here))
-    else:
-        kernel = span_engine(R, rank_next, outgoing).syzygies()
+    kernel = colon_generators(R, rank_next, outgoing)
     image = span_engine(R, rank_here, incoming)
     return kernel if all(image.contains(kg) for kg in kernel) else None
 
@@ -272,8 +277,10 @@ def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCert
 
     Accepts when a != 0, a^2 = 0, and ann(a) = (a) (both inclusions checked by
     ideal membership); the ideal (a) is then R/(a) with the period-1 resolution
-    multiplication-by-a forever, and no syzygy is projective.
-    """
+    multiplication-by-a forever, and no syzygy is projective. The periodicity
+    is read off a resolution of depth `depth`, which must be at least 2."""
+    if depth < 2:
+        raise InputError("depth must be at least 2")
     a = R.nf(a)
     failures = []
     if a.is_zero():
@@ -355,10 +362,7 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
 
     # lift each C-generator through proj
     proj_engine = span_engine(R, C.ngens, proj.columns + C.canonical_relations)
-    beta = []
-    for i in range(C.ngens):
-        wit = proj_engine.witness(_unit_column(R, C.ngens, i))
-        beta.append(tuple(wit[:B.ngens]))
+    beta = [tuple(proj_engine.witness(e)[:B.ngens]) for e in identity(R, C.ngens)]
 
     # h_1: correction into F^A_0 for each column of c_1
     incl_engine = span_engine(R, B.ngens, incl.columns + B.canonical_relations)
@@ -427,8 +431,8 @@ class TruncationSequence(NamedTuple):
 
 
 @span_scope
-def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None,
-                        check_regular: bool = True) -> TruncationSequence:
+def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
+                        ) -> TruncationSequence:
     """Resolve a submodule M of F[x] by degree windows over the base ring.
 
     With k one more than the top generator x-degree, B = M meet F_k and
@@ -447,11 +451,8 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None,
     var_poly = base.var(var)
     r = Msub.ambient_rank
 
-    if check_regular:
-        N = FPModule(S, r, Msub.generators)
-        if not is_regular_element(S.nf(var_poly), N):
-            raise NotRegularOnQuotient(
-                f"{var} is not regular on the ambient quotient")
+    if not is_regular_element(S.nf(var_poly), FPModule(S, r, Msub.generators)):
+        raise NotRegularOnQuotient(f"{var} is not regular on the ambient quotient")
 
     degrees = [max((p.degree_in(idx) for p in g if not p.is_zero()), default=0)
                for g in Msub.generators]

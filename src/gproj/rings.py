@@ -79,6 +79,9 @@ class PolyRing:
                 raise InputError(f"bad variable name {v!r}")
         if order not in _ORDER_KEYS:
             raise InputError(f"unknown monomial order {order!r}")
+        if type(degree_guard) is not int or degree_guard < 0:
+            raise InputError(
+                f"degree guard must be a non-negative integer, got {degree_guard!r}")
         self.field = field
         self.variables = variables
         self.order = order

@@ -264,3 +264,50 @@ def test_resolve_prints_the_standalone_resolution_and_pd_verdict(text, name, dep
              for line in free_resolution(module, depth).report_lines()]
     want.append(f"verdict = {pd_bounded(module, depth)}")
     assert report.render("machine").splitlines() == want
+
+
+def test_degree_guard_in_a_task_line_is_an_input_error(tmp_path, capsys):
+    # the guard is set for the whole model when it is parsed, so a task's
+    # own would be silently ignored
+    model = parse_model_file(FLAGSHIP)
+    message = "--degree-guard is set on the command line, for the whole model, not in a task"
+    for args in (["R2", "x^40", "--degree-guard", "100"], ["R2", "x", "--degree-guard"]):
+        with pytest.raises(InputError, match=message):
+            run_command("nf", args, model)
+    for task in ("task nf R2 x^40 --degree-guard 100\n", "task nf R2 x --degree-guard\n"):
+        path = tmp_path / "m.model"
+        path.write_text(FLAGSHIP + task)
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_negative_degree_guard_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    monkeypatch.delenv("GPROJ_DEGREE_GUARD", raising=False)
+    assert main(["pd", str(path), "I", "--degree-guard", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --degree-guard must be a non-negative integer, got -1\n")
+    assert main(["snf", "-", "[[2]]", "--degree-guard", "-1"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("GPROJ_DEGREE_GUARD", "-3")
+    for argv in (["pd", str(path), "I"], ["snf", "-", "[[2]]"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "input error: GPROJ_DEGREE_GUARD must be a non-negative integer, got -3\n")
+    # guard 0 is valid: it only trips on a term of positive degree
+    monkeypatch.setenv("GPROJ_DEGREE_GUARD", "0")
+    assert main(["snf", "-", "[[2]]"]) == 0
+    assert main(["gb", str(path), "R2"]) == 1
+    assert "DegreeGuardExceeded" in capsys.readouterr().err
+
+
+def test_lemma45_depth_one_names_its_own_bound(tmp_path, capsys):
+    model = parse_model_file(FLAGSHIP)
+    with pytest.raises(InputError, match="^depth must be at least 2$"):
+        run_command("lemma45", ["R2", "x", "--depth", "1"], model)
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    assert main(["lemma45", str(path), "R2", "x", "--depth", "1"]) == 2
+    assert capsys.readouterr().err == "input error: depth must be at least 2\n"
+    assert main(["lemma45", str(path), "R2", "x", "--depth", "2"]) == 0

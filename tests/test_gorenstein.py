@@ -218,6 +218,22 @@ def test_window_fails_for_residue_field():
     assert out.node == 1  # the nonzero first Ext breaks dual exactness
 
 
+def test_left_dual_failure_names_the_resolution_step_of_the_first_nonzero_ext():
+    # over GF(2)[x,y]/(x^2, xy, y^2) the residue field has Ext^1(k, R) != 0,
+    # so Hom(F., R) first loses exactness at step 1 whatever the window; the
+    # chain of R/(x) over QQ[x] above is too short to tell the ends apart
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "x*y", "y^2"])
+    k = FPModule(R, 1, [(R.poly("x"),), (R.poly("y"),)])
+    rep = g_class_test(k, 2)
+    assert rep.fail_witness[:2] == ("cond1", 1)
+    for w in (1, 2, 3):
+        out = complete_resolution_check(k, w)
+        assert isinstance(out, CompleteResolutionFailure)
+        assert out.stage == "left_dual_exactness"
+        assert out.node == 1
+        assert "step 1" in out.detail
+
+
 def test_period_two_window_over_cross_ring():
     # over GF(2)[x,y]/(xy) the module R/(x) resolves ... -y-> R -x-> R with
     # period 2, and the two-sided splice stays exact after dualizing

@@ -470,3 +470,21 @@ def test_submodule_is_zero_builds_no_basis(count_calls):
     for sub, expected in ((nonzero, False), (zero, True)):
         verdict, builds = count_calls(FreeModuleGB, "__init__", sub.is_zero)
         assert verdict is expected and builds == 0
+
+
+def test_one_kernel_routine_and_its_edge_maps(count_calls):
+    # no columns is the map out of R^0, with no kernel generators; rank 0
+    # is the map onto R^0, whose kernel is all of the source, found with no
+    # engine; otherwise it agrees with the kernel read off an engine
+    from gproj.modules import SubmoduleEngine, colon_generators, identity, transpose
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    x, y, z = R.poly("x"), R.poly("y"), R.zero()
+    assert colon_generators(R, 2, ()) == ()
+    kernel, builds = count_calls(SubmoduleEngine, "__init__", colon_generators, R, 0, ((),) * 3)
+    assert kernel == identity(R, 3) and builds == 0
+    cols = ((x, y), (y, z), (x * y, x))
+    assert colon_generators(R, 2, cols) == SubmoduleEngine(R, 2, cols).syzygies()
+    assert identity(R, 2) == ((R.one(), z), (z, R.one()))
+    assert identity(R, 2, y) == ((y, z), (z, y))
+    assert transpose(cols, 2) == ((x, y, x * y), (y, z, x))
+    assert transpose((), 2) == ((), ())

@@ -7,6 +7,7 @@ from gproj import (
     QQ,
     FPModule,
     FreeResolution,
+    InputError,
     ModuleMap,
     NotRegularOnQuotient,
     PolyRing,
@@ -276,6 +277,31 @@ def test_detector_accepts_flagship():
     assert cert.accepted and cert.spd_is_infinite
     assert cert.resolution.periodicity == (0, 1)
     assert str(cert.verdict) == "InfinitePeriodic(0,1)"
+
+
+def test_detector_needs_depth_two():
+    # the period-1 certificate is read off a resolution of depth `depth`
+    R = R4()
+    with pytest.raises(InputError, match="depth must be at least 2"):
+        infinite_pd_detector(R, R.poly("x"), 1)
+    assert infinite_pd_detector(R, R.poly("x"), 2).accepted
+
+
+def test_dual_maps_are_the_transposes_indexed_by_resolution_step():
+    R = R4()
+    res = free_resolution(FPModule(R, 1, [(R.poly("x"),)]), 3)
+    assert len(res.dual_maps) == len(res.maps)
+    for s, d in enumerate(res.maps):
+        assert res.dual_map(s) == tuple(tuple(col[i] for col in d) for i in range(res.rank(s)))
+    # past the end the dual map goes to zero: rank(s) empty columns, not the
+    # () of map(s), which would be a map with no source
+    past = len(res.maps)
+    assert res.rank(past) == 1 and res.map(past) == ()
+    assert res.dual_map(past) == ((),)
+    # a terminated resolution: d_2 = 0 out of F_2 = 0 dualizes to F_1* -> 0
+    Qx = polynomial_ring(QQ, ("x",))
+    short = free_resolution(FPModule(Qx, 1, [(Qx.poly("x"),)]), 3)
+    assert short.maps[1] == () and short.dual_map(1) == ((),)
 
 
 def test_detector_rejects_when_square_nonzero():

@@ -457,7 +457,7 @@ def test_queries_past_the_packing_width(guard):
         assert gb.reduce_vec({(0, (499, 1)): 1}) == {(1, (498, 1)): 6}
 
 
-@pytest.mark.parametrize("guard", [-1, 0])
+@pytest.mark.parametrize("guard", [0])  # a negative guard is an input error
 def test_guards_below_one(guard):
     gb = _graph_basis(guard)
     assert gb.reduce_vec({(1, (0, 0)): 2}) == {(1, (0, 0)): 2}
@@ -529,3 +529,13 @@ def test_products_that_cancel():
     assert F.poly("x + 1") * F.poly("x + 1") == F.poly("x^2 + 1")
     k = PolyRing(GF(3), ())
     assert (k.poly("2") * k.poly("2")).terms == (((), 1),)
+
+
+@pytest.mark.parametrize("guard", [-1, -3, 2.0, "8", None, True])
+def test_degree_guard_must_be_a_non_negative_int(guard):
+    with pytest.raises(InputError, match="degree guard must be a non-negative integer"):
+        PolyRing(QQ, ("x",), degree_guard=guard)
+
+
+def test_degree_guard_zero_is_valid():
+    assert PolyRing(QQ, ("x",), degree_guard=0).degree_guard == 0

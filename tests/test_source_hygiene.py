@@ -1,0 +1,55 @@
+"""Leftovers a linter would flag, found with the standard library's `ast`:
+an import that its module never reads, and a private module-level function
+or class that nothing in the package calls. `__init__.py` only re-exports,
+so its imports are not checked."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gproj"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_read(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    read = _names_read(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    assert not unused, f"{path.name} imports but never reads {unused}"
+
+
+def test_no_unreferenced_private_function_or_class():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    for tree in trees.values():  # a name imported from a sibling module counts
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and node.name not in read]
+    assert not orphans, f"private definitions nothing references: {orphans}"

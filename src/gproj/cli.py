@@ -31,7 +31,6 @@ from .modules import (
 )
 from .resolutions import (
     FreeResolution,
-    _find_periodicity,
     free_resolution,
     infinite_pd_detector,
     pd_bounded,
@@ -408,12 +407,17 @@ def _matrix_block(report: Report, key: str, rows) -> None:
 @span_scope
 def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Report, int]:
     """Dispatch one command against a parsed model; returns (report, exit code)."""
+    if cmd not in ARGUMENTS:
+        raise InputError(f"unknown command {cmd!r}")
     flag_depth, rest = _extract_flags(list(args))
     if flag_depth is not None:
         depth = flag_depth
-    missing = ARGUMENTS.get(cmd, ())[len(rest):]
-    if missing:
-        raise InputError(f"{cmd} needs a {missing[0]} argument")
+    wanted = ARGUMENTS[cmd]
+    if len(rest) < len(wanted):
+        raise InputError(f"{cmd} needs a {wanted[len(rest)]} argument")
+    if len(rest) > len(wanted):
+        raise InputError(f"{cmd} takes {len(wanted)} argument(s) "
+                         f"({', '.join(wanted) or 'none'}), got {len(rest)}: {' '.join(rest)}")
     report = Report()
     report.add("command", cmd)
     code = 0
@@ -445,7 +449,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         if depth >= 1:  # print the verdict's resolution, cut back to this depth
             verdict = pd_bounded(decl.module, depth)
             maps = verdict.resolution.maps[:depth + 1]
-            res = FreeResolution(decl.module, maps, depth, _find_periodicity(maps))
+            res = FreeResolution(decl.module, maps, depth)
         else:
             verdict, res = None, free_resolution(decl.module, depth)
         report.add("module", decl.name)
@@ -563,14 +567,12 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 "Smith form entries exceed the limit of "
                 f"{sys.get_int_max_str_digits()} digits for integer string "
                 "conversion") from None
-    elif cmd == "report":
+    else:  # report
         for i, task in enumerate(model.tasks):
             sub, sub_code = run_command(task[0], task[1:], model, depth)
             block = report.block(f"task{i}")
             block.entries.extend(sub.entries)
             code = max(code, sub_code)
-    else:
-        raise InputError(f"unknown command {cmd!r}")
     return report, code
 
 

@@ -213,10 +213,8 @@ def _complete_window(res: FreeResolution, window: int, dual_side
         mu, dual_res = dual_side()
         route = "dual_of_dual_resolution"
         g_ranks = dual_res.ranks
-        dd_eval = list(mu.double_dual.evaluation)
-        tau = tuple(
-            mat_vec(R, dd_eval, col) if dd_eval else (R.zero(),) * g_ranks[0]
-            for col in mu.map.columns)
+        tau = tuple(mat_vec(R, mu.double_dual.evaluation, col, g_ranks[0])
+                    for col in mu.map.columns)
         maps_ltr.append(tau)
         nodes_ltr.append(g_ranks[0])
         for s, d in enumerate(dual_res.dual_maps):

@@ -182,6 +182,8 @@ class SubmoduleEngine:
 
     def witness(self, column) -> Optional[list[Poly]]:
         """Coefficients expressing the column in the generators, or None."""
+        if len(column) != self.rank:
+            raise InputError(f"column of length {len(column)} queried in rank {self.rank}")
         r = self.gb.reduce_vec(_column_to_vec(column))
         if any(pos < self.rank for (pos, _) in r):
             return None
@@ -195,6 +197,17 @@ class SubmoduleEngine:
 
     def contains(self, column) -> bool:
         return self.witness(column) is not None
+
+    def lift(self, columns) -> Optional[tuple[Column, ...]]:
+        """The one solver: X with generators * X = columns, as one witness
+        column per column, or None as soon as a column misses the span."""
+        out = []
+        for col in columns:
+            wit = self.witness(col)
+            if wit is None:
+                return None
+            out.append(tuple(wit))
+        return tuple(out)
 
     def syzygies(self) -> tuple[Column, ...]:
         """Canonical generating set of the syzygy module of the columns."""
@@ -324,15 +337,15 @@ class FPModule:
                 f"rels={len(self.relations)})")
 
 
-def mat_vec(R: QuotRing, columns, vec) -> Column:
-    """Apply the column-major matrix to a coefficient vector."""
-    rank = len(columns[0]) if columns else 0
-    acc = [R.base.zero() for _ in range(rank)]
+def mat_vec(R: QuotRing, columns, vec, nrows: int) -> Column:
+    """Apply the column-major matrix with nrows rows to a coefficient vector;
+    no columns give nrows zeros."""
+    acc = [R.base.zero() for _ in range(nrows)]
     for j, c in enumerate(vec):
         if c.is_zero():
             continue
         col = columns[j]
-        for i in range(rank):
+        for i in range(nrows):
             if not col[i].is_zero():
                 acc[i] = acc[i] + col[i] * c
     return tuple(p if p.is_zero() else R.nf(p) for p in acc)
@@ -357,7 +370,7 @@ class ModuleMap:
         self.columns = columns
         if check:
             for rel in source.relations:
-                image = self._apply(rel)
+                image = self.apply_to_vector(rel)
                 if not target._engine.contains(image):
                     raise MapNotWellDefined(
                         "image of a source relation misses the target relation span")
@@ -384,19 +397,16 @@ class ModuleMap:
                 for j in range(source.ngens)]
         return cls(source, target, cols)
 
-    def _apply(self, vec) -> Column:
-        if not self.columns:
-            return _zero_column(self.source.ring, self.target.ngens)
-        return mat_vec(self.source.ring, self.columns, vec)
-
     def apply_to_vector(self, vec) -> Column:
-        return self._apply(vec)
+        if len(vec) != self.source.ngens:
+            raise InputError(f"vector of length {len(vec)} for {self.source.ngens} generators")
+        return mat_vec(self.source.ring, self.columns, vec, self.target.ngens)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other (matrix product with re-certification)."""
         if other.target is not self.source and not other.target.same_presentation(self.source):
             raise InputError("composition sources do not line up")
-        cols = [self._apply(c) for c in other.columns]
+        cols = [self.apply_to_vector(c) for c in other.columns]
         return ModuleMap(other.source, self.target, cols)
 
     def rows(self) -> list[list[Poly]]:
@@ -484,7 +494,8 @@ class SubmoduleOfFree:
         syz = colon_generators(self.ring, self.ambient_rank,
                                self.generators + other.generators)
         cols = canonical_generators(self.ring, self.ambient_rank,
-                                    [mat_vec(self.ring, self.generators, s[:n]) for s in syz])
+                                    [mat_vec(self.ring, self.generators, s[:n], self.ambient_rank)
+                                     for s in syz])
         return SubmoduleOfFree(self.ring, self.ambient_rank, cols)
 
     def __repr__(self):
@@ -534,16 +545,12 @@ def dual_module(M: FPModule) -> DualModule:
 
 def dual_map(f: ModuleMap, dual_target: DualModule, dual_source: DualModule) -> ModuleMap:
     """Hom(f, R): from the dual of f's target to the dual of f's source."""
-    R = f.source.ring
-    n_src = f.source.ngens
-    src_engine = span_engine(R, n_src, dual_source.evaluation)
-    cols = []
-    for w in dual_target.evaluation:
-        # the functional w pulled back along f, as a row on source generators
-        wit = src_engine.witness(mat_vec(R, f.rows(), w))
-        if wit is None:
-            raise MapNotWellDefined("pulled-back functional misses the dual module")
-        cols.append(tuple(wit))
+    R, n_src, rows = f.source.ring, f.source.ngens, f.rows()
+    # each functional w pulled back along f, as a row on source generators
+    cols = span_engine(R, n_src, dual_source.evaluation).lift(
+        [mat_vec(R, rows, w, n_src) for w in dual_target.evaluation])
+    if cols is None:
+        raise MapNotWellDefined("pulled-back functional misses the dual module")
     return ModuleMap(dual_target.module, dual_source.module, cols)
 
 
@@ -560,13 +567,10 @@ def double_dual_map(M: FPModule) -> DoubleDualResult:
     R = M.ring
     D = dual_module(M)
     DD = dual_module(D.module)
-    engine = span_engine(R, D.module.ngens, DD.evaluation)
-    cols = []
-    for u in transpose(D.evaluation, M.ngens):
-        wit = engine.witness(u)
-        if wit is None:
-            raise MapNotWellDefined("evaluation vector misses the double dual")
-        cols.append(tuple(wit))
+    cols = span_engine(R, D.module.ngens, DD.evaluation).lift(
+        transpose(D.evaluation, M.ngens))
+    if cols is None:
+        raise MapNotWellDefined("evaluation vector misses the double dual")
     mu = ModuleMap(M, DD.module, cols)
     if mu.kernel_is_zero():
         verdict = "iso" if mu.cokernel_is_zero() else "mono_not_iso"
@@ -784,7 +788,7 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
 
     high = [coords(w, k, bound + 1) for w in multiples]
     lows = [coords(w, 0, k) for w in multiples]
-    cols = [mat_vec(R, lows, s) for s in colon_generators(R, (bound + 1 - k) * r, high)]
+    cols = [mat_vec(R, lows, s, r * k) for s in colon_generators(R, (bound + 1 - k) * r, high)]
     return SubmoduleOfFree(R, r * k, canonical_generators(R, r * k, cols))
 
 
@@ -819,14 +823,10 @@ def subquotient(numerator: SubmoduleOfFree, denominator) -> FPModule:
     must be reduced and lie in the numerator, plus the syzygies of the
     numerator generators.
     """
-    cols = []
-    for w in denominator:
-        wit = numerator._engine.witness(w)
-        if wit is None:
-            raise InputError("denominator not contained in numerator")
-        cols.append(tuple(wit))
-    cols += list(numerator.syzygies())
-    return FPModule(numerator.ring, len(numerator.generators), cols)
+    cols = numerator._engine.lift(denominator)
+    if cols is None:
+        raise InputError("denominator not contained in numerator")
+    return FPModule(numerator.ring, len(numerator.generators), cols + numerator.syzygies())
 
 
 def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
@@ -844,11 +844,7 @@ def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
             raise InputError(f"inclusion certificate fails: {what}")
     Q = subquotient(B, A.generators)
     Q1 = subquotient(B1, A1.generators)
-    cols = []
-    for g in B.generators:
-        wit = B1._engine.witness(g)
-        cols.append(tuple(wit))
-    h = ModuleMap(Q, Q1, cols)
+    h = ModuleMap(Q, Q1, B1._engine.lift(B.generators))
     mono = h.kernel_is_zero()
     inter = A1.intersect(B)
     equal = inter.contains_submodule(A) and A.contains_submodule(inter)

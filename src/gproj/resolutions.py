@@ -44,11 +44,15 @@ class FreeResolution:
     module: FPModule
     maps: tuple  # maps[s] = d_{s+1}: F_{s+1} -> F_s, a tuple of columns
     verified_depth: int
-    periodicity: Optional[tuple[int, int]]  # (start s, period p)
 
     @cached_property  # read once per step by report_lines, rank() and pd_bounded
     def ranks(self) -> list[int]:
         return [self.module.ngens] + [len(m) for m in self.maps]
+
+    @cached_property  # read by report_lines and pd_bounded
+    def periodicity(self) -> Optional[tuple[int, int]]:
+        """(start s, period p) of the first literal repeat of the maps, or None."""
+        return _find_periodicity(self.maps)
 
     def rank(self, s: int) -> int:
         """Rank of F_s; 0 past the end of the resolution."""
@@ -124,8 +128,7 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
         rank_next = len(current)
         maps.append(colon_generators(R, rank, current))
         rank = rank_next
-    maps_t = tuple(maps)
-    return FreeResolution(M, maps_t, depth, _find_periodicity(maps_t))
+    return FreeResolution(M, tuple(maps), depth)
 
 
 @_per_scope
@@ -143,7 +146,7 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
     """
     if rank_here == 0:
         return ()
-    if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col)):
+    if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col, rank_next)):
         return None
     kernel = colon_generators(R, rank_next, outgoing)
     image = span_engine(R, rank_here, incoming)
@@ -362,57 +365,32 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
 
     # lift each C-generator through proj
     proj_engine = span_engine(R, C.ngens, proj.columns + C.canonical_relations)
-    beta = [tuple(proj_engine.witness(e)[:B.ngens]) for e in identity(R, C.ngens)]
+    beta = [w[:B.ngens] for w in proj_engine.lift(identity(R, C.ngens))]
 
     # h_1: correction into F^A_0 for each column of c_1
     incl_engine = span_engine(R, B.ngens, incl.columns + B.canonical_relations)
-    h_blocks: list[list[Column]] = []
-    h1 = []
-    for col in res_c.map(0):
-        v = mat_vec(R, beta, col) if beta else _zero_column(R, B.ngens)
-        wit = incl_engine.witness(v)
-        if wit is None:
-            raise InputError("horseshoe lift failed at level 0")
-        h1.append(tuple(-p for p in wit[:A.ngens]))
-    h_blocks.append(h1)
+    lifted = incl_engine.lift([mat_vec(R, beta, col, B.ngens) for col in res_c.map(0)])
+    if lifted is None:
+        raise InputError("horseshoe lift failed at level 0")
+    h = [tuple(-p for p in wit[:A.ngens]) for wit in lifted]
 
     maps = []
     for s in range(depth):
-        a_cols = res_a.map(s)
-        c_cols = res_c.map(s)
-        ra, rc = res_a.rank(s), res_c.rank(s)
-        h = h_blocks[s]
-        block = []
-        for col in a_cols:
-            block.append(tuple(col) + _zero_column(R, rc))
-        for j, col in enumerate(c_cols):
-            block.append(tuple(h[j]) + tuple(col))
-        maps.append(tuple(block))
-        # solve the next correction block: a_s * h_{s+1} = -(h_s * c_{s+1})
-        nxt = []
-        if res_c.map(s + 1):
-            solver = span_engine(R, ra, a_cols) if a_cols else None
-            for col in res_c.map(s + 1):
-                rhs = mat_vec(R, h, col) if h else _zero_column(R, ra)
-                rhs = tuple(-p for p in rhs)
-                if all(p.is_zero() for p in rhs):
-                    nxt.append(_zero_column(R, len(a_cols)))
-                    continue
-                if solver is None:
-                    raise InputError("horseshoe lift failed: no free cover")
-                wit = solver.witness(rhs)
-                if wit is None:
-                    raise InputError(f"horseshoe lift failed at level {s + 1}")
-                nxt.append(tuple(wit))
-        h_blocks.append(nxt)
+        a_cols, c_cols, ra = res_a.map(s), res_c.map(s), res_a.rank(s)
+        zeros = _zero_column(R, res_c.rank(s))
+        maps.append(tuple([col + zeros for col in a_cols]
+                          + [h[j] + col for j, col in enumerate(c_cols)]))
         if not res_a.map(s + 1) and not res_c.map(s + 1):
             break
+        # solve the next correction block: a_s * h_{s+1} = -(h_s * c_{s+1})
+        h = span_engine(R, ra, a_cols).lift(
+            [tuple(-p for p in mat_vec(R, h, col, ra)) for col in res_c.map(s + 1)])
+        if h is None:
+            raise InputError(f"horseshoe lift failed at level {s + 1}")
     combined_rank = A.ngens + C.ngens
     middle = FPModule(R, combined_rank, maps[0] if maps else ())
-    maps_t = tuple(maps)
-    res = FreeResolution(middle, maps_t, depth, _find_periodicity(maps_t))
-    aug_cols = [tuple(col) for col in incl.columns] + beta
-    aug = ModuleMap(FPModule.free(R, combined_rank), B, aug_cols)
+    res = FreeResolution(middle, tuple(maps), depth)
+    aug = ModuleMap(FPModule.free(R, combined_rank), B, list(incl.columns) + beta)
     return HorseshoeResult(res, aug)
 
 
@@ -470,31 +448,22 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
 
     # phi columns: for each A-generator a, the element a (x) x - (x a) (x) 1
     phi_cols = []
+    zeros = (R.zero(),) * r
     for a_col in A_sub.generators:
-        # embed the F_{k-1} window coordinates into the F_k window
-        embedded = tuple(a_col) + tuple(R.zero() for _ in range(r))
-        c_wit = B_sub.witness(embedded)
-        shifted = tuple(R.zero() for _ in range(r)) + tuple(a_col)
-        d_wit = B_sub.witness(shifted)
-        if c_wit is None or d_wit is None:
+        # the F_{k-1} window coordinates embedded into the F_k window (c),
+        # and shifted up one degree there (d)
+        wits = B_sub._engine.lift([a_col + zeros, zeros + a_col])
+        if wits is None:
             raise InputError("window intersection witnesses failed")
-        col = []
-        for i in range(len(B_sub.generators)):
-            c_i = embed_poly(c_wit[i], base)
-            d_i = embed_poly(d_wit[i], base)
-            col.append(S.nf(c_i * var_poly - d_i))
-        phi_cols.append(tuple(col))
+        phi_cols.append(tuple(S.nf(embed_poly(c, base) * var_poly - embed_poly(d, base))
+                              for c, d in zip(*wits)))
     phi = ModuleMap(A_ext, B_ext, phi_cols)
 
     # psi columns: each B-generator, rebuilt as an ambient vector, inside M
-    psi_cols = []
-    M_engine = span_engine(S, r, Msub.generators)
-    for b_col in B_sub.generators:
-        ambient = window_vector_to_ambient(b_col, r, S, var)
-        wit = M_engine.witness(ambient)
-        if wit is None:
-            raise InputError("window generator escaped the submodule")
-        psi_cols.append(tuple(wit))
+    psi_cols = Msub._engine.lift(
+        [window_vector_to_ambient(b_col, r, S, var) for b_col in B_sub.generators])
+    if psi_cols is None:
+        raise InputError("window generator escaped the submodule")
     psi = ModuleMap(B_ext, M_fp, psi_cols)
 
     exactness = verify_short_exact(phi, psi)

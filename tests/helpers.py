@@ -11,7 +11,6 @@ from itertools import product
 from math import gcd
 
 from gproj import GF, QQ, FPModule, PolyRing, QuotRing
-from gproj.modules import mat_vec
 
 # the rings of the gclass benchmark workload: field, variables, modulus
 GCLASS_RINGS = {
@@ -111,12 +110,6 @@ def module_cosets(M: FPModule, elements):
             seen[w] = rep
         reps[rep] = None
     return seen, list(reps)
-
-
-def apply_columns(R, columns, vec):
-    if not columns:
-        return ()
-    return mat_vec(R, list(columns), vec)
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ def test_criterion_2_resolution_soundness_random_modules():
             # composites vanish, checked directly
             for s in range(len(res.maps) - 1):
                 for col in res.maps[s + 1]:
-                    image = mat_vec(R, list(res.maps[s]), col) \
-                        if res.maps[s] else ()
+                    image = mat_vec(R, res.maps[s], col, res.ranks[s])
                     assert all(q.is_zero() for q in image)
             if ring_index == 0:
                 ranks = res.ranks
@@ -149,7 +148,7 @@ def test_criterion_2_resolution_soundness_random_modules():
                     kernel = {
                         v for v in vector_space(R, ranks[s + 1], elements)
                         if all(q.is_zero()
-                               for q in mat_vec(R, list(res.maps[s]), v))}
+                               for q in mat_vec(R, res.maps[s], v, ranks[s]))}
                     image = span_of_columns(R, ranks[s + 1],
                                             res.maps[s + 1], elements)
                     assert kernel == image

@@ -311,3 +311,33 @@ def test_lemma45_depth_one_names_its_own_bound(tmp_path, capsys):
     assert main(["lemma45", str(path), "R2", "x", "--depth", "1"]) == 2
     assert capsys.readouterr().err == "input error: depth must be at least 2\n"
     assert main(["lemma45", str(path), "R2", "x", "--depth", "2"]) == 0
+
+
+def test_surplus_arguments_are_an_input_error(tmp_path, capsys):
+    # each surplus argument used to be dropped: pd ran on I, snf reduced the
+    # first matrix, nf read x^2 + 1 as x^2, a misspelt flag ran at depth 8
+    text = FLAGSHIP.replace("task pd --depth 8 I\ntask gclass --depth 5 I\n", "")
+    model = parse_model_file(text)
+    with pytest.raises(InputError, match=r"^pd takes 1 argument\(s\) \(module\), got 2: I J$"):
+        run_command("pd", ["I", "J"], model)
+    with pytest.raises(InputError, match="nf takes 2 argument"):
+        run_command("nf", ["R2", "x^2", "+", "1"], model)
+    with pytest.raises(InputError, match="report takes 0 argument"):
+        run_command("report", ["I"], model)
+    with pytest.raises(InputError, match="unknown command 'frob'"):
+        run_command("frob", ["I"], model)
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert main(["pd", str(path), "I", "J"]) == 2
+    assert capsys.readouterr().err == \
+        "input error: pd takes 1 argument(s) (module), got 2: I J\n"
+    assert main(["snf", "-", "[[2]]", "[[3]]"]) == 2
+    assert "snf takes 1 argument(s) (matrix)" in capsys.readouterr().err
+    for task, err in (("nf R2 x^2 + 1", "nf takes 2 argument(s) (ring, polynomial), "
+                                        "got 4: R2 x^2 + 1"),
+                      ("pd I --dpeth 3", "pd takes 1 argument(s) (module), got 3: I --dpeth 3")):
+        path.write_text(f"{text}task {task}\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {err}\n"
+    path.write_text(text + "task pd --depth 3 I --format machine\n")
+    assert main(["report", str(path)]) == 0

@@ -30,7 +30,7 @@ from gproj import (
     quotient_by_regular_element,
     restrict_scalars_monic,
 )
-from gproj.errors import MapNotWellDefined, RingMismatch
+from gproj.errors import InputError, MapNotWellDefined, RingMismatch
 from gproj.modules import FreeModuleGB
 from gproj.rings import substitute_zero, restrict_poly
 
@@ -454,7 +454,7 @@ def test_zero_polynomials_skip_normal_form(count_calls):
     x, y, z = R.poly("x"), R.poly("y"), R.zero()
     col, calls = count_calls(QuotRing, "nf", _nf_column, R, (x, z, y * y, z))
     assert col == (x, z, z, z) and calls == 2
-    prod, calls = count_calls(QuotRing, "nf", mat_vec, R, [(x, z, z), (y, z, x)], (x, y))
+    prod, calls = count_calls(QuotRing, "nf", mat_vec, R, [(x, z, z), (y, z, x)], (x, y), 3)
     assert prod == (z, z, x * y) and calls == 2  # x^2 + y^2 was not yet zero
     other = PolyRing(GF(2), ("u",))
     with pytest.raises(RingMismatch):
@@ -488,3 +488,45 @@ def test_one_kernel_routine_and_its_edge_maps(count_calls):
     assert identity(R, 2, y) == ((y, z), (z, y))
     assert transpose(cols, 2) == ((x, y, x * y), (y, z, x))
     assert transpose((), 2) == ((), ())
+
+
+def test_lift_is_the_one_solver():
+    # lift solves generators * X = columns one witness column per column,
+    # and gives None as soon as a column misses the span
+    from gproj.modules import SubmoduleEngine, mat_vec
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    x, y, z = R.poly("x"), R.poly("y"), R.zero()
+    gens = ((x, y), (y, z))
+    eng = SubmoduleEngine(R, 2, gens)
+    assert eng.lift(()) == ()
+    assert SubmoduleEngine(R, 1, ()).lift([(z,)]) == ((),)
+    assert eng.lift([(x, y), (R.one(), z)]) is None
+    columns = [(x, y), (x * y, z), (x + y, y), (z, z)]
+    lifted = eng.lift(columns)
+    assert len(lifted) == len(columns)
+    assert [mat_vec(R, gens, w, 2) for w in lifted] == columns
+
+
+def test_mat_vec_takes_its_row_count():
+    from gproj.modules import mat_vec
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    assert mat_vec(R, (), (), 3) == (R.zero(),) * 3
+    assert mat_vec(R, ((), ()), (R.one(), R.poly("x")), 0) == ()
+
+
+def test_a_query_of_the_wrong_length_is_an_input_error():
+    # the surplus entry of (x, 1) would land in the engine's tag block and
+    # read as a member with witness [0]; a short column would be padded
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    x = R.poly("x")
+    M = FPModule(R, 1, [(x,)])
+    sub = SubmoduleOfFree(R, 1, [(x,)])
+    for ask in (M.rel_witness, M.rel_span_contains, sub.witness, sub.contains_vector):
+        for column in ((x, R.one()), ()):
+            with pytest.raises(InputError, match="length"):
+                ask(column)
+    f = ModuleMap(FPModule.free(R, 2), FPModule.free(R, 1), [(x,), (R.one(),)])
+    assert f.apply_to_vector((R.one(), x)) == (R.zero(),)
+    for vec in ((R.one(),), (R.one(), x, x)):
+        with pytest.raises(InputError, match="length"):
+            f.apply_to_vector(vec)

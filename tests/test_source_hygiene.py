@@ -1,14 +1,16 @@
 """Leftovers a linter would flag, found with the standard library's `ast`:
-an import that its module never reads, and a private module-level function
-or class that nothing in the package calls. `__init__.py` only re-exports,
-so its imports are not checked."""
+an import that its module never reads, a private module-level function
+or class that nothing in the package calls, and a function in the tests'
+`helpers.py` that no test and no other helper calls. `__init__.py` only
+re-exports, so its imports are not checked."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gproj"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gproj"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -24,6 +26,11 @@ def _names_read(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _names_imported(tree):
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -46,10 +53,23 @@ def test_no_unreferenced_private_function_or_class():
     trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
     read = set().union(*map(_names_read, trees.values()))
     for tree in trees.values():  # a name imported from a sibling module counts
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= _names_imported(tree)
     orphans = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and node.name not in read]
     assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+def test_no_unreferenced_test_helper():
+    read = set()
+    for path in TESTS.glob("*.py"):
+        if path.name != "helpers.py":
+            tree = _tree(path)
+            read |= _names_read(tree) | _names_imported(tree)
+    body = _tree(TESTS / "helpers.py").body
+    # a call from another helper counts, a recursive one does not
+    orphans = [node.name for node in body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name not in read
+               and not any(node.name in _names_read(other) for other in body if other is not node)]
+    assert not orphans, f"helpers.py functions nothing references: {orphans}"

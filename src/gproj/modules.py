@@ -8,9 +8,9 @@ membership tests, membership witnesses, and syzygies over the quotient ring.
 Every Poly in a column held by an FPModule, ModuleMap, SubmoduleOfFree,
 SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
 ring's modulus. Only new polynomials are reduced: products, base changes,
-parses, columns read out of a preimage basis, and the columns a caller hands
-to a public constructor or query. Normal form is linear, so sums and
-negations of reduced columns are reduced.
+parses, the basis elements led by a modulus lead that `_read_columns` reads
+out, and the columns a caller hands to a public constructor or query. Normal
+form is linear, so sums and negations of reduced columns are reduced.
 
 Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
@@ -62,11 +62,11 @@ def _column_to_vec(col: Column) -> Vec:
     return v
 
 
-def _vec_to_column(v: Vec, rank: int, ring: PolyRing) -> Column:
-    """Split v, whose terms run in descending POT order, into polynomials."""
+def _vec_to_column(v: Vec, rank: int, ring: PolyRing, start: int) -> Column:
+    """Split v, terms in descending POT order from position start, into polynomials."""
     per_pos: list[list] = [[] for _ in range(rank)]
     for (pos, e), c in v.items():
-        per_pos[pos].append((e, c))
+        per_pos[pos - start].append((e, c))
     return tuple(Poly(ring, tuple(terms)) for terms in per_pos)
 
 
@@ -144,22 +144,34 @@ def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     for g in R.modulus.reduced_gb:
         for i in range(rank):
             vectors.append({(i, e): c for e, c in g.terms})
-    gb = FreeModuleGB(R.base, rank, vectors)
+    return _read_columns(R, FreeModuleGB(R.base, rank, vectors), 0, rank)
+
+
+def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple[Column, ...]:
+    """The nonzero columns in R^rank of the elements of the reduced basis gb led
+    at position start or later, in basis order. gb's module holds every g*e_i,
+    g in the modulus, so only a lead equal to some LM(g) can be unreduced."""
+    modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
     out = []
     for b in gb.basis:
-        col = tuple(p if p.is_zero() else R.nf(p) for p in _vec_to_column(b, rank, R.base))
-        if any(not p.is_zero() for p in col):
-            out.append(col)
+        pos, lead = next(iter(b))
+        if pos >= start:
+            col = _vec_to_column(b, rank, R.base, start)
+            if lead in modulus_leads:
+                col = _nf_column(R, col)
+            if any(not p.is_zero() for p in col):
+                out.append(col)
     return tuple(out)
 
 
 class SubmoduleEngine:
     """Membership, witnesses, and syzygies for an R-submodule of R^rank.
 
-    One graph basis serves all three queries: generators are tagged with unit
-    vectors in an extra block, modulus multiples enter at every position
-    (the tag-block ones keep the build's tags reduced), and the POT order
-    eliminates the ambient block first. Columns and queries must be
+    One graph basis, one Buchberger run, serves all three queries: generators
+    are tagged with unit vectors in an extra block, modulus multiples enter
+    at every position (the tag-block ones keep the build's tags reduced), and
+    the POT order eliminates the ambient block first, so the syzygies are
+    read off the tag block with no second basis. Columns and queries must be
     reduced: an unreduced one gets the same answers but may trip the guard.
     """
 
@@ -212,16 +224,10 @@ class SubmoduleEngine:
     def syzygies(self) -> tuple[Column, ...]:
         """Canonical generating set of the syzygy module of the columns."""
         if self._syzygies is None:
-            # the tag block, less the elements led by a modulus lead g: each is
-            # g*e_j plus a combination of the others, which are all reduced
-            modulus_leads = {g.lead_monomial() for g in self.R.modulus.reduced_gb}
-            raw = []
-            for b in self.gb.basis:
-                lead_pos, lead = next(iter(b))
-                if lead_pos >= self.rank and lead not in modulus_leads:
-                    shifted = {(pos - self.rank, e): c for (pos, e), c in b.items()}
-                    raw.append(_vec_to_column(shifted, self.m, self.R.base))
-            self._syzygies = canonical_generators(self.R, self.m, raw)
+            # by POT elimination the tag block is the reduced basis of the
+            # preimage {s : sum s_j*col_j in I*P^rank}, which is unique, so
+            # these are canonical_generators' columns, in its order
+            self._syzygies = _read_columns(self.R, self.gb, self.rank, self.m)
         return self._syzygies
 
 

@@ -67,7 +67,7 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 class PolyRing:
     """k[x_1, ..., x_n] with a fixed monomial order ('grevlex' or 'lex')."""
 
-    __slots__ = ("field", "variables", "order", "degree_guard", "_key", "_varindex")
+    __slots__ = ("field", "variables", "order", "degree_guard", "_key", "_varindex", "_hash")
 
     def __init__(self, field: Field, variables: Iterable[str], order: str = "grevlex",
                  degree_guard: int = DEFAULT_DEGREE_GUARD):
@@ -88,6 +88,7 @@ class PolyRing:
         self.degree_guard = degree_guard
         self._key = _ORDER_KEYS[order]
         self._varindex = {v: i for i, v in enumerate(variables)}
+        self._hash = hash((field, variables, order))  # immutable: hashed once
 
     @property
     def nvars(self) -> int:
@@ -102,7 +103,7 @@ class PolyRing:
             and self.variables == other.variables and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.field, self.variables, self.order))
+        return self._hash
 
     def __repr__(self):
         return f"{self.field!r}[{', '.join(self.variables)}] ({self.order})"
@@ -671,7 +672,7 @@ class Ideal:
     """A finitely generated ideal with its rank-1 FreeModuleGB, which membership
     and quotient normal forms reduce through, and that basis as polynomials."""
 
-    __slots__ = ("ring", "generators", "reduced_gb", "_gb")
+    __slots__ = ("ring", "generators", "reduced_gb", "_gb", "_hash")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Poly]):
         gens = []
@@ -689,6 +690,7 @@ class Ideal:
             self._gb = FreeModuleGB(ring, 1, [{(0, e): c for e, c in g.terms} for g in gens])
             self.reduced_gb = tuple(Poly(ring, tuple((e, c) for (_, e), c in v.items()))
                                     for v in self._gb.basis)
+        self._hash = hash((ring, self.reduced_gb))
 
     def is_zero(self) -> bool:
         return not self.reduced_gb
@@ -708,7 +710,7 @@ class Ideal:
                 and self.reduced_gb == other.reduced_gb)
 
     def __hash__(self):
-        return hash((self.ring, self.reduced_gb))
+        return self._hash
 
     def __repr__(self):
         return "(" + ", ".join(format_poly(g) for g in self.reduced_gb) + ")"
@@ -721,13 +723,14 @@ def ideal_membership(f: Poly, ideal: Ideal) -> bool:
 class QuotRing:
     """base / modulus; elements are represented by unique normal forms."""
 
-    __slots__ = ("base", "modulus")
+    __slots__ = ("base", "modulus", "_hash")
 
     def __init__(self, base: PolyRing, modulus: Ideal):
         if modulus.ring != base:
             raise RingMismatch("modulus over a different ring")
         self.base = base
         self.modulus = modulus
+        self._hash = hash((base, modulus))
 
     def nf(self, f: Poly) -> Poly:
         if f.ring != self.base:
@@ -772,7 +775,7 @@ class QuotRing:
                 and self.modulus == other.modulus)
 
     def __hash__(self):
-        return hash((self.base, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.modulus.is_zero():

@@ -402,34 +402,35 @@ def test_failing_run_presents_each_nonzero_ext_once(count_calls):
     assert nonzero and calls == len(nonzero)
 
 
-def test_g_class_test_builds_at_most_43_module_bases(count_calls):
+def test_g_class_test_builds_at_most_23_module_bases(count_calls):
     # Hom terms are column lists, and within one call each column list is
     # spanned once: the window, the Ext kernels and the dual resolution
-    # reuse the bases the resolutions built, and a vanishing Ext is
-    # certified by membership in a span the window needs anyway
+    # reuse the bases the resolutions built, a vanishing Ext is certified
+    # by membership in a span the window needs anyway, and each kernel is
+    # read off its engine's basis with no second build
     rep, builds = count_calls(FreeModuleGB, "__init__", g_class_test,
                               _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert builds <= 43
+    assert builds <= 23
 
 
-def test_gpd_bounded_builds_at_most_34_module_bases(count_calls):
+def test_gpd_bounded_builds_at_most_20_module_bases(count_calls):
     # the G-class test of the first syzygy reuses the resolution of M
     verdict, builds = count_calls(FreeModuleGB, "__init__", gpd_bounded,
                                   _residue_field_of_xy_squares(), 1, 2)
     assert str(verdict) == "AtMost(1)"
-    assert builds <= 34
+    assert builds <= 20
 
 
-def test_g_class_test_makes_at_most_489_normal_forms(count_calls):
+def test_g_class_test_makes_at_most_269_normal_forms(count_calls):
     # columns are held in normal form, so only new products, the nonzero
-    # polynomials of the columns read out of a preimage basis and the
+    # polynomials of the basis elements led by a modulus lead and the
     # constructors' nonzero inputs get reduced; the unit takes none, and
     # each node's image-in-kernel products are made once per call
     rep, calls = count_calls(QuotRing, "nf", g_class_test,
                              _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert calls <= 489
+    assert calls <= 269
 
 
 def test_g_class_test_work_is_independent_of_depth_on_a_periodic_module(count_calls):

@@ -605,7 +605,7 @@ def main(argv=None) -> int:
             with open(ns.model, "r", encoding="utf-8") as fh:
                 model = parse_model_file(fh.read(), guard)
         report, code = run_command(ns.command, ns.args, model, ns.depth)
-    except (InputError, ParseError, FileNotFoundError, ValueError, IndexError) as exc:
+    except (InputError, ParseError, OSError, ValueError, IndexError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except MathRejection as exc:

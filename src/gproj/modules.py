@@ -11,19 +11,28 @@ ring's modulus. Only new polynomials are reduced: products, base changes,
 parses, the basis elements led by a modulus lead that `_read_columns` reads
 out, and the columns a caller hands to a public constructor or query. Normal
 form is linear, so sums and negations of reduced columns are reduced.
+`_read_columns` unpacks only the reducers of a basis from a given position
+on (a kernel is read from the tag block, never the ambient block), and
+`mat_vec` sums each row in one coefficient dict and reduces it once.
 
 Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
 Inside one top-level call of a `span_scope` entry point, each engine,
 canonical generating set and node verdict of `resolutions.exact_kernel` is
-built once; nothing is shared across calls or threads.
+built once; nothing is shared across calls or threads. A reduced basis is
+unique, so a canonical set is its own canonical set: every column tuple that
+`canonical_generators` or `SubmoduleEngine.syzygies()` returns is cached as
+that too, and a module presented on it builds no second basis.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
+from fractions import Fraction
 from functools import wraps
+from math import lcm
+from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -43,6 +52,7 @@ from .rings import (
     PolyRing,
     QuotRing,
     Vec,
+    _integer_terms,
     coeffs_by_variable,
     embed_poly,
     extend_ring,
@@ -60,14 +70,6 @@ def _column_to_vec(col: Column) -> Vec:
         for e, c in p.terms:
             v[(pos, e)] = c
     return v
-
-
-def _vec_to_column(v: Vec, rank: int, ring: PolyRing, start: int) -> Column:
-    """Split v, terms in descending POT order from position start, into polynomials."""
-    per_pos: list[list] = [[] for _ in range(rank)]
-    for (pos, e), c in v.items():
-        per_pos[pos - start].append((e, c))
-    return tuple(Poly(ring, tuple(terms)) for terms in per_pos)
 
 
 def _nf_column(R: QuotRing, col) -> Column:
@@ -129,8 +131,7 @@ def _per_scope(build):
     return memo
 
 
-@_per_scope
-def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
+def _canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     """Unique reduced generating set of the R-submodule spanned by columns.
 
     Computed as the reduced Groebner basis of the preimage submodule of
@@ -147,21 +148,36 @@ def canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
     return _read_columns(R, FreeModuleGB(R.base, rank, vectors), 0, rank)
 
 
+canonical_generators = _per_scope(_canonical_generators)
+
+
 def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple[Column, ...]:
     """The nonzero columns in R^rank of the elements of the reduced basis gb led
-    at position start or later, in basis order. gb's module holds every g*e_i,
-    g in the modulus, so only a lead equal to some LM(g) can be unreduced."""
+    at position start or later, in basis order; only those reducers of gb's
+    packed index are unpacked. gb's module holds every g*e_i, g in the
+    modulus, so only a lead equal to some LM(g) can be unreduced. Reduced
+    bases are unique, so inside a span scope the columns are also cached as
+    their own canonical_generators."""
     modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
+    base, one, unpack = R.base, R.base.field.one, gb._layout.unpack
     out = []
-    for b in gb.basis:
-        pos, lead = next(iter(b))
-        if pos >= start:
-            col = _vec_to_column(b, rank, R.base, start)
-            if lead in modulus_leads:
+    for pos, reducers in gb._index.items():  # in ascending position order
+        for lead, tail, _ in reducers if pos >= start else ():
+            per_pos: list[list] = [[] for _ in range(rank)]
+            _, expt = unpack(lead)
+            per_pos[pos - start].append((expt, one))
+            for m, c in tail:  # descending POT order, none before position pos
+                p, e = unpack(m)
+                per_pos[p - start].append((e, c))
+            col = tuple(Poly(base, tuple(terms)) for terms in per_pos)
+            if expt in modulus_leads:
                 col = _nf_column(R, col)
             if any(not p.is_zero() for p in col):
                 out.append(col)
-    return tuple(out)
+    out = tuple(out)
+    if (spans := _SPANS.get()) is not None:
+        spans[(_canonical_generators, R, R.base.degree_guard, (rank, out))] = out
+    return out
 
 
 class SubmoduleEngine:
@@ -345,16 +361,27 @@ class FPModule:
 
 def mat_vec(R: QuotRing, columns, vec, nrows: int) -> Column:
     """Apply the column-major matrix with nrows rows to a coefficient vector;
-    no columns give nrows zeros."""
-    acc = [R.base.zero() for _ in range(nrows)]
-    for j, c in enumerate(vec):
-        if c.is_zero():
-            continue
-        col = columns[j]
-        for i in range(nrows):
-            if not col[i].is_zero():
-                acc[i] = acc[i] + col[i] * c
-    return tuple(p if p.is_zero() else R.nf(p) for p in acc)
+    no columns give nrows zeros. Each row is summed in one dict of integer
+    numerators over the lcm of its products' denominators (plain ints over a
+    prime field), as Poly.__mul__ makes one product, and a nonzero row gets
+    one normal form."""
+    scaled = [(columns[j], *_integer_terms(c)) for j, c in enumerate(vec) if c.terms]
+    rows = []
+    for i in range(nrows):
+        products = [(*_integer_terms(col[i]), b, db) for col, b, db in scaled if col[i].terms]
+        den = lcm(*[da * db for _, da, _, db in products])
+        acc: dict = {}
+        for a, da, b, db in products:
+            for e1, c1 in a:
+                c1 *= den // (da * db)  # 1 over a prime field
+                for e2, c2 in b:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        if den != 1:
+            acc = {e: Fraction(n, den) for e, n in acc.items()}
+        p = R.base.from_dict(acc)  # maps the ints into the field, drops zeros
+        rows.append(p if p.is_zero() else R.nf(p))
+    return tuple(rows)
 
 
 class ModuleMap:
@@ -419,9 +446,15 @@ class ModuleMap:
         return [[col[i] for col in self.columns] for i in range(self.target.ngens)]
 
     def kernel_preimage_generators(self) -> tuple[Column, ...]:
-        """Generators in R^{source.ngens} of the preimage of the kernel."""
-        return colon_generators(self.source.ring, self.target.ngens,
-                                self.columns, self.target.canonical_relations)
+        """Generators in R^{source.ngens} of the preimage of the kernel: the
+        nonzero source halves of the syzygies of the columns and the target
+        relations. Not canonical, so fit for membership tests only. The
+        engine is the one cokernel_is_zero builds."""
+        n, T = self.source.ngens, self.target
+        if n == 0 or T.ngens == 0:
+            return identity(T.ring, n)
+        eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
+        return tuple(s[:n] for s in eng.syzygies() if any(p.terms for p in s[:n]))
 
     def kernel_is_zero(self) -> bool:
         return all(self.source._engine.contains(g)
@@ -800,16 +833,9 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
 
 def window_vector_to_ambient(col, r: int, S: QuotRing, var: str) -> Column:
     """Rebuild an F[x] vector from its (degree d, coordinate i) -> d*r+i slices."""
-    base = S.base
-    var_poly = base.var(var)
-    k = len(col) // r if r else 0
-    out = [base.zero() for _ in range(r)]
-    for d in range(k):
-        for i in range(r):
-            p = col[d * r + i]
-            if not p.is_zero():
-                out[i] = out[i] + embed_poly(p, base) * var_poly ** d
-    return tuple(S.nf(p) for p in out)
+    base, k = S.base, (len(col) // r if r else 0)
+    slices = [tuple(embed_poly(p, base) for p in col[d * r:(d + 1) * r]) for d in range(k)]
+    return mat_vec(S, slices, [base.var(var) ** d for d in range(k)], r)
 
 
 # ---------------------------------------------------------------------------

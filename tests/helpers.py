@@ -74,23 +74,40 @@ def vector_space(R, rank, elements):
 
 
 def span_of_columns(R, rank, columns, elements):
-    """The full element set of the submodule generated by the columns."""
+    """The full element set of the submodule generated by the columns: the
+    closure under addition of their monomial multiples (over GF(p), adding
+    a vector to itself gives its scalar multiples; a sum of normal forms is
+    one)."""
     zero = tuple(R.zero() for _ in range(rank))
     span = {zero}
     frontier = [zero]
-    step_vectors = []
-    for col in columns:
-        for c in elements:
-            v = tuple(R.mul(c, p) for p in col)
-            step_vectors.append(v)
+    monomials = [c for c in elements if len(c.terms) == 1 and c.lead_coeff() == 1]
+    step_vectors = [tuple(R.mul(c, p) for p in col) for col in columns for c in monomials]
     while frontier:
         base_vec = frontier.pop()
         for sv in step_vectors:
-            w = tuple(R.add(a, b) for a, b in zip(base_vec, sv))
+            w = tuple(a + b for a, b in zip(base_vec, sv))
             if w not in span:
                 span.add(w)
                 frontier.append(w)
     return span
+
+
+def matrix_image(R, columns, v, nrows):
+    """sum v_j * columns_j in R^nrows, one ring product at a time; sums of
+    normal forms are normal forms."""
+    out = [R.zero() for _ in range(nrows)]
+    for c, col in zip(v, columns):
+        out = [a + R.mul(c, p) for a, p in zip(out, col)]
+    return tuple(out)
+
+
+def kernel_vectors(R, columns, nrows, modifiers, elements):
+    """Every v in R^len(columns) whose image sum v_j * columns_j lies in the
+    span of the modifier columns of R^nrows, by enumeration."""
+    span = span_of_columns(R, nrows, modifiers, elements)
+    return [v for v in vector_space(R, len(columns), elements)
+            if matrix_image(R, columns, v, nrows) in span]
 
 
 def module_cosets(M: FPModule, elements):

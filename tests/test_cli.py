@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,24 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["gb", str(bad), "S"]) == 2
 
     assert main(["lemma45", str(good), "R2", "x+1"]) == 1
+
+
+def test_model_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys):
+    # a directory raises IsADirectoryError, an OSError like a missing file
+    for path in (tmp_path, tmp_path / "missing.model"):
+        assert main(["gb", str(path), "R"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "gproj", "snf", "-", "[[2]]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "diagonal: [2]" in done.stdout
 
 
 def test_main_byte_identical_runs(tmp_path, capsys):

@@ -6,9 +6,11 @@ from gproj import (
     CompleteResolutionFailure,
     CompleteResolutionWindow,
     FPModule,
+    ModuleMap,
     NoCoresolutionAvailable,
     PolyRing,
     complete_resolution_check,
+    double_dual_map,
     dual_module,
     ext_module,
     g_class_test,
@@ -402,24 +404,52 @@ def test_failing_run_presents_each_nonzero_ext_once(count_calls):
     assert nonzero and calls == len(nonzero)
 
 
-def test_g_class_test_builds_at_most_23_module_bases(count_calls):
+def test_g_class_test_builds_at_most_21_module_bases(count_calls):
     # Hom terms are column lists, and within one call each column list is
     # spanned once: the window, the Ext kernels and the dual resolution
     # reuse the bases the resolutions built, a vanishing Ext is certified
-    # by membership in a span the window needs anyway, and each kernel is
-    # read off its engine's basis with no second build
+    # by membership in a span the window needs anyway, each kernel is
+    # read off its engine's basis with no second build, a reduced basis is
+    # its own canonical set, and a kernel asked only for membership takes
+    # no canonical basis
     rep, builds = count_calls(FreeModuleGB, "__init__", g_class_test,
                               _residue_field_of_xy_squares(), 8)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert builds <= 23
+    assert builds <= 21
 
 
-def test_gpd_bounded_builds_at_most_20_module_bases(count_calls):
+def test_gpd_bounded_builds_at_most_17_module_bases(count_calls):
     # the G-class test of the first syzygy reuses the resolution of M
     verdict, builds = count_calls(FreeModuleGB, "__init__", gpd_bounded,
                                   _residue_field_of_xy_squares(), 1, 2)
     assert str(verdict) == "AtMost(1)"
-    assert builds <= 20
+    assert builds <= 17
+
+
+def test_double_dual_map_builds_no_basis_for_the_duals_relations(count_calls):
+    # the relations of each dual are colon_generators output, a reduced
+    # basis the span cache already holds as its own canonical set, so
+    # every basis built is an engine's
+    M = _residue_field_of_xy_squares()
+    (result, engines), builds = count_calls(FreeModuleGB, "__init__", count_calls,
+                                            SubmoduleEngine, "__init__", double_dual_map, M)
+    assert result.dual.module.relations and result.double_dual.module.relations
+    assert result.verdict == "iso"
+    assert builds == engines
+
+
+def test_kernel_is_zero_builds_no_canonical_basis(count_calls):
+    # membership of the kernel generators needs no canonical set: the one
+    # basis is the engine of the columns and the target relations
+    R = gclass_ring("A")
+    x, y = R.poly("x"), R.poly("y")
+    M = FPModule(R, 2, [(y, R.zero())])
+    for u, injective in ((x, False), (y, False), (R.one() + x, True)):
+        f = ModuleMap(M, M, [(u, R.zero()), (R.zero(), u)])
+        (verdict, engines), builds = count_calls(FreeModuleGB, "__init__", count_calls,
+                                                 SubmoduleEngine, "__init__", f.kernel_is_zero)
+        assert verdict is injective
+        assert builds == engines == 1
 
 
 def test_g_class_test_makes_at_most_269_normal_forms(count_calls):

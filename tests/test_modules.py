@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,12 +30,21 @@ from gproj import (
     polynomial_ring,
     quotient_by_regular_element,
     restrict_scalars_monic,
+    verify_short_exact,
 )
 from gproj.errors import InputError, MapNotWellDefined, RingMismatch
 from gproj.modules import FreeModuleGB
 from gproj.rings import substitute_zero, restrict_poly
 
-from helpers import module_cosets, ring_elements, span_of_columns, vector_space
+from helpers import (
+    gclass_ring,
+    kernel_vectors,
+    matrix_image,
+    module_cosets,
+    ring_elements,
+    span_of_columns,
+    vector_space,
+)
 
 
 def R4():
@@ -530,3 +540,115 @@ def test_a_query_of_the_wrong_length_is_an_input_error():
     for vec in ((R.one(),), (R.one(), x, x)):
         with pytest.raises(InputError, match="length"):
             f.apply_to_vector(vec)
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_mat_vec_is_the_sum_of_its_products(field, count_calls):
+    # one dict per row, over QQ integer numerators over the lcm of the
+    # denominators; a row that cancels to zero takes no normal form
+    from gproj.modules import mat_vec
+    from gproj.rings import QuotRing
+    R = PolyRing(field, ("x", "y")).quotient(["x^3", "x*y^2"])
+    rng = random.Random(field.kind)
+
+    def coefficient():
+        n = rng.randrange(-4, 5)
+        return Fraction(n, rng.randrange(1, 6)) if field.kind == "rationals" else n
+
+    def poly():
+        return R.nf(R.base.from_dict({(rng.randrange(4), rng.randrange(3)): coefficient()
+                                      for _ in range(rng.randrange(4))}))
+
+    cancelled = 0
+    for _ in range(60):
+        nrows, ncols = rng.randrange(4), rng.randrange(1, 4)
+        columns = [tuple(poly() for _ in range(nrows)) for _ in range(ncols)]
+        vec = [poly() for _ in range(ncols)]
+        columns.append(columns[0])  # a twin of the first column, weighted
+        vec.append(-vec[0])  # by minus its weight: with one column, all cancel
+        sums = [R.base.zero()] * nrows
+        for col, c in zip(columns, vec):
+            sums = [s + p * c for s, p in zip(sums, col)]
+        got, calls = count_calls(QuotRing, "nf", mat_vec, R, columns, vec, nrows)
+        assert got == tuple(R.nf(s) for s in sums)
+        assert calls == sum(not s.is_zero() for s in sums)
+        cancelled += sum(s.is_zero() and any(not p.is_zero() for p in row)
+                         for s, row in zip(sums, zip(*columns)))
+    assert cancelled
+
+
+def _random_module(R, elements, rng):
+    """A module of rank 1 or 2 over a finite ring, on 0 to 2 random relations."""
+    n = rng.randrange(1, 3)
+    return FPModule(R, n, [tuple(rng.choice(elements) for _ in range(n))
+                           for _ in range(rng.randrange(3))])
+
+
+def _random_map(source, target, elements, rng):
+    """A random matrix from source to target, or None if not well defined."""
+    cols = [tuple(rng.choice(elements) for _ in range(target.ngens))
+            for _ in range(source.ngens)]
+    try:
+        return ModuleMap(source, target, cols)
+    except MapNotWellDefined:
+        return None
+
+
+def _brute_injective(R, f, elements):
+    """f is injective iff every v with f(v) in the target relations lies in
+    the source relations: both sets enumerated."""
+    source_span = span_of_columns(R, f.source.ngens, f.source.relations, elements)
+    return all(v in source_span for v in kernel_vectors(
+        R, f.columns, f.target.ngens, f.target.relations, elements))
+
+
+@pytest.mark.parametrize("key", ["A", "E"])
+def test_kernel_is_zero_matches_the_brute_force_kernel(key):
+    R = gclass_ring(key)
+    elements = ring_elements(R)
+    rng = random.Random(f"kernel:{key}")
+    verdicts = []
+    while len(verdicts) < 10:
+        f = _random_map(_random_module(R, elements, rng), _random_module(R, elements, rng),
+                        elements, rng)
+        if f is not None:
+            want = _brute_injective(R, f, elements)
+            assert f.kernel_is_zero() is want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("key", ["A", "E"])
+def test_verify_short_exact_matches_brute_force(key):
+    R = gclass_ring(key)
+    elements = ring_elements(R)
+    rng = random.Random(f"exact:{key}")
+    x = R.poly("x")
+    # 0 -> R/ann(x) -> R -> R/(x) -> 0 is exact; random pairs mostly are not
+    ann = FPModule(R, 1, [(g,) for g in annihilator_of_element(x, R).generators])
+    ring = FPModule.free(R, 1)
+    pairs = [(ModuleMap(ann, ring, [(x,)]),
+              ModuleMap(ring, FPModule(R, 1, [(x,)]), [(R.one(),)]))]
+    while len(pairs) < 8:
+        A, B, C = (_random_module(R, elements, rng) for _ in range(3))
+        incl, proj = _random_map(A, B, elements, rng), _random_map(B, C, elements, rng)
+        if incl is not None and proj is not None:
+            pairs.append((incl, proj))
+    oks = []
+    for incl, proj in pairs:
+        B, C = incl.target, proj.target
+        span_c = span_of_columns(R, C.ngens, C.relations, elements)
+        image = span_of_columns(R, B.ngens, incl.columns + B.relations, elements)
+        want = (
+            _brute_injective(R, incl, elements),
+            all(matrix_image(R, proj.columns, col, C.ngens) in span_c for col in incl.columns),
+            all(v in image
+                for v in kernel_vectors(R, proj.columns, C.ngens, C.relations, elements)),
+            len(span_of_columns(R, C.ngens, proj.columns + C.relations, elements))
+            == len(elements) ** C.ngens,
+        )
+        report = verify_short_exact(incl, proj)
+        assert tuple(report) == want
+        oks.append(report.ok)
+    assert True in oks and False in oks

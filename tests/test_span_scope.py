@@ -130,3 +130,26 @@ def test_outputs_identical_with_the_scope_off(key, monkeypatch):
     scoped = run_all()
     monkeypatch.setattr(modules, "_new_spans", lambda: None)
     assert run_all() == scoped
+
+
+def test_a_canonical_set_is_its_own_canonical_set_in_a_scope(count_calls):
+    # reduced bases are unique, so what canonical_generators or an engine's
+    # syzygies return is cached as its own canonical set: a module presented
+    # on it builds no second basis, within the scope only
+    R = ring("A")
+    x, y = R.poly("x"), R.poly("y")
+    cols = [(x, y), (y, x), (x * y, R.zero())]
+
+    @span_scope
+    def rebuild():
+        canonical = canonical_generators(R, 2, cols)
+        syzygies = span_engine(R, 2, cols).syzygies()
+        again = [count_calls(FreeModuleGB, "__init__", canonical_generators, R, n, list(c))
+                 for n, c in ((2, canonical), (len(cols), syzygies))]
+        return canonical, syzygies, again
+
+    canonical, syzygies, again = rebuild()
+    assert canonical and syzygies
+    assert again == [(canonical, 0), (syzygies, 0)]
+    rebuilt = count_calls(FreeModuleGB, "__init__", canonical_generators, R, 2, canonical)
+    assert rebuilt == (canonical, 1)

@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import DegreeGuardExceeded, GprojError, InputError, MathRejection, ParseError
 from .fields import GF, QQ
@@ -184,21 +185,16 @@ class ModelFile:
 def _split_top_level(text: str) -> list[str]:
     """Split on commas that are not nested inside brackets."""
     parts = []
-    depth = 0
-    current = []
-    for ch in text:
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch == "[":
             depth += 1
-            current.append(ch)
         elif ch == "]":
             depth -= 1
-            current.append(ch)
         elif ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
+            parts.append(text[start:i].strip())
+            start = i + 1
+    tail = text[start:].strip()
     if tail:
         parts.append(tail)
     return parts
@@ -576,7 +572,8 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     return report, code
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gproj",
         description="desk-scale homological algebra over quotient rings")
@@ -586,7 +583,13 @@ def main(argv=None) -> int:
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--degree-guard", type=int, default=None)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command; returns the exit code. The argument parser is built
+    once per process, on the first call, and reused by every later call."""
+    ns = _parser().parse_args(argv)
 
     try:
         guard, source = ns.degree_guard, "--degree-guard"

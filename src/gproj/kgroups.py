@@ -6,18 +6,19 @@ diagonal canonical forms, making module classes computable: fields, k[x],
 and the chain rings k[x]/(x^n). One Euclidean diagonalizer serves these
 families and the integers. Each ring hands it a Euclidean size (absolute
 value on Z, degree on k and k[x], valuation on k[x]/(x^n)), a division with
-remainder, and the unit that turns an element into its canonical associate
-(nonnegative, monic, x^v). It returns the diagonal with the divisibility
-chain, and the transforms only for the integer Smith form, which prints them.
-The catalog rings have at most one variable, so their division runs on one
-coefficient dict keyed by degree, with the chain ring's normal form a
-truncation below x^n. Class vectors print as formal sums like 2*[R] + 1*[R/(x)].
+remainder, and the canonical associate of an element (nonnegative, monic,
+x^v). It returns the diagonal with the divisibility chain, and the transforms
+only for the integer Smith form, which prints them. Integer entries are native
+ints under inline operators. The catalog rings have at most one variable, so
+their entries are coefficient dicts keyed by degree: the relation rows are
+converted once, the chain ring's normal form is a truncation below x^n, and
+only the diagonal goes back into polynomials. Class vectors print as formal
+sums like 2*[R] + 1*[R/(x)].
 """
 
 from __future__ import annotations
 
 import operator
-from functools import partial
 from math import inf
 from typing import Callable, NamedTuple, Optional
 
@@ -30,7 +31,7 @@ from .modules import (
     span_scope,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
-from .rings import Poly, QuotRing, format_poly, restrict_poly, substitute_zero
+from .rings import QuotRing, format_poly, restrict_poly, substitute_zero
 
 
 # ---------------------------------------------------------------------------
@@ -43,60 +44,54 @@ class _Euclid(NamedTuple):
     is_zero: Callable
     size: Callable  # Euclidean size of a nonzero element
     divmod: Callable  # (q, r) with a = q*b + r, r zero or of smaller size than b
-    unit: Callable  # unit making a nonzero element its canonical associate, or None
-    nf: Optional[Callable] = None  # normal form applied after every ring operation
+    associate: Callable  # the canonical associate of a nonzero element
+    minus_one: object = -1  # row t -= minus_one * row i adds row i to row t
+    sub_mul: Optional[Callable] = None  # a - b*q on dict entries; None: native ints
 
 
-def _term_divmod(a: Poly, b: Poly, end: int, below: float = inf):
-    """Divide a by b, cancelling the remainder's term at `end` (0 = top,
-    -1 = bottom) for as long as b's term there divides it. The ring has at
-    most one variable, so the remainder is one dict of coefficients keyed by
-    degree; in k[x]/(x^below) it keeps only the degrees under `below`, and a
-    is taken reduced."""
-    ring, field = a.ring, a.ring.field
-    sub, mul, zero = field.sub, field.mul, field.zero
-    pick = max if end == 0 else min
-    terms = [(sum(e), c) for e, c in b.terms]
-    db, inv = terms[end][0], field.inv(terms[end][1])
-    q, r = {}, {sum(e): c for e, c in a.terms}
-    while r and (d := pick(r)) >= db:
-        c = q[d - db] = mul(r[d], inv)
-        for e, cb in terms:
-            if (t := e + d - db) < below:
+_INTEGERS = _Euclid(operator.not_, abs, divmod, abs)
+
+
+def _catalog_ring(field, n: float = inf) -> _Euclid:
+    """k[x] (n infinite; k is its degree-0 part) or the chain ring k[x]/(x^n)
+    on coefficient dicts keyed by degree. In k[x] the size is the degree,
+    division cancels from the top term and the associate is monic. In
+    k[x]/(x^n) a = u*x^v with u a unit, so the size is the valuation v,
+    division from the bottom term is exact whenever v(a) >= v(b), the
+    associate is x^v, and the normal form is a truncation below degree n."""
+    sub, mul, zero, one = field.sub, field.mul, field.zero, field.one
+    pick = max if n == inf else min  # the term that sets the size
+
+    def subtract(r, b, shift, c):  # r -= c * x^shift * b, in place
+        for e, cb in b.items():
+            if (t := e + shift) < n:
                 if (s := sub(r.get(t, zero), mul(cb, c))) == 0:
                     del r[t]
                 else:
                     r[t] = s
-    n = ring.nvars  # a degree d is the exponent (d,), or () in k itself
-    return tuple(ring.from_dict({(e,) * n: c for e, c in part.items()}) for part in (q, r))
 
+    def divide(a, b):
+        db = pick(b)
+        inv = field.inv(b[db])
+        q, r = {}, dict(a)
+        while r and (d := pick(r)) >= db:
+            c = q[d - db] = mul(r[d], inv)
+            subtract(r, b, d - db, c)
+        return q, r
 
-def _monic_unit(a: Poly):
-    field = a.ring.field
-    lead = a.terms[0][1]
-    return None if lead == field.one else a.ring.constant(field.inv(lead))
+    def sub_mul(a, b, q):
+        r = dict(a)
+        for j, c in q.items():
+            subtract(r, b, j, c)
+        return r
 
+    def associate(a):
+        if n < inf:
+            return {min(a): one}
+        inv = field.inv(a[max(a)])
+        return {d: mul(c, inv) for d, c in a.items()}
 
-_INTEGERS = _Euclid(operator.not_, abs, divmod, lambda a: -1 if a < 0 else None)
-# k is k[x] with no variable: every nonzero entry has size 0 and divides exactly
-_POLYNOMIALS = _Euclid(Poly.is_zero, Poly.total_degree, partial(_term_divmod, end=0),
-                       _monic_unit)
-
-
-def _chain_ring(R: QuotRing, n: int) -> _Euclid:
-    """k[x]/(x^n): a = u*x^v with u a unit, so size is the valuation v and
-    division from the bottom term is exact whenever v(a) >= v(b). The modulus
-    is (x^n), so a normal form is a truncation below degree n."""
-    divide = partial(_term_divmod, end=-1, below=n)
-    one = R.base.field.one
-
-    def unit(a: Poly):
-        (v,), c = a.terms[-1]
-        if len(a.terms) == 1 and c == one:
-            return None
-        return divide(R.base.from_dict({(v,): one}), a)[0]
-
-    return _Euclid(Poly.is_zero, lambda a: a.terms[-1][0][0], divide, unit, R.nf)
+    return _Euclid(operator.not_, pick, divide, associate, {0: field.neg(one)}, sub_mul)
 
 
 def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
@@ -106,12 +101,8 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
     associates, S = U*A*V, and the unimodular integer transforms U and V,
     which are None unless `transforms` is set (integer matrices only).
     """
-    is_zero, size, divide, unit, nf = ring
-
-    def reduced(entries):
-        return entries if nf is None else [nf(a) for a in entries]
-
-    S = [reduced(list(r)) for r in rows]
+    is_zero, size, divide, associate, minus_one, sub_mul = ring
+    S = [list(r) for r in rows]
     nrows = len(S)
     ncols = len(S[0]) if nrows else 0
     U = V = None
@@ -121,9 +112,10 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         row_mats, col_mats = (S, U), (S, V)
 
-    def row_sub(i, t, q):  # row i -= q * row t; q may be an integer scalar
+    def row_sub(i, t, q):  # row i -= q * row t
         for M in row_mats:
-            M[i] = reduced([a - b * q for a, b in zip(M[i], M[t])])
+            M[i] = ([a - b * q for a, b in zip(M[i], M[t])] if sub_mul is None
+                    else [sub_mul(a, b, q) for a, b in zip(M[i], M[t])])
 
     def row_swap(i, t):
         for M in row_mats:
@@ -132,7 +124,7 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
     def col_sub(j, t, q):  # column j -= q * column t
         for M in col_mats:
             for r in M:
-                r[j] = r[j] - r[t] * q if nf is None else nf(r[j] - r[t] * q)
+                r[j] = r[j] - r[t] * q if sub_mul is None else sub_mul(r[j], r[t], q)
 
     def col_swap(j, t):
         for M in col_mats:
@@ -184,12 +176,13 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         clear_pivot(t)
         # enforce the divisibility chain into the remaining block
         while (offender := offending_row(t)) is not None:
-            row_sub(t, offender, -1)  # row t += the offending row
+            row_sub(t, offender, minus_one)  # row t += the offending row
             clear_pivot(t)
-        u = unit(S[t][t])
-        if u is not None:
-            for M in row_mats:
-                M[t] = reduced([a * u for a in M[t]])
+        # the pivot is alone in its row, so only it and U's row change
+        if (d := associate(S[t][t])) != S[t][t]:
+            S[t][t] = d
+            if U is not None:  # an integer's only other unit is -1
+                U[t] = [-a for a in U[t]]
         t += 1
     return [S[i][i] for i in range(t)], S, U, V
 
@@ -404,11 +397,15 @@ def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
         cat = catalog_for(M.ring)
     if M.ring != cat.ring:
         raise RingNotInCatalog("module ring does not match the catalog")
-    ring = _chain_ring(M.ring, cat.chain_power) if cat.family == "chain" else _POLYNOMIALS
-    diagonal, *_ = _diagonalize(M.relation_rows(), ring)
+    base = M.ring.base
+    n = cat.chain_power if cat.family == "chain" else inf
+    rows = [[{d: c for e, c in p.terms if (d := sum(e)) < n} for p in row]
+            for row in M.relation_rows()]
+    diagonal, *_ = _diagonalize(rows, _catalog_ring(base.field, n))
     coords: dict[str, int] = {cat.unit_label: M.ngens - len(diagonal)}
     for d in diagonal:
-        if not d.is_constant():  # a unit relation cancels a generator
+        if max(d):  # a unit relation cancels a generator
+            d = base.from_dict({(k,) * base.nvars: c for k, c in d.items()})
             label = f"[R/({format_poly(d)})]"
             coords[label] = coords.get(label, 0) + 1
     return KClass(coords)

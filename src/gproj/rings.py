@@ -305,7 +305,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
-    """Parse the polynomial grammar: sums of `coeff`, `mono`, `coeff*mono`."""
+    """Parse the polynomial grammar: sums of `coeff`, `mono`, `coeff*mono`.
+    Each term is read into one coefficient and one exponent list and added
+    into one dict of terms."""
     tokens: list[tuple[str, str, int]] = []
     pos = 0
     while pos < len(text):
@@ -315,20 +317,18 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", col=pos + 1)
         pos = m.end()
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind), m.start()))
-                break
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
     if not tokens:
         raise ParseError("empty polynomial")
 
-    field = ring.field
-    result = ring.zero()
+    field, index = ring.field, ring._varindex
+    terms: dict[Monomial, object] = {}
     i = 0
     n = len(tokens)
 
-    def parse_factor(i):
-        # one factor: integer, integer/integer, or var[^k]
+    def parse_factor(i, coeff, expt):
+        # one factor: integer, integer/integer, or var[^k]; a number scales
+        # the coefficient and a power adds to the exponent list
         kind, val, col = tokens[i]
         if kind == "num":
             num = int(val)
@@ -336,19 +336,20 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             if i + 1 < n and tokens[i][1] == "/" and tokens[i + 1][0] == "num":
                 den = int(tokens[i + 1][1])
                 i += 2
-                return ring.constant(field.from_fraction(num, den)), i
-            return ring.constant(field.from_int(num)), i
+                return field.mul(coeff, field.from_fraction(num, den)), i
+            return field.mul(coeff, field.from_int(num)), i
         if kind == "name":
-            if val not in ring._varindex:
+            if val not in index:
                 raise ParseError(f"undeclared variable {val!r}", col=col + 1)
-            p = ring.var(val)
             i += 1
+            k = 1
             if i + 1 < n and tokens[i][1] == "^":
                 if tokens[i + 1][0] != "num":
                     raise ParseError("exponent must be an integer", col=tokens[i][2] + 1)
-                p = p ** int(tokens[i + 1][1])
+                k = int(tokens[i + 1][1])
                 i += 2
-            return p, i
+            expt[index[val]] += k
+            return coeff, i
         raise ParseError(f"unexpected {val!r}", col=col + 1)
 
     sign = 1
@@ -362,15 +363,14 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             i += 1
             if i >= n:
                 raise ParseError("dangling sign", col=col + 1)
-            kind, val, col = tokens[i]
-        term, i = parse_factor(i)
+        expt = [0] * ring.nvars
+        coeff, i = parse_factor(i, field.one, expt)
         while i < n and tokens[i][1] == "*":
-            factor, i2 = parse_factor(i + 1)
-            term = term * factor
-            i = i2
+            coeff, i = parse_factor(i + 1, coeff, expt)
         if sign < 0:
-            term = -term
-        result = result + term
+            coeff = field.neg(coeff)
+        e = tuple(expt)
+        terms[e] = field.add(terms[e], coeff) if e in terms else coeff
         sign = 1
         first = False
         if i < n and tokens[i][0] != "op":
@@ -378,7 +378,7 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
                              col=tokens[i][2] + 1)
         if i < n and tokens[i][1] in "*/^":
             raise ParseError(f"misplaced {tokens[i][1]!r}", col=tokens[i][2] + 1)
-    return result
+    return ring.from_dict(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite, deliberately independent of the library
 internals: brute-force enumeration over finite rings, a Groebner-free
 linear-algebra ideal-membership oracle, a schoolbook polynomial product,
-and classic integer-matrix oracles;
+classic integer-matrix oracles, and a reference top-level comma splitter
+for model-file matrices;
 also the rings of the gclass benchmark workload, which several tests share.
 """
 
@@ -389,3 +390,29 @@ def univariate_gcd(a, b):
             r = r - b * r.ring.from_dict({(dr - db,): c})
         a, b = b, r
     return a.monic() if not a.is_zero() else a
+
+
+# ---------------------------------------------------------------------------
+# model-file text
+# ---------------------------------------------------------------------------
+
+def split_top_level_reference(text):
+    """Split on commas outside brackets, one character at a time: the
+    reference for the CLI's slicing splitter, unbalanced brackets included."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append("".join(current).strip())
+            current = []
+            continue
+        current.append(ch)
+    tail = "".join(current).strip()
+    if tail:
+        parts.append(tail)
+    return parts

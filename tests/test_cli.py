@@ -1,4 +1,6 @@
+import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from gproj import InputError, ParseError, free_resolution, parse_model_file, pd_bounded, run_command
-from gproj.cli import main
+from gproj import cli
+from gproj.cli import _split_top_level, main
+
+from helpers import split_top_level_reference
 
 FLAGSHIP = """\
 # the chain ring and its square-zero ideal
@@ -362,3 +367,42 @@ def test_surplus_arguments_are_an_input_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"input error: {err}\n"
     path.write_text(text + "task pd --depth 3 I --format machine\n")
     assert main(["report", str(path)]) == 0
+
+
+def test_split_top_level_matches_the_reference_on_random_bracket_strings():
+    rng = random.Random(3)
+    for _ in range(3000):
+        text = "".join(rng.choice("[[]],, ab1") for _ in range(rng.randrange(25)))
+        assert _split_top_level(text) == split_top_level_reference(text), text
+
+
+def test_the_argument_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    snf = ["snf", "-", "[[2, 4], [6, 8]]", "--format", "machine"]
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert main(snf) == 0
+        first = capsys.readouterr()
+        assert main(snf) == 0
+        assert capsys.readouterr() == first and len(built) == 1
+        # a usage error leaves the parser as a first call finds it
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["snf", "-", "[[2]]", "--format", "bogus"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in usage.err and usage.out == ""
+        with pytest.raises(SystemExit):
+            main(["snf", "-", "[[2]]", "--format", "bogus"])
+        assert capsys.readouterr() == usage
+        assert main(snf) == 0
+        assert capsys.readouterr() == first and len(built) == 2
+    finally:
+        cli._parser.cache_clear()

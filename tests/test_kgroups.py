@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import inf
 
 import pytest
 
@@ -25,11 +27,11 @@ from gproj import (
     quotient_by_regular_element,
     smith_normal_form,
 )
-from gproj.kgroups import _POLYNOMIALS, _chain_ring, int_mat_mul
+from gproj.kgroups import _catalog_ring, int_mat_mul
 from gproj.resolutions import pd_bounded
-from gproj.rings import FreeModuleGB, restrict_poly, substitute_zero
+from gproj.rings import FreeModuleGB, QuotRing, restrict_poly, substitute_zero
 
-from helpers import int_determinant, minors_gcd_invariant_factors
+from helpers import int_determinant, minors_gcd_invariant_factors, univariate_gcd
 
 
 def R4():
@@ -202,21 +204,75 @@ def _random_poly(rng, ring, top, n=None):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
 def test_term_divmod_divides_with_remainder(field):
-    # k and k[x] divide from the top term, k[x]/(x^n) from the bottom one:
-    # a = q*b + r, and b's term at that end does not divide r's
+    # k and k[x] divide from the top term, k[x]/(x^n) from the bottom one, on
+    # coefficient dicts keyed by degree: a = q*b + r, and b's term at that end
+    # does not divide r's
     rng = random.Random(11)
     k, kx = PolyRing(field, ()), PolyRing(field, ("x",))
     for ring, n in [(k, None), (kx, None)] + [(kx, n) for n in (1, 2, 3, 4)]:
         R = ring.quotient([] if n is None else [f"x^{n}"])
-        divmod_ = _POLYNOMIALS.divmod if n is None else _chain_ring(R, n).divmod
+        divmod_ = _catalog_ring(field, inf if n is None else n).divmod
         end = 0 if n is None else -1
         for _ in range(60):
             a, b = (_random_poly(rng, ring, rng.randrange(6), n) for _ in range(2))
             if b.is_zero():
                 continue
-            q, r = divmod_(a, b)
+            q, r = (ring.from_dict({(d,) * ring.nvars: c for d, c in part.items()})
+                    for part in divmod_(*({sum(e): c for e, c in p.terms} for p in (a, b))))
             assert R.nf(q * b + r) == a and R.nf(q) == q and R.nf(r) == r
             assert r.is_zero() or sum(r.terms[end][0]) < sum(b.terms[end][0])
+
+
+def test_chain_decomposition_makes_no_normal_form_call(monkeypatch):
+    # over k[x]/(x^n) the diagonalizer's normal form is a truncation
+    R = PolyRing(GF(5), ("x",)).quotient(["x^4"])
+    M = FPModule.from_strings(R, 3, [["x^2+x", "3*x^3", "0"], ["x^3", "2+x", "x"],
+                                     ["4*x^2", "x^3+x^2", "x^2"]])
+    calls = []
+    nf = QuotRing.nf
+    monkeypatch.setattr(QuotRing, "nf", lambda self, f: calls.append(f) or nf(self, f))
+    cls = class_decompose(M)
+    assert calls == []
+    assert str(cls) == "1*[R/(x)] + 1*[R/(x^2)]"
+
+
+def _determinant(M):
+    if len(M) == 1:
+        return M[0][0]
+    total = M[0][0].ring.zero()
+    for j, a in enumerate(M[0]):
+        term = a * _determinant([row[:j] + row[j + 1:] for row in M[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_invariant_factors_are_quotients_of_determinantal_divisors(field):
+    # the product of the first k invariant factors is the monic gcd of the
+    # k x k minors
+    rng = random.Random(23)
+    R = polynomial_ring(field, ("x",))
+    for shape in [(3, 3), (4, 3)] * 15:
+        A = [[_random_poly(rng, R.base, rng.randrange(3)) for _ in range(shape[1])]
+             for _ in range(shape[0])]
+        cls = class_decompose(FPModule(R, shape[0], list(zip(*A))))
+        rank = shape[0] - cls.coefficient("[R]")
+        factors = sorted((R.base.poly(label[4:-2]) for label, c in cls.coords.items()
+                          if label != "[R]" for _ in range(c)),
+                         key=lambda f: f.degree_in(0))
+        factors = [R.base.one()] * (rank - len(factors)) + factors
+        product = R.base.one()
+        for k in range(1, min(shape) + 1):
+            divisor = R.base.zero()
+            for rows in combinations(A, k):
+                for cols in combinations(range(shape[1]), k):
+                    minor = _determinant([[row[j] for j in cols] for row in rows])
+                    divisor = univariate_gcd(divisor, minor)
+            if k > rank:
+                assert divisor.is_zero()
+                continue
+            product = product * factors[k - 1]
+            assert product == divisor
 
 
 def test_snf_zero_matrix():

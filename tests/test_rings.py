@@ -20,6 +20,7 @@ from gproj import (
 from gproj.fields import PrimeField
 from gproj.rings import (
     FreeModuleGB,
+    format_poly,
     QuotRing,
     _layout,
     _width,
@@ -193,6 +194,60 @@ def test_parse_rejects_bad_syntax():
 def test_gf_coefficients_normalized():
     P = PolyRing(GF(3), ("x",))
     assert str(P.poly("4*x - 1")) == "x+2"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=repr)
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_parse_reads_back_every_printed_polynomial(field, order):
+    rng = random.Random(7)
+    for nvars in range(4):
+        ring = PolyRing(field, ("x", "y", "z")[:nvars], order)
+        for _ in range(40):
+            f = ring.from_dict({
+                tuple(rng.randrange(4) for _ in range(nvars)):
+                    field.from_fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                    if field == QQ else field.from_int(rng.randrange(field.p))
+                for _ in range(rng.randrange(6))})
+            assert ring.poly(format_poly(f)) == f
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x*x^2*y", "x^3*y"), ("x^0", "1"), ("0*x + 1", "1"), ("x - x", "0"),
+    ("1/2*x", "1/2*x"), ("y^2*3*x - 2/4*x*y^2", "5/2*x*y^2"), ("-x + 2 - 3", "-x-1"),
+])
+def test_parse_collects_each_term_into_one_coefficient_and_exponent(text, expected):
+    P = PolyRing(QQ, ("x", "y"))
+    assert format_poly(P.poly(text)) == expected
+
+
+def test_parse_over_a_prime_field_reduces_fractions():
+    P = PolyRing(GF(7), ("x",))
+    assert P.poly("1/2*x") == P.poly("4*x") and P.poly("3/5 + 7*x") == P.poly("2")
+    with pytest.raises(InputError, match=r"coefficient 1/7 has denominator 0 in GF\(7\)"):
+        P.poly("1/7")
+    with pytest.raises(InputError, match="coefficient 2/14 has denominator 0"):
+        P.poly("x + 2/14*x")
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("x + * y", "unexpected '*'", 4), ("x + + y", "unexpected '+'", 4),
+    ("x y", "expected operator before 'y'", 2), ("2 3", "expected operator before '3'", 2),
+    ("x^y", "exponent must be an integer", 2), ("x^-1", "exponent must be an integer", 2),
+    ("x^", "misplaced '^'", 2), ("x ^ 2 ^ 3", "misplaced '^'", 6),
+    ("3/x", "misplaced '/'", 2), ("x/2", "misplaced '/'", 2), ("x + 1/", "misplaced '/'", 6),
+    ("z + 1", "undeclared variable 'z'", 1), ("xy", "undeclared variable 'xy'", 1),
+    ("", "empty polynomial", None), ("   ", "empty polynomial", None),
+    ("x $ y", "unexpected character ' '", 2), ("x.y", "unexpected character '.'", 2),
+    ("(x)", "unexpected character '('", 1), ("x -", "dangling sign", 2),
+    ("+", "dangling sign", 1), ("x * / y", "unexpected '/'", 4), ("^2", "unexpected '^'", 1),
+    ("/x", "unexpected '/'", 1), ("x**2", "unexpected '*'", 3),
+    ("x - - y", "unexpected '-'", 4), ("- -x", "unexpected '-'", 2),
+])
+def test_parse_errors_name_the_same_message_and_column(text, message, col):
+    P = PolyRing(QQ, ("x", "y"))
+    with pytest.raises(ParseError) as exc:
+        P.poly(text)
+    assert (str(exc.value), exc.value.col) == (message, col)
 
 
 # ----- orders -----

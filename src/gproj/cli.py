@@ -609,7 +609,9 @@ def main(argv=None) -> int:
                 model = parse_model_file(fh.read(), guard)
         report, code = run_command(ns.command, ns.args, model, ns.depth)
     except (InputError, ParseError, OSError, ValueError, IndexError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+        # a parse error of one polynomial argument names its column in it
+        col = exc.col if isinstance(exc, ParseError) and exc.line is None else None
+        sys.stderr.write(f"input error: {exc}" + (f" at col {col}" if col else "") + "\n")
         return 2
     except MathRejection as exc:
         sys.stderr.write(f"rejected: {type(exc).__name__}: {exc}\n")

@@ -19,9 +19,10 @@ Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
 Inside one top-level call of a `span_scope` entry point, each engine,
-canonical generating set and node verdict of `resolutions.exact_kernel` is
-built once; nothing is shared across calls or threads. A reduced basis is
-unique, so a canonical set is its own canonical set: every column tuple that
+canonical generating set, node verdict of `resolutions.exact_kernel` and
+split verdict of `resolutions.split_surjection_onto_kernel` is built once;
+nothing is shared across calls or threads. A reduced basis is unique, so a
+canonical set is its own canonical set: every column tuple that
 `canonical_generators` or `SubmoduleEngine.syzygies()` returns is cached as
 that too, and a module presented on it builds no second basis.
 """

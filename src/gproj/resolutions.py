@@ -203,18 +203,27 @@ class PdVerdict(NamedTuple):
         return f"AtLeast({self.n})"
 
 
-@span_scope
-def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
-                                 ) -> Optional[tuple]:
+def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
+                                  ) -> Optional[tuple]:
     """Retraction of R^ambient onto the span of kernel_gens, or None.
 
-    Solves U*H*U = U over R; a solution certifies that the cokernel of the
-    inclusion is projective (the presenting surjection splits).
+    Solves U*H*U = U over R, U the q x w matrix whose columns are kernel_gens;
+    a solution certifies that the cokernel of the inclusion is projective (the
+    presenting surjection splits). Two routes, chosen by ker U, which inside
+    `pd_bounded` is the resolution's next map and so costs no new basis:
+    - ker U = 0: U*(H*U - 1) = 0 forces H*U = 1, so row i of H is a witness
+      of the unit vector e_i over the rows of U: a rank-w basis on entries of
+      degree d, where the product system below needs rank q*w and degree 2d.
+    - ker U != 0: H*U need not be 1, so the products of two entries of U are
+      the system. Adding the next map S as H*U + S*C = 1 is also correct but
+      measured slower on every chain whose maps have a kernel.
     """
     w = len(kernel_gens)
     if w == 0:
         return ()
     q = ambient_rank
+    if not colon_generators(R, q, kernel_gens):
+        return span_engine(R, w, transpose(kernel_gens, q)).lift(identity(R, w))
     # unknowns H[i][j], i < w, j < q; equation vec(U H U) = vec(U) with
     # U[a][i] = kernel_gens[i][a] at index a*w + i of u = vec(U). Entry (a, l)
     # of system column (i, j) is u[a*w + i] * u[j*w + l]: one product per
@@ -231,6 +240,11 @@ def split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
         return None
     H = [[wit[i * q + j] for j in range(q)] for i in range(w)]
     return tuple(tuple(row) for row in H)
+
+
+# a periodic chain repeats its maps literally, so each distinct map is
+# solved once per top-level call
+split_surjection_onto_kernel = span_scope(_per_scope(_split_surjection_onto_kernel))
 
 
 @span_scope

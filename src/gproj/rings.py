@@ -313,9 +313,11 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", col=pos + 1)
+            bad = len(text) - len(rest)  # the first non-space character
+            raise ParseError(f"unexpected character {text[bad]!r}", col=bad + 1)
         pos = m.end()
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
     if not tokens:
@@ -366,6 +368,8 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
         expt = [0] * ring.nvars
         coeff, i = parse_factor(i, field.one, expt)
         while i < n and tokens[i][1] == "*":
+            if i + 1 == n:
+                raise ParseError("dangling '*'", col=tokens[i][2] + 1)
             coeff, i = parse_factor(i + 1, coeff, expt)
         if sign < 0:
             coeff = field.neg(coeff)

@@ -244,6 +244,15 @@ def test_degree_guard_trip_while_parsing_is_a_rejection(tmp_path, capsys, monkey
     assert "g1 = y^6+y" in capsys.readouterr().out
 
 
+def test_a_malformed_polynomial_argument_is_an_input_error_at_its_column(tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    for poly, err in (("x*", "dangling '*' at col 2"), ("1 + 2*x*", "dangling '*' at col 8"),
+                      ("x $ 1", "unexpected character '$' at col 3")):
+        assert main(["nf", str(path), "R2", poly]) == 2
+        assert capsys.readouterr().err == f"input error: {err}\n"
+
+
 def test_coefficient_with_a_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "m.model"
     path.write_text("ring R = GF(5)[x] mod [x^2 - 1/5]\n")

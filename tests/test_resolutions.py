@@ -22,8 +22,10 @@ from gproj import (
     verify_exactness,
     verify_short_exact,
 )
+from gproj import resolutions
 from gproj.modules import mat_vec, span_engine
 from gproj.resolutions import _find_periodicity, first_inexact_node, split_surjection_onto_kernel
+from gproj.rings import FreeModuleGB, QuotRing
 
 from helpers import gclass_ring, ring_elements, span_of_columns, vector_space
 
@@ -154,18 +156,8 @@ def test_pd_finite_splitting_is_a_real_retraction():
     M = FPModule.from_strings(Qx, 2, [["1"], ["0"]])
     verdict = pd_bounded(M, 4)
     assert verdict.kind == "finite" and verdict.n == 0
-    H = verdict.splitting
-    U = M.canonical_relations
     # U*H*U = U certifies the retraction
-    R = Qx
-    w, q = len(U), M.ngens
-    for l in range(w):
-        col = U[l]
-        hu = [sum((H[i][j] * col[j] for j in range(q)), R.base.zero())
-              for i in range(w)]
-        uhu = [sum((U[i][a] * hu[i] for i in range(w)), R.base.zero())
-               for a in range(q)]
-        assert [R.nf(p) for p in uhu] == list(col)
+    assert _retracts(Qx, M.ngens, M.canonical_relations, verdict.splitting)
 
 
 def test_periodicity_soundness_two_extra_periods():
@@ -177,6 +169,21 @@ def test_periodicity_soundness_two_extra_periods():
     longer = free_resolution(I, 4 + 2 * p)
     for step in range(s, s + 2 * p):
         assert longer.maps[step] == longer.maps[step + p]
+
+
+def _products(R, q, U, H):
+    """H*U (w x w, as rows) and U*H*U (as columns) for U given as w columns of
+    length q and H as w rows of length q, by schoolbook sums of products."""
+    zero, w = R.base.zero(), len(U)
+    hu = [[R.nf(sum((H[i][j] * col[j] for j in range(q)), zero)) for col in U]
+          for i in range(w)]
+    uhu = [tuple(R.nf(sum((U[i][a] * hu[i][l] for i in range(w)), zero)) for a in range(q))
+           for l in range(w)]
+    return hu, uhu
+
+
+def _retracts(R, q, U, H):
+    return _products(R, q, U, H)[1] == [tuple(col) for col in U]
 
 
 def _split_by_the_full_system(R, q, kernel_gens):
@@ -214,6 +221,108 @@ def test_splitting_matches_the_full_system(ring):
         assert H == _split_by_the_full_system(R, q, gens)
         found.add(H is None)
     assert found == {True, False}
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for j, p in enumerate(rows[0]):
+        term = p * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("ring", ["QQ[x]", "GF(3)[x]", "chain2", "A"])
+def test_splitting_of_an_injective_map_matches_the_full_system(ring):
+    # U with kernel 0: over k[x], a w x w block of nonzero determinant (half
+    # of them unimodular, a product of unitriangular factors) under random
+    # rows; over the chain ring and A, an identity block among random rows
+    rng = random.Random(19)
+    domain = ring.endswith("[x]")
+    if domain:  # a high guard: the reference's products double the degrees
+        R = polynomial_ring(QQ if ring == "QQ[x]" else GF(3), ("x",), degree_guard=128)
+    else:
+        R = gclass_ring(ring)
+    monomials = ["1", "x", "x^2"] + (["y", "x*y"] if R.base.nvars > 1 else [])
+
+    def entry():
+        if rng.random() < 0.3:
+            return R.zero()
+        text = " + ".join(f"{rng.randint(1, 4)}*{m}" for m in rng.sample(monomials, rng.randint(1, 3)))
+        return R.poly(text)
+
+    def block(w):  # rows of a w x w block
+        if not domain:
+            return [[R.one() if a == i else R.zero() for i in range(w)] for a in range(w)]
+        if rng.random() < 0.5:
+            low = [[entry() if i < a else R.one() if i == a else R.zero() for i in range(w)]
+                   for a in range(w)]
+            up = [[entry() if i > a else R.one() if i == a else R.zero() for i in range(w)]
+                  for a in range(w)]
+            return [[R.nf(sum((low[a][k] * up[k][i] for k in range(w)), R.base.zero()))
+                     for i in range(w)] for a in range(w)]
+        while True:
+            rows = [[entry() for _ in range(w)] for _ in range(w)]
+            if not R.nf(_det(rows)).is_zero():
+                return rows
+
+    found = set()
+    for shape in ("square", "tall") * 6:
+        w = rng.randint(1, 3) if shape == "square" else rng.randint(1, 2)
+        q = w if shape == "square" else rng.randint(w + 1, 3)
+        rows = block(w) + [[entry() for _ in range(w)] for _ in range(q - w)]
+        rng.shuffle(rows)
+        gens = [tuple(row[i] for row in rows) for i in range(w)]
+        H = split_surjection_onto_kernel(R, q, gens)
+        assert (H is None) == (_split_by_the_full_system(R, q, gens) is None)
+        if H is not None:
+            hu, _ = _products(R, q, gens, H)
+            assert hu == [[R.one() if l == i else R.zero() for l in range(w)] for i in range(w)]
+            assert _retracts(R, q, gens, H)
+        found.add(H is None)
+    assert found == ({True, False} if domain else {False})
+
+
+def test_pd_of_a_square_torsion_module_builds_no_basis_above_rank_6(monkeypatch):
+    # shaped like the CLI's k0 modules over QQ[x]: 3 x 3 of degree 2 with
+    # nonzero determinant, so the presentation is injective and its
+    # splitting needs a rank-6 basis; the product system needed rank 18
+    Qx = QxQ()
+    M = FPModule.from_strings(Qx, 3, [["x^2 + 2", "3*x - 1", "2*x^2"],
+                                      ["x - 3", "x^2 + x", "1"],
+                                      ["2", "x^2 - 1", "3*x"]])
+    ranks = []
+    build = FreeModuleGB.__init__
+
+    def recording(self, ring, rank, vectors):
+        ranks.append(rank)
+        build(self, ring, rank, vectors)
+
+    monkeypatch.setattr(FreeModuleGB, "__init__", recording)
+    assert str(pd_bounded(M, 4)) == "Finite(1)"
+    assert max(ranks) == 6
+
+
+def test_injective_splitting_stays_below_a_guard_the_product_system_trips():
+    # the product system doubles the entries' degrees: at guard 8 it tripped
+    # at rank 18 ("basis element degree 9 exceeds guard 8") on this module
+    R = PolyRing(GF(3), ("x",), degree_guard=8).quotient([])
+    M = FPModule.from_strings(R, 3, [["2*x^2", "x + 2", "0"], ["2*x^2", "0", "x^2 + x + 1"],
+                                     ["0", "x^2 + x + 1", "x"]])
+    assert str(pd_bounded(M, 4)) == "Finite(1)"
+
+
+def test_pd_solves_each_distinct_map_once_per_call(count_calls):
+    # the flagship's period-1 chain repeats one map: every raw split build
+    # asks resolutions.span_engine for its one system, and the product
+    # system makes the QuotRing.mul calls, so both counts are depth-free
+    R = R4()
+    I = FPModule(R, 1, [(R.poly("x"),)])
+    counts = [(count_calls(resolutions, "span_engine", pd_bounded, I, depth)[1],
+               count_calls(QuotRing, "mul", pd_bounded, I, depth)[1]) for depth in (50, 5000)]
+    assert counts[0] == counts[1] and counts[0][0] > 0
 
 
 @pytest.mark.parametrize("columns", [

@@ -237,11 +237,12 @@ def test_parse_over_a_prime_field_reduces_fractions():
     ("3/x", "misplaced '/'", 2), ("x/2", "misplaced '/'", 2), ("x + 1/", "misplaced '/'", 6),
     ("z + 1", "undeclared variable 'z'", 1), ("xy", "undeclared variable 'xy'", 1),
     ("", "empty polynomial", None), ("   ", "empty polynomial", None),
-    ("x $ y", "unexpected character ' '", 2), ("x.y", "unexpected character '.'", 2),
+    ("x $ y", "unexpected character '$'", 3), ("x.y", "unexpected character '.'", 2),
     ("(x)", "unexpected character '('", 1), ("x -", "dangling sign", 2),
     ("+", "dangling sign", 1), ("x * / y", "unexpected '/'", 4), ("^2", "unexpected '^'", 1),
     ("/x", "unexpected '/'", 1), ("x**2", "unexpected '*'", 3),
     ("x - - y", "unexpected '-'", 4), ("- -x", "unexpected '-'", 2),
+    ("x*", "dangling '*'", 2), ("1 + 2*x*", "dangling '*'", 8),
 ])
 def test_parse_errors_name_the_same_message_and_column(text, message, col):
     P = PolyRing(QQ, ("x", "y"))

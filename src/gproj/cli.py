@@ -200,7 +200,7 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _parse_matrix(text: str, line_no: int) -> list[list[str]]:
+def _parse_matrix(text: str, line_no: int | None = None) -> list[list[str]]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError("expected a bracketed matrix", line=line_no)
@@ -232,127 +232,107 @@ _SUBMODULE_RE = re.compile(
 
 
 def _declaration_error(exc: GprojError, line_no: int) -> GprojError:
-    """A declaration that failed to build is a ParseError at its line, except
-    a degree-guard trip, which stays a mathematical rejection (exit 1)."""
+    """A declaration that failed is a ParseError at its line, and at the column
+    of a polynomial that did not parse, except a degree-guard trip, which
+    stays a mathematical rejection (exit 1)."""
     if isinstance(exc, DegreeGuardExceeded):
         return DegreeGuardExceeded(f"{exc} at line {line_no}")
-    return ParseError(str(exc), line=line_no)
+    return ParseError(str(exc), line=line_no, col=getattr(exc, "col", None))
+
+
+def _parse_entries(poly, rows, raw: str, pos: int):
+    """Matrix entries parsed by `poly`, found left to right in the raw line
+    from index `pos` on; a parse error names its column in that line."""
+    out = []
+    for row in rows:
+        out.append([])
+        for s in row:
+            pos = raw.index(s, pos)
+            try:
+                out[-1].append(poly(s))
+            except ParseError as exc:
+                raise ParseError(str(exc), col=exc.col and pos + exc.col) from None
+            pos += len(s)
+    return out
+
+
+_DECLARATIONS = {"ring": _RING_RE, "module": _MODULE_RE, "map": _MAP_RE,
+                 "submodule": _SUBMODULE_RE}
+
+
+def _declare(model: ModelFile, line: str, raw: str, degree_guard: int) -> None:
+    """Add the declaration or task of one model-file line (`line` is `raw`
+    without its comment and outer blanks) to the model. Its errors name no
+    line; the caller adds it."""
+    head = line.split(None, 1)[0]
+    if head == "task":
+        parts = line.split()[1:]
+        if not parts or parts[0] not in COMMANDS:
+            raise ParseError("unknown task command")
+        if parts[0] == "report":
+            raise ParseError("a task cannot run report")
+        model.tasks.append(parts)
+        return
+    if head not in _DECLARATIONS:
+        raise ParseError(f"unknown declaration {head!r}")
+    if not (m := _DECLARATIONS[head].fullmatch(line)):
+        raise ParseError(f"malformed {head} declaration")
+    name = m.group("name")
+    if any(name in table for table in (model.rings, model.modules, model.maps,
+                                       model.submodules)):
+        raise ParseError(f"duplicate name {name!r}")
+    lead = len(raw) - len(raw.lstrip())  # the offset of `line` in `raw`
+    if head == "ring":
+        field_text = m.group("field")
+        fld = QQ if field_text == "QQ" else GF(int(field_text[3:-1]))
+        variables = tuple(v.strip() for v in m.group("vars").split(",")
+                          if v.strip())
+        order = m.group("order") or "grevlex"
+        mod_strings = []
+        if m.group("mod"):
+            body = m.group("mod").strip()[1:-1].strip()
+            mod_strings = _split_top_level(body) if body else []
+        base = PolyRing(fld, variables, order, degree_guard)
+        [gens] = _parse_entries(base.poly, [mod_strings], raw, lead + m.start("mod"))
+        ring = QuotRing(base, Ideal(base, gens))
+        canonical_mod = tuple(format_poly(g) for g in gens)
+        model.rings[name] = RingDecl(name, field_text, variables, order,
+                                     canonical_mod, ring)
+        return
+    if head == "map":
+        source, target = (_need(model, "modules", m.group(ref), "module").module
+                          for ref in ("src", "dst"))
+        ring = source.ring
+    else:
+        ring = _need(model, "rings", m.group("ring"), "ring").ring
+    rows = _parse_entries(ring.poly, _parse_matrix(m.group("mat")), raw, lead + m.start("mat"))
+    if head == "module":
+        ngens = int(m.group("n"))
+        module = FPModule.from_strings(ring, ngens, rows)
+        canonical = tuple(tuple(format_poly(p) for p in row)
+                          for row in module.relation_rows())
+        model.modules[name] = ModuleDecl(name, m.group("ring"), ngens, canonical, module)
+    elif head == "map":
+        mp = ModuleMap.from_strings(source, target, rows)
+        canonical = tuple(tuple(format_poly(p) for p in row) for row in mp.rows())
+        model.maps[name] = MapDecl(name, m.group("src"), m.group("dst"), canonical, mp)
+    else:
+        ambient = int(m.group("n"))
+        sub = SubmoduleOfFree(ring, ambient, [tuple(g) for g in rows])
+        canonical = tuple(tuple(format_poly(p) for p in g) for g in sub.generators)
+        model.submodules[name] = SubmoduleDecl(name, m.group("ring"), ambient,
+                                               canonical, sub)
 
 
 def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> ModelFile:
     """Parse and fully validate a model file, or fail with a line diagnostic."""
     model = ModelFile({}, {}, {}, {}, [])
-    names = set()
-
-    def check_fresh(name, line_no):
-        if name in names:
-            raise ParseError(f"duplicate name {name!r}", line=line_no)
-        names.add(name)
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(None, 1)[0]
-        if head == "ring":
-            m = _RING_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed ring declaration", line=line_no)
-            name = m.group("name")
-            check_fresh(name, line_no)
-            field_text = m.group("field")
+        if line := raw.split("#", 1)[0].strip():
             try:
-                if field_text == "QQ":
-                    fld = QQ
-                else:
-                    fld = GF(int(field_text[3:-1]))
-            except InputError as exc:
-                raise ParseError(str(exc), line=line_no) from None
-            variables = tuple(v.strip() for v in m.group("vars").split(",")
-                              if v.strip())
-            order = m.group("order") or "grevlex"
-            mod_strings = []
-            if m.group("mod"):
-                body = m.group("mod").strip()[1:-1].strip()
-                mod_strings = _split_top_level(body) if body else []
-            try:
-                base = PolyRing(fld, variables, order, degree_guard)
-                gens = [base.poly(s) for s in mod_strings]
-                ring = QuotRing(base, Ideal(base, gens))
+                _declare(model, line, raw, degree_guard)
             except GprojError as exc:
                 raise _declaration_error(exc, line_no) from None
-            canonical_mod = tuple(format_poly(g) for g in gens)
-            model.rings[name] = RingDecl(name, field_text, variables, order,
-                                         canonical_mod, ring)
-        elif head == "module":
-            m = _MODULE_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed module declaration", line=line_no)
-            name = m.group("name")
-            check_fresh(name, line_no)
-            ring_name = m.group("ring")
-            if ring_name not in model.rings:
-                raise ParseError(f"undeclared ring {ring_name!r}", line=line_no)
-            ring = model.rings[ring_name].ring
-            ngens = int(m.group("n"))
-            rows = _parse_matrix(m.group("mat"), line_no)
-            try:
-                module = FPModule.from_strings(ring, ngens, rows)
-            except GprojError as exc:
-                raise _declaration_error(exc, line_no) from None
-            canonical = tuple(tuple(format_poly(p) for p in row)
-                              for row in module.relation_rows())
-            model.modules[name] = ModuleDecl(name, ring_name, ngens, canonical,
-                                             module)
-        elif head == "map":
-            m = _MAP_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed map declaration", line=line_no)
-            name = m.group("name")
-            check_fresh(name, line_no)
-            src, dst = m.group("src"), m.group("dst")
-            for ref in (src, dst):
-                if ref not in model.modules:
-                    raise ParseError(f"undeclared module {ref!r}", line=line_no)
-            rows = _parse_matrix(m.group("mat"), line_no)
-            try:
-                mp = ModuleMap.from_strings(model.modules[src].module,
-                                            model.modules[dst].module, rows)
-            except GprojError as exc:
-                raise _declaration_error(exc, line_no) from None
-            canonical = tuple(tuple(format_poly(p) for p in row)
-                              for row in mp.rows())
-            model.maps[name] = MapDecl(name, src, dst, canonical, mp)
-        elif head == "submodule":
-            m = _SUBMODULE_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed submodule declaration", line=line_no)
-            name = m.group("name")
-            check_fresh(name, line_no)
-            ring_name = m.group("ring")
-            if ring_name not in model.rings:
-                raise ParseError(f"undeclared ring {ring_name!r}", line=line_no)
-            ring = model.rings[ring_name].ring
-            ambient = int(m.group("n"))
-            rows = _parse_matrix(m.group("mat"), line_no)
-            try:
-                gens = [tuple(ring.poly(s) for s in row) for row in rows]
-                sub = SubmoduleOfFree(ring, ambient, gens)
-            except GprojError as exc:
-                raise _declaration_error(exc, line_no) from None
-            canonical = tuple(tuple(format_poly(p) for p in g)
-                              for g in sub.generators)
-            model.submodules[name] = SubmoduleDecl(name, ring_name, ambient,
-                                                   canonical, sub)
-        elif head == "task":
-            parts = line.split()[1:]
-            if not parts or parts[0] not in COMMANDS:
-                raise ParseError("unknown task command", line=line_no)
-            if parts[0] == "report":
-                raise ParseError("a task cannot run report", line=line_no)
-            model.tasks.append(parts)
-        else:
-            raise ParseError(f"unknown declaration {head!r}", line=line_no)
     return model
 
 
@@ -586,6 +566,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@span_scope
+def _load_and_run(ns, guard: int) -> tuple[Report, int]:
+    """Parse the model and run the command in one span scope, so the command
+    reuses the module bases that the declarations built."""
+    if ns.model == "-":
+        model = ModelFile({}, {}, {}, {}, [])
+    else:
+        with open(ns.model, "r", encoding="utf-8") as fh:
+            model = parse_model_file(fh.read(), guard)
+    return run_command(ns.command, ns.args, model, ns.depth)
+
+
 def main(argv=None) -> int:
     """Run one command; returns the exit code. The argument parser is built
     once per process, on the first call, and reused by every later call."""
@@ -602,12 +594,7 @@ def main(argv=None) -> int:
                     f"{ENV_GUARD} must be an integer, got {raw!r}") from None
         if guard < 0:
             raise InputError(f"{source} must be a non-negative integer, got {guard}")
-        if ns.model == "-":
-            model = ModelFile({}, {}, {}, {}, [])
-        else:
-            with open(ns.model, "r", encoding="utf-8") as fh:
-                model = parse_model_file(fh.read(), guard)
-        report, code = run_command(ns.command, ns.args, model, ns.depth)
+        report, code = _load_and_run(ns, guard)
     except (InputError, ParseError, OSError, ValueError, IndexError) as exc:
         # a parse error of one polynomial argument names its column in it
         col = exc.col if isinstance(exc, ParseError) and exc.line is None else None

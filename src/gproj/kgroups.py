@@ -12,17 +12,23 @@ only for the integer Smith form, which prints them. Integer entries are native
 ints under inline operators. The catalog rings have at most one variable, so
 their entries are coefficient dicts keyed by degree: the relation rows are
 converted once, the chain ring's normal form is a truncation below x^n, and
-only the diagonal goes back into polynomials. Class vectors print as formal
-sums like 2*[R] + 1*[R/(x)].
+only the diagonal goes back into polynomials. Over QQ and QQ[x] every nonzero
+integer is a unit, so each relation row is scaled to integer coefficients and
+the diagonalizer runs on integers alone: pseudo-division in place of division,
+each changed row or column divided by the gcd of its coefficients, and
+fractions only in the monic diagonal. Class vectors print as formal sums like
+2*[R] + 1*[R/(x)].
 """
 
 from __future__ import annotations
 
 import operator
-from math import inf
+from fractions import Fraction
+from math import gcd, inf, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
+from .fields import QQ
 from .modules import (
     FPModule,
     colon_generators,
@@ -39,17 +45,77 @@ from .rings import QuotRing, format_poly, restrict_poly, substitute_zero
 # ---------------------------------------------------------------------------
 
 class _Euclid(NamedTuple):
-    """What the diagonalizer needs to know about a Euclidean ring."""
+    """What the diagonalizer needs to know about a Euclidean ring.
+
+    Division returns a quotient token q and the remainder sub_mul(a, b, q): on
+    Z, k and k[x]/(x^n) that is a - q*b; on QQ[x] a token (s, q) stands for
+    s*a - q*b with s a nonzero integer, a unit. A remainder of either kind is
+    zero exactly when b divides a, and a row or column operation by a token is
+    invertible. Where `scale` is set it takes each changed row or column to a
+    unit multiple with smaller coefficients."""
 
     is_zero: Callable
     size: Callable  # Euclidean size of a nonzero element
-    divmod: Callable  # (q, r) with a = q*b + r, r zero or of smaller size than b
+    divmod: Callable  # (token, remainder): remainder zero or of smaller size than b
     associate: Callable  # the canonical associate of a nonzero element
     minus_one: object = -1  # row t -= minus_one * row i adds row i to row t
     sub_mul: Optional[Callable] = None  # a - b*q on dict entries; None: native ints
+    scale: Optional[Callable] = None  # a unit multiple of a row or column; None: none
 
 
 _INTEGERS = _Euclid(operator.not_, abs, divmod, abs)
+
+
+def _subtract(r, b, shift, c):  # r -= c * x^shift * b, in place, on integers
+    for e, cb in b.items():
+        if s := r.get(e + shift, 0) - cb * c:
+            r[e + shift] = s
+        else:
+            del r[e + shift]
+
+
+def _pseudo_divmod(a, b):
+    """((s, q), r) with r = s*a - q*b of lower degree than b: the pseudo-division
+    of H. Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.1.2,
+    scaling r at each step by the least integer that makes its top coefficient
+    a multiple of b's, so that the quotient stays integral; s is the product of
+    those factors."""
+    lead = b[db := max(b)]
+    s, q, r = 1, {}, dict(a)
+    while r and (d := max(r)) >= db:
+        if (u := lead // gcd(lead, r[d])) != 1:
+            s, q, r = s * u, _scaled(q, u), _scaled(r, u)
+        c = q[d - db] = r[d] // lead
+        _subtract(r, b, d - db, c)
+    return (s, q), r
+
+
+def _scaled(a, s):
+    return {e: s * c for e, c in a.items()}
+
+
+def _pseudo_sub_mul(a, b, token):  # s*a - q*b
+    s, q = token
+    r = dict(a) if s == 1 else _scaled(a, s)
+    for j, c in q.items():
+        _subtract(r, b, j, c)
+    return r
+
+
+def _primitive(entries):
+    """The entries divided by the gcd of all their integer coefficients."""
+    g = gcd(*(c for e in entries for c in e.values()))
+    return entries if g < 2 else [{d: c // g for d, c in e.items()} for e in entries]
+
+
+def _monic(a):  # the diagonal's only fractions
+    lead = a[max(a)]
+    return {d: Fraction(c, lead) for d, c in a.items()}
+
+
+# QQ[x] (and QQ) on integer coefficient dicts keyed by degree
+_RATIONAL_POLYS = _Euclid(operator.not_, max, _pseudo_divmod, _monic, (1, {0: -1}),
+                          _pseudo_sub_mul, _primitive)
 
 
 def _catalog_ring(field, n: float = inf) -> _Euclid:
@@ -58,7 +124,11 @@ def _catalog_ring(field, n: float = inf) -> _Euclid:
     division cancels from the top term and the associate is monic. In
     k[x]/(x^n) a = u*x^v with u a unit, so the size is the valuation v,
     division from the bottom term is exact whenever v(a) >= v(b), the
-    associate is x^v, and the normal form is a truncation below degree n."""
+    associate is x^v, and the normal form is a truncation below degree n.
+    QQ[x] is `_RATIONAL_POLYS`, on integer coefficients: its division is a
+    pseudo-division and it keeps rows and columns primitive."""
+    if field == QQ and n == inf:
+        return _RATIONAL_POLYS
     sub, mul, zero, one = field.sub, field.mul, field.zero, field.one
     pick = max if n == inf else min  # the term that sets the size
 
@@ -101,7 +171,7 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
     associates, S = U*A*V, and the unimodular integer transforms U and V,
     which are None unless `transforms` is set (integer matrices only).
     """
-    is_zero, size, divide, associate, minus_one, sub_mul = ring
+    is_zero, size, divide, associate, minus_one, sub_mul, scale = ring
     S = [list(r) for r in rows]
     nrows = len(S)
     ncols = len(S[0]) if nrows else 0
@@ -116,6 +186,8 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         for M in row_mats:
             M[i] = ([a - b * q for a, b in zip(M[i], M[t])] if sub_mul is None
                     else [sub_mul(a, b, q) for a, b in zip(M[i], M[t])])
+        if scale:
+            S[i] = scale(S[i])
 
     def row_swap(i, t):
         for M in row_mats:
@@ -125,6 +197,9 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         for M in col_mats:
             for r in M:
                 r[j] = r[j] - r[t] * q if sub_mul is None else sub_mul(r[j], r[t], q)
+        if scale:
+            for r, a in zip(S, scale([r[j] for r in S])):
+                r[j] = a
 
     def col_swap(j, t):
         for M in col_mats:
@@ -401,7 +476,12 @@ def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
     n = cat.chain_power if cat.family == "chain" else inf
     rows = [[{d: c for e, c in p.terms if (d := sum(e)) < n} for p in row]
             for row in M.relation_rows()]
-    diagonal, *_ = _diagonalize(rows, _catalog_ring(base.field, n))
+    ring = _catalog_ring(base.field, n)
+    if ring is _RATIONAL_POLYS:  # a unit scaling clears each row's denominators
+        for row in rows:
+            m = lcm(*(c.denominator for a in row for c in a.values()))
+            row[:] = [{d: c.numerator * (m // c.denominator) for d, c in a.items()} for a in row]
+    diagonal, *_ = _diagonalize(rows, ring)
     coords: dict[str, int] = {cat.unit_label: M.ngens - len(diagonal)}
     for d in diagonal:
         if max(d):  # a unit relation cancels a generator

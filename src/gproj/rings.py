@@ -319,7 +319,7 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             bad = len(text) - len(rest)  # the first non-space character
             raise ParseError(f"unexpected character {text[bad]!r}", col=bad + 1)
         pos = m.end()
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
     if not tokens:
         raise ParseError("empty polynomial")
 

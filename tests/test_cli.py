@@ -10,6 +10,7 @@ import pytest
 from gproj import InputError, ParseError, free_resolution, parse_model_file, pd_bounded, run_command
 from gproj import cli
 from gproj.cli import _split_top_level, main
+from gproj.rings import FreeModuleGB
 
 from helpers import split_top_level_reference
 
@@ -251,6 +252,36 @@ def test_a_malformed_polynomial_argument_is_an_input_error_at_its_column(tmp_pat
                       ("x $ 1", "unexpected character '$' at col 3")):
         assert main(["nf", str(path), "R2", poly]) == 2
         assert capsys.readouterr().err == f"input error: {err}\n"
+
+
+@pytest.mark.parametrize("line, err", [
+    ("module M over Q gens 1 relations [[x *]]", "dangling '*' at line 3, col 38"),
+    ("  module M over Q gens 2 relations [[x, 1], [x + * y, 2]]",
+     "unexpected '*' at line 3, col 50"),
+    ("submodule W over Q ambient 2 gens [[x, 1 1]]", "expected operator before '1' at line 3, col 42"),
+    ("map f : k -> k = [[x -]]  # a comment", "dangling sign at line 3, col 22"),
+    ("ring P = QQ[x] mod [x^2, x y]", "expected operator before 'y' at line 3, col 28"),
+])
+def test_a_malformed_polynomial_in_a_declaration_names_its_line_and_column(
+        line, err, tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text(f"ring Q = QQ[x]\nmodule k over Q gens 1 relations [[x]]\n{line}\n")
+    assert main(["gb", str(path), "Q"]) == 2
+    assert capsys.readouterr().err == f"input error: {err}\n"
+
+
+def test_k0_builds_no_module_basis_its_model_declarations_built(tmp_path, capsys, count_calls):
+    # the model is parsed in the command's span scope, so the command reuses
+    # the basis that the declaration of M built
+    text = "ring Q = QQ[x]\nmodule M over Q gens 2 relations [[x, 1/2], [x^2, x - 1]]\n"
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    model, parsing = count_calls(FreeModuleGB, "__init__", parse_model_file, text)
+    _, command = count_calls(FreeModuleGB, "__init__", run_command, "k0", ["M"], model)
+    code, both = count_calls(FreeModuleGB, "__init__", main,
+                             ["k0", str(path), "M", "--format", "machine"])
+    assert code == 0 and "class = 1*[R/(x^2-2*x)]\n" in capsys.readouterr().out
+    assert (parsing, command, both) == (2, 2, 3)
 
 
 def test_coefficient_with_a_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Machine-format output of CLI `gclass`, `gpd`, `ext`, `resolve` and `report`, pinned
-byte for byte with its exit code, on the flagship model and on a model whose
-G-class tests fail (`golden/gclass_fail.model`)."""
+"""Machine-format output of CLI `gclass`, `gpd`, `ext`, `resolve`, `k0` and `report`,
+pinned byte for byte with its exit code, on the flagship model, on a model whose
+G-class tests fail (`golden/gclass_fail.model`) and on QQ[x] modules with
+fractional relations (`golden/k0_qq.model`)."""
 
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ HERE = Path(__file__).parent
 MODELS = {
     "flagship": HERE.parent / "demos" / "flagship.model",
     "gclass_fail": HERE / "golden" / "gclass_fail.model",
+    "k0_qq": HERE / "golden" / "k0_qq.model",
 }
 COMMANDS = {
     "flagship": [
@@ -34,6 +36,7 @@ COMMANDS = {
         ["gpd", "kB", "1", "--depth", "1", "--degree-guard", "3"], ["ext", "kB", "2"],
         ["report"],
     ],
+    "k0_qq": [["k0", "A"], ["k0", "B"], ["k0", "C"], ["k0", "D"], ["report"]],
 }
 GOLDEN = HERE / "golden" / "cli_machine.json"
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import inf
+from math import inf, lcm
 
 import pytest
 
@@ -27,6 +27,7 @@ from gproj import (
     quotient_by_regular_element,
     smith_normal_form,
 )
+from gproj.fields import RationalField
 from gproj.kgroups import _catalog_ring, int_mat_mul
 from gproj.resolutions import pd_bounded
 from gproj.rings import FreeModuleGB, QuotRing, restrict_poly, substitute_zero
@@ -206,20 +207,31 @@ def _random_poly(rng, ring, top, n=None):
 def test_term_divmod_divides_with_remainder(field):
     # k and k[x] divide from the top term, k[x]/(x^n) from the bottom one, on
     # coefficient dicts keyed by degree: a = q*b + r, and b's term at that end
-    # does not divide r's
+    # does not divide r's. QQ and QQ[x] run on integer dicts, where the
+    # division is a pseudo-division: s*a = q*b + r for a nonzero integer s
     rng = random.Random(11)
     k, kx = PolyRing(field, ()), PolyRing(field, ("x",))
     for ring, n in [(k, None), (kx, None)] + [(kx, n) for n in (1, 2, 3, 4)]:
         R = ring.quotient([] if n is None else [f"x^{n}"])
         divmod_ = _catalog_ring(field, inf if n is None else n).divmod
+        pseudo = field == QQ and n is None
         end = 0 if n is None else -1
         for _ in range(60):
             a, b = (_random_poly(rng, ring, rng.randrange(6), n) for _ in range(2))
             if b.is_zero():
                 continue
+            if pseudo:  # clear denominators: a unit scaling
+                a, b = (p * ring.constant(lcm(*(c.denominator for _, c in p.terms)))
+                        for p in (a, b))
+            dicts = [{sum(e): int(c) if pseudo else c for e, c in p.terms} for p in (a, b)]
+            token, r = divmod_(*dicts)
+            s, q = token if pseudo else (1, token)
+            assert isinstance(s, int) and s != 0
+            if pseudo:
+                assert all(type(c) is int for part in (q, r) for c in part.values())
             q, r = (ring.from_dict({(d,) * ring.nvars: c for d, c in part.items()})
-                    for part in divmod_(*({sum(e): c for e, c in p.terms} for p in (a, b))))
-            assert R.nf(q * b + r) == a and R.nf(q) == q and R.nf(r) == r
+                    for part in (q, r))
+            assert R.nf(q * b + r) == ring.constant(s) * a and R.nf(q) == q and R.nf(r) == r
             assert r.is_zero() or sum(r.terms[end][0]) < sum(b.terms[end][0])
 
 
@@ -246,15 +258,32 @@ def _determinant(M):
     return total
 
 
+def _awkward_matrix(rng, ring, shape, top):
+    """A random matrix with, at random, a zero row, a zero column and a row
+    scaled by an integer greater than 1 (over QQ: a row of integer content
+    greater than 1 once its denominators are cleared)."""
+    A = [[_random_poly(rng, ring, rng.randrange(top + 1)) for _ in range(shape[1])]
+         for _ in range(shape[0])]
+    if rng.random() < 0.3:
+        A[rng.randrange(shape[0])] = [ring.zero()] * shape[1]
+    if rng.random() < 0.3:
+        j = rng.randrange(shape[1])
+        for row in A:
+            row[j] = ring.zero()
+    if rng.random() < 0.5:
+        i = rng.randrange(shape[0])
+        A[i] = [p * ring.constant(rng.choice([2, 3, 6, 12])) for p in A[i]]
+    return A
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_invariant_factors_are_quotients_of_determinantal_divisors(field):
     # the product of the first k invariant factors is the monic gcd of the
-    # k x k minors
+    # k x k minors; QQ coefficients have denominators up to 9
     rng = random.Random(23)
     R = polynomial_ring(field, ("x",))
-    for shape in [(3, 3), (4, 3)] * 15:
-        A = [[_random_poly(rng, R.base, rng.randrange(3)) for _ in range(shape[1])]
-             for _ in range(shape[0])]
+    for shape, top in [((3, 3), 2), ((4, 3), 2)] * 15 + [((5, 4), 1), ((4, 5), 1)] * 6:
+        A = _awkward_matrix(rng, R.base, shape, top)
         cls = class_decompose(FPModule(R, shape[0], list(zip(*A))))
         rank = shape[0] - cls.coefficient("[R]")
         factors = sorted((R.base.poly(label[4:-2]) for label, c in cls.coords.items()
@@ -273,6 +302,22 @@ def test_invariant_factors_are_quotients_of_determinantal_divisors(field):
                 continue
             product = product * factors[k - 1]
             assert product == divisor
+
+
+def test_rational_decomposition_makes_no_field_arithmetic_call(monkeypatch):
+    # over QQ[x] the diagonalizer runs on integers: relation rows are scaled
+    # to integer coefficients and only the monic diagonal holds fractions
+    R = QxQ()
+    M = FPModule.from_strings(R, 3, [["1/2*x", "1/3", "0"], ["2/3*x^2 - 1/2", "x", "3/4"],
+                                     ["0", "5/6*x + 1/9", "x^2"]])
+    calls = []
+    for name in ("add", "sub", "mul", "neg", "inv", "div"):
+        method = getattr(RationalField, name)
+        monkeypatch.setattr(RationalField, name,
+                            lambda self, *a, _n=name, _m=method: calls.append(_n) or _m(self, *a))
+    cls = class_decompose(M)
+    assert calls == []
+    assert str(cls) == "1*[R/(x^4-21/40*x^2-3/20*x)]"
 
 
 def test_snf_zero_matrix():

@@ -51,10 +51,30 @@ def _monic_from_sympy(expr, base):
     return base.from_dict(terms)
 
 
-def _random_poly(rng, base, degree):
+def _random_poly(rng, base, degree, den=1):
+    """Coefficients in [-3, 3] (numerators in [-9, 9] over denominators up to
+    den, where den > 1)."""
     field = base.field
-    return base.from_dict({(e,): field.from_int(rng.randint(-3, 3))
+    return base.from_dict({(e,): field.from_int(rng.randint(-3, 3)) if den == 1
+                           else field.from_fraction(rng.randint(-9, 9), rng.randint(1, den))
                            for e in range(degree + 1) if rng.random() < 0.6})
+
+
+def _random_columns(rng, base, ngens, nrels, degree, den=1):
+    """Relation columns; at random one generator row or one column is zero, and
+    one row is scaled by an integer greater than 1."""
+    rows = [[_random_poly(rng, base, degree, den) for _ in range(nrels)]
+            for _ in range(ngens)]
+    if nrels and rng.random() < 0.3:
+        rows[rng.randrange(ngens)] = [base.zero()] * nrels
+    if nrels and rng.random() < 0.3:
+        j = rng.randrange(nrels)
+        for row in rows:
+            row[j] = base.zero()
+    if rng.random() < 0.5:
+        i = rng.randrange(ngens)
+        rows[i] = [p * base.constant(rng.choice([2, 3, 6])) for p in rows[i]]
+    return [tuple(row[j] for row in rows) for j in range(nrels)]
 
 
 def _expected_class(factors, base, ngens, free_degree=None):
@@ -80,10 +100,15 @@ def test_poly_decomposition_matches_sympy(field):
     base = PolyRing(field, ("x",))
     R = base.quotient([])
     domain = _domain(field)[X]
-    for _ in range(25):
-        ngens, nrels = rng.randint(1, 4), rng.randint(0, 4)
-        cols = [tuple(_random_poly(rng, base, 2) for _ in range(ngens))
-                for _ in range(nrels)]
+    # degree 2 up to 4 x 4, then degree 1 up to 5 x 4 and 4 x 5 with denominators
+    # up to 9 over QQ
+    shapes = [(rng.randint(1, 4), rng.randint(0, 4), 2, 1) for _ in range(25)]
+    shapes += [(rng.randint(3, 5), rng.randint(3, 5), 1, 9 if field == QQ else 1)
+               for _ in range(15)]
+    for ngens, nrels, degree, den in shapes:
+        if (ngens, nrels) == (5, 5):
+            continue
+        cols = _random_columns(rng, base, ngens, nrels, degree, den)
         M = FPModule(R, ngens, cols)
         A = sympy.Matrix(ngens, nrels, [_to_sympy(cols[j][i]) for i in range(ngens)
                                         for j in range(nrels)])

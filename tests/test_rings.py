@@ -230,19 +230,19 @@ def test_parse_over_a_prime_field_reduces_fractions():
 
 
 @pytest.mark.parametrize("text, message, col", [
-    ("x + * y", "unexpected '*'", 4), ("x + + y", "unexpected '+'", 4),
-    ("x y", "expected operator before 'y'", 2), ("2 3", "expected operator before '3'", 2),
+    ("x + * y", "unexpected '*'", 5), ("x + + y", "unexpected '+'", 5),
+    ("x y", "expected operator before 'y'", 3), ("2 3", "expected operator before '3'", 3),
     ("x^y", "exponent must be an integer", 2), ("x^-1", "exponent must be an integer", 2),
-    ("x^", "misplaced '^'", 2), ("x ^ 2 ^ 3", "misplaced '^'", 6),
+    ("x^", "misplaced '^'", 2), ("x ^ 2 ^ 3", "misplaced '^'", 7),
     ("3/x", "misplaced '/'", 2), ("x/2", "misplaced '/'", 2), ("x + 1/", "misplaced '/'", 6),
     ("z + 1", "undeclared variable 'z'", 1), ("xy", "undeclared variable 'xy'", 1),
     ("", "empty polynomial", None), ("   ", "empty polynomial", None),
     ("x $ y", "unexpected character '$'", 3), ("x.y", "unexpected character '.'", 2),
-    ("(x)", "unexpected character '('", 1), ("x -", "dangling sign", 2),
-    ("+", "dangling sign", 1), ("x * / y", "unexpected '/'", 4), ("^2", "unexpected '^'", 1),
+    ("(x)", "unexpected character '('", 1), ("x -", "dangling sign", 3),
+    ("+", "dangling sign", 1), ("x * / y", "unexpected '/'", 5), ("^2", "unexpected '^'", 1),
     ("/x", "unexpected '/'", 1), ("x**2", "unexpected '*'", 3),
-    ("x - - y", "unexpected '-'", 4), ("- -x", "unexpected '-'", 2),
-    ("x*", "dangling '*'", 2), ("1 + 2*x*", "dangling '*'", 8),
+    ("x - - y", "unexpected '-'", 5), ("- -x", "unexpected '-'", 3),
+    ("x*", "dangling '*'", 2), ("1 + 2*x*", "dangling '*'", 8), ("x *", "dangling '*'", 3),
 ])
 def test_parse_errors_name_the_same_message_and_column(text, message, col):
     P = PolyRing(QQ, ("x", "y"))

@@ -1,7 +1,10 @@
 """Batch front end: parse model files, dispatch computations, emit reports.
 
 A model file declares rings, modules, maps, and submodules of free modules,
-one per line, plus an optional task list. Reports come in two formats: a
+one per line, plus an optional task list. `parse_model_file` builds each
+declaration once and maps its name to the object: a QuotRing, FPModule,
+ModuleMap or SubmoduleOfFree; `ModelFile.serialize` writes the text back from
+those objects. Reports come in two formats, rendered by one method: a
 line-oriented machine format (`key = value`, nested blocks indented by two
 spaces, byte-identical across runs) and a human-readable text format.
 
@@ -15,10 +18,17 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
-from .errors import DegreeGuardExceeded, GprojError, InputError, MathRejection, ParseError
+from .errors import (
+    DegreeGuardExceeded,
+    GprojError,
+    InputError,
+    MathRejection,
+    ParseError,
+    PdInfiniteOrUnresolved,
+)
 from .fields import GF, QQ
 from .gorenstein import ext_module, g_class_test, gpd_bounded
 from .kgroups import catalog_for, class_decompose, euler_class, smith_normal_form
@@ -37,14 +47,7 @@ from .resolutions import (
     pd_bounded,
     truncation_sequence,
 )
-from .rings import (
-    DEFAULT_DEGREE_GUARD,
-    Ideal,
-    PolyRing,
-    QuotRing,
-    format_poly,
-)
-from .errors import PdInfiniteOrUnresolved
+from .rings import DEFAULT_DEGREE_GUARD, Ideal, PolyRing, QuotRing, format_poly
 
 ENV_GUARD = "GPROJ_DEGREE_GUARD"
 
@@ -78,32 +81,32 @@ class Report:
         self.entries.append((key, sub))
         return sub
 
-    def machine_lines(self, indent: int = 0) -> list[str]:
+    def lines(self, fmt: str, indent: int = 0) -> list[str]:
+        """Machine format writes `key = value`; text format writes
+        `label: value`, the label being the key with blanks for underscores."""
+        machine = fmt == "machine"
+        sep = " = " if machine else ": "
         pad = "  " * indent
         out = []
         for key, value in self.entries:
-            if isinstance(value, Report):
-                out.append(f"{pad}{key}:")
-                out.extend(value.machine_lines(indent + 1))
-            else:
-                out.append(f"{pad}{key} = {value}")
-        return out
-
-    def text_lines(self, indent: int = 0) -> list[str]:
-        pad = "  " * indent
-        out = []
-        for key, value in self.entries:
-            label = key.replace("_", " ")
+            label = key if machine else key.replace("_", " ")
             if isinstance(value, Report):
                 out.append(f"{pad}{label}:")
-                out.extend(value.text_lines(indent + 1))
+                out.extend(value.lines(fmt, indent + 1))
             else:
-                out.append(f"{pad}{label}: {value}")
+                out.append(f"{pad}{label}{sep}{value}")
         return out
 
     def render(self, fmt: str) -> str:
-        lines = self.machine_lines() if fmt == "machine" else self.text_lines()
-        return "\n".join(lines) + "\n"
+        return "\n".join(self.lines(fmt)) + "\n"
+
+
+def _row_text(row) -> str:
+    return "[" + ", ".join(format_poly(p) for p in row) + "]"
+
+
+def _matrix_text(rows) -> str:
+    return "[" + ", ".join(_row_text(row) for row in rows) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -111,44 +114,11 @@ class Report:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RingDecl:
-    name: str
-    field_text: str
-    variables: tuple[str, ...]
-    order: str
-    modulus: tuple[str, ...]
-    ring: QuotRing = field(compare=False, default=None)
-
-
-@dataclass
-class ModuleDecl:
-    name: str
-    ring_name: str
-    ngens: int
-    rows: tuple
-    module: FPModule = field(compare=False, default=None)
-
-
-@dataclass
-class MapDecl:
-    name: str
-    source: str
-    target: str
-    rows: tuple
-    map: ModuleMap = field(compare=False, default=None)
-
-
-@dataclass
-class SubmoduleDecl:
-    name: str
-    ring_name: str
-    ambient: int
-    gens: tuple
-    submodule: SubmoduleOfFree = field(compare=False, default=None)
-
-
-@dataclass
 class ModelFile:
+    """Each table maps a declared name to its object: `rings` to a QuotRing,
+    `modules` to an FPModule, `maps` to a ModuleMap and `submodules` to a
+    SubmoduleOfFree. `tasks` holds each task line's words."""
+
     rings: dict
     modules: dict
     maps: dict
@@ -156,26 +126,27 @@ class ModelFile:
     tasks: list
 
     def serialize(self) -> str:
+        """Model-file text derived from the objects. A module names its ring,
+        and a map its modules, by finding that object in its table."""
+        names = {id(obj): name for table in (self.rings, self.modules)
+                 for name, obj in table.items()}
         lines = []
-        for r in self.rings.values():
-            head = f"ring {r.name} = {r.field_text}[{', '.join(r.variables)}]"
-            head += f" order {r.order}"
-            if r.modulus:
-                head += " mod [" + ", ".join(r.modulus) + "]"
-            lines.append(head)
-        for m in self.modules.values():
-            rows = ", ".join("[" + ", ".join(row) + "]" for row in m.rows)
-            lines.append(f"module {m.name} over {m.ring_name} gens {m.ngens} "
-                         f"relations [{rows}]")
-        for s in self.submodules.values():
-            rows = ", ".join("[" + ", ".join(row) + "]" for row in s.gens)
-            lines.append(f"submodule {s.name} over {s.ring_name} "
-                         f"ambient {s.ambient} gens [{rows}]")
-        for f in self.maps.values():
-            rows = ", ".join("[" + ", ".join(row) + "]" for row in f.rows)
-            lines.append(f"map {f.name} : {f.source} -> {f.target} = [{rows}]")
-        for t in self.tasks:
-            lines.append("task " + " ".join(t))
+        for name, R in self.rings.items():
+            base = R.base
+            line = f"ring {name} = {base.field!r}[{', '.join(base.variables)}] order {base.order}"
+            if R.modulus.generators:
+                line += " mod " + _row_text(R.modulus.generators)
+            lines.append(line)
+        for name, M in self.modules.items():
+            lines.append(f"module {name} over {names[id(M.ring)]} gens {M.ngens} "
+                         f"relations {_matrix_text(M.relation_rows())}")
+        for name, W in self.submodules.items():
+            lines.append(f"submodule {name} over {names[id(W.ring)]} "
+                         f"ambient {W.ambient_rank} gens {_matrix_text(W.generators)}")
+        for name, f in self.maps.items():
+            lines.append(f"map {name} : {names[id(f.source)]} -> {names[id(f.target)]} "
+                         f"= {_matrix_text(f.rows())}")
+        lines.extend("task " + " ".join(t) for t in self.tasks)
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
@@ -200,17 +171,17 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _parse_matrix(text: str, line_no: int | None = None) -> list[list[str]]:
+def _parse_matrix(text: str) -> list[list[str]]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed matrix", line=line_no)
+        raise ParseError("expected a bracketed matrix")
     inner = text[1:-1].strip()
     if not inner:
         return []
     rows = []
     for part in _split_top_level(inner):
         if not (part.startswith("[") and part.endswith("]")):
-            raise ParseError("expected a bracketed row", line=line_no)
+            raise ParseError("expected a bracketed row")
         body = part[1:-1].strip()
         rows.append([] if not body else [s.strip() for s in _split_top_level(body)])
     return rows
@@ -283,45 +254,26 @@ def _declare(model: ModelFile, line: str, raw: str, degree_guard: int) -> None:
         raise ParseError(f"duplicate name {name!r}")
     lead = len(raw) - len(raw.lstrip())  # the offset of `line` in `raw`
     if head == "ring":
-        field_text = m.group("field")
+        field_text, mod = m.group("field"), m.group("mod")
         fld = QQ if field_text == "QQ" else GF(int(field_text[3:-1]))
-        variables = tuple(v.strip() for v in m.group("vars").split(",")
-                          if v.strip())
-        order = m.group("order") or "grevlex"
-        mod_strings = []
-        if m.group("mod"):
-            body = m.group("mod").strip()[1:-1].strip()
-            mod_strings = _split_top_level(body) if body else []
-        base = PolyRing(fld, variables, order, degree_guard)
+        variables = [v.strip() for v in m.group("vars").split(",") if v.strip()]
+        base = PolyRing(fld, variables, m.group("order") or "grevlex", degree_guard)
+        mod_strings = _split_top_level(mod[1:-1]) if mod else []
         [gens] = _parse_entries(base.poly, [mod_strings], raw, lead + m.start("mod"))
-        ring = QuotRing(base, Ideal(base, gens))
-        canonical_mod = tuple(format_poly(g) for g in gens)
-        model.rings[name] = RingDecl(name, field_text, variables, order,
-                                     canonical_mod, ring)
+        model.rings[name] = QuotRing(base, Ideal(base, gens))
         return
     if head == "map":
-        source, target = (_need(model, "modules", m.group(ref), "module").module
-                          for ref in ("src", "dst"))
+        source, target = (_need(model.modules, m.group(ref), "module") for ref in ("src", "dst"))
         ring = source.ring
     else:
-        ring = _need(model, "rings", m.group("ring"), "ring").ring
+        ring = _need(model.rings, m.group("ring"), "ring")
     rows = _parse_entries(ring.poly, _parse_matrix(m.group("mat")), raw, lead + m.start("mat"))
     if head == "module":
-        ngens = int(m.group("n"))
-        module = FPModule.from_strings(ring, ngens, rows)
-        canonical = tuple(tuple(format_poly(p) for p in row)
-                          for row in module.relation_rows())
-        model.modules[name] = ModuleDecl(name, m.group("ring"), ngens, canonical, module)
+        model.modules[name] = FPModule.from_strings(ring, int(m.group("n")), rows)
     elif head == "map":
-        mp = ModuleMap.from_strings(source, target, rows)
-        canonical = tuple(tuple(format_poly(p) for p in row) for row in mp.rows())
-        model.maps[name] = MapDecl(name, m.group("src"), m.group("dst"), canonical, mp)
+        model.maps[name] = ModuleMap.from_strings(source, target, rows)
     else:
-        ambient = int(m.group("n"))
-        sub = SubmoduleOfFree(ring, ambient, [tuple(g) for g in rows])
-        canonical = tuple(tuple(format_poly(p) for p in g) for g in sub.generators)
-        model.submodules[name] = SubmoduleDecl(name, m.group("ring"), ambient,
-                                               canonical, sub)
+        model.submodules[name] = SubmoduleOfFree(ring, int(m.group("n")), [tuple(g) for g in rows])
 
 
 def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> ModelFile:
@@ -364,11 +316,10 @@ def _extract_flags(args):
     return depth, rest
 
 
-def _need(model, table, name, what):
-    pool = getattr(model, table)
-    if name not in pool:
+def _need(table: dict, name: str, what: str):
+    if name not in table:
         raise InputError(f"undeclared {what} {name!r}")
-    return pool[name]
+    return table[name]
 
 
 def _matrix_block(report: Report, key: str, rows) -> None:
@@ -377,12 +328,14 @@ def _matrix_block(report: Report, key: str, rows) -> None:
         sub.add("rows", 0)
         return
     for i, row in enumerate(rows):
-        sub.add(f"row{i}", "[" + ", ".join(format_poly(p) for p in row) + "]")
+        sub.add(f"row{i}", _row_text(row))
 
 
 @span_scope
 def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Report, int]:
-    """Dispatch one command against a parsed model; returns (report, exit code)."""
+    """Dispatch one command against a parsed model; returns (report, exit code).
+    A ring, module or submodule named by the first argument is looked up in
+    its table once, and its name is the report's second line."""
     if cmd not in ARGUMENTS:
         raise InputError(f"unknown command {cmd!r}")
     flag_depth, rest = _extract_flags(list(args))
@@ -397,38 +350,31 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     report = Report()
     report.add("command", cmd)
     code = 0
+    if wanted and wanted[0] in ("ring", "module", "submodule"):
+        obj = _need(getattr(model, wanted[0] + "s"), rest[0], wanted[0])
+        report.add(wanted[0], rest[0])
 
     if cmd == "gb":
-        decl = _need(model, "rings", rest[0], "ring")
-        report.add("ring", decl.name)
-        gb = decl.ring.modulus.reduced_gb
+        gb = obj.modulus.reduced_gb
         report.add("size", len(gb))
         for i, g in enumerate(gb):
             report.add(f"g{i}", format_poly(g))
     elif cmd == "nf":
-        decl = _need(model, "rings", rest[0], "ring")
-        p = decl.ring.poly(rest[1])
-        report.add("ring", decl.name)
         report.add("input", rest[1])
-        report.add("normal_form", format_poly(p))
+        report.add("normal_form", format_poly(obj.poly(rest[1])))
     elif cmd == "ann":
-        decl = _need(model, "rings", rest[0], "ring")
-        a = decl.ring.poly(rest[1])
-        ann = annihilator_of_element(a, decl.ring)
-        report.add("ring", decl.name)
+        a = obj.poly(rest[1])
+        ann = annihilator_of_element(a, obj)
         report.add("element", format_poly(a))
         report.add("annihilator_size", len(ann.generators))
         for i, g in enumerate(ann.generators):
             report.add(f"a{i}", format_poly(g))
     elif cmd == "resolve":
-        decl = _need(model, "modules", rest[0], "module")
         if depth >= 1:  # print the verdict's resolution, cut back to this depth
-            verdict = pd_bounded(decl.module, depth)
-            maps = verdict.resolution.maps[:depth + 1]
-            res = FreeResolution(decl.module, maps, depth)
+            verdict = pd_bounded(obj, depth)
+            res = FreeResolution(obj, verdict.resolution.maps[:depth + 1], depth)
         else:
-            verdict, res = None, free_resolution(decl.module, depth)
-        report.add("module", decl.name)
+            verdict, res = None, free_resolution(obj, depth)
         for line in res.report_lines():
             key, sep, value = line.partition(" = ")
             if sep:
@@ -438,33 +384,24 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         if verdict is not None:
             report.add("verdict", str(verdict))
     elif cmd == "pd":
-        decl = _need(model, "modules", rest[0], "module")
-        verdict = pd_bounded(decl.module, depth)
-        report.add("module", decl.name)
         report.add("depth", depth)
-        report.add("verdict", str(verdict))
+        report.add("verdict", str(pd_bounded(obj, depth)))
     elif cmd == "ext":
-        decl = _need(model, "modules", rest[0], "module")
         i = int(rest[1])
-        result = ext_module(decl.module, FPModule.free(decl.module.ring, 1), i)
-        report.add("module", decl.name)
+        result = ext_module(obj, FPModule.free(obj.ring, 1), i)
         report.add("degree", i)
         report.add("is_zero", result.is_zero)
         report.add("gens", result.module.ngens)
         _matrix_block(report, "relations", result.module.relation_rows())
     elif cmd == "dual":
-        decl = _need(model, "modules", rest[0], "module")
-        d = dual_module(decl.module)
-        report.add("module", decl.name)
+        d = dual_module(obj)
         report.add("dual_gens", d.module.ngens)
         _matrix_block(report, "dual_relations", d.module.relation_rows())
         ev = report.block("evaluation_rows")
         for i, row in enumerate(d.evaluation):
-            ev.add(f"e{i}", "[" + ", ".join(format_poly(p) for p in row) + "]")
+            ev.add(f"e{i}", _row_text(row))
     elif cmd == "gclass":
-        decl = _need(model, "modules", rest[0], "module")
-        rep = g_class_test(decl.module, depth)
-        report.add("module", decl.name)
+        rep = g_class_test(obj, depth)
         report.add("depth", depth)
         c1 = report.block("cond1_ext_vanishing")
         for r in rep.cond1:
@@ -484,18 +421,14 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 w.add("ext_gens", data.module.ngens)
                 _matrix_block(w, "ext_relations", data.module.relation_rows())
     elif cmd == "gpd":
-        decl = _need(model, "modules", rest[0], "module")
         n = int(rest[1])
-        verdict = gpd_bounded(decl.module, n, depth)
-        report.add("module", decl.name)
+        verdict = gpd_bounded(obj, n, depth)
         report.add("n", n)
         report.add("depth", depth)
         report.add("verdict", str(verdict))
     elif cmd == "lemma45":
-        decl = _need(model, "rings", rest[0], "ring")
-        a = decl.ring.poly(rest[1])
-        cert = infinite_pd_detector(decl.ring, a, depth)
-        report.add("ring", decl.name)
+        a = obj.poly(rest[1])
+        cert = infinite_pd_detector(obj, a, depth)
         report.add("element", format_poly(a))
         report.add("accepted", cert.accepted)
         if cert.accepted:
@@ -508,29 +441,22 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 report.add(f"rejection{i}", f)
             code = 1
     elif cmd == "lemma312":
-        decl = _need(model, "submodules", rest[0], "submodule")
-        seq = truncation_sequence(decl.submodule)
-        report.add("submodule", decl.name)
+        seq = truncation_sequence(obj)
         report.add("k", seq.k)
         report.add("A_gens", seq.A.ngens)
         report.add("A_is_zero", seq.A.is_zero())
         report.add("B_gens", seq.B.ngens)
         report.add("exact", seq.exactness.ok)
     elif cmd == "k0":
-        decl = _need(model, "modules", rest[0], "module")
-        cat = catalog_for(decl.module.ring)
-        cls = class_decompose(decl.module, cat)
-        report.add("module", decl.name)
+        cat = catalog_for(obj.ring)
         report.add("family", cat.family)
-        report.add("class", str(cls))
+        report.add("class", str(class_decompose(obj, cat)))
         try:
-            report.add("euler_class", str(euler_class(decl.module, depth)))
+            report.add("euler_class", str(euler_class(obj, depth)))
         except PdInfiniteOrUnresolved as exc:
             report.add("euler_class", f"unresolved ({exc})")
     elif cmd == "snf":
-        literal = rest[0]
-        rows = _parse_matrix(literal, 0)
-        matrix = [[int(v) for v in row] for row in rows]
+        matrix = [[int(v) for v in row] for row in _parse_matrix(rest[0])]
         result = smith_normal_form(matrix)
         try:
             report.add("diagonal", list(result.diagonal))

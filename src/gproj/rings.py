@@ -336,9 +336,11 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             num = int(val)
             i += 1
             if i + 1 < n and tokens[i][1] == "/" and tokens[i + 1][0] == "num":
-                den = int(tokens[i + 1][1])
-                i += 2
-                return field.mul(coeff, field.from_fraction(num, den)), i
+                try:  # a zero denominator is reported at its numerator
+                    value = field.from_fraction(num, int(tokens[i + 1][1]))
+                except InputError as exc:
+                    raise ParseError(str(exc), col=col + 1) from None
+                return field.mul(coeff, value), i + 2
             return field.mul(coeff, field.from_int(num)), i
         if kind == "name":
             if val not in index:

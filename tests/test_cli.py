@@ -43,12 +43,78 @@ def test_parse_reports_unknown_reference():
     assert "'S'" in str(exc.value)
 
 
+EVERY_KIND = """\
+ring P = GF(7)[x, y] order lex mod [x^2 - 3/2*y, y^3]
+ring Q = QQ[]
+ring S = QQ[x]
+ring T = QQ[x] mod []
+module N over P gens 2 relations []
+module M over P gens 2 relations [[x, y], [0, x - 1]]
+module K over S gens 1 relations [[x]]
+map f : K -> K = [[x]]
+map g : N -> M = [[1, 0], [0, 1]]
+submodule W over S ambient 2 gens [[x, 1], [0, x]]
+task pd --depth 3 K
+task nf P x^3
+"""
+# two rings of identical text: each module names the ring it was built on
+TWINS = """\
+ring A = GF(2)[x] mod [x^2]
+ring B = GF(2)[x] mod [x^2]
+module I over B gens 1 relations [[x]]
+module J over A gens 1 relations [[x]]
+map h : J -> J = [[1]]
+"""
+TESTS = Path(__file__).resolve().parent
+FLAGSHIP_MODEL = (TESTS.parent / "demos" / "flagship.model").read_text()
+GOLDEN_MODELS = [(TESTS / "golden" / name).read_text()
+                 for name in ("gclass_fail.model", "k0_qq.model")]
+
+
 def test_serialize_roundtrip():
     text = FLAGSHIP + "map f : I -> I = [[x]]\n" \
         + "submodule W over R2 ambient 2 gens [[x, 1]]\n"
     model = parse_model_file(text)
     again = parse_model_file(model.serialize())
     assert model == again
+    assert again.serialize() == model.serialize()
+
+
+@pytest.mark.parametrize("text", [EVERY_KIND, TWINS, FLAGSHIP_MODEL, *GOLDEN_MODELS],
+                         ids=["every-kind", "twins", "flagship", "gclass_fail", "k0_qq"])
+def test_serialize_roundtrips_to_the_same_model_and_text(text):
+    model = parse_model_file(text)
+    once = model.serialize()
+    again = parse_model_file(once)
+    assert model == again
+    assert again.serialize() == once
+
+
+def test_serialize_derives_each_line_from_its_object():
+    assert parse_model_file(EVERY_KIND).serialize() == """\
+ring P = GF(7)[x, y] order lex mod [x^2+2*y, y^3]
+ring Q = QQ[] order grevlex
+ring S = QQ[x] order grevlex
+ring T = QQ[x] order grevlex
+module N over P gens 2 relations [[], []]
+module M over P gens 2 relations [[x, y], [0, x+6]]
+module K over S gens 1 relations [[x]]
+submodule W over S ambient 2 gens [[x, 1], [0, x]]
+map f : K -> K = [[x]]
+map g : N -> M = [[1, 0], [0, 1]]
+task pd --depth 3 K
+task nf P x^3
+"""
+    model = parse_model_file(TWINS)
+    assert model.rings["A"] == model.rings["B"] and model.rings["A"] is not model.rings["B"]
+    assert model.modules["I"].ring is model.rings["B"]
+    assert model.serialize() == """\
+ring A = GF(2)[x] order grevlex mod [x^2]
+ring B = GF(2)[x] order grevlex mod [x^2]
+module I over B gens 1 relations [[x]]
+module J over A gens 1 relations [[x]]
+map h : J -> J = [[1]]
+"""
 
 
 def test_run_pd_flagship():
@@ -285,12 +351,29 @@ def test_k0_builds_no_module_basis_its_model_declarations_built(tmp_path, capsys
 
 
 def test_coefficient_with_a_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):
+    # reported at the column of its numerator, in a declaration and in an argument
     path = tmp_path / "m.model"
     path.write_text("ring R = GF(5)[x] mod [x^2 - 1/5]\n")
     assert main(["gb", str(path), "R"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "input error: coefficient 1/5 has denominator 0 in GF(5) at line 1\n"
+    assert captured.err == ("input error: coefficient 1/5 has denominator 0 in GF(5) "
+                            "at line 1, col 30\n")
+    path.write_text(FLAGSHIP)
+    assert main(["ann", str(path), "R2", "1/2"]) == 2
+    assert capsys.readouterr().err == \
+        "input error: coefficient 1/2 has denominator 0 in GF(2) at col 1\n"
+    path.write_text("ring Q = QQ[x]\nmodule M over Q gens 1 relations [[x + 3/0]]\n")
+    assert main(["gb", str(path), "Q"]) == 2
+    assert capsys.readouterr().err == \
+        "input error: zero denominator in rational coefficient at line 2, col 40\n"
+
+
+def test_a_malformed_snf_matrix_names_no_line(capsys):
+    for literal, err in (("[1,2]", "expected a bracketed row"),
+                         ("1,2", "expected a bracketed matrix")):
+        assert main(["snf", "-", literal]) == 2
+        assert capsys.readouterr().err == f"input error: {err}\n"
 
 
 def test_snf_past_the_integer_digit_limit_is_a_rejection(capsys):
@@ -309,8 +392,6 @@ XY_SQUARES = """\
 ring T = GF(2)[x,y] order grevlex mod [x^2, y^2]
 module kT over T gens 1 relations [[x, y]]
 """
-FLAGSHIP_MODEL = (Path(__file__).resolve().parent.parent
-                  / "demos" / "flagship.model").read_text()
 
 
 @pytest.mark.parametrize("text, name", [
@@ -322,7 +403,7 @@ def test_resolve_prints_the_standalone_resolution_and_pd_verdict(text, name, dep
     # resolve reads its printout off the resolution pd_bounded makes; the
     # lines must be those of a resolution computed to exactly this depth
     model = parse_model_file(text)
-    module = model.modules[name].module
+    module = model.modules[name]
     report, code = run_command("resolve", ["--depth", str(depth), name], model)
     assert code == 0
     want = ["command = resolve", f"module = {name}"]

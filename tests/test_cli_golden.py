@@ -1,7 +1,8 @@
-"""Machine-format output of CLI `gclass`, `gpd`, `ext`, `resolve`, `k0` and `report`,
-pinned byte for byte with its exit code, on the flagship model, on a model whose
-G-class tests fail (`golden/gclass_fail.model`) and on QQ[x] modules with
-fractional relations (`golden/k0_qq.model`)."""
+"""Output of CLI `gclass`, `gpd`, `ext`, `resolve`, `k0` and `report`, pinned byte
+for byte with its exit code, on the flagship model, on a model whose G-class
+tests fail (`golden/gclass_fail.model`) and on QQ[x] modules with fractional
+relations (`golden/k0_qq.model`). A case runs in machine format unless it names
+its own `--format`."""
 
 import json
 from pathlib import Path
@@ -26,6 +27,7 @@ COMMANDS = {
         # long periodic tails: rank 1 and period 1 at every depth
         ["resolve", "I", "--depth", "50"], ["resolve", "I", "--depth", "200"],
         ["gclass", "I", "--depth", "50"], ["gclass", "I", "--depth", "200"],
+        ["report", "--format", "text"],
     ],
     "gclass_fail": [
         ["gclass", "k", "--depth", "1"], ["gclass", "k", "--depth", "3"],
@@ -35,10 +37,13 @@ COMMANDS = {
         ["gclass", "kB", "--depth", "2"], ["gclass", "kB", "--depth", "1", "--degree-guard", "3"],
         ["gpd", "kB", "1", "--depth", "1", "--degree-guard", "3"], ["ext", "kB", "2"],
         ["report"],
+        # text format, with nested witness blocks
+        ["gclass", "k", "--depth", "3", "--format", "text"],
     ],
-    "k0_qq": [["k0", "A"], ["k0", "B"], ["k0", "C"], ["k0", "D"], ["report"]],
+    "k0_qq": [["k0", "A"], ["k0", "B"], ["k0", "C"], ["k0", "D"], ["report"],
+              ["report", "--format", "text"]],
 }
-GOLDEN = HERE / "golden" / "cli_machine.json"
+GOLDEN = HERE / "golden" / "cli_output.json"
 
 
 def cases():
@@ -46,7 +51,8 @@ def cases():
 
 
 def run(model, cmd, capsys):
-    code = main([cmd[0], str(MODELS[model]), *cmd[1:], "--format", "machine"])
+    fmt = [] if "--format" in cmd else ["--format", "machine"]
+    code = main([cmd[0], str(MODELS[model]), *cmd[1:], *fmt])
     captured = capsys.readouterr()
     return {"exit": code, "stdout": captured.out, "stderr": captured.err}
 

@@ -2,9 +2,11 @@
 an import that its module never reads, a private module-level function
 or class that nothing in the package calls, and a function in the tests'
 `helpers.py` that no test and no other helper calls. `__init__.py` only
-re-exports, so its imports are not checked."""
+re-exports, so its imports are not checked for use. The package imports
+nothing outside the standard library (`sys.stdlib_module_names`, 3.10+)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,18 @@ def test_no_unused_module_level_import(path):
                 if bound not in read:
                     unused.append(bound)
     assert not unused, f"{path.name} imports but never reads {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    tops = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    outside = sorted(tops - sys.stdlib_module_names)
+    assert not outside, f"{path.name} imports outside the standard library: {outside}"
 
 
 def test_no_unreferenced_private_function_or_class():

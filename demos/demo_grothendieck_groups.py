@@ -13,8 +13,8 @@ from gproj import (
     class_decompose,
     euler_class,
     euler_map_report,
-    extension_class,
     group_from_relations,
+    polynomial_extension,
     polynomial_ring,
     pushdown_class,
     smith_normal_form,
@@ -58,7 +58,7 @@ for field, name in ((GF(2), "GF(2)"), (GF(3), "GF(3)"), (QQ, "QQ")):
     base = polynomial_ring(field, ())
     cat = catalog_for(base)
     Mod = cat.module_for_label("[k]")
-    ext = extension_class(Mod, "x")
+    ext = polynomial_extension(Mod, "x")
     print(f"{name}: pushdown(extension([k])) =", pushdown_class(ext))
 
 print()

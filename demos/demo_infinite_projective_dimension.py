@@ -31,7 +31,7 @@ cert = infinite_pd_detector(R, x)
 print("accepted:", cert.accepted)
 print("pd verdict:", cert.verdict)
 print("super-finitely-presented dimension of the ring is infinite:",
-      cert.spd_is_infinite)
+      cert.accepted)
 
 print()
 print("== the periodic resolution, spelled out ==")

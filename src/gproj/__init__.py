@@ -31,8 +31,6 @@ from .rings import (
     extend_ring,
     format_poly,
     groebner_basis,
-    ideal_membership,
-    normal_form,
     parse_poly,
     polynomial_ring,
 )
@@ -55,7 +53,6 @@ from .modules import (
     polynomial_extension,
     quotient_by_regular_element,
     restrict_scalars_monic,
-    shrink_ring,
 )
 from .resolutions import (
     FreeResolution,
@@ -91,7 +88,6 @@ from .kgroups import (
     class_decompose,
     euler_class,
     euler_map_report,
-    extension_class,
     group_from_relations,
     pushdown_class,
     smith_normal_form,

@@ -31,13 +31,12 @@ from .errors import InputError, PdInfiniteOrUnresolved, RingNotInCatalog
 from .fields import QQ
 from .modules import (
     FPModule,
+    _tower,
     colon_generators,
-    polynomial_extension,
-    shrink_ring,
     span_scope,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
-from .rings import QuotRing, format_poly, restrict_poly, substitute_zero
+from .rings import QuotRing, coeffs_by_variable, format_poly, restrict_poly
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +522,7 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
     [P/xP] - [A/xA] as catalog coordinates over R.
     """
     S = M.ring
-    base = S.base
-    if base.nvars == 0:
-        raise InputError("no polynomial variable to push down along")
-    if var is None:
-        var = base.variables[-1]
-    if var != base.variables[-1]:
-        raise InputError("pushdown variable must be the last ring variable")
-    idx = base.nvars - 1
-    R = shrink_ring(S)
+    idx, R = _tower(S, var)
     if cat is None:
         cat = catalog_for(R)
     free_class = class_decompose(FPModule.free(R, M.ngens), cat)
@@ -539,17 +530,12 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
     if not a_cols:
         return free_class
     a_rels = colon_generators(S, M.ngens, a_cols)
-    small = R.base
-    reduced_cols = [
-        tuple(restrict_poly(substitute_zero(p, idx), small) for p in col)
+    small, zero = R.base, S.zero()
+    reduced_cols = [  # each entry at x = 0
+        tuple(restrict_poly(coeffs_by_variable(p, idx).get(0, zero), small) for p in col)
         for col in a_rels]
     a_bar = FPModule(R, len(a_cols), reduced_cols)
     return free_class - class_decompose(a_bar, cat)
-
-
-def extension_class(M: FPModule, var: str) -> FPModule:
-    """The polynomial extension, tagged as a class representative of [M[x]]."""
-    return polynomial_extension(M, var)
 
 
 class EulerMapReport(NamedTuple):

@@ -95,7 +95,6 @@ def transpose(columns, nrows: int) -> tuple[Column, ...]:
 
 # the running top-level call's span cache, None outside any scope
 _SPANS: ContextVar[Optional[dict]] = ContextVar("gproj_spans", default=None)
-_new_spans = dict  # opens a top-level call's cache
 _MISS = object()  # a key not built yet: a cached build may be None
 
 
@@ -106,7 +105,7 @@ def span_scope(fn):
     def scoped(*args, **kwargs):
         if _SPANS.get() is not None:
             return fn(*args, **kwargs)
-        token = _SPANS.set(_new_spans())
+        token = _SPANS.set({})
         try:
             return fn(*args, **kwargs)
         finally:
@@ -468,9 +467,6 @@ class ModuleMap:
         eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
         return all(eng.contains(e) for e in identity(T.ring, T.ngens))
 
-    def is_iso(self) -> bool:
-        return self.kernel_is_zero() and self.cokernel_is_zero()
-
     def __repr__(self):
         return f"ModuleMap({self.source.ngens} gens -> {self.target.ngens} gens)"
 
@@ -558,10 +554,6 @@ def is_regular_element(u: Poly, M: FPModule) -> bool:
     return ModuleMap(M, M, identity(M.ring, M.ngens, u), check=False).kernel_is_zero()
 
 
-def is_regular_in_ring(u: Poly, R: QuotRing) -> bool:
-    return annihilator_of_element(u, R).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # duals and double duality
 # ---------------------------------------------------------------------------
@@ -631,7 +623,7 @@ def quotient_by_regular_element(M: FPModule, u: Poly) -> FPModule:
         raise ZeroDivisorInRing("zero is a zero divisor")
     if R.is_unit(u):
         raise UnitElement(f"{u} is a unit")
-    if not is_regular_in_ring(u, R):
+    if not is_regular_element(u, FPModule.free(R, 1)):
         raise ZeroDivisorInRing(f"{u} is a zero divisor in the ring")
     if not is_regular_element(u, M):
         raise NotRegularOnModule(f"{u} is not regular on the module")
@@ -646,19 +638,40 @@ def polynomial_extension(M: FPModule, var: str) -> FPModule:
     return FPModule(big, M.ngens, cols)
 
 
-def shrink_ring(S: QuotRing) -> QuotRing:
-    """Drop the last variable; modulus generators must not involve it."""
+def _tower(S: QuotRing, var: Optional[str] = None, monic=None) -> tuple[int, QuotRing]:
+    """Read S as R[x]/J for x = var (default: S's last variable): x's index and R.
+
+    x must be S's last variable and no generator of J may involve it. With a
+    monic f given (a Poly or its text), S is R[x]/(f) + J: f must be monic of
+    positive degree in x and lie in S's modulus, and J is S's modulus without f.
+    """
     base = S.base
-    if base.nvars == 0:
-        raise InputError("no variable to drop")
+    if var is None:
+        if base.nvars == 0:
+            raise InputError("the ring has no polynomial variable")
+        var = base.variables[-1]
+    if var not in base.variables:
+        raise InputError(f"unknown variable {var!r}")
     idx = base.nvars - 1
+    if var != base.variables[idx]:
+        raise InputError("the tower variable must be the last ring variable")
+    gens = S.modulus.generators
+    if monic is not None:
+        monic = base.poly(monic) if isinstance(monic, str) else monic
+        if not is_monic_in_var(monic, idx) or monic.degree_in(idx) < 1:
+            raise NotMonic(f"{monic} is not monic of positive degree in {var}")
+        if not S.modulus.contains(monic):
+            raise InputError("the monic polynomial does not lie in the modulus")
+        gens = [g for g in gens if g != monic]
+    if any(g.degree_in(idx) > 0 for g in gens):
+        raise InputError("the modulus involves the tower variable")
     small = PolyRing(base.field, base.variables[:-1], base.order, base.degree_guard)
-    gens = []
-    for g in S.modulus.generators:
-        if g.degree_in(idx) > 0:
-            raise InputError("modulus involves the variable being dropped")
-        gens.append(restrict_poly(g, small))
-    return QuotRing(small, Ideal(small, gens))
+    return idx, QuotRing(small, Ideal(small, [restrict_poly(g, small) for g in gens]))
+
+
+def _top_degree(col, idx: int) -> int:
+    """The largest degree in variable #idx among the column's entries."""
+    return max((p.degree_in(idx) for p in col if not p.is_zero()), default=0)
 
 
 def restrict_scalars_monic(N: FPModule, var: str, f: Poly) -> FPModule:
@@ -669,31 +682,13 @@ def restrict_scalars_monic(N: FPModule, var: str, f: Poly) -> FPModule:
     Generator (i, j) of the result sits at index i*k + j.
     """
     T = N.ring
-    base = T.base
-    if var not in base.variables:
-        raise InputError(f"unknown variable {var!r}")
-    idx = base._varindex[var]
-    if idx != base.nvars - 1:
-        raise InputError("the tower variable must be the last ring variable")
-    if isinstance(f, str):
-        f = base.poly(f)
-    if not is_monic_in_var(f, idx) or f.degree_in(idx) < 1:
-        raise NotMonic(f"{f} is not monic of positive degree in {var}")
-    if not T.modulus.contains(f):
-        raise InputError("the monic polynomial does not lie in the modulus")
+    idx, R = _tower(T, var, f)
+    f = T.base.poly(f) if isinstance(f, str) else f  # text that _tower has checked
     k = f.degree_in(idx)
-    small = PolyRing(base.field, base.variables[:-1], base.order, base.degree_guard)
-    small_gens = []
-    for g in T.modulus.generators:
-        if g == f:
-            continue
-        if g.degree_in(idx) > 0:
-            raise InputError("modulus mixes the tower variable into other generators")
-        small_gens.append(restrict_poly(g, small))
-    R = QuotRing(small, Ideal(small, small_gens))
+    small = R.base
 
     n = N.ngens
-    var_poly = base.var(var)
+    var_poly = T.base.var(var)
     new_cols = []
     for col in N.relations:
         for j in range(k):
@@ -787,18 +782,7 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
     certificate re-verifies everything downstream.
     """
     S = Msub.ring
-    base = S.base
-    if base.nvars == 0:
-        raise InputError("ambient ring has no polynomial variable")
-    if var is None:
-        var = base.variables[-1]
-    idx = base._varindex[var]
-    if idx != base.nvars - 1:
-        raise InputError("the truncation variable must be the last ring variable")
-    for g in S.modulus.generators:
-        if g.degree_in(idx) > 0:
-            raise InputError("modulus involves the truncation variable")
-    R = shrink_ring(S)
+    idx, R = _tower(S, var)
     r = Msub.ambient_rank
     if k <= 0 or r == 0:
         return SubmoduleOfFree(R, max(r * k, 0), ())
@@ -806,16 +790,11 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
     if not gens:
         return SubmoduleOfFree(R, r * k, ())
     small = R.base
-
-    def gen_degree(col):
-        return max(p.degree_in(idx) for p in col if not p.is_zero())
-
-    D = max(gen_degree(g) for g in gens)
-    bound = D + k
+    bound = max(_top_degree(g, idx) for g in gens) + k
     multiples = []
-    var_poly = base.var(var)
+    var_poly = S.base.gens()[idx]
     for g in gens:
-        for j in range(bound - gen_degree(g) + 1):
+        for j in range(bound - _top_degree(g, idx) + 1):
             multiples.append(tuple(S.nf(p * var_poly ** j) for p in g))
 
     def coords(col, lo, hi):

@@ -20,6 +20,8 @@ from .modules import (
     ModuleMap,
     SubmoduleOfFree,
     _per_scope,
+    _top_degree,
+    _tower,
     _zero_column,
     annihilator_of_element,
     colon_generators,
@@ -28,7 +30,6 @@ from .modules import (
     is_regular_element,
     mat_vec,
     polynomial_extension,
-    shrink_ring,
     span_engine,
     span_scope,
     transpose,
@@ -283,10 +284,6 @@ class InfinitePdCertificate(NamedTuple):
     resolution: Optional[FreeResolution]
     verdict: Optional[PdVerdict]
 
-    @property
-    def spd_is_infinite(self) -> bool:
-        return self.accepted
-
 
 @span_scope
 def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCertificate:
@@ -435,30 +432,26 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
     """
     S = Msub.ring
     base = S.base
-    if var is None:
-        if base.nvars == 0:
-            raise InputError("ambient ring has no polynomial variable")
-        var = base.variables[-1]
-    idx = base._varindex[var]
-    var_poly = base.var(var)
     r = Msub.ambient_rank
-
-    if not is_regular_element(S.nf(var_poly), FPModule(S, r, Msub.generators)):
+    # regularity is judged before the tower is read: a variable that is not
+    # regular on F/M stays a MathRejection when the tower is malformed too
+    if var is None and base.nvars:
+        var = base.variables[-1]
+    if var is not None and not is_regular_element(S.nf(base.var(var)),
+                                                  FPModule(S, r, Msub.generators)):
         raise NotRegularOnQuotient(f"{var} is not regular on the ambient quotient")
-
-    degrees = [max((p.degree_in(idx) for p in g if not p.is_zero()), default=0)
-               for g in Msub.generators]
-    k = (max(degrees) + 1) if degrees else 1
+    idx, R = _tower(S, var)
+    var_poly = base.var(var)
+    k = 1 + max((_top_degree(g, idx) for g in Msub.generators), default=0)
 
     B_sub = intersect_with_truncation(Msub, k, var)
     A_sub = intersect_with_truncation(Msub, k - 1, var)
-    R = shrink_ring(S)
     B_fp = B_sub.as_fpmodule()
     A_fp = A_sub.as_fpmodule()
 
     A_ext = polynomial_extension(A_fp, var)
     B_ext = polynomial_extension(B_fp, var)
-    M_fp = FPModule(S, len(Msub.generators), Msub.syzygies())
+    M_fp = Msub.as_fpmodule()
 
     # phi columns: for each A-generator a, the element a (x) x - (x a) (x) 1
     phi_cols = []

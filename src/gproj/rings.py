@@ -722,10 +722,6 @@ class Ideal:
         return "(" + ", ".join(format_poly(g) for g in self.reduced_gb) + ")"
 
 
-def ideal_membership(f: Poly, ideal: Ideal) -> bool:
-    return ideal.contains(f)
-
-
 class QuotRing:
     """base / modulus; elements are represented by unique normal forms."""
 
@@ -787,11 +783,6 @@ class QuotRing:
         if self.modulus.is_zero():
             return repr(self.base)
         return f"{self.base!r}/{self.modulus!r}"
-
-
-def normal_form(f: Poly, ring: QuotRing) -> Poly:
-    """Unique remainder of f modulo the reduced GB of the quotient's modulus."""
-    return ring.nf(f)
 
 
 def polynomial_ring(field: Field, variables: Iterable[str], order: str = "grevlex",

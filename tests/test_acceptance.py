@@ -24,7 +24,6 @@ from gproj import (
     double_dual_map,
     dual_map,
     euler_class,
-    extension_class,
     free_resolution,
     g_class_test,
     gpd_extension_compare,
@@ -34,6 +33,7 @@ from gproj import (
     module_rank,
     pd_bounded,
     polynomial_ring,
+    polynomial_extension,
     pushdown_class,
     quotient_by_regular_element,
     smith_normal_form,
@@ -257,7 +257,7 @@ def test_criterion_7_grothendieck_machinery():
         cat = catalog_for(base)
         for label in cat.generator_labels():
             Mod = cat.module_for_label(label)
-            assert pushdown_class(extension_class(Mod, "x")) == \
+            assert pushdown_class(polynomial_extension(Mod, "x")) == \
                 class_decompose(Mod, cat)
 
     # pushdown equals the class of M/xM on ten regular examples

@@ -280,6 +280,20 @@ def test_task_format_flag_is_ignored_but_needs_a_value(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: --format needs a value\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("task frob I", "unknown task command at line 7"),
+    ("widget W = 3", "unknown declaration 'widget' at line 7"),
+    ("ring R = GF(2)[x] mod", "malformed ring declaration at line 7"),
+    ("ring R2 = GF(3)[x]", "duplicate name 'R2' at line 7"),
+    ("task pd I --depth", "--depth needs a value"),
+])
+def test_a_malformed_model_line_exits_2_with_its_message(tmp_path, capsys, line, message):
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP + line + "\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_non_integer_degree_guard_env_is_an_input_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.model"
     path.write_text(FLAGSHIP)

@@ -19,9 +19,9 @@ from gproj import (
     class_decompose,
     euler_class,
     euler_map_report,
-    extension_class,
     group_from_relations,
     is_regular_element,
+    polynomial_extension,
     polynomial_ring,
     pushdown_class,
     quotient_by_regular_element,
@@ -412,7 +412,7 @@ def test_retraction_identity_on_catalog_generators():
         cat = catalog_for(base)
         for label in cat.generator_labels():
             M = cat.module_for_label(label)
-            ext = extension_class(M, "x")
+            ext = polynomial_extension(M, "x")
             assert pushdown_class(ext) == class_decompose(M, cat)
 
 

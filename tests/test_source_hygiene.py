@@ -3,16 +3,20 @@ an import that its module never reads, a private module-level function
 or class that nothing in the package calls, and a function in the tests'
 `helpers.py` that no test and no other helper calls. `__init__.py` only
 re-exports, so its imports are not checked for use. The package imports
-nothing outside the standard library (`sys.stdlib_module_names`, 3.10+)."""
+nothing outside the standard library (`sys.stdlib_module_names`, 3.10+).
+A public function, class or method is used somewhere in the package, the
+tests, the demos or the benchmark, not only re-exported."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "gproj"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "gproj"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -87,3 +91,41 @@ def test_no_unreferenced_test_helper():
                and node.name not in read
                and not any(node.name in _names_read(other) for other in body if other is not node)]
     assert not orphans, f"helpers.py functions nothing references: {orphans}"
+
+
+def _docstrings(tree):
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def _references(tree):
+    """Names the code reads or imports, and the words of its strings other
+    than docstrings (a tracer names its targets as "Class.method" text)."""
+    words = _names_read(tree) | _names_imported(tree)
+    docs = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_no_unreferenced_public_name():
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for folder in ("tests", "demos", "perfbench"):
+        users += (ROOT / folder).rglob("*.py")
+    referenced = set().union(*(_references(_tree(p)) for p in users))
+    public = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                public.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                public += [(path.name, f"{node.name}.{item.name}") for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    orphans = [f"{module}:{name}" for module, name in public
+               if not name.split(".")[-1].startswith("_")
+               and name.split(".")[-1] not in referenced]
+    assert not orphans, f"public definitions nothing uses: {orphans}"

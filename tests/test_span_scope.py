@@ -110,6 +110,19 @@ def test_threads_match_serial_runs():
     assert [got[j] for j in range(len(jobs))] == [[c, c] for c in serial]
 
 
+class _NoSpans:
+    """Stands in for the span cache variable: no scope ever opens."""
+
+    def get(self):
+        return None
+
+    def set(self, value):
+        return None
+
+    def reset(self, token):
+        pass
+
+
 @pytest.mark.parametrize("key", sorted(RINGS))
 def test_outputs_identical_with_the_scope_off(key, monkeypatch):
     # every route and every guard trip is the same whether or not bases are
@@ -128,7 +141,7 @@ def test_outputs_identical_with_the_scope_off(key, monkeypatch):
         return out
 
     scoped = run_all()
-    monkeypatch.setattr(modules, "_new_spans", lambda: None)
+    monkeypatch.setattr(modules, "_SPANS", _NoSpans())
     assert run_all() == scoped
 
 

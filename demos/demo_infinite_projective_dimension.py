@@ -23,7 +23,7 @@ x = R.poly("x")
 
 print("ring:", R)
 print("x^2 =", R.mul(x, x))
-print("annihilator of x:", annihilator_of_element(x, R))
+print("annihilator of x:", "(" + ", ".join(map(str, annihilator_of_element(x, R))) + ")")
 
 print()
 print("== the detector ==")

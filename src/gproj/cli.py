@@ -366,8 +366,8 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         a = obj.poly(rest[1])
         ann = annihilator_of_element(a, obj)
         report.add("element", format_poly(a))
-        report.add("annihilator_size", len(ann.generators))
-        for i, g in enumerate(ann.generators):
+        report.add("annihilator_size", len(ann))
+        for i, g in enumerate(ann):
             report.add(f"a{i}", format_poly(g))
     elif cmd == "resolve":
         if depth >= 1:  # print the verdict's resolution, cut back to this depth
@@ -450,7 +450,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     elif cmd == "k0":
         cat = catalog_for(obj.ring)
         report.add("family", cat.family)
-        report.add("class", str(class_decompose(obj, cat)))
+        report.add("class", str(class_decompose(obj)))
         try:
             report.add("euler_class", str(euler_class(obj, depth)))
         except PdInfiniteOrUnresolved as exc:

@@ -29,30 +29,9 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface for exact coefficient fields."""
-
-    kind = "abstract"
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, num: int, den: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    """Common interface for exact coefficient fields. Each field defines
+    `kind`, `from_int`, `from_fraction`, `add`, `sub`, `mul`, `neg` and `inv`;
+    the methods here are built on those."""
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -465,12 +465,10 @@ def catalog_for(R: QuotRing) -> Catalog:
     raise RingNotInCatalog(f"no catalog family for {R!r}")
 
 
-def class_decompose(M: FPModule, cat: Optional[Catalog] = None) -> KClass:
-    """Coordinates of M against the catalog generators, via canonical forms."""
-    if cat is None:
-        cat = catalog_for(M.ring)
-    if M.ring != cat.ring:
-        raise RingNotInCatalog("module ring does not match the catalog")
+def class_decompose(M: FPModule) -> KClass:
+    """Coordinates of M against the generators of its ring's catalog, via
+    canonical forms."""
+    cat = catalog_for(M.ring)
     base = M.ring.base
     n = cat.chain_power if cat.family == "chain" else inf
     rows = [[{d: c for e, c in p.terms if (d := sum(e)) < n} for p in row]
@@ -514,18 +512,16 @@ def euler_class(M: FPModule, depth: int = 8) -> KClass:
 
 
 @span_scope
-def pushdown_class(M: FPModule, var: Optional[str] = None,
-                   cat: Optional[Catalog] = None) -> KClass:
-    """Class of a module over R[x] pushed down to the base-ring catalog.
+def pushdown_class(M: FPModule) -> KClass:
+    """Class of a module over R[x], x the last variable, pushed down to the
+    base-ring catalog.
 
     From a free presentation 0 -> A -> P -> M -> 0 over R[x], the result is
     [P/xP] - [A/xA] as catalog coordinates over R.
     """
     S = M.ring
-    idx, R = _tower(S, var)
-    if cat is None:
-        cat = catalog_for(R)
-    free_class = class_decompose(FPModule.free(R, M.ngens), cat)
+    idx, R = _tower(S)
+    free_class = class_decompose(FPModule.free(R, M.ngens))
     a_cols = M.canonical_relations
     if not a_cols:
         return free_class
@@ -535,7 +531,7 @@ def pushdown_class(M: FPModule, var: Optional[str] = None,
         tuple(restrict_poly(coeffs_by_variable(p, idx).get(0, zero), small) for p in col)
         for col in a_rels]
     a_bar = FPModule(R, len(a_cols), reduced_cols)
-    return free_class - class_decompose(a_bar, cat)
+    return free_class - class_decompose(a_bar)
 
 
 class EulerMapReport(NamedTuple):

@@ -13,7 +13,8 @@ out, and the columns a caller hands to a public constructor or query. Normal
 form is linear, so sums and negations of reduced columns are reduced.
 `_read_columns` unpacks only the reducers of a basis from a given position
 on (a kernel is read from the tag block, never the ambient block), and
-`mat_vec` sums each row in one coefficient dict and reduces it once.
+each row of `mat_vec` is one call of the product kernel `rings._dot` and one
+normal form.
 
 Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
@@ -30,10 +31,7 @@ that too, and a module presented on it builds no second basis.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from fractions import Fraction
 from functools import wraps
-from math import lcm
-from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -53,6 +51,7 @@ from .rings import (
     PolyRing,
     QuotRing,
     Vec,
+    _dot,
     _integer_terms,
     coeffs_by_variable,
     embed_poly,
@@ -361,25 +360,12 @@ class FPModule:
 
 def mat_vec(R: QuotRing, columns, vec, nrows: int) -> Column:
     """Apply the column-major matrix with nrows rows to a coefficient vector;
-    no columns give nrows zeros. Each row is summed in one dict of integer
-    numerators over the lcm of its products' denominators (plain ints over a
-    prime field), as Poly.__mul__ makes one product, and a nonzero row gets
-    one normal form."""
-    scaled = [(columns[j], *_integer_terms(c)) for j, c in enumerate(vec) if c.terms]
+    no columns give nrows zeros. Each row is one call of the product kernel
+    `rings._dot`, and a nonzero row gets one normal form."""
+    scaled = [(columns[j], _integer_terms(c)) for j, c in enumerate(vec) if c.terms]
     rows = []
     for i in range(nrows):
-        products = [(*_integer_terms(col[i]), b, db) for col, b, db in scaled if col[i].terms]
-        den = lcm(*[da * db for _, da, _, db in products])
-        acc: dict = {}
-        for a, da, b, db in products:
-            for e1, c1 in a:
-                c1 *= den // (da * db)  # 1 over a prime field
-                for e2, c2 in b:
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        if den != 1:
-            acc = {e: Fraction(n, den) for e, n in acc.items()}
-        p = R.base.from_dict(acc)  # maps the ints into the field, drops zeros
+        p = _dot(R.base, [(_integer_terms(col[i]), b) for col, b in scaled if col[i].terms])
         rows.append(p if p.is_zero() else R.nf(p))
     return tuple(rows)
 
@@ -445,16 +431,22 @@ class ModuleMap:
     def rows(self) -> list[list[Poly]]:
         return [[col[i] for col in self.columns] for i in range(self.target.ngens)]
 
+    @property
+    def _image(self) -> SubmoduleEngine:
+        """The one engine of the image: the columns and the target relations,
+        in the target's free module. Its syzygies give the kernel, and its
+        membership the cokernel and the image of a short exact sequence."""
+        T = self.target
+        return span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
+
     def kernel_preimage_generators(self) -> tuple[Column, ...]:
         """Generators in R^{source.ngens} of the preimage of the kernel: the
-        nonzero source halves of the syzygies of the columns and the target
-        relations. Not canonical, so fit for membership tests only. The
-        engine is the one cokernel_is_zero builds."""
+        nonzero source halves of the syzygies of the image engine. Not
+        canonical, so fit for membership tests only."""
         n, T = self.source.ngens, self.target
         if n == 0 or T.ngens == 0:
             return identity(T.ring, n)
-        eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
-        return tuple(s[:n] for s in eng.syzygies() if any(p.terms for p in s[:n]))
+        return tuple(s[:n] for s in self._image.syzygies() if any(p.terms for p in s[:n]))
 
     def kernel_is_zero(self) -> bool:
         return all(self.source._engine.contains(g)
@@ -462,10 +454,7 @@ class ModuleMap:
 
     def cokernel_is_zero(self) -> bool:
         T = self.target
-        if T.ngens == 0:
-            return True
-        eng = span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
-        return all(eng.contains(e) for e in identity(T.ring, T.ngens))
+        return T.ngens == 0 or all(self._image.contains(e) for e in identity(T.ring, T.ngens))
 
     def __repr__(self):
         return f"ModuleMap({self.source.ngens} gens -> {self.target.ngens} gens)"
@@ -543,10 +532,12 @@ class SubmoduleOfFree:
 # ring-level operations that need syzygies
 # ---------------------------------------------------------------------------
 
-def annihilator_of_element(a: Poly, R: QuotRing) -> Ideal:
-    """(0 : a) in R, returned with its canonical generating set."""
-    a = R.nf(a)
-    return Ideal(R.base, [col[0] for col in colon_generators(R, 1, [(a,)])])
+def annihilator_of_element(a: Poly, R: QuotRing) -> tuple[Poly, ...]:
+    """The canonical generating tuple of the ideal (0 : a) of R, read off the
+    rank-1 engine of (a). Membership in it is asked on
+    `span_engine(R, 1, [(g,) for g in ann])`, whose modulus makes it an ideal
+    of R, not of the polynomial ring."""
+    return tuple(col[0] for col in colon_generators(R, 1, [(R.nf(a),)]))
 
 
 def is_regular_element(u: Poly, M: FPModule) -> bool:
@@ -638,28 +629,22 @@ def polynomial_extension(M: FPModule, var: str) -> FPModule:
     return FPModule(big, M.ngens, cols)
 
 
-def _tower(S: QuotRing, var: Optional[str] = None, monic=None) -> tuple[int, QuotRing]:
-    """Read S as R[x]/J for x = var (default: S's last variable): x's index and R.
+def _tower(S: QuotRing, monic=None) -> tuple[int, QuotRing]:
+    """Read S as R[x]/J for x = S's last variable: x's index and R.
 
-    x must be S's last variable and no generator of J may involve it. With a
-    monic f given (a Poly or its text), S is R[x]/(f) + J: f must be monic of
-    positive degree in x and lie in S's modulus, and J is S's modulus without f.
+    No generator of J may involve x. With a monic f given (a Poly or its
+    text), S is R[x]/(f) + J: f must be monic of positive degree in x and lie
+    in S's modulus, and J is S's modulus without f.
     """
     base = S.base
-    if var is None:
-        if base.nvars == 0:
-            raise InputError("the ring has no polynomial variable")
-        var = base.variables[-1]
-    if var not in base.variables:
-        raise InputError(f"unknown variable {var!r}")
+    if base.nvars == 0:
+        raise InputError("the ring has no polynomial variable")
     idx = base.nvars - 1
-    if var != base.variables[idx]:
-        raise InputError("the tower variable must be the last ring variable")
     gens = S.modulus.generators
     if monic is not None:
         monic = base.poly(monic) if isinstance(monic, str) else monic
         if not is_monic_in_var(monic, idx) or monic.degree_in(idx) < 1:
-            raise NotMonic(f"{monic} is not monic of positive degree in {var}")
+            raise NotMonic(f"{monic} is not monic of positive degree in {base.variables[idx]}")
         if not S.modulus.contains(monic):
             raise InputError("the monic polynomial does not lie in the modulus")
         gens = [g for g in gens if g != monic]
@@ -674,21 +659,22 @@ def _top_degree(col, idx: int) -> int:
     return max((p.degree_in(idx) for p in col if not p.is_zero()), default=0)
 
 
-def restrict_scalars_monic(N: FPModule, var: str, f: Poly) -> FPModule:
-    """View a module over R[x]/(f), f monic of degree k in x, as an R-module.
+def restrict_scalars_monic(N: FPModule, f: Poly) -> FPModule:
+    """View a module over R[x]/(f), x the last variable and f monic of degree
+    k in x, as an R-module.
 
     Each generator splits into k generators along the basis 1, x, ..., x^{k-1};
     every relation is replaced by its k shifts, rewritten in that basis.
     Generator (i, j) of the result sits at index i*k + j.
     """
     T = N.ring
-    idx, R = _tower(T, var, f)
+    idx, R = _tower(T, f)
     f = T.base.poly(f) if isinstance(f, str) else f  # text that _tower has checked
     k = f.degree_in(idx)
     small = R.base
 
     n = N.ngens
-    var_poly = T.base.var(var)
+    var_poly = T.base.gens()[idx]
     new_cols = []
     for col in N.relations:
         for j in range(k):
@@ -767,9 +753,9 @@ def module_rank(M: FPModule) -> int:
     return M.ngens - _poly_matrix_rank(M.canonical_relations, M.ngens)
 
 
-def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] = None
-                              ) -> SubmoduleOfFree:
-    """Intersect a submodule of F[x] with F + Fx + ... + Fx^{k-1} over the base.
+def intersect_with_truncation(Msub: SubmoduleOfFree, k: int) -> SubmoduleOfFree:
+    """Intersect a submodule of F[x], x the last variable, with
+    F + Fx + ... + Fx^{k-1} over the base.
 
     The ambient of the result is R^{r*k}; coordinate d*r + i is the degree-d
     slice of ambient coordinate i. Uses the degree-bounded generating set
@@ -782,7 +768,7 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
     certificate re-verifies everything downstream.
     """
     S = Msub.ring
-    idx, R = _tower(S, var)
+    idx, R = _tower(S)
     r = Msub.ambient_rank
     if k <= 0 or r == 0:
         return SubmoduleOfFree(R, max(r * k, 0), ())
@@ -811,11 +797,13 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int, var: Optional[str] 
     return SubmoduleOfFree(R, r * k, canonical_generators(R, r * k, cols))
 
 
-def window_vector_to_ambient(col, r: int, S: QuotRing, var: str) -> Column:
-    """Rebuild an F[x] vector from its (degree d, coordinate i) -> d*r+i slices."""
+def window_vector_to_ambient(col, r: int, S: QuotRing) -> Column:
+    """Rebuild an F[x] vector, x the last variable, from its
+    (degree d, coordinate i) -> d*r+i slices."""
     base, k = S.base, (len(col) // r if r else 0)
+    x = base.gens()[-1]
     slices = [tuple(embed_poly(p, base) for p in col[d * r:(d + 1) * r]) for d in range(k)]
-    return mat_vec(S, slices, [base.var(var) ** d for d in range(k)], r)
+    return mat_vec(S, slices, [x ** d for d in range(k)], r)
 
 
 # ---------------------------------------------------------------------------

@@ -289,10 +289,13 @@ class InfinitePdCertificate(NamedTuple):
 def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCertificate:
     """Certify pd = infinity for the principal ideal of a square-zero element.
 
-    Accepts when a != 0, a^2 = 0, and ann(a) = (a) (both inclusions checked by
-    ideal membership); the ideal (a) is then R/(a) with the period-1 resolution
-    multiplication-by-a forever, and no syzygy is projective. The periodicity
-    is read off a resolution of depth `depth`, which must be at least 2."""
+    Accepts when a != 0, a^2 = 0, and ann(a) = (a); both inclusions are
+    memberships of ideals of R on rank-1 engines: ann(a) in (a) on the engine
+    of (a) that the annihilator was read off, a in ann(a) on one engine over
+    the annihilator's generators. The ideal (a) is then R/(a) with the
+    period-1 resolution multiplication-by-a forever, and no syzygy is
+    projective. The periodicity is read off a resolution of depth `depth`,
+    which must be at least 2."""
     if depth < 2:
         raise InputError("depth must be at least 2")
     a = R.nf(a)
@@ -303,11 +306,11 @@ def infinite_pd_detector(R: QuotRing, a: Poly, depth: int = 8) -> InfinitePdCert
     if not R.mul(a, a).is_zero():
         failures.append("a^2 != 0")
     ann = annihilator_of_element(a, R)
-    for g in ann.generators:
-        if not R.ideal_contains([a], g):
-            failures.append(f"ann(a) reaches outside (a): {format_poly(g)}")
-            break
-    if not R.ideal_contains(list(ann.generators), a):
+    principal = span_engine(R, 1, [(a,)])  # the engine ann(a) was read off
+    outside = next((g for g in ann if not principal.contains((g,))), None)
+    if outside is not None:
+        failures.append(f"ann(a) reaches outside (a): {format_poly(outside)}")
+    if not span_engine(R, 1, [(g,) for g in ann]).contains((a,)):
         failures.append("a is not in ann(a)")
     if failures:
         return InfinitePdCertificate(False, tuple(failures), None, None, None)
@@ -339,16 +342,13 @@ class ShortExactReport(NamedTuple):
 @span_scope
 def verify_short_exact(incl: ModuleMap, proj: ModuleMap) -> ShortExactReport:
     """Membership-based exactness check for 0 -> A -> B -> C -> 0."""
-    R = incl.source.ring
     composite = proj.compose(incl)
     composite_zero = all(
         proj.target.rel_span_contains(col) for col in composite.columns)
     injective = incl.kernel_is_zero()
     surjective = proj.cokernel_is_zero()
     # kernel of proj inside the image of incl (plus target relations of B)
-    kernel_gens = proj.kernel_preimage_generators()
-    eng = span_engine(R, incl.target.ngens, incl.columns + incl.target.canonical_relations)
-    kernel_in_image = all(eng.contains(g) for g in kernel_gens)
+    kernel_in_image = all(incl._image.contains(g) for g in proj.kernel_preimage_generators())
     return ShortExactReport(injective, composite_zero, kernel_in_image, surjective)
 
 
@@ -375,12 +375,10 @@ def horseshoe_resolution(incl: ModuleMap, proj: ModuleMap, depth: int) -> Horses
     res_c = free_resolution(C, depth)
 
     # lift each C-generator through proj
-    proj_engine = span_engine(R, C.ngens, proj.columns + C.canonical_relations)
-    beta = [w[:B.ngens] for w in proj_engine.lift(identity(R, C.ngens))]
+    beta = [w[:B.ngens] for w in proj._image.lift(identity(R, C.ngens))]
 
     # h_1: correction into F^A_0 for each column of c_1
-    incl_engine = span_engine(R, B.ngens, incl.columns + B.canonical_relations)
-    lifted = incl_engine.lift([mat_vec(R, beta, col, B.ngens) for col in res_c.map(0)])
+    lifted = incl._image.lift([mat_vec(R, beta, col, B.ngens) for col in res_c.map(0)])
     if lifted is None:
         raise InputError("horseshoe lift failed at level 0")
     h = [tuple(-p for p in wit[:A.ngens]) for wit in lifted]
@@ -420,9 +418,9 @@ class TruncationSequence(NamedTuple):
 
 
 @span_scope
-def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
-                        ) -> TruncationSequence:
-    """Resolve a submodule M of F[x] by degree windows over the base ring.
+def truncation_sequence(Msub: SubmoduleOfFree) -> TruncationSequence:
+    """Resolve a submodule M of F[x], x the last variable, by degree windows
+    over the base ring.
 
     With k one more than the top generator x-degree, B = M meet F_k and
     A = M meet F_{k-1} are base-ring modules; the connecting maps
@@ -435,17 +433,15 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
     r = Msub.ambient_rank
     # regularity is judged before the tower is read: a variable that is not
     # regular on F/M stays a MathRejection when the tower is malformed too
-    if var is None and base.nvars:
-        var = base.variables[-1]
-    if var is not None and not is_regular_element(S.nf(base.var(var)),
-                                                  FPModule(S, r, Msub.generators)):
-        raise NotRegularOnQuotient(f"{var} is not regular on the ambient quotient")
-    idx, R = _tower(S, var)
-    var_poly = base.var(var)
+    if base.nvars and not is_regular_element(S.nf(base.gens()[-1]),
+                                             FPModule(S, r, Msub.generators)):
+        raise NotRegularOnQuotient(f"{base.variables[-1]} is not regular on the ambient quotient")
+    idx, R = _tower(S)
+    var, var_poly = base.variables[idx], base.gens()[idx]
     k = 1 + max((_top_degree(g, idx) for g in Msub.generators), default=0)
 
-    B_sub = intersect_with_truncation(Msub, k, var)
-    A_sub = intersect_with_truncation(Msub, k - 1, var)
+    B_sub = intersect_with_truncation(Msub, k)
+    A_sub = intersect_with_truncation(Msub, k - 1)
     B_fp = B_sub.as_fpmodule()
     A_fp = A_sub.as_fpmodule()
 
@@ -468,7 +464,7 @@ def truncation_sequence(Msub: SubmoduleOfFree, var: Optional[str] = None
 
     # psi columns: each B-generator, rebuilt as an ambient vector, inside M
     psi_cols = Msub._engine.lift(
-        [window_vector_to_ambient(b_col, r, S, var) for b_col in B_sub.generators])
+        [window_vector_to_ambient(b_col, r, S) for b_col in B_sub.generators])
     if psi_cols is None:
         raise InputError("window generator escaped the submodule")
     psi = ModuleMap(B_ext, M_fp, psi_cols)

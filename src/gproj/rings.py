@@ -156,6 +156,26 @@ def _integer_terms(f: "Poly") -> tuple[list, int]:
     return [(e, c.numerator * (d // c.denominator)) for e, c in f.terms], d
 
 
+def _dot(ring: PolyRing, products) -> "Poly":
+    """The one product kernel: the sum of the products a*b, each factor given
+    as its `_integer_terms`, summed on integer numerators over the lcm of the
+    products' denominators; then one field element per term."""
+    den = 1
+    for (_, da), (_, db) in products:
+        den = lcm(den, da * db)
+    acc: dict = {}
+    for (a, da), (b, db) in products:
+        if (scale := den // (da * db)) != 1:  # 1 over a prime field and for one product
+            a = [(e, c * scale) for e, c in a]
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+    if den != 1:
+        acc = {e: Fraction(n, den) for e, n in acc.items()}
+    return ring.from_dict(acc)  # maps the ints into the field, drops zeros
+
+
 class Poly:
     """Sparse multivariate polynomial over a PolyRing."""
 
@@ -213,17 +233,9 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:  # no call when shared
             raise RingMismatch("polynomial rings differ")
-        (a, da), (b, db) = _integer_terms(self), _integer_terms(other)
-        d: dict = {}  # the product's integer numerators over da * db
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
-                d[e] = d.get(e, 0) + c1 * c2
-        if da * db != 1:
-            d = {e: Fraction(n, da * db) for e, n in d.items()}
-        return self.ring.from_dict(d)  # maps the ints into the field, drops zeros
+        return _dot(self.ring, [(_integer_terms(self), _integer_terms(other))])
 
     def scale(self, c) -> "Poly":
         f = self.ring.field
@@ -766,11 +778,6 @@ class QuotRing:
     def is_unit(self, a: Poly) -> bool:
         gens = list(self.modulus.generators) + [a]
         return Ideal(self.base, gens).contains_one()
-
-    def ideal_contains(self, gens: Iterable[Poly], f: Poly) -> bool:
-        """Membership of f in the ideal of this quotient generated by gens."""
-        all_gens = list(gens) + list(self.modulus.generators)
-        return Ideal(self.base, all_gens).contains(f)
 
     def __eq__(self, other):
         return (isinstance(other, QuotRing) and self.base == other.base

@@ -258,7 +258,7 @@ def test_criterion_7_grothendieck_machinery():
         for label in cat.generator_labels():
             Mod = cat.module_for_label(label)
             assert pushdown_class(polynomial_extension(Mod, "x")) == \
-                class_decompose(Mod, cat)
+                class_decompose(Mod)
 
     # pushdown equals the class of M/xM on ten regular examples
     checked = 0

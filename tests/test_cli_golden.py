@@ -1,8 +1,8 @@
-"""Output of CLI `gclass`, `gpd`, `ext`, `resolve`, `k0` and `report`, pinned byte
-for byte with its exit code, on the flagship model, on a model whose G-class
-tests fail (`golden/gclass_fail.model`) and on QQ[x] modules with fractional
-relations (`golden/k0_qq.model`). A case runs in machine format unless it names
-its own `--format`."""
+"""Output of CLI `gclass`, `gpd`, `ext`, `resolve`, `k0`, `ann`, `lemma45` and
+`report`, pinned byte for byte with its exit code, on the flagship model, on a
+model whose G-class tests fail (`golden/gclass_fail.model`) and on QQ[x]
+modules with fractional relations (`golden/k0_qq.model`). A case runs in
+machine format unless it names its own `--format`."""
 
 import json
 from pathlib import Path
@@ -28,6 +28,10 @@ COMMANDS = {
         ["resolve", "I", "--depth", "50"], ["resolve", "I", "--depth", "200"],
         ["gclass", "I", "--depth", "50"], ["gclass", "I", "--depth", "200"],
         ["report", "--format", "text"],
+        # annihilators and the square-zero detector: accepted, and rejected
+        # by a^2 != 0 with a outside ann(a) (a unit; a nonzerodivisor of QQ[x])
+        ["ann", "R2", "x"], ["ann", "R2", "x+1"], ["ann", "S", "x"],
+        ["lemma45", "R2", "x"], ["lemma45", "R2", "x+1"], ["lemma45", "S", "x"],
     ],
     "gclass_fail": [
         ["gclass", "k", "--depth", "1"], ["gclass", "k", "--depth", "3"],
@@ -39,6 +43,11 @@ COMMANDS = {
         ["report"],
         # text format, with nested witness blocks
         ["gclass", "k", "--depth", "3", "--format", "text"],
+        # annihilators larger than (a), so the detector rejects by ann(a)
+        # reaching outside (a); x over B = GF(2)[x,y,z]/(x^2, y^2, z^2) passes
+        ["ann", "E", "x"], ["ann", "E", "x+y"], ["ann", "B", "x*y"],
+        ["lemma45", "E", "x"], ["lemma45", "B", "x"], ["lemma45", "B", "x*y*z"],
+        ["lemma45", "E", "x", "--format", "text"],
     ],
     "k0_qq": [["k0", "A"], ["k0", "B"], ["k0", "C"], ["k0", "D"], ["report"],
               ["report", "--format", "text"]],

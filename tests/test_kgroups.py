@@ -188,7 +188,7 @@ def test_chain_decomposition_cardinality_by_enumeration():
                 {(rng.randrange(3),): rng.randrange(3)})) for _ in range(ngens))
             cols.append(col)
         M = FPModule(R, ngens, cols)
-        cls = class_decompose(M, cat)
+        cls = class_decompose(M)
         predicted = 3 ** cat.group_value(cls)
         _, reps = module_cosets(M, elements)
         assert len(reps) == predicted
@@ -339,17 +339,17 @@ def test_decomposition_additive_on_short_exact_sequences():
     R = R4()
     cat = catalog_for(R)
     x = R.poly("x")
-    sub = class_decompose(FPModule(R, 1, [(x,)]), cat)       # (x) inside R
-    mid = class_decompose(FPModule.free(R, 1), cat)
-    quo = class_decompose(FPModule(R, 1, [(x,)]), cat)
+    sub = class_decompose(FPModule(R, 1, [(x,)]))       # (x) inside R
+    mid = class_decompose(FPModule.free(R, 1))
+    quo = class_decompose(FPModule(R, 1, [(x,)]))
     assert cat.group_value(mid) == cat.group_value(sub) + cat.group_value(quo)
 
     Qx = QxQ()
     catq = catalog_for(Qx)
     for f in ("x", "x^2", "x^2-1"):
-        sub = class_decompose(FPModule.free(Qx, 1), catq)
-        mid = class_decompose(FPModule.free(Qx, 1), catq)
-        quo = class_decompose(FPModule(Qx, 1, [(Qx.poly(f),)]), catq)
+        sub = class_decompose(FPModule.free(Qx, 1))
+        mid = class_decompose(FPModule.free(Qx, 1))
+        quo = class_decompose(FPModule(Qx, 1, [(Qx.poly(f),)]))
         assert catq.group_value(mid) == catq.group_value(sub) + catq.group_value(quo)
 
 
@@ -413,7 +413,7 @@ def test_retraction_identity_on_catalog_generators():
         for label in cat.generator_labels():
             M = cat.module_for_label(label)
             ext = polynomial_extension(M, "x")
-            assert pushdown_class(ext) == class_decompose(M, cat)
+            assert pushdown_class(ext) == class_decompose(M)
 
 
 def test_pushdown_matches_quotient_when_variable_regular():
@@ -445,7 +445,7 @@ def test_pushdown_matches_quotient_when_variable_regular():
         cols = [tuple(base_cat.ring.nf(restrict_poly(substitute_zero(p, idx), small))
                       for p in col) for col in quotient.relations]
         reduced = FPModule(base_cat.ring, quotient.ngens, cols)
-        assert pushdown_class(M) == class_decompose(reduced, base_cat)
+        assert pushdown_class(M) == class_decompose(reduced)
     assert checked == 10
 
 
@@ -524,8 +524,6 @@ def test_four_term_class_identity_from_window_sequence():
     K1 = SubmoduleOfFree(S, len(K_gens), K1_gens)
     seq = truncation_sequence(K1)
     assert seq.exactness.ok
-    base = polynomial_ring(QQ, ())
-    cat = catalog_for(base)
     rhs = (KClass({"[k]": N.ngens}) - KClass({"[k]": len(K_gens)})
-           + class_decompose(seq.B, cat) - class_decompose(seq.A, cat))
+           + class_decompose(seq.B) - class_decompose(seq.A))
     assert pushdown_class(N) == rhs

@@ -211,6 +211,10 @@ class SubmoduleEngine:
         """Coefficients expressing the column in the generators, or None."""
         if len(column) != self.rank:
             raise InputError(f"column of length {len(column)} queried in rank {self.rank}")
+        base = self.R.base
+        for p in column:  # identity first: the queries' rings are the engine's own
+            if p.ring is not base and p.ring != base:
+                raise RingMismatch("queried column over a different ring")
         r = self.gb.reduce_vec(_column_to_vec(column))
         if any(pos < self.rank for (pos, _) in r):
             return None

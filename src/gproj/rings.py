@@ -3,7 +3,10 @@
 Polynomials are sparse: a tuple of (exponent vector, coefficient) pairs kept
 strictly descending in the ring's monomial order, with no zero coefficients.
 One Groebner engine, FreeModuleGB, serves both ideals (rank 1) and
-submodules of free modules. Inside it a term (position, exponent) is one int:
+submodules of free modules, and the rank picks its completion: signatures for
+an ideal, which skip most S-vectors that reduce to zero, and Gebauer-Moeller
+pairs for a module, whose vectors spread over several positions rarely reduce
+to zero (see FreeModuleGB). Inside it a term (position, exponent) is one int:
 a low part of equal-width fields (total degree, then e_{n-1} .. e_0 up to the
 top), each field below a guard bit, then a key part, a linear form in the
 exponents plus an offset, whose int order is the monomial order reversed, then
@@ -15,7 +18,8 @@ reducers repacked at its width. FreeModuleGB.reduce is the one reduction loop:
 normal forms and ideal membership run it on the rank-1 basis each Ideal keeps.
 It calls no Field method: over GF(p) a coefficient is a plain int, left
 unreduced as steps add products to it and taken mod p once, when it is popped.
-A step past the degree guard trips, naming the largest degree it would reach.
+A step past the degree guard trips, naming the largest degree it would reach,
+and so does a new basis element past it; the inputs themselves may pass it.
 Every value here is immutable after construction; ideals compute their reduced
 Groebner basis at construction time, never lazily, so instances can be shared
 freely across threads.
@@ -30,7 +34,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import lcm
-from operator import add, le, mul
+from operator import add, itemgetter, le, mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -455,19 +459,47 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
     return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
 
 
+class _RegularReducers:
+    """The reducers, kept by _signature_buchberger, with a multiple that
+    reduces the term m regularly: its signature sig(g) - ((m - LM(g)) << ib)
+    is below the bound, that is, m << ib passes ratio(g) - bound. Terms leave
+    the heap of FreeModuleGB.reduce in ascending int order, so reducers only
+    ever join. get(m, _) stands in for the index lookup."""
+
+    __slots__ = ("ib", "waiting", "regular")
+
+    def __init__(self, gb: "FreeModuleGB", bound: int):
+        self.ib, self.regular = gb._ib, []
+        self.waiting = sorted(zip([r - bound for r in gb._ratios], gb._index[0]),
+                              key=itemgetter(0), reverse=True)
+
+    def get(self, m: int, _) -> list:
+        m <<= self.ib
+        waiting = self.waiting
+        while waiting and waiting[-1][0] < m:
+            self.regular.append(waiting.pop()[1])
+        return self.regular
+
+
 class FreeModuleGB:
     """Reduced Groebner basis of a submodule of P^rank (POT order).
 
-    This is the one Buchberger in gproj; an ideal is the rank-1 case. Pairs
-    leave a heap by the normal selection strategy, keyed
-    (deg lcm, position, lcm, i, j), and are pruned by the Gebauer-Moeller
-    update: the chain criterion within one position at every rank, the
-    coprime criterion only at rank 1, the one case where it is sound.
-    Inside, every term is a packed int (see the module docstring) and a
-    reducer is a tuple (lead, tail, top): its monic lead term, the other
-    terms as (term, coeff) pairs, and the largest total degree among them.
-    Coefficients are plain values under operators, not Field methods: ints
-    in [0, p) over GF(p), Fractions over QQ; only reduce() holds unreduced sums.
+    This is the one Groebner engine in gproj; an ideal is the rank-1 case.
+    The rank picks the completion. An ideal is completed by signatures (RB
+    in C. Eder and J.-C. Faugere, "A survey on signature-based algorithms
+    for computing Groebner bases", J. Symb. Comput. 80 (2017)), which skips
+    most S-vectors that reduce to zero; a module basis (rank > 1, graph
+    bases included) by Buchberger pairs pruned by the Gebauer-Moeller chain
+    criterion within one position, because its vectors spread over several
+    positions have almost no zero reductions and no Koszul syzygies to find.
+    Both end in the same interreduction. Inside, every term is a packed int
+    (see the module docstring) and a reducer is a tuple (lead, tail, top):
+    its monic lead term, the other terms as (term, coeff) pairs, and the
+    largest total degree among them. Coefficients are plain values under
+    operators, not Field methods: ints in [0, p) over GF(p), Fractions over
+    QQ; only reduce() holds unreduced sums. The guard bounds the products a
+    completion makes and the basis elements it adds; the inputs themselves
+    may pass it.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
@@ -476,11 +508,18 @@ class FreeModuleGB:
         # S-vector terms and lcms reach at most twice the larger of the guard
         # and the input degree; no product past the guard is ever made
         top = max((sum(e) for v in vectors for _, e in v), default=0)
-        self._layout = _layout(ring.nvars, ring.order, _width(2 * max(top, ring.degree_guard)))
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
-        self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
-        self._index = self._indexed(self._buchberger([self._packed(v) for v in vectors if v]))
+        complete = self._signature_buchberger if rank == 1 else self._buchberger
+        width = 2 * max(top, ring.degree_guard)
+        while True:  # a signature, unlike a term, is not bounded by the guard
+            self._layout = _layout(ring.nvars, ring.order, _width(width))
+            self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
+            basis = complete([self._packed(v) for v in vectors if v])
+            if basis is not None:
+                break
+            width *= 2
+        self._index = self._indexed(basis)
         self._operation = "normal form"
 
     @property
@@ -516,16 +555,23 @@ class FreeModuleGB:
             index.setdefault(g[0] >> self._layout.pshift, []).append(g)
         return index
 
-    def reduce(self, v: dict, guard: int) -> dict:
+    def reduce(self, v: dict, guard: int, bound: Optional[int] = None) -> dict:
         """Full normal form of a packed vector {term: coeff}: every term gets
         reduced, the result is unique and lists its terms in descending POT
         order. The degree guard must not pass the layout's cap. A popped
         coefficient is negated once, tail steps add cc * -c with no mod and no
         zero test, and a term is taken mod p when popped, then skipped before
-        the guard check if it is 0."""
+        the guard check if it is 0. With a signature bound (see
+        _signature_buchberger) only the steps whose multiple of the reducer
+        has a smaller signature are taken: the regular reduction that keeps
+        the reduced vector's signature. It reduces inputs too, which may pass
+        the guard, so there a step by a reducer with no tail, which only
+        cancels the term, never trips."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        index = self._index
+        index = self._index  # the reducers of the term m: index.get(m >> pshift, ())
+        if bound is not None:
+            index, pshift = _RegularReducers(self, bound), 0
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
@@ -545,7 +591,7 @@ class FreeModuleGB:
                 remainder[m] = c
                 continue
             shift = m - lead  # the packed quotient m / lead
-            if top + (shift & degree) > guard:
+            if top + (shift & degree) > guard and (tail or bound is None):
                 raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
             c = -c
             for t, cc in tail:
@@ -586,11 +632,13 @@ class FreeModuleGB:
         return out
 
     def _buchberger(self, vectors: list[dict]) -> list[tuple]:
+        """Module bases: pairs leave a heap by the normal selection strategy,
+        keyed (deg lcm, position, lcm, i, j), pruned by the Gebauer-Moeller
+        chain criterion within one position."""
         guard = self.ring.degree_guard
         layout = self._layout
-        guards, degree, pshift, low = layout.guards, layout.degree, layout.pshift, layout.low
+        guards, degree, pshift = layout.guards, layout.degree, layout.pshift
         lcm, pack, unpack = layout.lcm, layout.pack, layout.unpack
-        coprime_sound = self.rank == 1
         elements: list[tuple] = []
         live: dict[int, list[int]] = {}  # position -> indices of the reducers
         pairs: list = []  # heap of (deg lcm, pos, low part of lcm, i, j)
@@ -610,17 +658,16 @@ class FreeModuleGB:
             # new pair still standing (of equal lcms the last one stays)
             new = []
             for n, (lc, i) in enumerate(cands):
-                coprime = coprime_sound and lc == (lm & low) + (elements[i][0] & low)
                 lg = lc | guards
-                if coprime or not any((lg - other[0]) & guards == guards
-                                      for other in chain(cands[n + 1:], new)):
-                    new.append((lc, i, coprime))
+                if not any((lg - other[0]) & guards == guards
+                           for other in chain(cands[n + 1:], new)):
+                    new.append((lc, i))
             # old pairs (i, j): drop one whose lcm LM(h) divides, unless the
             # lcm of h with i or with j equals it
             kept = [p for p in pairs if p[1] != pos or ((p[2] | guards) - lm) & guards != guards
                     or lcm(elements[p[3]][0], lm) == p[2]
                     or lcm(elements[p[4]][0], lm) == p[2]]
-            kept.extend((lc & degree, pos, lc, i, k) for lc, i, coprime in new if not coprime)
+            kept.extend((lc & degree, pos, lc, i, k) for lc, i in new)
             heapify(kept)
             pairs = kept
             live[pos] = [i for i in live[pos]
@@ -641,13 +688,142 @@ class FreeModuleGB:
             if h[2] > guard:
                 raise _guard_exceeded(self._operation, "basis element", h[2], guard)
             update(h)
-        # the reducers are a minimal Groebner basis, and no term of a tail is
-        # a multiple of its own lead, so reducing each tail against all of
-        # them leaves the reduced basis, leads unchanged
+        return self._interreduced()
+
+    def _signature_buchberger(self, vectors: list[dict]) -> Optional[list[tuple]]:
+        """Ideals: RB with signatures in the Schreyer order, or None when a
+        signature outgrows the packing.
+
+        Input i, in ascending order of leads, has signature e_i; t*e_i is
+        ordered by the term t*LM(f_i), then by i, and is one int, its key
+        (-packed(t*LM(f_i)) << ib) + i, which a product by a monomial lowers
+        by the packed quotient << ib. Divisibility reads the low part of
+        packed(t*LM(f_i)) alone. Items (input e_i, or the S-vector of a pair
+        whose upper element a has the larger multiple, T = u*sig(a)) leave
+        the heap in ascending T, so G gets one element per signature, in
+        ascending order, with distinct leads (the later of two would have
+        been reduced by the earlier). An item is skipped when
+          - an item of the same T came first: its element, or the zero it
+            reduced to, settles T;
+          - a syzygy signature divides T: one of a zero reduction, or of
+            the Koszul syzygy LM(b)*a - LM(a)*b, which is gcd(LM(a), LM(b))
+            times the pair's T (so pairs with coprime leads are not formed);
+          - an element added after a has a signature dividing T (the
+            rewrite criterion: the latest element wins).
+        A pair whose multiples share a signature is not formed. Other items
+        are reduced by regular steps only, which keep T, against all of G.
+        These are the survey's criteria, so G is a Groebner basis when the
+        heap is empty, and its elements whose lead no other lead divides
+        are a minimal one."""
+        guard = self.ring.degree_guard
+        layout = self._layout
+        guards, degree, cap, low = layout.guards, layout.degree, layout.cap, layout.low
+        lcm, pack, unpack = layout.lcm, layout.pack, layout.unpack
+        origin = pack(0, (0,) * self.ring.nvars)  # the packed monomial 1
+        inputs = sorted(vectors, key=min, reverse=True)
+        ib = self._ib = len(inputs).bit_length()
+        mask = (1 << ib) - 1
+        elements: list[tuple] = []  # G, in signature order
+        keys: list[int] = []  # the signatures of G
+        ratios = self._ratios = []  # key + (lead << ib): sig(a) / LM(a), read by reduce()
+        self._index[0] = elements  # every element of G is a reducer
+        syzygies: dict[int, list[int]] = {}  # index -> minimal low parts
+        signed: dict[int, list[tuple[int, int]]] = {}  # index -> (low part, k) in G
+        heap = [((-min(v) << ib) + i, 1, i) for i, v in enumerate(inputs)]
+        heapify(heap)  # (T, 1, i) for input i, (T, -upper, lower) for a pair
+
+        def add_syzygy(i: int, t: int) -> None:
+            """Record the low part t of a syzygy signature of index i."""
+            known = syzygies.setdefault(i, [])
+            tg = t | guards
+            for s in known:
+                if (tg - s) & guards == guards:
+                    return
+            known[:] = [s for s in known if ((s | guards) - t) & guards != guards]
+            known.append(t)
+
+        def rewritten(T: int, upper: int) -> bool:
+            """The syzygy and rewrite criteria for an item of signature T."""
+            i, tg = T & mask, -(T >> ib) & low | guards
+            for s in syzygies.get(i, ()):
+                if (tg - s) & guards == guards:
+                    return True
+            for t, k in reversed(signed.get(i, ())):
+                if k <= upper:
+                    return False
+                if (tg - t) & guards == guards:
+                    return True
+            return False
+
+        minimal: list[bool] = []  # no other lead divides this one
+        last = None
+        while heap:
+            T, upper, lower = heappop(heap)
+            if T == last:
+                continue
+            last, r = T, None
+            if upper > 0:  # an input: nothing of its index is known yet
+                v = inputs[lower]
+                if not any(((m | guards) - g[0]) & guards == guards for m in v for g in elements):
+                    r = v  # no lead divides a term: v is its own normal form
+            elif rewritten(T, -upper):
+                continue
+            else:
+                a, b = elements[-upper], elements[lower]
+                v = self._svector(a, b, pack(0, unpack(lcm(a[0], b[0]))[1]))
+            if r is None:
+                r = self.reduce(v, guard, T)
+            if not r:
+                add_syzygy(T & mask, -(T >> ib) & low)
+                continue
+            h = self._element(r)
+            if upper <= 0 and h[2] > guard:  # inputs are exempt
+                raise _guard_exceeded(self._operation, "basis element", h[2], guard)
+            k, lead = len(elements), h[0]
+            hl, ratio = lead & low, T + (lead << ib)
+            if not hl:  # 1 is in the ideal, and (1) is its reduced basis
+                elements, minimal = [h], [True]
+                break
+            elements.append(h)
+            keys.append(T)
+            ratios.append(ratio)
+            minimal.append(True)
+            signed.setdefault(T & mask, []).append((-(T >> ib) & low, k))
+            for j in range(k):
+                b = elements[j][0]
+                lc, bl = lcm(lead, b), b & low
+                if lc == bl:  # the leads are distinct
+                    minimal[j] = False
+                elif lc == hl:
+                    minimal[k] = False
+                if ratios[j] == ratio:
+                    continue  # the multiples share a signature
+                # the upper element, and the low part and index of its
+                # signature times the other lead: the Koszul signature
+                up, lo = (k, j) if ratio > ratios[j] else (j, k)
+                K = keys[up] - (elements[lo][0] - origin << ib)
+                if (kt := -(K >> ib) & low) & degree <= cap:
+                    add_syzygy(K & mask, kt)
+                if lc == hl + bl:
+                    continue  # coprime leads: T is the Koszul signature
+                S = ratios[up] - (pack(0, unpack(lc)[1]) << ib)  # the pair's T
+                if -(S >> ib) & degree > cap:
+                    return None
+                if not rewritten(S, up):
+                    heappush(heap, (S, -up, lo))
+        del self._ratios, self._ib
+        # the elements whose lead no other lead divides are a minimal basis
+        self._index[0] = [g for g, keep in zip(elements, minimal) if keep]
+        return self._interreduced()
+
+    def _interreduced(self) -> list[tuple]:
+        """The reduced basis from the minimal one in self._index: no term of a
+        tail is a multiple of its own lead, so reducing each tail against all
+        reducers leaves the reduced basis, leads unchanged."""
+        guard, degree = self.ring.degree_guard, self._layout.degree
         reduced = []
-        for indices in live.values():
-            for i in indices:
-                lead, tail, _ = elements[i]
+        for reducers in self._index.values():
+            for lead, tail, _ in reducers:
                 tail = self.reduce(dict(tail), guard) if tail else {}
                 reduced.append((lead, tuple(tail.items()),
                                 max([lead & degree] + [m & degree for m in tail])))
@@ -669,10 +845,9 @@ def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tup
     A generator that is not a Poly is parsed in `ring`, which defaults to the
     ring of the first Poly among gens; `Ideal` checks the rings.
 
-    Computed by the rank-1 FreeModuleGB: Buchberger with the normal
-    selection strategy and Gebauer-Moeller pair pruning, the same engine
-    that builds module bases. Output is deterministic: monic, fully
-    auto-reduced, sorted by descending leading monomial.
+    Computed by the rank-1 FreeModuleGB, the engine that builds module
+    bases, through its signature completion. Output is deterministic:
+    monic, fully auto-reduced, sorted by descending leading monomial.
     """
     gens = list(gens)
     if ring is None:

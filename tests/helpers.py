@@ -307,6 +307,29 @@ class LinearMembershipOracle:
         return not any(self._evaluate(poly))
 
 
+def random_ideal(rng):
+    """A seeded small ideal: 2-4 generators of 1-4 terms and degree <= 4 in
+    2-4 variables over GF(2), GF(7), GF(32003) or QQ, lex or grevlex, at a
+    degree guard of 4 to 32 (some trip it). Returns (ring, generators)."""
+    field = rng.choice([GF(2), GF(7), GF(32003), QQ])
+    nvars = rng.randint(2, 4)
+    ring = PolyRing(field, [f"x{i}" for i in range(nvars)], rng.choice(["lex", "grevlex"]),
+                    rng.choice([4, 6, 8, 12, 16, 32]))
+    degree = rng.randint(2, 4)
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, degree)):
+                e[rng.randrange(nvars)] += 1
+            c = rng.randint(-5, 5) if field == QQ else rng.randrange(1, 40000)
+            if c:
+                terms[tuple(e)] = c
+        gens.append(ring.from_dict(terms))
+    return ring, gens
+
+
 def poly_to_int_dict(p):
     """A gproj Poly over GF(p) as {exponent: int} for the oracle."""
     return {e: int(c) for e, c in p.terms}

@@ -61,6 +61,9 @@ def sympy_basis(ring, eqs):
     (cyclic, 4, GF(2), "lex"),
     (katsura, 4, GF(2147483647), "grevlex"),
     (cyclic, 4, GF(2147483647), "lex"),
+    # the QQ sizes where every S-vector reducing to zero was a cliff
+    (katsura, 5, QQ, "grevlex"),
+    (cyclic, 5, QQ, "grevlex"),
 ])
 def test_reduced_basis_matches_sympy(system, n, field, order):
     variables, eqs = system(n)

@@ -708,3 +708,18 @@ def test_verify_short_exact_matches_brute_force(key):
         assert tuple(report) == want
         oks.append(report.ok)
     assert True in oks and False in oks
+
+
+def test_engine_queries_reject_a_column_over_another_ring():
+    # packing reads exponents by position, so x*z of k[x,y,z] queried in
+    # k[x,y] would be read as x*y; a ring equal up to its guard is accepted
+    R = PolyRing(GF(7), ("x", "y")).quotient([])
+    wide = PolyRing(GF(7), ("x", "y", "z"))
+    engine = span_engine(R, 1, [(R.poly("x"),)])
+    xz = wide.poly("x*z")
+    for query in (engine.contains, engine.witness, lambda c: engine.lift([c])):
+        with pytest.raises(RingMismatch):
+            query((xz,))
+    copy = PolyRing(GF(7), ("x", "y"), degree_guard=8)
+    assert engine.contains((copy.poly("x*y"),))
+    assert not engine.contains((R.poly("y"),))

@@ -27,7 +27,13 @@ from gproj.rings import (
     reduce_by_monic_in_var,
 )
 
-from helpers import LinearMembershipOracle, poly_to_int_dict, schoolbook_product, univariate_gcd
+from helpers import (
+    LinearMembershipOracle,
+    poly_to_int_dict,
+    random_ideal,
+    schoolbook_product,
+    univariate_gcd,
+)
 
 
 def QxQ():
@@ -398,6 +404,48 @@ def test_from_dict_maps_int_coefficients_into_the_field():
     assert PolyRing(QQ, ("x",)).from_dict({(1,): 2}).terms == (((1,), Fraction(2)),)
 
 
+def test_ideal_bases_match_the_module_completion_on_random_ideals():
+    # an independent route: the same generators as a submodule of P^2 go
+    # through the Gebauer-Moeller completion, not the signature one, and its
+    # basis, all at position 0, is the ideal's reduced basis. The two routes
+    # make different products, so a case where either trips is left out
+    compared = 0
+    for k in range(1600):  # taking singular steps too first gives a wrong basis at 1446
+        ring, gens = random_ideal(random.Random(k))
+        vectors = [{(0, e): c for e, c in g.terms} for g in gens]
+        try:
+            ideal = FreeModuleGB(ring, 1, vectors).basis
+            module = FreeModuleGB(ring, 2, vectors).basis
+        except DegreeGuardExceeded:
+            continue
+        assert [list(v.items()) for v in ideal] == [list(v.items()) for v in module], k
+        compared += 1
+    assert compared >= 1500
+
+
+def test_a_signature_past_the_packing_restarts_the_completion_wider():
+    # a signature is not bounded by the guard as terms are: here one passes
+    # the packing sized for guard 3 (fields hold degree 7), and the
+    # completion starts again at twice the width, with the basis that the
+    # Gebauer-Moeller completion of the same generators gives
+    P = PolyRing(GF(7), ("x0", "x1"), degree_guard=3)
+    vectors = [{(0, e): c for e, c in P.poly(g).terms}
+               for g in ("6*x0*x1^2+1", "3*x0^2*x1+3*x0*x1")]
+    caps = []
+    original = FreeModuleGB._signature_buchberger
+
+    def recording(self, packed):
+        caps.append(self._layout.cap)
+        return original(self, packed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeModuleGB, "_signature_buchberger", recording)
+        gb = FreeModuleGB(P, 1, vectors)
+    assert caps == [7, 15]
+    assert gb.basis == FreeModuleGB(P, 2, vectors).basis == [
+        {(0, (0, 2)): 1, (0, (0, 0)): 1}, {(0, (1, 0)): 1, (0, (0, 0)): 1}]
+
+
 # ----- packed terms inside FreeModuleGB -----
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -450,16 +498,27 @@ def _katsura(n):
     return v, eqs + [" + ".join([v[0]] + [f"2*{x}" for x in v[1:]]) + " - 1"]
 
 
-@pytest.mark.parametrize("system, n, calls", [(_cyclic, 4, 18), (_cyclic, 5, 129),
-                                              (_katsura, 4, 43)])
-def test_groebner_basis_makes_the_pinned_number_of_reductions(count_calls, system, n, calls):
-    # one reduction per S-vector left after pruning, plus one per nonempty
-    # tail at the end: the count moves if pair order or pruning does
+@pytest.mark.parametrize("system, n, calls, zeros", [(_cyclic, 4, 14, 1), (_cyclic, 5, 68, 5),
+                                                     (_katsura, 4, 27, 1)])
+def test_groebner_basis_makes_the_pinned_number_of_reductions(system, n, calls, zeros):
+    # one reduction per input after the first and per S-vector the signature
+    # criteria leave, plus one per nonempty tail at the end; `zeros` of the
+    # S-vectors reduce to zero. The counts move if item order or a criterion
+    # does
     variables, eqs = system(n)
     P = PolyRing(GF(32003), variables)
-    gb, reductions = count_calls(FreeModuleGB, "reduce", groebner_basis,
-                                 [P.poly(e) for e in eqs], P)
-    assert reductions == calls
+    results = []
+    original = FreeModuleGB.reduce
+
+    def recording(self, v, guard, bound=None):
+        results.append((bound, original(self, v, guard, bound)))
+        return results[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeModuleGB, "reduce", recording)
+        gb = groebner_basis([P.poly(e) for e in eqs], P)
+    assert len(results) == calls
+    assert sum(bound is not None and not r for bound, r in results) == zeros
     assert all(g.lead_coeff() == 1 for g in gb)
 
 

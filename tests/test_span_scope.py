@@ -60,6 +60,9 @@ def test_second_identical_call_builds_as_many_bases(count_calls):
 
 
 def test_scope_is_cleared_after_a_guard_trip():
+    # the modulus x^5 passes guard 4, but building R and k makes no product:
+    # x^5 reduced by x, which has no tail, is only cancelled; the trip comes
+    # inside the G-class test
     M = residue_field(ring("chain5", guard=4))
     with pytest.raises(DegreeGuardExceeded):
         g_class_test(M, 3)
@@ -71,8 +74,11 @@ def test_lower_guard_copy_of_the_ring_still_trips_in_one_scope():
     low = PolyRing(GF(2), ("x", "y"), degree_guard=3).quotient([])
     assert high == low  # ring equality ignores the guard
 
-    def columns(R):  # reduced, of degree 3; their bases reach degree 4
-        return [(R.poly("x^2*y"),), (R.poly("x^2*y+x^3"),)]
+    def columns(R):  # reduced, of degree 3; their reduced basis holds y^4
+        return [(R.poly("x^2*y"),), (R.poly("x^3+y^3"),)]
+
+    assert [str(c[0]) for c in canonical_generators(high, 1, columns(high))] == [
+        "y^4", "x^3+y^3", "x^2*y"]
 
     @span_scope
     def both():

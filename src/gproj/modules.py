@@ -4,6 +4,9 @@ A module element of the free module P^r is a dict {(position, exponent): coeff}
 ordered position-over-term: position i beats position j > i, ties broken by the
 ring's monomial order. One graph-basis computation per generating set yields
 membership tests, membership witnesses, and syzygies over the quotient ring.
+The module layer hands the modulus's reduced basis to `rings.FreeModuleGB`,
+which alone decides how it enters a basis; no caller appends modulus
+multiples of the unit vectors.
 
 Every Poly in a column held by an FPModule, ModuleMap, SubmoduleOfFree,
 SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
@@ -134,17 +137,15 @@ def _canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]
     """Unique reduced generating set of the R-submodule spanned by columns.
 
     Computed as the reduced Groebner basis of the preimage submodule of
-    P^rank (the given columns plus modulus multiples of the unit vectors),
-    with the pure modulus part discarded. Canonical: depends only on the
-    submodule, not on the generating set handed in.
+    P^rank (the given columns plus the modulus times P^rank, which the
+    engine holds as its modulus reducers), with the pure modulus part
+    discarded. Canonical: depends only on the submodule, not on the
+    generating set handed in.
     """
     vectors = [v for v in map(_column_to_vec, columns) if v]
     if rank == 0 or (not vectors and R.modulus.is_zero()):
         return ()
-    for g in R.modulus.reduced_gb:
-        for i in range(rank):
-            vectors.append({(i, e): c for e, c in g.terms})
-    return _read_columns(R, FreeModuleGB(R.base, rank, vectors), 0, rank)
+    return _read_columns(R, FreeModuleGB(R.base, rank, vectors, R.modulus.reduced_gb), 0, rank)
 
 
 canonical_generators = _per_scope(_canonical_generators)
@@ -153,8 +154,8 @@ canonical_generators = _per_scope(_canonical_generators)
 def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple[Column, ...]:
     """The nonzero columns in R^rank of the elements of the reduced basis gb led
     at position start or later, in basis order; only those reducers of gb's
-    packed index are unpacked. gb's module holds every g*e_i, g in the
-    modulus, so only a lead equal to some LM(g) can be unreduced. Reduced
+    packed index are unpacked. gb's basis holds the modulus times P^rank, so
+    only a lead equal to some LM(g), g in the modulus, can be unreduced. Reduced
     bases are unique, so inside a span scope the columns are also cached as
     their own canonical_generators."""
     modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
@@ -182,12 +183,13 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple
 class SubmoduleEngine:
     """Membership, witnesses, and syzygies for an R-submodule of R^rank.
 
-    One graph basis, one Buchberger run, serves all three queries: generators
-    are tagged with unit vectors in an extra block, modulus multiples enter
-    at every position (the tag-block ones keep the build's tags reduced), and
-    the POT order eliminates the ambient block first, so the syzygies are
-    read off the tag block with no second basis. Columns and queries must be
-    reduced: an unreduced one gets the same answers but may trip the guard.
+    One graph basis, one completion, serves all three queries: generators
+    are tagged with unit vectors in an extra block, the engine's modulus
+    reducers sit at every position (the tag-block ones keep the build's tags
+    reduced), and the POT order eliminates the ambient block first, so the
+    syzygies are read off the tag block with no second basis. Columns and
+    queries must be reduced: an unreduced one gets the same answers but may
+    trip the guard.
     """
 
     def __init__(self, R: QuotRing, rank: int, columns):
@@ -201,10 +203,7 @@ class SubmoduleEngine:
             v = _column_to_vec(col)
             v[(rank + j, zero_expt)] = R.base.field.one
             vectors.append(v)
-        for g in R.modulus.reduced_gb:
-            for i in range(rank + m):
-                vectors.append({(i, e): c for e, c in g.terms})
-        self.gb = FreeModuleGB(R.base, rank + m, vectors)
+        self.gb = FreeModuleGB(R.base, rank + m, vectors, R.modulus.reduced_gb)
         self._syzygies = None
 
     def witness(self, column) -> Optional[list[Poly]]:

@@ -3,17 +3,17 @@
 Polynomials are sparse: a tuple of (exponent vector, coefficient) pairs kept
 strictly descending in the ring's monomial order, with no zero coefficients.
 One Groebner engine, FreeModuleGB, serves both ideals (rank 1) and
-submodules of free modules, and the rank picks its completion: signatures for
-an ideal, which skip most S-vectors that reduce to zero, and Gebauer-Moeller
-pairs for a module, whose vectors spread over several positions rarely reduce
-to zero (see FreeModuleGB). Inside it a term (position, exponent) is one int:
-a low part of equal-width fields (total degree, then e_{n-1} .. e_0 up to the
-top), each field below a guard bit, then a key part, a linear form in the
-exponents plus an offset, whose int order is the monomial order reversed, then
-the position. So a product by a monomial is one add, the heap pops the smallest
-int first, divisibility is ((m | H) - lead) & H == H for the guard bits H, and
-the degree is a mask. Fields hold twice the larger of the degree guard and the
-input degree, the most an S-vector or lcm reaches; a wider query meets the
+submodules of free modules over P/I, with one completion at every rank:
+signatures, which skip most S-vectors that reduce to zero, with the reduced
+basis of I as reducers below every signature (see FreeModuleGB). Inside it a
+term (position, exponent) is one int: a low part of equal-width fields (total
+degree, then e_{n-1} .. e_0 up to the top), each field below a guard bit, then
+a key part, a linear form in the exponents plus an offset, whose int order is
+the monomial order reversed, then the position. So a product by a monomial is
+one add, the heap pops the smallest int first, divisibility is
+((m | H) - lead) & H == H for the guard bits H, and the degree is a mask.
+Fields hold twice the larger of the degree guard and the degree of the inputs
+and the modulus, the most an S-vector or lcm reaches; a wider query meets the
 reducers repacked at its width. FreeModuleGB.reduce is the one reduction loop:
 normal forms and ideal membership run it on the rank-1 basis each Ideal keeps.
 It calls no Field method: over GF(p) a coefficient is a plain int, left
@@ -28,6 +28,7 @@ freely across threads.
 from __future__ import annotations
 
 import re
+from bisect import insort_left as insort
 from copy import copy
 from fractions import Fraction
 from functools import lru_cache
@@ -420,6 +421,7 @@ class _Layout(NamedTuple):
     pack: Callable[[int, Monomial], int]
     unpack: Callable[[int], tuple[int, Monomial]]
     lcm: Callable[[int, int], int]  # the low part of the lcm of two terms
+    lift: Callable[[int], int]  # the packed monomial of a low part, at position 0
 
 
 @lru_cache(maxsize=32)
@@ -438,6 +440,7 @@ def _layout(nvars: int, order: str, width: int) -> _Layout:
     # few distinct monomials cross the engine boundary: remember them
     monomial = lru_cache(maxsize=512)(lambda expt: sum(map(mul, expt, weights), origin))
     exponent = lru_cache(maxsize=512)(lambda m: tuple([(m >> s) & cap for s in offsets]))
+    lift = lru_cache(maxsize=512)(lambda m: monomial(exponent(m)))
 
     def lcm(a: int, b: int) -> int:
         la, lb = a & exponents, b & exponents
@@ -447,7 +450,7 @@ def _layout(nvars: int, order: str, width: int) -> _Layout:
 
     return _Layout(cap, exponents | degree, guards, degree, pshift,
                    lambda pos, expt: (pos << pshift) + monomial(expt),
-                   lambda m: (m >> pshift, exponent(m & (exponents | degree))), lcm)
+                   lambda m: (m >> pshift, exponent(m & (exponents | degree))), lcm, lift)
 
 
 def _width(degree: int) -> int:
@@ -460,21 +463,27 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
 
 
 class _RegularReducers:
-    """The reducers, kept by _signature_buchberger, with a multiple that
-    reduces the term m regularly: its signature sig(g) - ((m - LM(g)) << ib)
-    is below the bound, that is, m << ib passes ratio(g) - bound. Terms leave
-    the heap of FreeModuleGB.reduce in ascending int order, so reducers only
-    ever join. get(m, _) stands in for the index lookup."""
+    """The lookup that FreeModuleGB.reduce uses under a signature bound: the
+    reducers of the term m, kept by _signature_buchberger, with a multiple
+    that reduces m regularly. Those are the modulus reducers gb._rows, and
+    each element g at the position of m whose multiple's signature
+    sig(g) - ((m - LM(g)) << ib) is below the bound, that is, ratio(g) is
+    below (m << ib) + bound; gb._ratios[pos] lists them by ascending ratio.
+    Terms leave the heap of reduce in ascending int order, so positions only
+    grow and, within one, reducers only ever join. get(m, _) stands in for
+    the index lookup."""
 
-    __slots__ = ("ib", "waiting", "regular")
+    __slots__ = ("gb", "bound", "ib", "limit", "waiting", "regular")
 
     def __init__(self, gb: "FreeModuleGB", bound: int):
-        self.ib, self.regular = gb._ib, []
-        self.waiting = sorted(zip([r - bound for r in gb._ratios], gb._index[0]),
-                              key=itemgetter(0), reverse=True)
+        self.gb, self.bound, self.ib, self.limit = gb, bound, gb._ib, 0
 
     def get(self, m: int, _) -> list:
-        m <<= self.ib
+        if m >= self.limit:  # the first term at its position
+            pshift = self.gb._layout.pshift
+            self.limit = (m >> pshift) + 1 << pshift
+            self.regular, self.waiting = self.gb._rows[:], self.gb._ratios[m >> pshift][::-1]
+        m = (m << self.ib) + self.bound
         waiting = self.waiting
         while waiting and waiting[-1][0] < m:
             self.regular.append(waiting.pop()[1])
@@ -482,44 +491,46 @@ class _RegularReducers:
 
 
 class FreeModuleGB:
-    """Reduced Groebner basis of a submodule of P^rank (POT order).
+    """Reduced Groebner basis of span(vectors) + I*P^rank in P^rank (POT
+    order), where modulus is the reduced Groebner basis of an ideal I of P.
 
-    This is the one Groebner engine in gproj; an ideal is the rank-1 case.
-    The rank picks the completion. An ideal is completed by signatures (RB
-    in C. Eder and J.-C. Faugere, "A survey on signature-based algorithms
-    for computing Groebner bases", J. Symb. Comput. 80 (2017)), which skips
-    most S-vectors that reduce to zero; a module basis (rank > 1, graph
-    bases included) by Buchberger pairs pruned by the Gebauer-Moeller chain
-    criterion within one position, because its vectors spread over several
-    positions have almost no zero reductions and no Koszul syzygies to find.
-    Both end in the same interreduction. Inside, every term is a packed int
-    (see the module docstring) and a reducer is a tuple (lead, tail, top):
-    its monic lead term, the other terms as (term, coeff) pairs, and the
-    largest total degree among them. Coefficients are plain values under
-    operators, not Field methods: ints in [0, p) over GF(p), Fractions over
-    QQ; only reduce() holds unreduced sums. The guard bounds the products a
-    completion makes and the basis elements it adds; the inputs themselves
-    may pass it.
+    This is the one Groebner engine in gproj; an ideal is the rank-1 case
+    with no modulus. Every rank is completed by signatures (RB in C. Eder
+    and J.-C. Faugere, "A survey on signature-based algorithms for computing
+    Groebner bases", J. Symb. Comput. 80 (2017)), which skips most S-vectors
+    that reduce to zero. The known basis of I*P^rank sits below every
+    signature, as in incremental F5 (J.-C. Faugere, ISSAC 2002): each g*e_p
+    is a reducer that is always regular, forms pairs only with the new
+    elements at its position, and gives each input i the syzygies
+    LM(g)*e_i. Inside, every term is a packed int (see the module
+    docstring) and a reducer is a tuple (lead, tail, top): its monic lead
+    term, the other terms as (term, coeff) pairs in descending POT order,
+    and the largest total degree among them. Coefficients are plain values
+    under operators, not Field methods: ints in [0, p) over GF(p), Fractions
+    over QQ; only reduce() holds unreduced sums. The guard bounds the
+    products a completion makes and the basis elements it adds; the inputs
+    themselves may pass it.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec]):
+    def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec],
+                 modulus: tuple[Poly, ...] = ()):
         self.ring = ring
         self.rank = rank
         # S-vector terms and lcms reach at most twice the larger of the guard
         # and the input degree; no product past the guard is ever made
-        top = max((sum(e) for v in vectors for _, e in v), default=0)
+        top = max(chain((sum(e) for v in vectors for _, e in v),
+                        (g.total_degree() for g in modulus)), default=0)
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
-        complete = self._signature_buchberger if rank == 1 else self._buchberger
         width = 2 * max(top, ring.degree_guard)
         while True:  # a signature, unlike a term, is not bounded by the guard
             self._layout = _layout(ring.nvars, ring.order, _width(width))
             self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
-            basis = complete([self._packed(v) for v in vectors if v])
+            basis = self._signature_buchberger([self._packed(v) for v in vectors if v], modulus)
             if basis is not None:
                 break
             width *= 2
-        self._index = self._indexed(basis)
+        self._index = basis
         self._operation = "normal form"
 
     @property
@@ -541,19 +552,15 @@ class FreeModuleGB:
         if degree <= self._layout.cap:
             return self
         gb = copy(self)
-        gb._layout = _layout(self.ring.nvars, self.ring.order, _width(degree))
-        gb._index = gb._indexed(gb._element(gb._packed(b)) for b in self.basis)
+        gb._layout, gb._index = _layout(self.ring.nvars, self.ring.order, _width(degree)), {}
+        for v in self.basis:  # in basis order
+            g = gb._element(gb._packed(v))
+            gb._index.setdefault(g[0] >> gb._layout.pshift, []).append(g)
         return gb
 
     def _packed(self, v: Vec) -> dict:
         pack = self._layout.pack
         return {pack(p, e): c for (p, e), c in v.items()}
-
-    def _indexed(self, reducers: Iterable[tuple]) -> dict[int, list[tuple]]:
-        index: dict[int, list[tuple]] = {}
-        for g in reducers:  # in basis order
-            index.setdefault(g[0] >> self._layout.pshift, []).append(g)
-        return index
 
     def reduce(self, v: dict, guard: int, bound: Optional[int] = None) -> dict:
         """Full normal form of a packed vector {term: coeff}: every term gets
@@ -569,9 +576,9 @@ class FreeModuleGB:
         cancels the term, never trips."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        index = self._index  # the reducers of the term m: index.get(m >> pshift, ())
+        lookup = self._index.get  # the reducers of the term m: lookup(m >> pshift, ())
         if bound is not None:
-            index, pshift = _RegularReducers(self, bound), 0
+            lookup, pshift = _RegularReducers(self, bound).get, 0
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
@@ -584,7 +591,7 @@ class FreeModuleGB:
             if not c:
                 continue  # cancelled after it was queued
             mg = m | guards
-            for lead, tail, top in index.get(m >> pshift, ()):
+            for lead, tail, top in lookup(m >> pshift, ()):
                 if (mg - lead) & guards == guards:  # lead divides m
                     break
             else:
@@ -605,14 +612,15 @@ class FreeModuleGB:
         return remainder
 
     def _element(self, v: dict) -> tuple:
-        """The monic reducer (lead, tail, top) of a packed vector."""
-        lead = min(v)
-        c = v[lead]
-        if c != 1:
+        """The monic reducer (lead, tail, top) of a packed vector whose terms
+        ascend, as reduce() returns them: its lead comes first."""
+        terms = tuple(v.items())
+        if (c := terms[0][1]) != 1:
             c, p = self.ring.field.inv(c), self._p
-            v = {m: cc * c % p for m, cc in v.items()} if p else {m: cc * c for m, cc in v.items()}
+            terms = tuple([(m, cc * c % p) for m, cc in terms] if p else
+                          [(m, cc * c) for m, cc in terms])
         degree = self._layout.degree
-        return lead, tuple(t for t in v.items() if t[0] != lead), max([m & degree for m in v])
+        return terms[0][0], terms[1:], max([m & degree for m in v])
 
     def _svector(self, f: tuple, g: tuple, lcm: int) -> dict:
         """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read.
@@ -631,106 +639,66 @@ class FreeModuleGB:
                 del out[m]
         return out
 
-    def _buchberger(self, vectors: list[dict]) -> list[tuple]:
-        """Module bases: pairs leave a heap by the normal selection strategy,
-        keyed (deg lcm, position, lcm, i, j), pruned by the Gebauer-Moeller
-        chain criterion within one position."""
-        guard = self.ring.degree_guard
-        layout = self._layout
-        guards, degree, pshift = layout.guards, layout.degree, layout.pshift
-        lcm, pack, unpack = layout.lcm, layout.pack, layout.unpack
-        elements: list[tuple] = []
-        live: dict[int, list[int]] = {}  # position -> indices of the reducers
-        pairs: list = []  # heap of (deg lcm, pos, low part of lcm, i, j)
-
-        def update(h: tuple) -> None:
-            """Gebauer-Moeller: add h, prune the pairs, update the reducers."""
-            nonlocal pairs
-            k = len(elements)
-            elements.append(h)
-            lm = h[0]
-            pos = lm >> pshift
-            if pos not in live:  # the first reducer at a position has no pairs
-                live[pos], self._index[pos] = [k], [h]
-                return
-            cands = [(lcm(lm, elements[i][0]), i) for i in live[pos]]
-            # new pairs: drop one whose lcm is divisible by the lcm of another
-            # new pair still standing (of equal lcms the last one stays)
-            new = []
-            for n, (lc, i) in enumerate(cands):
-                lg = lc | guards
-                if not any((lg - other[0]) & guards == guards
-                           for other in chain(cands[n + 1:], new)):
-                    new.append((lc, i))
-            # old pairs (i, j): drop one whose lcm LM(h) divides, unless the
-            # lcm of h with i or with j equals it
-            kept = [p for p in pairs if p[1] != pos or ((p[2] | guards) - lm) & guards != guards
-                    or lcm(elements[p[3]][0], lm) == p[2]
-                    or lcm(elements[p[4]][0], lm) == p[2]]
-            kept.extend((lc & degree, pos, lc, i, k) for lc, i in new)
-            heapify(kept)
-            pairs = kept
-            live[pos] = [i for i in live[pos]
-                         if ((elements[i][0] | guards) - lm) & guards != guards] + [k]
-            self._index[pos] = [elements[i] for i in live[pos]]
-
-        # inputs go in as they are, largest lead first, so no reducer's lead
-        # ever divides another's: a later lead cannot be a proper multiple
-        for v in sorted(vectors, key=min):
-            update(self._element(v))
-        while pairs:
-            _, pos, lc, i, j = heappop(pairs)
-            lc = pack(pos, unpack(lc)[1])  # the whole packed lcm, key part included
-            r = self.reduce(self._svector(elements[i], elements[j], lc), guard)
-            if not r:
-                continue
-            h = self._element(r)
-            if h[2] > guard:
-                raise _guard_exceeded(self._operation, "basis element", h[2], guard)
-            update(h)
-        return self._interreduced()
-
-    def _signature_buchberger(self, vectors: list[dict]) -> Optional[list[tuple]]:
-        """Ideals: RB with signatures in the Schreyer order, or None when a
-        signature outgrows the packing.
+    def _signature_buchberger(self, vectors: list[dict], modulus: tuple[Poly, ...]
+                              ) -> Optional[dict[int, list[tuple]]]:
+        """RB with signatures in the Schreyer order: the indexed reduced basis,
+        or None when a signature outgrows the packing.
 
         Input i, in ascending order of leads, has signature e_i; t*e_i is
         ordered by the term t*LM(f_i), then by i, and is one int, its key
         (-packed(t*LM(f_i)) << ib) + i, which a product by a monomial lowers
         by the packed quotient << ib. Divisibility reads the low part of
-        packed(t*LM(f_i)) alone. Items (input e_i, or the S-vector of a pair
-        whose upper element a has the larger multiple, T = u*sig(a)) leave
-        the heap in ascending T, so G gets one element per signature, in
+        packed(t*LM(f_i)) alone. The modulus reducers g*e_p sit below every
+        signature: every reduction may use them, and they are never items.
+        Items (input e_i, or the S-vector of a pair at one position whose
+        upper element a of G has the larger multiple, T = u*sig(a)) leave the
+        heap in ascending T, so G gets one element per signature, in
         ascending order, with distinct leads (the later of two would have
         been reduced by the earlier). An item is skipped when
           - an item of the same T came first: its element, or the zero it
             reduced to, settles T;
-          - a syzygy signature divides T: one of a zero reduction, or of
-            the Koszul syzygy LM(b)*a - LM(a)*b, which is gcd(LM(a), LM(b))
-            times the pair's T (so pairs with coprime leads are not formed);
+          - a syzygy signature divides T: LM(g)*e_i for g in the modulus,
+            since g*f_i lies in I*P^rank (this covers every Koszul syzygy
+            against a modulus reducer), one of a zero reduction, or the
+            Koszul syzygy LM(b)*a - LM(a)*b of two elements with every term
+            at one position, which is gcd(LM(a), LM(b)) times the pair's T
+            (so such pairs with coprime leads are not formed);
           - an element added after a has a signature dividing T (the
             rewrite criterion: the latest element wins).
         A pair whose multiples share a signature is not formed. Other items
-        are reduced by regular steps only, which keep T, against all of G.
-        These are the survey's criteria, so G is a Groebner basis when the
-        heap is empty, and its elements whose lead no other lead divides
+        are reduced by regular steps only, which keep T. These are the
+        survey's criteria, so G and the modulus reducers are a Groebner basis
+        when the heap is empty, and those whose lead no other lead divides
         are a minimal one."""
-        guard = self.ring.degree_guard
+        guard, rank = self.ring.degree_guard, self.rank
         layout = self._layout
         guards, degree, cap, low = layout.guards, layout.degree, layout.cap, layout.low
-        lcm, pack, unpack = layout.lcm, layout.pack, layout.unpack
-        origin = pack(0, (0,) * self.ring.nvars)  # the packed monomial 1
+        lcm, lift, pshift = layout.lcm, layout.lift, layout.pshift
+        origin = lift(0)  # the packed monomial 1
         inputs = sorted(vectors, key=min, reverse=True)
         ib = self._ib = len(inputs).bit_length()
         mask = (1 << ib) - 1
+        # the modulus reducers g*e_p: the rows of g*e_0 serve every position,
+        # since divisibility and the shift m - LM(g) carry a term to its own
+        # position; the minimal basis places them at each p
+        rows = self._rows = [self._element(self._packed({(0, e): c for e, c in g.terms}))
+                             for g in modulus]
+        # per position p: its reducers (the rows, then G there) for the input
+        # test, and G there as (ratio, element, index in G, pure) by
+        # ascending ratio key + (lead << ib), sig(a) / LM(a), for reduce();
+        # pure: every term at p
+        index = self._index
+        at = self._ratios = [[] for _ in range(rank)]
+        for p in range(rank):
+            index[p] = rows[:]
         elements: list[tuple] = []  # G, in signature order
-        keys: list[int] = []  # the signatures of G
-        ratios = self._ratios = []  # key + (lead << ib): sig(a) / LM(a), read by reduce()
-        self._index[0] = elements  # every element of G is a reducer
-        syzygies: dict[int, list[int]] = {}  # index -> minimal low parts
-        signed: dict[int, list[tuple[int, int]]] = {}  # index -> (low part, k) in G
+        leads = [(g[0], g[0] & low) for g in rows]  # the rows' leads and their low parts
+        # index -> minimal low parts, LM(g)*LM(f_i) first
+        syzygies = {i: [(min(v) & low) + gl for _, gl in leads]
+                    for i, v in enumerate(inputs)} if rows else {}
+        signed = [[] for _ in inputs]  # index -> (low part, k) in G
         heap = [((-min(v) << ib) + i, 1, i) for i, v in enumerate(inputs)]
-        heapify(heap)  # (T, 1, i) for input i, (T, -upper, lower) for a pair
+        heapify(heap)  # (T, 1, i) for input i, (T, -upper, lower) for a pair, ~j for rows[j]
 
         def add_syzygy(i: int, t: int) -> None:
             """Record the low part t of a syzygy signature of index i."""
@@ -748,7 +716,7 @@ class FreeModuleGB:
             for s in syzygies.get(i, ()):
                 if (tg - s) & guards == guards:
                     return True
-            for t, k in reversed(signed.get(i, ())):
+            for t, k in reversed(signed[i]):
                 if k <= upper:
                     return False
                 if (tg - t) & guards == guards:
@@ -764,13 +732,16 @@ class FreeModuleGB:
             last, r = T, None
             if upper > 0:  # an input: nothing of its index is known yet
                 v = inputs[lower]
-                if not any(((m | guards) - g[0]) & guards == guards for m in v for g in elements):
-                    r = v  # no lead divides a term: v is its own normal form
+                if not any(((m | guards) - g[0]) & guards == guards
+                           for m in v for g in index[m >> pshift]):
+                    r = dict(sorted(v.items()))  # its own normal form, in POT order
             elif rewritten(T, -upper):
                 continue
             else:
-                a, b = elements[-upper], elements[lower]
-                v = self._svector(a, b, pack(0, unpack(lcm(a[0], b[0]))[1]))
+                a = elements[-upper]
+                pos = a[0] >> pshift
+                b = elements[lower] if lower >= 0 else rows[~lower]
+                v = self._svector(a, b, lift(lcm(a[0], b[0])) + (pos << pshift))
             if r is None:
                 r = self.reduce(v, guard, T)
             if not r:
@@ -779,56 +750,78 @@ class FreeModuleGB:
             h = self._element(r)
             if upper <= 0 and h[2] > guard:  # inputs are exempt
                 raise _guard_exceeded(self._operation, "basis element", h[2], guard)
-            k, lead = len(elements), h[0]
-            hl, ratio = lead & low, T + (lead << ib)
-            if not hl:  # 1 is in the ideal, and (1) is its reduced basis
-                elements, minimal = [h], [True]
-                break
+            k, (lead, tail, _) = len(elements), h
+            pos, hl, ratio = lead >> pshift, lead & low, T + (lead << ib)
             elements.append(h)
-            keys.append(T)
-            ratios.append(ratio)
             minimal.append(True)
-            signed.setdefault(T & mask, []).append((-(T >> ib) & low, k))
-            for j in range(k):
-                b = elements[j][0]
+            if not hl and rank == 1:  # 1 is in the ideal, and (1) is its reduced basis
+                at = [[(ratio, h, k, True)]]
+                break
+            pure = not tail or tail[-1][0] >> pshift == pos  # tails descend in POT order
+            signed[T & mask].append((-(T >> ib) & low, k))
+            here = at[pos]
+            for rj, g, j, pj in here:
+                b = g[0]
                 lc, bl = lcm(lead, b), b & low
                 if lc == bl:  # the leads are distinct
                     minimal[j] = False
                 elif lc == hl:
                     minimal[k] = False
-                if ratios[j] == ratio:
+                if rj == ratio:
                     continue  # the multiples share a signature
                 # the upper element, and the low part and index of its
                 # signature times the other lead: the Koszul signature
-                up, lo = (k, j) if ratio > ratios[j] else (j, k)
-                K = keys[up] - (elements[lo][0] - origin << ib)
-                if (kt := -(K >> ib) & low) & degree <= cap:
-                    add_syzygy(K & mask, kt)
-                if lc == hl + bl:
-                    continue  # coprime leads: T is the Koszul signature
-                S = ratios[up] - (pack(0, unpack(lc)[1]) << ib)  # the pair's T
+                up, ru, lo = (k, ratio, j) if ratio > rj else (j, rj, k)
+                if pure and pj:  # LM(a)*LM(b)*e_pos: packed, two leads less e_pos
+                    K = ru - (lead + b - origin - (pos << pshift) << ib)
+                    if (kt := -(K >> ib) & low) & degree <= cap:
+                        add_syzygy(K & mask, kt)
+                    if lc == hl + bl:
+                        continue  # coprime leads: T is the Koszul signature
+                S = ru - (lift(lc) + (pos << pshift) << ib)  # the pair's T
                 if -(S >> ib) & degree > cap:
                     return None
                 if not rewritten(S, up):
                     heappush(heap, (S, -up, lo))
-        del self._ratios, self._ib
-        # the elements whose lead no other lead divides are a minimal basis
-        self._index[0] = [g for g, keep in zip(elements, minimal) if keep]
+            for j, (g, gl) in enumerate(leads):
+                lc = lcm(lead, g)
+                if lc == hl + gl:
+                    continue  # coprime leads: T is divided by the syzygy LM(g)*sig(h)
+                S = ratio - (lift(lc) + (pos << pshift) << ib)
+                if -(S >> ib) & degree > cap:
+                    return None
+                if not rewritten(S, k):
+                    heappush(heap, (S, -k, ~j))
+            index[pos].append(h)
+            insort(here, (ratio, h, k, pure), key=itemgetter(0))
+        del self._ratios, self._ib, self._rows
+        # the elements and modulus reducers whose lead no other lead divides
+        # are a minimal basis
+        for pos, here in enumerate(at):
+            kept, s = [g for _, g, k, _ in here if minimal[k]] if here else [], pos << pshift
+            index[pos] = kept + [
+                (lead + s, tuple([(m + s, c) for m, c in tail]) if tail else (), top)
+                for lead, tail, top in rows
+                if not kept or not any(((lead | guards) - h[0]) & guards == guards for h in kept)]
         return self._interreduced()
 
-    def _interreduced(self) -> list[tuple]:
-        """The reduced basis from the minimal one in self._index: no term of a
-        tail is a multiple of its own lead, so reducing each tail against all
-        reducers leaves the reduced basis, leads unchanged."""
+    def _interreduced(self) -> dict[int, list[tuple]]:
+        """The reduced basis, indexed, from the minimal one in self._index: no
+        term of a tail is a multiple of its own lead, so reducing each tail
+        against all reducers leaves the reduced basis, leads unchanged."""
         guard, degree = self.ring.degree_guard, self._layout.degree
-        reduced = []
-        for reducers in self._index.values():
-            for lead, tail, _ in reducers:
-                tail = self.reduce(dict(tail), guard) if tail else {}
-                reduced.append((lead, tuple(tail.items()),
-                                max([lead & degree] + [m & degree for m in tail])))
-        reduced.sort()  # by lead: no two reducers share one
-        return reduced
+        index = {}
+        for pos, reducers in self._index.items():  # in ascending position order
+            reduced = []
+            for lead, tail, top in reducers:
+                if tail:
+                    tail = self.reduce(dict(tail), guard)
+                    top = max([lead & degree] + [m & degree for m in tail])
+                reduced.append((lead, tuple(tail.items()) if tail else (), top))
+            if reduced:
+                reduced.sort()  # by lead: no two reducers share one
+                index[pos] = reduced
+        return index
 
 
 def reduce_poly(f: Poly, gb: FreeModuleGB, guard: int) -> Poly:

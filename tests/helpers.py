@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, deliberately independent of the library
 internals: brute-force enumeration over finite rings, a Groebner-free
-linear-algebra ideal-membership oracle, a schoolbook polynomial product,
+linear-algebra ideal-membership oracle, a plain module Buchberger, a
+schoolbook polynomial product,
 classic integer-matrix oracles, and a reference top-level comma splitter
 for model-file matrices;
 also the rings of the gclass benchmark workload, which several tests share.
@@ -8,8 +9,10 @@ also the rings of the gclass benchmark workload, which several tests share.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd
+from operator import add, sub
 
 from gproj import GF, QQ, FPModule, PolyRing, QuotRing
 
@@ -328,6 +331,108 @@ def random_ideal(rng):
                 terms[tuple(e)] = c
         gens.append(ring.from_dict(terms))
     return ring, gens
+
+
+def random_submodule(rng):
+    """A seeded small submodule with a modulus: 1-4 vectors of rank 1-3, each
+    entry of 0-2 terms of degree <= 3, over 2-3 variables and GF(2), GF(7),
+    GF(32003) or QQ, lex or grevlex, at a degree guard of 4 to 32, and 1-3
+    modulus generators of 1-3 terms and degree 2-3. Returns (ring, rank,
+    vectors as {(position, exponent): coeff}, modulus generators)."""
+    field = rng.choice([GF(2), GF(7), GF(32003), QQ])
+    nvars = rng.randint(2, 3)
+    ring = PolyRing(field, [f"x{i}" for i in range(nvars)], rng.choice(["lex", "grevlex"]),
+                    rng.choice([4, 6, 8, 12, 16, 32]))
+
+    def poly(low, high, nterms):
+        terms = {}
+        for _ in range(nterms):
+            e = [0] * nvars
+            for _ in range(rng.randint(low, high)):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = rng.randint(-5, 5) if field == QQ else rng.randrange(1, 40000)
+        return ring.from_dict(terms)
+
+    modulus = [poly(2, 3, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    rank = rng.randint(1, 3)
+    vectors = [{(p, e): c for p in range(rank) for e, c in poly(0, 3, rng.randint(0, 2)).terms}
+               for _ in range(rng.randint(1, 4))]
+    return ring, rank, vectors, modulus
+
+
+# ---------------------------------------------------------------------------
+# module Groebner bases by plain Buchberger
+# ---------------------------------------------------------------------------
+
+def reference_module_basis(ring, rank, vectors, modulus=()):
+    """The reduced Groebner basis of span(vectors) + (modulus)*P^rank in P^rank
+    under the position-over-term order, by plain Buchberger on
+    {(position, exponent): coeff} dicts: every pair at one position is
+    reduced (normal selection, no criterion), with the field's own methods
+    and no packed terms. Listed as FreeModuleGB.basis lists its vectors:
+    by descending lead, each its lead first, then its tail descending."""
+    field = ring.field
+
+    def key(term):
+        return -term[0], ring.key(term[1])
+
+    def shifted(v, s):
+        return {(p, tuple(map(add, e, s))): c for (p, e), c in v.items()}
+
+    def minus(v, c, w):  # v - c*w
+        out = dict(v)
+        for t, cw in w.items():
+            x = field.sub(out.get(t, field.zero), field.mul(c, cw))
+            if x == field.zero:
+                out.pop(t, None)
+            else:
+                out[t] = x
+        return out
+
+    def divides(a, b):
+        return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+    def reduce(v, basis):
+        v, rem = dict(v), {}
+        while v:
+            t = max(v, key=key)
+            g = next(((lg, g) for lg, g in basis if divides(lg, t)), None)
+            if g is None:
+                rem[t] = v.pop(t)
+            else:  # g is monic: the step cancels t
+                v = minus(v, v[t], shifted(g[1], tuple(map(sub, t[1], g[0][1]))))
+        return rem
+
+    basis, pairs = [], []
+
+    def insert(v):
+        lead = max(v, key=key)
+        inv = field.inv(v[lead])
+        for i, (other, _) in enumerate(basis):
+            if other[0] == lead[0]:
+                lcm = tuple(map(max, other[1], lead[1]))
+                heappush(pairs, (sum(lcm), len(pairs), lcm, i, len(basis)))
+        basis.append((lead, {t: field.mul(c, inv) for t, c in v.items()}))
+
+    for v in list(vectors) + [{(p, e): c for e, c in g.terms} for g in modulus
+                              for p in range(rank)]:
+        if (r := reduce(v, basis)):
+            insert(r)
+    while pairs:
+        _, _, lcm, i, j = heappop(pairs)
+        (a, f), (b, g) = basis[i], basis[j]
+        s = minus(shifted(f, tuple(map(sub, lcm, a[1]))), field.one,
+                  shifted(g, tuple(map(sub, lcm, b[1]))))
+        if (r := reduce(s, basis)):
+            insert(r)
+    minimal = [(lead, v) for n, (lead, v) in enumerate(basis)
+               if not any(m != n and divides(other, lead) for m, (other, _) in enumerate(basis))]
+    out = []
+    for lead, v in sorted(minimal, key=lambda lv: key(lv[0]), reverse=True):
+        tail = reduce({t: c for t, c in v.items() if t != lead}, minimal)
+        out.append({lead: field.one, **dict(sorted(tail.items(), key=lambda tc: key(tc[0]),
+                                                   reverse=True))})
+    return out
 
 
 def poly_to_int_dict(p):

@@ -33,7 +33,8 @@ from gproj import (
     verify_short_exact,
 )
 from gproj.errors import InputError, MapNotWellDefined, RingMismatch
-from gproj.modules import FreeModuleGB, colon_generators, span_engine
+from gproj.modules import FreeModuleGB, SubmoduleEngine, colon_generators, span_engine
+from gproj.resolutions import free_resolution
 from gproj.rings import substitute_zero, restrict_poly
 
 from helpers import (
@@ -509,6 +510,32 @@ def test_degree_guard_aborts_runaway_module_basis():
         [(0, (0, 1)), (0, (0, 6)), (1, (0, 3)), (1, (1, 0)), (2, (0, 0))],
         [(1, (0, 1)), (1, (2, 0)), (2, (0, 3)), (2, (1, 0))],
     ]
+
+
+@pytest.mark.parametrize("key, calls, zeros", [("A", 12, 0), ("B", 37, 0)])
+def test_graph_basis_makes_the_pinned_number_of_reductions(key, calls, zeros):
+    # the engine of d_3 in the resolution of the residue field over the
+    # gclass rings GF(2)[x,y]/(x^2,y^2) and GF(2)[x,y,z]/(x^2,y^2,z^2): one
+    # reduction per input and per S-vector the signature criteria leave,
+    # plus one per nonempty tail at the end; `zeros` of the S-vectors reduce
+    # to zero. The modulus reducers form no pairs among themselves: entered
+    # as ordinary inputs over A, they made 25 reductions, 12 of them zero
+    R = gclass_ring(key)
+    res = free_resolution(FPModule(R, 1, [(g,) for g in R.base.gens()]), 3)
+    columns = list(res.maps[2])
+    results = []
+    original = FreeModuleGB.reduce
+
+    def recording(self, v, guard, bound=None):
+        results.append((bound, original(self, v, guard, bound)))
+        return results[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeModuleGB, "reduce", recording)
+        engine = SubmoduleEngine(R, len(columns[0]), columns)
+    assert len(results) == calls
+    assert sum(bound is not None and not r for bound, r in results) == zeros
+    assert len(engine.syzygies()) == res.ranks[4]
 
 
 def test_zero_polynomials_skip_normal_form(count_calls):

@@ -296,9 +296,9 @@ def test_pd_of_a_square_torsion_module_builds_no_basis_above_rank_6(monkeypatch)
     ranks = []
     build = FreeModuleGB.__init__
 
-    def recording(self, ring, rank, vectors):
+    def recording(self, ring, rank, vectors, modulus=()):
         ranks.append(rank)
-        build(self, ring, rank, vectors)
+        build(self, ring, rank, vectors, modulus)
 
     monkeypatch.setattr(FreeModuleGB, "__init__", recording)
     assert str(pd_bounded(M, 4)) == "Finite(1)"

@@ -31,6 +31,8 @@ from helpers import (
     LinearMembershipOracle,
     poly_to_int_dict,
     random_ideal,
+    random_submodule,
+    reference_module_basis,
     schoolbook_product,
     univariate_gcd,
 )
@@ -404,45 +406,79 @@ def test_from_dict_maps_int_coefficients_into_the_field():
     assert PolyRing(QQ, ("x",)).from_dict({(1,): 2}).terms == (((1,), Fraction(2)),)
 
 
-def test_ideal_bases_match_the_module_completion_on_random_ideals():
-    # an independent route: the same generators as a submodule of P^2 go
-    # through the Gebauer-Moeller completion, not the signature one, and its
-    # basis, all at position 0, is the ideal's reduced basis. The two routes
-    # make different products, so a case where either trips is left out
+def _listed(basis):
+    return [list(v.items()) for v in basis]
+
+
+def test_ideal_bases_match_a_plain_buchberger_on_random_ideals():
+    # an independent route: the plain Buchberger of tests/helpers, with no
+    # packed terms, no criterion and no FreeModuleGB.reduce. A case where
+    # the engine trips is left out
     compared = 0
     for k in range(1600):  # taking singular steps too first gives a wrong basis at 1446
         ring, gens = random_ideal(random.Random(k))
         vectors = [{(0, e): c for e, c in g.terms} for g in gens]
         try:
             ideal = FreeModuleGB(ring, 1, vectors).basis
-            module = FreeModuleGB(ring, 2, vectors).basis
         except DegreeGuardExceeded:
             continue
-        assert [list(v.items()) for v in ideal] == [list(v.items()) for v in module], k
+        assert _listed(ideal) == _listed(reference_module_basis(ring, 1, vectors)), k
         compared += 1
     assert compared >= 1500
+
+
+def test_module_bases_match_a_plain_buchberger_on_random_submodules():
+    # submodules of rank 1-3 with a modulus, whose reducers enter the
+    # completion below every signature; the reference adds the modulus
+    # generators at every position as ordinary vectors. A case where the
+    # engine or the modulus's own basis trips is left out
+    compared = 0
+    for k in range(500):
+        ring, rank, vectors, modulus = random_submodule(random.Random(k))
+        try:
+            basis = FreeModuleGB(ring, rank, vectors, Ideal(ring, modulus).reduced_gb).basis
+        except DegreeGuardExceeded:
+            continue
+        assert _listed(basis) == _listed(reference_module_basis(ring, rank, vectors, modulus)), k
+        compared += 1
+    assert compared >= 450
+
+
+def test_a_module_over_an_artinian_rational_ring_matches_a_plain_buchberger():
+    # over QQ[x,y]/(x^2 - y, y^3) at guard 32 the module basis of these
+    # columns once ran past 80 s in Fraction arithmetic
+    R = PolyRing(QQ, ("x", "y")).quotient(["x^2 - y", "y^3"])
+    columns = [("3*x^2*y^3+5*x*y", "5*x*y^2+y^3+6*x^2"),
+               ("5*x^2*y^3+5*x^2*y+x*y", "4*x^3*y^2+x^2*y+1"),
+               ("5*x*y^3+x*y^2", "x^2+2*x*y+6*x")]
+    vectors = [{(i, e): c for i, text in enumerate(col) for e, c in R.poly(text).terms}
+               for col in columns]
+    basis = FreeModuleGB(R.base, 2, vectors, R.modulus.reduced_gb).basis
+    assert _listed(basis) == _listed(reference_module_basis(R.base, 2, vectors,
+                                                            R.modulus.generators))
+    assert len(basis) == 4
 
 
 def test_a_signature_past_the_packing_restarts_the_completion_wider():
     # a signature is not bounded by the guard as terms are: here one passes
     # the packing sized for guard 3 (fields hold degree 7), and the
-    # completion starts again at twice the width, with the basis that the
-    # Gebauer-Moeller completion of the same generators gives
+    # completion starts again at twice the width, with the basis that a
+    # plain Buchberger run on the same generators gives
     P = PolyRing(GF(7), ("x0", "x1"), degree_guard=3)
     vectors = [{(0, e): c for e, c in P.poly(g).terms}
                for g in ("6*x0*x1^2+1", "3*x0^2*x1+3*x0*x1")]
     caps = []
     original = FreeModuleGB._signature_buchberger
 
-    def recording(self, packed):
+    def recording(self, packed, modulus):
         caps.append(self._layout.cap)
-        return original(self, packed)
+        return original(self, packed, modulus)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FreeModuleGB, "_signature_buchberger", recording)
         gb = FreeModuleGB(P, 1, vectors)
     assert caps == [7, 15]
-    assert gb.basis == FreeModuleGB(P, 2, vectors).basis == [
+    assert gb.basis == reference_module_basis(P, 1, vectors) == [
         {(0, (0, 2)): 1, (0, (0, 0)): 1}, {(0, (1, 0)): 1, (0, (0, 0)): 1}]
 
 
@@ -589,13 +625,15 @@ def test_guards_below_one(guard):
 
 @pytest.mark.parametrize("guard", [4, 8, 32])
 def test_s_vectors_reach_twice_the_guard(guard):
-    # the coprime pair x^g*e_0 + y^g*e_1, y^g*e_0 + x^g*e_1 is not pruned at
-    # rank 2; its S-vector y^2g*e_1 - x^2g*e_1 meets the reducer x*e_1, so the
-    # packing must hold degree 2g to see x divide x^2g
+    # (x + y)*e_1 first reduces y^g*e_0 + x^g*e_1 to y^g*e_0 + (-1)^g*y^g*e_1.
+    # Its pair with x^g*e_0 + y^g*e_1 has coprime leads, but neither vector
+    # lies at one position, so no Koszul syzygy prunes it: the S-vector
+    # y^2g*e_1 - (-1)^g*x^g*y^g*e_1 meets the reducer x*e_1 + y*e_1, so the
+    # packing must hold degree 2g to see x divide x^g*y^g
     P = PolyRing(QQ, ("x", "y"), degree_guard=guard)
     g = guard
     vectors = [{(0, (g, 0)): 1, (1, (0, g)): 1}, {(0, (0, g)): 1, (1, (g, 0)): 1},
-               {(1, (1, 0)): 1}]
+               {(1, (1, 0)): 1, (1, (0, 1)): 1}]
     with pytest.raises(DegreeGuardExceeded, match=f"^module basis at rank 2: term degree "
                        f"{2 * g} exceeds guard {g}$"):
         FreeModuleGB(P, 2, vectors)

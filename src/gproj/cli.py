@@ -40,13 +40,7 @@ from .modules import (
     dual_module,
     span_scope,
 )
-from .resolutions import (
-    FreeResolution,
-    free_resolution,
-    infinite_pd_detector,
-    pd_bounded,
-    truncation_sequence,
-)
+from .resolutions import free_resolution, infinite_pd_detector, pd_bounded, truncation_sequence
 from .rings import DEFAULT_DEGREE_GUARD, Ideal, PolyRing, QuotRing, format_poly
 
 ENV_GUARD = "GPROJ_DEGREE_GUARD"
@@ -372,7 +366,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     elif cmd == "resolve":
         if depth >= 1:  # print the verdict's resolution, cut back to this depth
             verdict = pd_bounded(obj, depth)
-            res = FreeResolution(obj, verdict.resolution.maps[:depth + 1], depth)
+            res = verdict.resolution.truncated(depth + 1)
         else:
             verdict, res = None, free_resolution(obj, depth)
         for line in res.report_lines():

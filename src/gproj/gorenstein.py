@@ -117,6 +117,17 @@ def _ext_into_ring(res: FreeResolution, m: int) -> ExtResult:
     return _ext_from_resolution(res, FPModule.free(R, 1), m)
 
 
+def _exts_into_ring(res: FreeResolution, depth: int) -> tuple[ExtResult, ...]:
+    """Ext^m(res.module, R) for m = 1..depth. Ext^m reads d_m and d_{m+1}, so
+    past s + p, (s, p) the periodicity, it is Ext^{m-p} again with i = m."""
+    out: list[ExtResult] = []
+    last = sum(res.periodicity) if res.periodicity else depth
+    for m in range(1, depth + 1):
+        out.append(_ext_into_ring(res, m) if m <= last
+                   else out[m - 1 - res.periodicity[1]]._replace(i=m))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # complete-resolution windows
 # ---------------------------------------------------------------------------
@@ -135,6 +146,13 @@ class CompleteResolutionFailure(NamedTuple):
     stage: str  # "left_dual_exactness" | "window_exactness" | "window_dual_exactness"
     node: int
     detail: str
+
+
+def _distinct_nodes(length: int, periodicity) -> int:
+    """How many leading nodes of a chain of `length` nodes a scan must read
+    when its maps repeat from map s with period p: node j > s + p is node j - p,
+    so an inexact node first shows among nodes 1..s+p."""
+    return min(length, sum(periodicity) + 2) if periodicity else length
 
 
 def _dual_chain(ranks, maps):
@@ -184,8 +202,10 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     R = M.ring
 
     # dual exactness of the left tail alone, node s of Hom(F., R) being step
-    # s; failures here are nonzero Ext^s
-    step = first_inexact_node(R, res.ranks, res.dual_maps)
+    # s; failures here are nonzero Ext^s. Node s > s0 + p repeats node s - p,
+    # so the scan stops after node s0 + p
+    nodes = _distinct_nodes(len(res.ranks), res.periodicity)
+    step = first_inexact_node(R, res.ranks[:nodes], res.dual_maps[:nodes - 1])
     if step is not None:
         return CompleteResolutionFailure(
             "left_dual_exactness", step,
@@ -226,12 +246,16 @@ def _complete_window(res: FreeResolution, window: int, dual_side
             maps_ltr.append(d)
             nodes_ltr.append(dual_res.rank(s + 1))
 
+    # the periodic route's window, periodicity (0, p), repeats with period p
+    # from its first node, so its first p + 2 nodes hold every distinct node,
+    # and its last p + 2 dualize to the first p + 2 of the dual window
     ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
-    bad = first_inexact_node(R, ranks_t, maps_t)
+    nodes = _distinct_nodes(len(ranks_t), res.periodicity if route == "periodic" else None)
+    bad = first_inexact_node(R, ranks_t[:nodes], maps_t[:nodes - 1])
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
-    dranks, dmaps = _dual_chain(ranks_t, maps_t)
+    dranks, dmaps = _dual_chain(ranks_t[-nodes:], maps_t[len(maps_t) - nodes + 1:])
     bad = first_inexact_node(R, dranks, dmaps)
     if bad is not None:
         return CompleteResolutionFailure(
@@ -282,16 +306,19 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     for the dual module. Condition 3: the double-duality map is an
     isomorphism. A full pass upgrades to certified when a two-sided window
     with verified dual exactness exists or the ring is a self-injective
-    catalog ring.
+    catalog ring. A resolution periodic from s with period p is computed to
+    its first repeat only; Ext^m for m > s + p and every window node past the
+    first period are read by the period's index, so the work does not grow
+    with the depth.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     R = M.ring
     res = free_resolution(M, depth + 1)
-    cond1 = tuple(_ext_into_ring(res, m) for m in range(1, depth + 1))
+    cond1 = _exts_into_ring(res, depth)
     mu = double_dual_map(M)
     dual_res = free_resolution(mu.dual.module, depth + 1)
-    cond2 = tuple(_ext_into_ring(dual_res, m) for m in range(1, depth + 1))
+    cond2 = _exts_into_ring(dual_res, depth)
 
     witnesses = [(kind, r.i, r) for kind, results in (("cond1", cond1), ("cond2", cond2))
                  for r in results if not r.is_zero]

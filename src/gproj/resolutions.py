@@ -4,7 +4,10 @@ Resolutions are chains of column-major matrices d_1, d_2, ... with
 F_0 = R^{ngens} surjecting onto the module and columns of d_{s+1} generating
 the kernel of d_s. Every matrix is the canonical (reduced-basis) generating
 set of its syzygy module, so equal presentations repeat verbatim and
-periodicity detection is a literal matrix comparison.
+periodicity detection is a literal matrix comparison. Each step is a function
+of the map before it, so a resolution stops computing at its first repeat
+d_{s+p+1} = d_{s+1}: every later map, dual map, Ext group, split and node
+check is read by the period's index, s + (k - s) % p.
 """
 
 from __future__ import annotations
@@ -40,20 +43,22 @@ from .rings import Poly, QuotRing, embed_poly, format_poly
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """F_depth -> ... -> F_1 -> F_0 (->> module), maps as column lists."""
+    """F_depth -> ... -> F_1 -> F_0 (->> module), maps as column lists.
+
+    periodicity is (start s, period p) of the first literal repeat among the
+    maps, maps[s + p] == maps[s] nonzero with the smallest s, then the
+    smallest p, or None; `free_resolution` records it as it builds, and a
+    hand-built chain states it. Past s + p, maps[k] is maps[s + (k - s) % p]
+    by reference, and so is every node of the chains built from them."""
 
     module: FPModule
     maps: tuple  # maps[s] = d_{s+1}: F_{s+1} -> F_s, a tuple of columns
     verified_depth: int
+    periodicity: Optional[tuple[int, int]] = None
 
     @cached_property  # read once per step by report_lines, rank() and pd_bounded
     def ranks(self) -> list[int]:
         return [self.module.ngens] + [len(m) for m in self.maps]
-
-    @cached_property  # read by report_lines and pd_bounded
-    def periodicity(self) -> Optional[tuple[int, int]]:
-        """(start s, period p) of the first literal repeat of the maps, or None."""
-        return _find_periodicity(self.maps)
 
     def rank(self, s: int) -> int:
         """Rank of F_s; 0 past the end of the resolution."""
@@ -67,8 +72,12 @@ class FreeResolution:
     @cached_property  # Hom(F., R), built once and read by every Ext and window check
     def dual_maps(self) -> tuple:
         """dual_maps[s] = d_{s+1}^T: F_s* -> F_{s+1}*, so node s of the dual
-        chain is resolution step s."""
-        return tuple(transpose(m, self.rank(s)) for s, m in enumerate(self.maps))
+        chain is resolution step s. Only d_1..d_{s+p} are transposed; later
+        entries repeat them by the period's index."""
+        per = self.periodicity
+        head = self.maps[:per[0] + per[1]] if per else self.maps
+        return _by_period([transpose(m, self.rank(s)) for s, m in enumerate(head)],
+                          len(self.maps), per)
 
     def dual_map(self, s: int) -> tuple:
         """d_{s+1}^T: F_s* -> F_{s+1}*; past the end, the map to zero (rank(s)
@@ -102,33 +111,49 @@ class FreeResolution:
             lines.append("periodicity = none")
         return lines
 
+    def truncated(self, length: int) -> "FreeResolution":
+        """The first `length` maps at verified depth length - 1; the
+        periodicity stays only if they still hold its repeat."""
+        keep = self.periodicity is not None and sum(self.periodicity) < length
+        return FreeResolution(self.module, self.maps[:length], length - 1,
+                              self.periodicity if keep else None)
 
-def _find_periodicity(maps) -> Optional[tuple[int, int]]:
-    """The smallest s, then the smallest p, with maps[s] == maps[s + p] nonzero:
-    the first repeat of each map gives its p, one pass over the maps."""
-    first: dict = {}
-    found = None
-    for t, m in enumerate(maps):
-        if m and (s := first.setdefault(m, t)) < t and (found is None or s < found[0]):
-            found = (s, t - s)
-    return found
+
+def _by_period(head, length: int, periodicity) -> tuple:
+    """head, entries 0..s+p-1 at least of a chain that repeats from s with
+    period p, filled by reference to `length` entries."""
+    if periodicity is None:
+        return tuple(head)
+    s, p = periodicity
+    return tuple(head) + tuple(head[s + (k - s) % p] for k in range(len(head), length))
 
 
 @span_scope
 def free_resolution(M: FPModule, depth: int) -> FreeResolution:
-    """Resolve to the requested depth by iterated syzygy computation."""
+    """Resolve to the requested depth by iterated syzygy computation, up to
+    the first repeat only.
+
+    Step t + 1 depends only on maps[t] (a nonempty map's column length is its
+    rank), so the first t with maps[t] == maps[s], s < t, gives
+    maps[k] == maps[k - p] for every k >= s + p, p = t - s. No earlier map
+    repeats later without repeating before t, so (s, p) is the smallest s,
+    then the smallest p, of any literal repeat; maps[t:] are filled by the
+    period with no further kernel computed."""
     if depth < 0:
         raise InputError("negative depth")
     R = M.ring
     maps = [M.canonical_relations]
+    first = {maps[0]: 0} if maps[0] else {}
     rank = M.ngens
-    for _ in range(depth):
+    for t in range(1, depth + 1):
         current = maps[-1]
         if not current:
             break  # previous kernel was zero; the resolution has terminated
-        rank_next = len(current)
-        maps.append(colon_generators(R, rank, current))
-        rank = rank_next
+        nxt = colon_generators(R, rank, current)
+        if nxt and (s := first.setdefault(nxt, t)) < t:
+            return FreeResolution(M, _by_period(maps, depth + 1, (s, t - s)), depth, (s, t - s))
+        maps.append(nxt)
+        rank = len(current)
     return FreeResolution(M, tuple(maps), depth)
 
 
@@ -140,10 +165,11 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
     image, both by membership), else None. outgoing holds rank_here columns,
     empty ones when rank_next is 0: () would be a map with no source.
 
-    A verdict depends only on its key, and a span scope asks each key once,
-    so a chain whose maps repeat literally (a periodic resolution, its dual,
-    a periodic window) checks nothing past its first period again. One engine
-    per map serves its kernel here and its image at the next node.
+    A verdict depends only on its key, and a span scope asks each key once.
+    A periodic chain (a resolution, its dual, a periodic window) is never
+    asked past its first period: its callers read later nodes by the period's
+    index. One engine per map serves its kernel here and its image at the
+    next node.
     """
     if rank_here == 0:
         return ()
@@ -243,8 +269,9 @@ def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     return tuple(tuple(row) for row in H)
 
 
-# a periodic chain repeats its maps literally, so each distinct map is
-# solved once per top-level call
+# pd_bounded asks each distinct map once, and a later pd verdict on the same
+# module in one top-level call (euler_class after a K0 generator check) asks
+# nothing again
 split_surjection_onto_kernel = span_scope(_per_scope(_split_surjection_onto_kernel))
 
 
@@ -261,15 +288,16 @@ def pd_bounded(M: FPModule, depth: int) -> PdVerdict:
         raise InputError("depth must be at least 1")
     R = M.ring
     res = free_resolution(M, depth + 1)
-    for s in range(min(depth, len(res.maps) - 1) + 1):
-        H = split_surjection_onto_kernel(R, res.rank(s), list(res.maps[s]))
+    per = res.periodicity
+    for s in range(sum(per) if per else min(depth + 1, len(res.maps))):
+        H = split_surjection_onto_kernel(R, res.rank(s), res.maps[s])
         if H is not None:
             return PdVerdict("finite", s, None, None, res, H)
-    # a periodic start s has s <= len(res.maps) - 2 <= depth, so the loop
-    # above already found that its syzygy does not split
-    if res.periodicity is not None:
-        s, p = res.periodicity
-        return PdVerdict("infinite_periodic", None, s, p, res, None)
+    # a periodic chain has s + p <= len(res.maps) - 1 <= depth + 1: the loop
+    # asked every step below s + p, and each later step repeats one of
+    # s..s+p-1 (the same map, so the same rank), none of which split
+    if per is not None:
+        return PdVerdict("infinite_periodic", None, per[0], per[1], res, None)
     return PdVerdict("at_least", depth, None, None, res, None)
 
 

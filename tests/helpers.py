@@ -333,6 +333,25 @@ def random_ideal(rng):
     return ring, gens
 
 
+def random_module(R: QuotRing, rng) -> FPModule:
+    """A seeded small module over R: 1-2 generators and 1-3 relations, each
+    entry 0 or a sum of 1-2 monomials of degree <= 2 with coefficients 1-3."""
+    n = R.base.nvars
+
+    def entry():
+        terms = {}
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            e = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = rng.randint(1, 3)
+        return R.nf(R.base.from_dict(terms))
+
+    ngens = rng.randint(1, 2)
+    return FPModule(R, ngens, [tuple(entry() for _ in range(ngens))
+                               for _ in range(rng.randint(1, 3))])
+
+
 def random_submodule(rng):
     """A seeded small submodule with a modulus: 1-4 vectors of rank 1-3, each
     entry of 0-2 terms of degree <= 3, over 2-3 variables and GF(2), GF(7),

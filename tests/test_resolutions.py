@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +23,14 @@ from gproj import (
     verify_exactness,
     verify_short_exact,
 )
-from gproj import resolutions
-from gproj.modules import mat_vec, span_engine
-from gproj.resolutions import _find_periodicity, first_inexact_node, split_surjection_onto_kernel
+from gproj import g_class_test, modules, resolutions
+from gproj.cli import main
+from gproj.modules import colon_generators, mat_vec, span_engine
+from gproj.resolutions import first_inexact_node, split_surjection_onto_kernel
 from gproj.rings import FreeModuleGB, QuotRing
 
-from helpers import gclass_ring, ring_elements, span_of_columns, vector_space
+from helpers import (GCLASS_RINGS, gclass_ring, random_module, ring_elements, span_of_columns,
+                     vector_space)
 
 
 def R4():
@@ -337,6 +340,18 @@ def test_splitting_over_a_chain_ring_stays_below_the_guard(columns):
     assert split_surjection_onto_kernel(R, 3, kernel_gens) is None
 
 
+def _find_periodicity(maps):
+    """The oracle for FreeResolution.periodicity: the smallest s, then the
+    smallest p, with maps[s] == maps[s + p] nonzero; the first repeat of each
+    map gives its p, one pass over the maps."""
+    first: dict = {}
+    found = None
+    for t, m in enumerate(maps):
+        if m and (s := first.setdefault(m, t)) < t and (found is None or s < found[0]):
+            found = (s, t - s)
+    return found
+
+
 def test_periodicity_matches_the_pairwise_scan():
     def pairwise(maps):
         for s in range(len(maps)):
@@ -350,6 +365,132 @@ def test_periodicity_matches_the_pairwise_scan():
         maps = tuple(rng.choice([(), ("a",), ("b",), ("c",), ("a", "b")])
                      for _ in range(rng.randint(0, 9)))
         assert _find_periodicity(maps) == pairwise(maps)
+
+
+def _cross_ring_module():
+    # R/(x) over GF(2)[x,y]/(xy): d_1 = x, d_2 = y, d_3 = x, ..., period 2 from 0
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x*y"])
+    return FPModule(R, 1, [(R.poly("x"),)])
+
+
+def _iterated_kernels(M, depth, max_rank=6):
+    """The maps of a depth-`depth` resolution of M by colon_generators alone,
+    step by step, with no repeat detected and nothing filled; it stops early,
+    with the maps so far, once a rank passes max_rank."""
+    maps, rank = [M.canonical_relations], M.ngens
+    while len(maps) <= depth and maps[-1] and len(maps[-1]) <= max_rank:
+        maps.append(colon_generators(M.ring, rank, maps[-1]))
+        rank = len(maps[-2])
+    return tuple(maps)
+
+
+def _late_period_module():
+    # over GF(5)[x]/(x^4), coker [[1, 0], [x, x^2]] is R/(x^2) on a redundant
+    # presentation: d_2 = (0, x^2), then x^2 forever, so the repeat starts at 2
+    R = gclass_ring("chain4")
+    x = R.poly("x")
+    return FPModule(R, 2, [(R.one(), x), (R.zero(), x * x)])
+
+
+def _flagship_module():
+    R = R4()
+    return FPModule(R, 1, [(R.poly("x"),)])
+
+
+# periodic modules and the (start, period) of their resolutions
+PERIODIC = {"flagship": (_flagship_module, (0, 1)), "cross": (_cross_ring_module, (0, 2)),
+            "late": (_late_period_module, (2, 1))}
+
+
+@pytest.mark.parametrize("ring", [*GCLASS_RINGS, *PERIODIC])
+def test_resolution_to_the_first_repeat_matches_iterated_kernels(ring):
+    # every depth 1-12 reads the same maps as the step-by-step kernels, and
+    # the periodicity recorded at the build is the oracle's on those maps;
+    # the gclass rings draw random modules: free, periodic from 0, or of
+    # growing rank (cut at rank 6)
+    if ring in PERIODIC:
+        cases = [PERIODIC[ring][0]()]
+    else:
+        rng = random.Random(f"repeat:{ring}")
+        cases = [random_module(gclass_ring(ring), rng) for _ in range(6)]
+    for M in cases:
+        maps = _iterated_kernels(M, 12)
+        top = len(maps) - 1 if maps[-1] else 12  # a terminated chain is whole
+        for depth in range(1, top + 1):
+            res = free_resolution(M, depth)
+            assert res.maps == maps[:depth + 1]
+            assert res.periodicity == _find_periodicity(maps[:depth + 1])
+        if ring in PERIODIC:
+            assert res.periodicity == PERIODIC[ring][1]
+
+
+@pytest.mark.parametrize("depth, periodicity", [(1, "none"), (2, "(start 0, period 2)")])
+def test_resolve_prints_a_periodicity_only_when_its_repeat_is_printed(depth, periodicity, capsys):
+    # pd resolves one step deeper than it prints: at depth 1 the repeat d_3 = d_1
+    # is cut off, so the slice shows no periodicity beside the verdict
+    model = Path(__file__).resolve().parent.parent / "demos" / "period2.model"
+    assert main(["resolve", str(model), "M", "--depth", str(depth), "--format", "machine"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"periodicity = {periodicity}" in out
+    assert "verdict = InfinitePeriodic(0,2)" in out
+
+
+def _work(fn, *args):
+    """fn(*args) and, counted from outside the library, the work it did:
+    span-cache lookups, exact_kernel builds, split calls and FPModule.zero
+    builds."""
+    counts = dict.fromkeys(("lookups", "exact_kernel", "split", "zero"), 0)
+    var, exact = modules._SPANS, resolutions.exact_kernel.__wrapped__
+
+    class Spans(dict):
+        def get(self, key, default=None):
+            counts["lookups"] += 1
+            return dict.get(self, key, default)
+
+        def __setitem__(self, key, value):  # a build's key leads with its function
+            counts["exact_kernel"] += key[0] is exact
+            dict.__setitem__(self, key, value)
+
+    class Scopes:  # modules._SPANS, with a counting cache for every new scope
+        get, reset = staticmethod(var.get), staticmethod(var.reset)
+
+        @staticmethod
+        def set(value):
+            return var.set(Spans(value))
+
+    def counting(name, original):
+        def call(*a):
+            counts[name] += 1
+            return original(*a)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "_SPANS", Scopes)
+        patch.setattr(resolutions, "split_surjection_onto_kernel",
+                      counting("split", resolutions.split_surjection_onto_kernel))
+        patch.setattr(FPModule, "zero", counting("zero", FPModule.zero))
+        return fn(*args), counts
+
+
+@pytest.mark.parametrize("module, fn, verdict", [
+    ("flagship", g_class_test, "Certified(complete_resolution)"),
+    ("flagship", pd_bounded, "InfinitePeriodic(0,1)"),
+    ("cross", g_class_test, "Certified(complete_resolution)"),
+    ("cross", pd_bounded, "InfinitePeriodic(0,2)"),
+], ids=["flagship-gclass", "flagship-pd", "cross-gclass", "cross-pd"])
+def test_a_periodic_chain_does_the_same_work_at_any_depth(module, fn, verdict):
+    # past the first repeat every map, Ext, split and node check is read by
+    # the period's index, so nothing counted here grows with the depth
+    M = PERIODIC[module][0]()
+    (shallow, few), (deep, many) = (_work(fn, M, depth) for depth in (50, 5000))
+    for result in (shallow, deep):
+        assert (result.verdict_str() if fn is g_class_test else str(result)) == verdict
+    assert few == many
+    assert few["lookups"] > 0
+    if fn is g_class_test:
+        assert few["exact_kernel"] > 0 and few["zero"] > 0
+    else:
+        assert few["split"] > 0
 
 
 def test_ranks_are_computed_once():

@@ -19,21 +19,21 @@ from typing import NamedTuple, Optional, Union
 from .errors import DegreeGuardExceeded, InputError, NoCoresolutionAvailable
 from .modules import (
     Column,
-    DoubleDualResult,
     DualModule,
     FPModule,
     SubmoduleOfFree,
     colon_generators,
-    double_dual_map,
+    double_duality_verdict,
+    dual_module,
+    exact_kernel,
     identity,
-    mat_vec,
     polynomial_extension,
     span_scope,
     subquotient,
     transpose,
 )
 from .rings import QuotRing
-from .resolutions import FreeResolution, exact_kernel, first_inexact_node, free_resolution
+from .resolutions import FreeResolution, _distinct_nodes, first_inexact_node, free_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +148,6 @@ class CompleteResolutionFailure(NamedTuple):
     detail: str
 
 
-def _distinct_nodes(length: int, periodicity) -> int:
-    """How many leading nodes of a chain of `length` nodes a scan must read
-    when its maps repeat from map s with period p: node j > s + p is node j - p,
-    so an inexact node first shows among nodes 1..s+p."""
-    return min(length, sum(periodicity) + 2) if periodicity else length
-
-
 def _dual_chain(ranks, maps):
     """Apply Hom(-, R): reverse the node order and transpose every matrix."""
     dmaps = tuple(transpose(maps[k], ranks[k + 1]) for k in range(len(ranks) - 2, -1, -1))
@@ -181,11 +174,11 @@ def complete_resolution_check(M: FPModule, window: int
         raise InputError("window must be at least 1")
 
     def dual_side():
-        mu = double_dual_map(M)
-        if mu.verdict != "iso":
+        D = dual_module(M)
+        if double_duality_verdict(M, D) != "iso":
             raise NoCoresolutionAvailable(
                 "no periodicity and the double-duality map is not an isomorphism")
-        return mu, free_resolution(mu.dual.module, window)
+        return D, free_resolution(D.module, window)
 
     return _complete_window(free_resolution(M, window + 1), window, dual_side)
 
@@ -195,8 +188,10 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     """`complete_resolution_check` on res = free_resolution(M, window + 1).
 
     `dual_side()` is called only on the dual_of_dual_resolution route. It
-    returns the double-duality map of M, which must be an isomorphism, and a
-    resolution of the dual M* of depth at least window.
+    returns the dual of M, whose double-duality map must be an isomorphism,
+    and a resolution of the dual M* of depth at least window. The splice
+    F_0 -> G_0* is K^T, K the dual's evaluation, the matrix whose two nodes
+    `double_duality_verdict` checked, so within one call they are memo hits.
     """
     M = res.module
     R = M.ring
@@ -233,13 +228,10 @@ def _complete_window(res: FreeResolution, window: int, dual_side
             maps_ltr.append(cycle_maps[j % p])
             nodes_ltr.append(cycle_ranks[j % p])
     else:
-        mu, dual_res = dual_side()
+        D, dual_res = dual_side()
         route = "dual_of_dual_resolution"
-        g_ranks = dual_res.ranks
-        tau = tuple(mat_vec(R, mu.double_dual.evaluation, col, g_ranks[0])
-                    for col in mu.map.columns)
-        maps_ltr.append(tau)
-        nodes_ltr.append(g_ranks[0])
+        maps_ltr.append(transpose(D.evaluation, n))
+        nodes_ltr.append(dual_res.rank(0))
         for s, d in enumerate(dual_res.dual_maps):
             if len(nodes_ltr) - module_position > window:
                 break
@@ -272,14 +264,15 @@ def _complete_window(res: FreeResolution, window: int, dual_side
 class GClassReport(NamedTuple):
     """A vanishing Ext in cond1 or cond2 holds the unit columns as its raw
     relations; only a nonzero one, the fail witness among them, is a full
-    subquotient presentation, as `ext_module` gives."""
+    subquotient presentation, as `ext_module` gives. cond3_verdict is
+    `double_duality_verdict` on M and `dual`: no double dual or evaluation
+    map is built for it (`double_dual_map` builds both)."""
 
     depth: int
     cond1: tuple[ExtResult, ...]  # Ext^m(M, R), m = 1..depth
     cond2: tuple[ExtResult, ...]  # Ext^m(M*, R)
     cond3_verdict: str
     dual: DualModule
-    mu: DoubleDualResult
     verdict_kind: str  # "certified" | "pass_up_to_depth" | "fail"
     certified_by: Optional[str]
     fail_witness: Optional[tuple]
@@ -304,9 +297,10 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
 
     Condition 1: Ext^m(M, R) = 0 for 1 <= m <= depth. Condition 2: the same
     for the dual module. Condition 3: the double-duality map is an
-    isomorphism. A full pass upgrades to certified when a two-sided window
-    with verified dual exactness exists or the ring is a self-injective
-    catalog ring. A resolution periodic from s with period p is computed to
+    isomorphism, decided by `double_duality_verdict`'s two node checks with
+    no double dual built. A full pass upgrades to certified when a two-sided
+    window with verified dual exactness exists or the ring is a
+    self-injective catalog ring. A resolution periodic from s with period p is computed to
     its first repeat only; Ext^m for m > s + p and every window node past the
     first period are read by the period's index, so the work does not grow
     with the depth.
@@ -316,19 +310,19 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     R = M.ring
     res = free_resolution(M, depth + 1)
     cond1 = _exts_into_ring(res, depth)
-    mu = double_dual_map(M)
-    dual_res = free_resolution(mu.dual.module, depth + 1)
+    D = dual_module(M)
+    dual_res = free_resolution(D.module, depth + 1)
     cond2 = _exts_into_ring(dual_res, depth)
+    cond3 = double_duality_verdict(M, D)
 
     witnesses = [(kind, r.i, r) for kind, results in (("cond1", cond1), ("cond2", cond2))
                  for r in results if not r.is_zero]
-    if mu.verdict != "iso":
-        witnesses.append(("cond3", None, mu.verdict))
+    if cond3 != "iso":
+        witnesses.append(("cond3", None, cond3))
     if witnesses:
-        return GClassReport(depth, cond1, cond2, mu.verdict, mu.dual, mu,
-                            "fail", None, witnesses[0])
+        return GClassReport(depth, cond1, cond2, cond3, D, "fail", None, witnesses[0])
 
-    if isinstance(_complete_window(res, depth, lambda: (mu, dual_res)),
+    if isinstance(_complete_window(res, depth, lambda: (D, dual_res)),
                   CompleteResolutionWindow):
         certified_by = "complete_resolution"
     elif ring_is_self_injective_catalog(R):
@@ -336,8 +330,7 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     else:
         certified_by = None
     kind = "certified" if certified_by else "pass_up_to_depth"
-    return GClassReport(depth, cond1, cond2, mu.verdict, mu.dual, mu,
-                        kind, certified_by, None)
+    return GClassReport(depth, cond1, cond2, cond3, D, kind, certified_by, None)
 
 
 class GpdVerdict(NamedTuple):

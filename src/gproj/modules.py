@@ -23,7 +23,7 @@ Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
 Inside one top-level call of a `span_scope` entry point, each engine,
-canonical generating set, node verdict of `resolutions.exact_kernel` and
+canonical generating set, node verdict of `exact_kernel` and
 split verdict of `resolutions.split_surjection_onto_kernel` is built once;
 nothing is shared across calls or threads. A reduced basis is unique, so a
 canonical set is its own canonical set: every column tuple that
@@ -267,6 +267,29 @@ def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols=()
     if not modifier_cols:  # the syzygies are already canonical in R^n
         return eng.syzygies()
     return canonical_generators(R, n, [tuple(s[:n]) for s in eng.syzygies()])
+
+
+@_per_scope
+def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
+                 ) -> Optional[tuple[Column, ...]]:
+    """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
+    outgoing is exact at this node (image inside kernel, then kernel inside
+    image, both by membership), else None. outgoing holds rank_here columns,
+    empty ones when rank_next is 0: () would be a map with no source.
+
+    The one exactness checker. A verdict depends only on its key, and a span
+    scope asks each key once. A periodic chain (a resolution, its dual, a
+    periodic window) is never asked past its first period: its callers read
+    later nodes by the period's index. One engine per map serves its kernel
+    here and its image at the next node.
+    """
+    if rank_here == 0:
+        return ()
+    if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col, rank_next)):
+        return None
+    kernel = colon_generators(R, rank_next, outgoing)
+    image = span_engine(R, rank_here, incoming)
+    return kernel if all(image.contains(kg) for kg in kernel) else None
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +610,37 @@ class DoubleDualResult(NamedTuple):
     double_dual: DualModule
 
 
+def double_duality_verdict(M: FPModule, D: DualModule) -> str:
+    """iso | mono_not_iso | not_mono for the evaluation map M -> M**, with
+    D = dual_module(M), decided by two `exact_kernel` node checks.
+
+    K = D.evaluation generates M* = ker d_1^T, so G_0 = R^k ->> M*, M** sits
+    in G_0* as the kernel of the dual's relations transposed, and F_0 -> M
+    -> M** is the matrix K^T. The kernel and cokernel of M -> M** are Ext^1
+    and Ext^2 of the transpose of M (Auslander-Bridger), the homology of
+    F_1 -> F_0 -> G_0* -> G_1* at F_0 and at G_0*.
+    """
+    R, n, k, rels = M.ring, M.ngens, D.module.ngens, D.module.canonical_relations
+    splice = transpose(D.evaluation, n)
+    if exact_kernel(R, n, k, M.canonical_relations, splice) is None:
+        return "not_mono"
+    onto = exact_kernel(R, k, len(rels), splice, transpose(rels, k)) is not None
+    return "iso" if onto else "mono_not_iso"
+
+
 @span_scope
 def double_dual_map(M: FPModule) -> DoubleDualResult:
-    """The evaluation map into the double dual, built as an explicit matrix."""
+    """The evaluation map into the double dual, built as an explicit matrix,
+    with the verdict of `double_duality_verdict`. It is built unchecked: its
+    composite into G_0* is K^T, and K^T * d_1 = 0, the image-in-kernel
+    product of the verdict's F_0 check."""
     R = M.ring
     D = dual_module(M)
+    verdict = double_duality_verdict(M, D)
     DD = dual_module(D.module)
     cols = span_engine(R, D.module.ngens, DD.evaluation).lift(
         transpose(D.evaluation, M.ngens))
-    if cols is None:
-        raise MapNotWellDefined("evaluation vector misses the double dual")
-    mu = ModuleMap(M, DD.module, cols)
-    if mu.kernel_is_zero():
-        verdict = "iso" if mu.cokernel_is_zero() else "mono_not_iso"
-    else:
-        verdict = "not_mono"
-    return DoubleDualResult(mu, verdict, D, DD)
+    return DoubleDualResult(ModuleMap(M, DD.module, cols, check=False), verdict, D, DD)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 from .errors import InputError, NotRegularOnQuotient
 from .modules import (
-    Column,
     FPModule,
     ModuleMap,
     SubmoduleOfFree,
@@ -28,6 +27,7 @@ from .modules import (
     _zero_column,
     annihilator_of_element,
     colon_generators,
+    exact_kernel,
     identity,
     intersect_with_truncation,
     is_regular_element,
@@ -157,29 +157,6 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     return FreeResolution(M, tuple(maps), depth)
 
 
-@_per_scope
-def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
-                 ) -> Optional[tuple[Column, ...]]:
-    """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
-    outgoing is exact at this node (image inside kernel, then kernel inside
-    image, both by membership), else None. outgoing holds rank_here columns,
-    empty ones when rank_next is 0: () would be a map with no source.
-
-    A verdict depends only on its key, and a span scope asks each key once.
-    A periodic chain (a resolution, its dual, a periodic window) is never
-    asked past its first period: its callers read later nodes by the period's
-    index. One engine per map serves its kernel here and its image at the
-    next node.
-    """
-    if rank_here == 0:
-        return ()
-    if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col, rank_next)):
-        return None
-    kernel = colon_generators(R, rank_next, outgoing)
-    image = span_engine(R, rank_here, incoming)
-    return kernel if all(image.contains(kg) for kg in kernel) else None
-
-
 @span_scope
 def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
     """First interior node (1..len-2) where the chain is not exact, or None.
@@ -192,22 +169,35 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
                                  maps[node - 1], maps[node]) is None), None)
 
 
+def _distinct_nodes(length: int, periodicity) -> int:
+    """How many leading nodes of a chain of `length` nodes a scan must read
+    when its maps repeat from map s with period p: node j > s + p is node j - p,
+    so an inexact node first shows among nodes 1..s+p."""
+    return min(length, sum(periodicity) + 2) if periodicity else length
+
+
 @span_scope
 def verify_exactness(res: FreeResolution) -> bool:
     """Independent check: F_0 presents the module and the chain is exact.
 
     The kernel of F_0 ->> M must equal the relation span, and every interior
-    node of F_L -> ... -> F_0 must pass `first_inexact_node`.
+    node of F_L -> ... -> F_0 must pass `first_inexact_node`. A stated
+    periodicity (s, p) is first confirmed literally, maps[k] equal to
+    maps[s + (k - s) % p] for every k >= s + p; then only steps 1..s+p are
+    checked, the later ones repeating them.
     """
     R = res.module.ring
-    maps = res.maps
+    maps, per = res.maps, res.periodicity
     if maps:
         if not all(res.module.rel_span_contains(col) for col in maps[0]):
             return False
         eng = span_engine(R, res.module.ngens, maps[0])
         if not all(eng.contains(col) for col in res.module.relations):
             return False
-    return first_inexact_node(R, res.ranks[::-1], maps[::-1]) is None
+    if per is not None and maps != _by_period(maps[:sum(per)], len(maps), per):
+        return False  # the stated repeat is not there
+    nodes = _distinct_nodes(len(res.ranks), per)
+    return first_inexact_node(R, res.ranks[:nodes][::-1], maps[:nodes - 1][::-1]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,35 @@ def test_a_periodic_chain_does_the_same_work_at_any_depth(module, fn, verdict):
         assert few["split"] > 0
 
 
+@pytest.mark.parametrize("module", sorted(PERIODIC))
+def test_verify_exactness_does_the_same_work_at_any_depth(module):
+    # a confirmed periodicity leaves only steps 1..s+p to check, so the
+    # span-cache lookups and node checks do not grow with the depth
+    M = PERIODIC[module][0]()
+    (shallow, few), (deep, many) = (_work(verify_exactness, free_resolution(M, depth))
+                                    for depth in (50, 5000))
+    assert shallow is deep is True
+    assert few == many
+    assert few["exact_kernel"] > 0
+
+
+def test_verify_exactness_rejects_a_false_periodicity():
+    # a hand-built chain that states period 1 from 0 but breaks at F_4: the
+    # steps 1..s+p pass, so only the literal check of the stated repeat can
+    # reject it, as the whole-chain scan does when no periodicity is stated
+    R = R4()
+    M = _flagship_module()
+    x, one = M.canonical_relations, ((R.one(),),)  # maps d = x and d = 1
+    maps = (x,) * 4 + (one,) + (x,) * 3
+    assert not verify_exactness(FreeResolution(M, maps, 7))
+    assert not verify_exactness(FreeResolution(M, maps, 7, (0, 1)))
+    assert verify_exactness(FreeResolution(M, (x,) * 8, 7, (0, 1)))
+    # an exact chain is rejected too when the repeat it states is not there
+    cross = free_resolution(_cross_ring_module(), 7)
+    assert cross.periodicity == (0, 2) and verify_exactness(cross)
+    assert not verify_exactness(FreeResolution(cross.module, cross.maps, 7, (0, 1)))
+
+
 def test_ranks_are_computed_once():
     R = R4()
     res = free_resolution(FPModule(R, 1, [(R.poly("x"),)]), 5)

@@ -12,10 +12,12 @@ Every Poly in a column held by an FPModule, ModuleMap, SubmoduleOfFree,
 SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
 ring's modulus. Only new polynomials are reduced: products, base changes,
 parses, the basis elements led by a modulus lead that `_read_columns` reads
-out, and the columns a caller hands to a public constructor or query. Normal
-form is linear, so sums and negations of reduced columns are reduced.
+out (the rows g*e_p that the basis's interreduction changed), and the
+columns a caller hands to a public constructor or query. Normal form is
+linear, so sums and negations of reduced columns are reduced.
 `_read_columns` unpacks only the reducers of a basis from a given position
-on (a kernel is read from the tag block, never the ambient block), and
+on (a kernel is read from the tag block, never the ambient block), less the
+rows g*e_p that interreduction left as they were, which are zero over R; and
 each row of `mat_vec` is one call of the product kernel `rings._dot` and one
 normal form.
 
@@ -155,22 +157,25 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple
     """The nonzero columns in R^rank of the elements of the reduced basis gb led
     at position start or later, in basis order; only those reducers of gb's
     packed index are unpacked. gb's basis holds the modulus times P^rank, so
-    only a lead equal to some LM(g), g in the modulus, can be unreduced. Reduced
-    bases are unique, so inside a span scope the columns are also cached as
-    their own canonical_generators."""
+    only a lead equal to some LM(g), g in the modulus, can be unreduced. A
+    reducer whose lead is in gb._fixed is a row g*e_p that interreduction
+    left as it was, whose column is zero in R^rank, so it is skipped unread;
+    the rows it changed are read and reduced. Reduced bases are unique, so
+    inside a span scope the columns are also cached as their own
+    canonical_generators."""
     modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
-    base, one, unpack = R.base, R.base.field.one, gb._layout.unpack
+    base, one, unpack, fixed = R.base, R.base.field.one, gb._layout.unpack, gb._fixed
     out = []
     for pos, reducers in gb._index.items():  # in ascending position order
         for lead, tail, _ in reducers if pos >= start else ():
+            if lead in fixed:
+                continue
             per_pos: list[list] = [[] for _ in range(rank)]
-            _, expt = unpack(lead)
-            per_pos[pos - start].append((expt, one))
-            for m, c in tail:  # descending POT order, none before position pos
+            for m, c in ((lead, one),) + tail:  # descending POT order, from position pos
                 p, e = unpack(m)
                 per_pos[p - start].append((e, c))
             col = tuple(Poly(base, tuple(terms)) for terms in per_pos)
-            if expt in modulus_leads:
+            if unpack(lead)[1] in modulus_leads:
                 col = _nf_column(R, col)
             if any(not p.is_zero() for p in col):
                 out.append(col)

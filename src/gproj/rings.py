@@ -5,7 +5,10 @@ strictly descending in the ring's monomial order, with no zero coefficients.
 One Groebner engine, FreeModuleGB, serves both ideals (rank 1) and
 submodules of free modules over P/I, with one completion at every rank:
 signatures, which skip most S-vectors that reduce to zero, with the reduced
-basis of I as reducers below every signature (see FreeModuleGB). Inside it a
+basis of I as reducers below every signature (see FreeModuleGB). Its final
+interreduction reduces only the tails that some lead divides, and it records
+the leads of the modulus rows g*e_p it left as they were, which a read-off of
+columns over P/I skips, since such a row is zero there. Inside it a
 term (position, exponent) is one int: a low part of equal-width fields (total
 degree, then e_{n-1} .. e_0 up to the top), each field below a guard bit, then
 a key part, a linear form in the exponents plus an offset, whose int order is
@@ -462,34 +465,6 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
     return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
 
 
-class _RegularReducers:
-    """The lookup that FreeModuleGB.reduce uses under a signature bound: the
-    reducers of the term m, kept by _signature_buchberger, with a multiple
-    that reduces m regularly. Those are the modulus reducers gb._rows, and
-    each element g at the position of m whose multiple's signature
-    sig(g) - ((m - LM(g)) << ib) is below the bound, that is, ratio(g) is
-    below (m << ib) + bound; gb._ratios[pos] lists them by ascending ratio.
-    Terms leave the heap of reduce in ascending int order, so positions only
-    grow and, within one, reducers only ever join. get(m, _) stands in for
-    the index lookup."""
-
-    __slots__ = ("gb", "bound", "ib", "limit", "waiting", "regular")
-
-    def __init__(self, gb: "FreeModuleGB", bound: int):
-        self.gb, self.bound, self.ib, self.limit = gb, bound, gb._ib, 0
-
-    def get(self, m: int, _) -> list:
-        if m >= self.limit:  # the first term at its position
-            pshift = self.gb._layout.pshift
-            self.limit = (m >> pshift) + 1 << pshift
-            self.regular, self.waiting = self.gb._rows[:], self.gb._ratios[m >> pshift][::-1]
-        m = (m << self.ib) + self.bound
-        waiting = self.waiting
-        while waiting and waiting[-1][0] < m:
-            self.regular.append(waiting.pop()[1])
-        return self.regular
-
-
 class FreeModuleGB:
     """Reduced Groebner basis of span(vectors) + I*P^rank in P^rank (POT
     order), where modulus is the reduced Groebner basis of an ideal I of P.
@@ -502,10 +477,12 @@ class FreeModuleGB:
     signature, as in incremental F5 (J.-C. Faugere, ISSAC 2002): each g*e_p
     is a reducer that is always regular, forms pairs only with the new
     elements at its position, and gives each input i the syzygies
-    LM(g)*e_i. Inside, every term is a packed int (see the module
-    docstring) and a reducer is a tuple (lead, tail, top): its monic lead
-    term, the other terms as (term, coeff) pairs in descending POT order,
-    and the largest total degree among them. Coefficients are plain values
+    LM(g)*e_i. _fixed holds the packed leads of the rows g*e_p that the
+    reduced basis keeps as they are (empty in a repacked copy). Inside,
+    every term is a packed int (see the module docstring) and a reducer is
+    a tuple (lead, tail, top): its monic lead term, the other terms as
+    (term, coeff) pairs in descending POT order, and the largest total
+    degree among them. Coefficients are plain values
     under operators, not Field methods: ints in [0, p) over GF(p), Fractions
     over QQ; only reduce() holds unreduced sums. The guard bounds the
     products a completion makes and the basis elements it adds; the inputs
@@ -552,7 +529,8 @@ class FreeModuleGB:
         if degree <= self._layout.cap:
             return self
         gb = copy(self)
-        gb._layout, gb._index = _layout(self.ring.nvars, self.ring.order, _width(degree)), {}
+        gb._layout, gb._index, gb._fixed = (
+            _layout(self.ring.nvars, self.ring.order, _width(degree)), {}, set())
         for v in self.basis:  # in basis order
             g = gb._element(gb._packed(v))
             gb._index.setdefault(g[0] >> gb._layout.pshift, []).append(g)
@@ -571,14 +549,18 @@ class FreeModuleGB:
         the guard check if it is 0. With a signature bound (see
         _signature_buchberger) only the steps whose multiple of the reducer
         has a smaller signature are taken: the regular reduction that keeps
-        the reduced vector's signature. It reduces inputs too, which may pass
-        the guard, so there a step by a reducer with no tail, which only
-        cancels the term, never trips."""
+        the reduced vector's signature. Its reducers of m are the modulus
+        rows self._rows and each element g at m's position whose multiple's
+        signature sig(g) - ((m - LM(g)) << ib) is below the bound, that is,
+        whose ratio is below (m << ib) + bound; self._ratios[pos] lists them
+        by ascending ratio. Terms pop in ascending int order, so positions
+        only grow and, within one, reducers only ever join the list. Under a
+        bound it reduces inputs too, which may pass the guard, so there a
+        step by a reducer with no tail, which only cancels the term, never
+        trips."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        lookup = self._index.get  # the reducers of the term m: lookup(m >> pshift, ())
-        if bound is not None:
-            lookup, pshift = _RegularReducers(self, bound).get, 0
+        lookup, limit = self._index.get, 0  # limit: the first term past the position
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
@@ -591,7 +573,15 @@ class FreeModuleGB:
             if not c:
                 continue  # cancelled after it was queued
             mg = m | guards
-            for lead, tail, top in lookup(m >> pshift, ()):
+            if bound is None:
+                reducers = lookup(m >> pshift, ())
+            else:
+                if m >= limit:  # the first term at its position
+                    limit = (m >> pshift) + 1 << pshift
+                    reducers, waiting, ib = self._rows[:], self._ratios[m >> pshift][::-1], self._ib
+                while waiting and waiting[-1][0] < (m << ib) + bound:
+                    reducers.append(waiting.pop()[1])
+            for lead, tail, top in reducers:
                 if (mg - lead) & guards == guards:  # lead divides m
                     break
             else:
@@ -796,31 +786,43 @@ class FreeModuleGB:
             insort(here, (ratio, h, k, pure), key=itemgetter(0))
         del self._ratios, self._ib, self._rows
         # the elements and modulus reducers whose lead no other lead divides
-        # are a minimal basis
+        # are a minimal basis; placed: the leads of the rows g*e_p placed in it
+        placed = set()
         for pos, here in enumerate(at):
             kept, s = [g for _, g, k, _ in here if minimal[k]] if here else [], pos << pshift
             index[pos] = kept + [
                 (lead + s, tuple([(m + s, c) for m, c in tail]) if tail else (), top)
                 for lead, tail, top in rows
                 if not kept or not any(((lead | guards) - h[0]) & guards == guards for h in kept)]
-        return self._interreduced()
+            placed.update(g[0] for g in index[pos][len(kept):])
+        return self._interreduced(placed)
 
-    def _interreduced(self) -> dict[int, list[tuple]]:
+    def _interreduced(self, placed: set) -> dict[int, list[tuple]]:
         """The reduced basis, indexed, from the minimal one in self._index: no
         term of a tail is a multiple of its own lead, so reducing each tail
-        against all reducers leaves the reduced basis, leads unchanged."""
-        guard, degree = self.ring.degree_guard, self._layout.degree
+        against all reducers leaves the reduced basis, leads unchanged. Only
+        a tail with a term that some lead at that term's position divides is
+        reduced; any other is its own normal form, so its reducer tuple is
+        kept as it is and no step is made. self._fixed keeps the leads of the
+        placed modulus rows g*e_p whose tails were kept: those rows are g*e_p
+        itself, and a reduced basis has one reducer per lead."""
+        guard, guards = self.ring.degree_guard, self._layout.guards
+        degree, pshift, minimal = self._layout.degree, self._layout.pshift, self._index
         index = {}
-        for pos, reducers in self._index.items():  # in ascending position order
+        for pos, reducers in minimal.items():  # in ascending position order
             reduced = []
-            for lead, tail, top in reducers:
-                if tail:
-                    tail = self.reduce(dict(tail), guard)
+            for g in reducers:
+                if any(((m | guards) - h[0]) & guards == guards
+                       for m, _ in g[1] for h in minimal.get(m >> pshift, ())):
+                    lead, tail = g[0], self.reduce(dict(g[1]), guard)
                     top = max([lead & degree] + [m & degree for m in tail])
-                reduced.append((lead, tuple(tail.items()) if tail else (), top))
+                    g = (lead, tuple(tail.items()), top)
+                    placed.discard(lead)
+                reduced.append(g)
             if reduced:
                 reduced.sort()  # by lead: no two reducers share one
                 index[pos] = reduced
+        self._fixed = placed
         return index
 
 

@@ -1,7 +1,7 @@
 """Shared oracles for the test suite, deliberately independent of the library
 internals: brute-force enumeration over finite rings, a Groebner-free
-linear-algebra ideal-membership oracle, a plain module Buchberger, a
-schoolbook polynomial product,
+linear-algebra ideal-membership oracle, a plain module Buchberger, a plain
+read-off of a module basis's columns, a schoolbook polynomial product,
 classic integer-matrix oracles, and a reference top-level comma splitter
 for model-file matrices;
 also the rings of the gclass benchmark workload, which several tests share.
@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from operator import add, sub
 
-from gproj import GF, QQ, FPModule, PolyRing, QuotRing
+from gproj import GF, QQ, FPModule, Poly, PolyRing, QuotRing
 
 # the rings of the gclass benchmark workload: field, variables, modulus
 GCLASS_RINGS = {
@@ -452,6 +452,27 @@ def reference_module_basis(ring, rank, vectors, modulus=()):
         out.append({lead: field.one, **dict(sorted(tail.items(), key=lambda tc: key(tc[0]),
                                                    reverse=True))})
     return out
+
+
+def reference_read_off(R: QuotRing, gb, start, rank):
+    """The columns in R^rank of the reducers of the reduced basis gb led at
+    position start or later, read the plain way: every reducer of gb._index
+    is unpacked into a rank-length column, one led by a modulus lead is put
+    in normal form entry by entry, and zero columns are dropped."""
+    leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
+    out = []
+    for pos in sorted(gb._index):
+        for lead, tail, _ in gb._index[pos] if pos >= start else ():
+            terms = [[] for _ in range(rank)]
+            for m, c in ((lead, R.base.field.one),) + tail:
+                p, e = gb._layout.unpack(m)
+                terms[p - start].append((e, c))
+            col = tuple(Poly(R.base, tuple(t)) for t in terms)
+            if gb._layout.unpack(lead)[1] in leads:
+                col = tuple(R.nf(p) for p in col)
+            if any(p.terms for p in col):
+                out.append(col)
+    return tuple(out)
 
 
 def poly_to_int_dict(p):

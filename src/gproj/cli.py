@@ -286,6 +286,15 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
 # dispatch
 # ---------------------------------------------------------------------------
 
+MAX_DEPTH = 10**6  # a resolution holds one map reference per step
+
+
+def _checked_depth(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise InputError(f"--depth {depth} exceeds the limit {MAX_DEPTH}")
+    return depth
+
+
 def _extract_flags(args):
     depth = None
     rest = []
@@ -295,7 +304,7 @@ def _extract_flags(args):
         if a == "--depth":
             if i + 1 >= len(args):
                 raise InputError("--depth needs a value")
-            depth = int(args[i + 1])
+            depth = _checked_depth(int(args[i + 1]))
             i += 2
         elif a == "--degree-guard":
             raise InputError("--degree-guard is set on the command line, "
@@ -490,6 +499,7 @@ def _parser() -> argparse.ArgumentParser:
 def _load_and_run(ns, guard: int) -> tuple[Report, int]:
     """Parse the model and run the command in one span scope, so the command
     reuses the module bases that the declarations built."""
+    _checked_depth(ns.depth)
     if ns.model == "-":
         model = ModelFile({}, {}, {}, {}, [])
     else:

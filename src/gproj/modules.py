@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import wraps
+from operator import sub
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -764,31 +765,39 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
     return SubmoduleOfFree(R, f.source.ngens, colon_generators(R, f.target.ngens, f.columns))
 
 
-def _poly_matrix_rank(columns, nrows: int) -> int:
-    """Rank over the fraction field by fraction-free elimination."""
-    if not columns or nrows == 0:
-        return 0
-    ncols = len(columns)
-    A = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not A[r][c].is_zero():
-                pivot = r
-                break
+def _exact_quotient(a: Poly, b: Poly) -> Poly:
+    """a / b in P, for b dividing a: one lead term of the quotient per step."""
+    ring, field, lead = a.ring, a.ring.field, b.lead_monomial()
+    inv, quotient = field.inv(b.lead_coeff()), ring.zero()
+    while not a.is_zero():
+        e, c = a.terms[0]
+        t = Poly(ring, ((tuple(map(sub, e, lead)), field.mul(c, inv)),))
+        quotient, a = quotient + t, a - t * b
+    return quotient
+
+
+def _bareiss(rows) -> tuple[int, Optional[Poly]]:
+    """Rank over the fraction field of the matrix with these rows, and its
+    last pivot, by fraction-free (Bareiss) elimination: each step divides
+    exactly by the pivot before it, so every entry is a minor of the input
+    (Sylvester's identity) and a square matrix of full rank ends on its
+    determinant, up to sign."""
+    A, rank, last = [list(r) for r in rows], 0, None
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((r for r in range(rank, len(A)) if not A[r][c].is_zero()), None)
         if pivot is None:
             continue
         A[rank], A[pivot] = A[pivot], A[rank]
-        for r in range(rank + 1, nrows):
-            if A[r][c].is_zero():
-                continue
-            head, entry = A[rank][c], A[r][c]
-            A[r] = [head * A[r][j] - entry * A[rank][j] for j in range(ncols)]
-        rank += 1
-        if rank == nrows:
+        head = A[rank][c]
+        for r in range(rank + 1, len(A)):  # columns up to c are read no more
+            entry = A[r][c]
+            A[r][c + 1:] = [head * x - entry * y for x, y in zip(A[r][c + 1:], A[rank][c + 1:])]
+            if last is not None:
+                A[r][c + 1:] = [_exact_quotient(x, last) for x in A[r][c + 1:]]
+        rank, last = rank + 1, head
+        if rank == len(A):
             break
-    return rank
+    return rank, last
 
 
 def module_rank(M: FPModule) -> int:
@@ -796,7 +805,7 @@ def module_rank(M: FPModule) -> int:
     if not M.ring.modulus.is_zero():
         raise RingNotRecognizedAsDomain(
             "rank is only computed over polynomial rings (zero modulus)")
-    return M.ngens - _poly_matrix_rank(M.canonical_relations, M.ngens)
+    return M.ngens - _bareiss(transpose(M.canonical_relations, M.ngens))[0]
 
 
 def intersect_with_truncation(Msub: SubmoduleOfFree, k: int) -> SubmoduleOfFree:

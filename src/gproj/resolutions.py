@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import NamedTuple, Optional
 
-from .errors import InputError, NotRegularOnQuotient
+from .errors import DegreeGuardExceeded, InputError, NotRegularOnQuotient
 from .modules import (
     FPModule,
     ModuleMap,
     SubmoduleOfFree,
+    _bareiss,
     _per_scope,
     _top_degree,
     _tower,
@@ -38,7 +41,7 @@ from .modules import (
     transpose,
     window_vector_to_ambient,
 )
-from .rings import Poly, QuotRing, embed_poly, format_poly
+from .rings import FreeModuleGB, Ideal, Poly, QuotRing, embed_poly, format_poly, reduce_poly
 
 
 @dataclass(frozen=True)
@@ -220,17 +223,85 @@ class PdVerdict(NamedTuple):
         return f"AtLeast({self.n})"
 
 
+# the minors of a q x w matrix of rank r are taken only while C(q, r) * C(w, r)
+# is at most this: over QQ[x,y] on a shared 2-CPU Xeon VM they took 1.4 s at
+# 400 minors of size 3 and 2.7 s at 225 of size 4, where the product system
+# took 6.4 s and over 60 s, and 17 s at 1,225 of size 4
+_MINORS_BOUND = 1000
+
+
+def _fitting_rejects(R: QuotRing, q: int, U) -> bool:
+    """True only on a proof that M = coker(U) is not projective, U the q x w
+    matrix whose columns are U; False proves nothing. A projective module has
+    idempotent Fitting ideals, Fitt_j(M) being the ideal of the (q - j)-minors
+    of any presentation matrix of M (H. Lombardi and C. Quitte, Commutative
+    Algebra: Constructive Methods, 2015, ch. IV; D. Eisenbud, Commutative
+    Algebra, GTM 150, 1995, ch. 20).
+    - Units: a nonzero constant entry is a unit pivot; its row and column are
+      eliminated, which keeps M, until the matrix V has no constant entry.
+      A zero or empty V presents a free M.
+    - Entries, any modulus I: J, the ideal of the entries of V, is a Fitting
+      ideal of M and must lie in J^2. If I lies in m^2, m the ideal of the
+      origin, and every entry vanishes there, J^2 lies in m^2 and an entry
+      with a linear term is outside it. Otherwise each entry is tested on one
+      rank-1 basis of the products of two entries, with the modulus as its
+      fixed reducers.
+    - Zero modulus, before the basis: P is a domain, so M is projective
+      exactly when the minors of V of size r = rank V generate 1 (Eisenbud,
+      Prop. 20.8). The minors come from `_bareiss`, a square V of full rank
+      giving det V alone, and are skipped above _MINORS_BOUND.
+    A check that trips the degree guard proves nothing, so the routes after
+    it trip as they did, with the same message."""
+    try:
+        rows = list(transpose(U, q))
+        while unit := next(((i, j) for i, row in enumerate(rows) for j, p in enumerate(row)
+                            if p.is_constant() and not p.is_zero()), None):
+            i, j = unit
+            inv = R.base.field.inv(rows[i][j].lead_coeff())
+            pivot = [t.scale(inv) for t in rows.pop(i)]
+            rows = [[p if row[j].is_zero() or t.is_zero() else R.nf(p - row[j] * t)
+                     for k, (p, t) in enumerate(zip(row, pivot)) if k != j] for row in rows]
+        entries = tuple(dict.fromkeys(p for row in rows for p in row if not p.is_zero()))
+        if not entries:
+            return False
+        low = [min(sum(e) for e, _ in f.terms) for f in entries]
+        if min(low) == 1 and all(sum(e) > 1 for g in R.modulus.reduced_gb for e, _ in g.terms):
+            return True
+        r, last = _bareiss(rows) if R.modulus.is_zero() else (0, None)
+        count = comb(len(rows), r) * comb(len(rows[0]), r)
+        if r and count <= _MINORS_BOUND:  # one minor: V is square, last is det V
+            minors = {last} if count == 1 else {
+                d for picked in combinations(rows, r) for cols in combinations(range(len(rows[0])), r)
+                for n, d in [_bareiss([[row[j] for j in cols] for row in picked])] if n == r}
+            return not any(d.is_constant() for d in minors) and (
+                len(minors) == 1 or not Ideal(R.base, minors).contains_one())
+        products = [{(0, e): c for e, c in p.terms}
+                    for f, g in combinations_with_replacement(entries, 2)
+                    if not (p := R.mul(f, g)).is_zero()]
+        gb = FreeModuleGB(R.base, 1, products, R.modulus.reduced_gb)
+        return any(not reduce_poly(f, gb, R.base.degree_guard).is_zero() for f in entries)
+    except DegreeGuardExceeded:
+        return False
+
+
 def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
                                   ) -> Optional[tuple]:
     """Retraction of R^ambient onto the span of kernel_gens, or None.
 
     Solves U*H*U = U over R, U the q x w matrix whose columns are kernel_gens;
     a solution certifies that the cokernel of the inclusion is projective (the
-    presenting surjection splits). Two routes, chosen by ker U, which inside
-    `pd_bounded` is the resolution's next map and so costs no new basis:
+    presenting surjection splits: a von Neumann regular U has a projective
+    cokernel, and conversely). Three routes, in order:
+    - Fitting ideals (`_fitting_rejects`): None on a proof that coker(U) is
+      not projective, since every Fitting ideal of a projective module is
+      idempotent (Lombardi-Quitte 2015, ch. IV) and over a domain the minors
+      of size rank U generate 1 (Eisenbud, GTM 150, Prop. 20.8). It builds
+      no H, so a module it does not reject goes on to the routes below.
     - ker U = 0: U*(H*U - 1) = 0 forces H*U = 1, so row i of H is a witness
       of the unit vector e_i over the rows of U: a rank-w basis on entries of
       degree d, where the product system below needs rank q*w and degree 2d.
+      ker U is asked by `colon_generators`, which inside `pd_bounded` is the
+      resolution's next map and so costs no new basis.
     - ker U != 0: H*U need not be 1, so the products of two entries of U are
       the system. Adding the next map S as H*U + S*C = 1 is also correct but
       measured slower on every chain whose maps have a kernel.
@@ -239,6 +310,8 @@ def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     if w == 0:
         return ()
     q = ambient_rank
+    if _fitting_rejects(R, q, kernel_gens):
+        return None
     if not colon_generators(R, q, kernel_gens):
         return span_engine(R, w, transpose(kernel_gens, q)).lift(identity(R, w))
     # unknowns H[i][j], i < w, j < q; equation vec(U H U) = vec(U) with

@@ -352,7 +352,8 @@ def test_a_malformed_polynomial_in_a_declaration_names_its_line_and_column(
 
 def test_k0_builds_no_module_basis_its_model_declarations_built(tmp_path, capsys, count_calls):
     # the model is parsed in the command's span scope, so the command reuses
-    # the basis that the declaration of M built
+    # the basis that the declaration of M built; det U = x^2/2 - x is not a
+    # unit, so its pd scan rejects U by its Fitting ideal with no basis
     text = "ring Q = QQ[x]\nmodule M over Q gens 2 relations [[x, 1/2], [x^2, x - 1]]\n"
     path = tmp_path / "m.model"
     path.write_text(text)
@@ -361,7 +362,7 @@ def test_k0_builds_no_module_basis_its_model_declarations_built(tmp_path, capsys
     code, both = count_calls(FreeModuleGB, "__init__", main,
                              ["k0", str(path), "M", "--format", "machine"])
     assert code == 0 and "class = 1*[R/(x^2-2*x)]\n" in capsys.readouterr().out
-    assert (parsing, command, both) == (2, 2, 3)
+    assert (parsing, command, both) == (2, 1, 2)
 
 
 def test_coefficient_with_a_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):
@@ -472,6 +473,25 @@ def test_lemma45_depth_one_names_its_own_bound(tmp_path, capsys):
     assert main(["lemma45", str(path), "R2", "x", "--depth", "1"]) == 2
     assert capsys.readouterr().err == "input error: depth must be at least 2\n"
     assert main(["lemma45", str(path), "R2", "x", "--depth", "2"]) == 0
+
+
+def test_a_depth_above_the_limit_is_an_input_error(tmp_path, capsys):
+    # a resolution holds one reference per step: --depth 10**20 ran until
+    # memory ran out, on the command line and in a task alike
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    huge = str(10**20)
+    for cmd, args in (("pd", ["I"]), ("gclass", ["I"]), ("resolve", ["I"]), ("report", [])):
+        assert main([cmd, str(path), *args, "--depth", huge]) == 2
+        assert capsys.readouterr().err == f"input error: --depth {huge} exceeds the limit 1000000\n"
+    path.write_text(FLAGSHIP.replace("task pd --depth 8 I", f"task pd --depth {cli.MAX_DEPTH + 1} I"))
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: --depth 1000001 exceeds the limit 1000000\n"
+    model = parse_model_file(FLAGSHIP)
+    with pytest.raises(InputError, match="^--depth 1000001 exceeds the limit 1000000$"):
+        run_command("pd", ["I", "--depth", "1000001"], model)
+    assert main(["pd", str(path), "I", "--depth", str(cli.MAX_DEPTH), "--format", "machine"]) == 0
+    assert capsys.readouterr().out.endswith("depth = 1000000\nverdict = InfinitePeriodic(0,1)\n")
 
 
 def test_surplus_arguments_are_an_input_error(tmp_path, capsys):

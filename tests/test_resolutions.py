@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from gproj import (
 )
 from gproj import g_class_test, modules, resolutions
 from gproj.cli import main
+from gproj.errors import DegreeGuardExceeded
 from gproj.modules import colon_generators, mat_vec, span_engine
 from gproj.resolutions import first_inexact_node, split_surjection_onto_kernel
 from gproj.rings import FreeModuleGB, QuotRing
@@ -237,6 +239,31 @@ def _det(rows):
     return total
 
 
+def test_bareiss_finds_the_rank_and_ends_on_the_determinant():
+    # the rank is the size of the largest nonzero minor, each by cofactor
+    # expansion, and a square matrix of full rank ends on its determinant
+    rng = random.Random(30)
+    for R in (polynomial_ring(QQ, ("x", "y")), polynomial_ring(GF(3), ("x",))):
+        units = [R.one()] + list(R.base.gens())
+
+        def entry():
+            return sum((u.scale(rng.randint(-2, 2)) * rng.choice(units) for u in units), R.zero())
+
+        for _ in range(60):
+            q, w = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[entry() for _ in range(w)] for _ in range(q)]
+            if q > 1 and rng.random() < 0.3:
+                rows[-1] = rows[0]
+            rank, last = modules._bareiss(rows)
+            assert rank == max((k for k in range(1, min(q, w) + 1)
+                                for picked in combinations(range(q), k)
+                                for cols in combinations(range(w), k)
+                                if not _det([[rows[i][j] for j in cols] for i in picked]).is_zero()),
+                               default=0)
+            if rank == q == w:
+                assert last in (_det(rows), -_det(rows))
+
+
 @pytest.mark.parametrize("ring", ["QQ[x]", "GF(3)[x]", "chain2", "A"])
 def test_splitting_of_an_injective_map_matches_the_full_system(ring):
     # U with kernel 0: over k[x], a w x w block of nonzero determinant (half
@@ -288,6 +315,135 @@ def test_splitting_of_an_injective_map_matches_the_full_system(ring):
     assert found == ({True, False} if domain else {False})
 
 
+def _fitting_corpus():
+    """(R, q, U) for every nonempty map of a depth-2 resolution of seeded
+    random modules over each gclass ring, GF(5)[x,y]/(x^2+xy, y^2), QQ[x] and
+    GF(3)[x], and for products B*C of small random matrices over QQ[x,y]
+    (B q x k, C k x w, k < min(q, w), entries of degree <= 1)."""
+    rng = random.Random(30)
+    rings = [gclass_ring(key) for key in GCLASS_RINGS]
+    rings += [PolyRing(GF(5), ("x", "y")).quotient(["x^2 + x*y", "y^2"]),
+              polynomial_ring(QQ, ("x",)), polynomial_ring(GF(3), ("x",))]
+    for R in rings:
+        for _ in range(8):
+            res = free_resolution(random_module(R, rng), 2)
+            yield from ((R, res.rank(s), U) for s, U in enumerate(res.maps) if U)
+    R = polynomial_ring(QQ, ("x", "y"))
+    x, y = R.base.gens()
+
+    def entry():
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        return x.scale(a) + y.scale(b) + R.one().scale(c)
+
+    for q, k, w in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 3)] * 3:
+        B = [[entry() for _ in range(k)] for _ in range(q)]
+        C = [[entry() for _ in range(w)] for _ in range(k)]
+        yield R, q, [tuple(R.nf(sum((B[a][i] * C[i][j] for i in range(k)), R.zero()))
+                           for a in range(q)) for j in range(w)]
+
+
+def test_fitting_rejections_are_full_system_nones(monkeypatch):
+    # a Fitting rejection must be a product-system None, and the split's
+    # verdict must be the product system's; the corpus reaches each route:
+    # the linear-term shortcut, the minors over a domain and the J^2 basis
+    routes = []
+
+    def recording(name):
+        original = getattr(resolutions, name)
+        return lambda *args: routes.append(name) or original(*args)
+
+    for name in ("_bareiss", "reduce_poly"):
+        monkeypatch.setattr(resolutions, name, recording(name))
+    rejected = {}
+    for R, q, U in _fitting_corpus():
+        routes.clear()
+        full = _split_by_the_full_system(R, q, U)
+        if resolutions._fitting_rejects(R, q, U):
+            assert full is None, (R, U)
+            route = routes[-1] if routes else "shortcut"
+            rejected[route] = rejected.get(route, 0) + 1
+        assert (split_surjection_onto_kernel(R, q, U) is None) == (full is None), (R, U)
+    assert set(rejected) == {"shortcut", "_bareiss", "reduce_poly"}, rejected
+
+
+def test_the_zero_map_is_projective():
+    # U = 0 presents the free module R^q: its empty minor is 1
+    for R in (polynomial_ring(QQ, ("x", "y")), gclass_ring("A")):
+        U = [(R.zero(), R.zero())]
+        assert not resolutions._fitting_rejects(R, 2, U)
+        assert split_surjection_onto_kernel(R, 2, U) is not None
+
+
+@pytest.mark.parametrize("ring, q, columns", [
+    ("QQ[x,y]", 2, [["1", "y"], ["x", "x*y"]]),  # rank 1, cokernel R after the pivot
+    ("A", 1, [["1"], ["x"]]),  # a constant pivot leaves the empty matrix
+    ("chain2", 1, [["1 + x"], ["x"]]),  # a unit that is not constant: J^2 = R
+], ids=["domain", "constant", "nonconstant"])
+def test_a_unit_entry_falls_through(ring, q, columns):
+    R = polynomial_ring(QQ, ("x", "y")) if ring == "QQ[x,y]" else gclass_ring(ring)
+    U = [tuple(R.poly(p) for p in col) for col in columns]
+    assert not resolutions._fitting_rejects(R, q, U)
+    H = split_surjection_onto_kernel(R, q, U)
+    assert H is not None and _retracts(R, q, U, H)
+
+
+@pytest.mark.parametrize("entry", ["x", "y", "x + y"])
+def test_a_modulus_with_a_linear_term_never_fires_the_shortcut(entry, count_calls):
+    # over GF(3)[x,y]/(x - y^2), where x = y^2 lies in m^2 + I, every entry
+    # is reduced on the J^2 basis, which rejects each of these 1 x 1 maps
+    R = PolyRing(GF(3), ("x", "y")).quotient(["x - y^2"])
+    U = [(R.poly(entry),)]
+    rejects, reductions = count_calls(resolutions, "reduce_poly", resolutions._fitting_rejects,
+                                      R, 1, U)
+    assert rejects and reductions > 0
+    assert _split_by_the_full_system(R, 1, U) is None
+
+
+def test_a_fitting_check_that_trips_the_guard_falls_through(monkeypatch):
+    # the three 2 x 2 minors have degree 6 and their basis trips guard 4, so
+    # the check proves nothing and the split answers, or trips, as the
+    # routes after it do alone
+    R = PolyRing(QQ, ("x",), degree_guard=4).quotient([])
+    U = [tuple(R.poly(p) for p in col)
+         for col in (["x^3+1", "x^3+x"], ["x^3+2", "x^2+3"], ["x^3+x+5", "x^3-1"])]
+    trips, ideal = [], resolutions.Ideal
+
+    def tripping(*args):
+        try:
+            return ideal(*args)
+        except DegreeGuardExceeded as exc:
+            trips.append(str(exc))
+            raise
+
+    monkeypatch.setattr(resolutions, "Ideal", tripping)
+    assert not resolutions._fitting_rejects(R, 2, U)
+    assert trips == ["Groebner basis: term degree 6 exceeds guard 4"]
+
+    def outcome():
+        try:
+            return split_surjection_onto_kernel(R, 2, U)
+        except DegreeGuardExceeded as exc:
+            return str(exc)
+
+    checked = outcome()
+    monkeypatch.setattr(resolutions, "_fitting_rejects", lambda *args: False)
+    assert checked == outcome()
+
+
+@pytest.mark.parametrize("relations, verdict", [
+    ([["4*x*y + y^2", "x + 1"], ["-x + 2", "3*x*y - 4*y^2 + 2*y"]], "Finite(1)"),
+    ([["-x + y", "0"], ["x^2", "0"], ["-2*x*y + 1", "3*x^2 + 1"]], "Finite(2)"),
+], ids=["rank12_basis_element", "rank12_term"])
+def test_a_fitting_rejection_spares_a_product_system_that_trips_the_guard(relations, verdict):
+    # at guard 8 the product system of each map that does not split tripped
+    # ("module basis at rank 12: ... degree 9 exceeds guard 8"); its minors
+    # reject it first, and the verdict is the one at guard 32
+    for guard in (8, 32):
+        R = PolyRing(QQ, ("x", "y"), degree_guard=guard).quotient([])
+        M = FPModule(R, 2, [tuple(R.poly(p) for p in rel) for rel in relations])
+        assert str(pd_bounded(M, 4)) == verdict
+
+
 def test_pd_of_a_square_torsion_module_builds_no_basis_above_rank_6(monkeypatch):
     # shaped like the CLI's k0 modules over QQ[x]: 3 x 3 of degree 2 with
     # nonzero determinant, so the presentation is injective and its
@@ -319,13 +475,14 @@ def test_injective_splitting_stays_below_a_guard_the_product_system_trips():
 
 def test_pd_solves_each_distinct_map_once_per_call(count_calls):
     # the flagship's period-1 chain repeats one map: every raw split build
-    # asks resolutions.span_engine for its one system, and the product
-    # system makes the QuotRing.mul calls, so both counts are depth-free
+    # runs one Fitting check, which rejects x by its linear term before any
+    # system is built, and no split makes a QuotRing.mul call, so both
+    # counts are depth-free
     R = R4()
     I = FPModule(R, 1, [(R.poly("x"),)])
-    counts = [(count_calls(resolutions, "span_engine", pd_bounded, I, depth)[1],
+    counts = [(count_calls(resolutions, "_fitting_rejects", pd_bounded, I, depth)[1],
                count_calls(QuotRing, "mul", pd_bounded, I, depth)[1]) for depth in (50, 5000)]
-    assert counts[0] == counts[1] and counts[0][0] > 0
+    assert counts[0] == counts[1] and counts[0][0] == 1
 
 
 @pytest.mark.parametrize("columns", [

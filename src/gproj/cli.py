@@ -286,13 +286,15 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
 # dispatch
 # ---------------------------------------------------------------------------
 
-MAX_DEPTH = 10**6  # a resolution holds one map reference per step
+# a resolution holds one map reference per step, so --depth, the ext degree
+# and the gpd syzygy index, each the length of a resolution, are bounded
+MAX_DEPTH = 10**6
 
 
-def _checked_depth(depth: int) -> int:
-    if depth > MAX_DEPTH:
-        raise InputError(f"--depth {depth} exceeds the limit {MAX_DEPTH}")
-    return depth
+def _checked_depth(value: int, name: str = "--depth") -> int:
+    if value > MAX_DEPTH:
+        raise InputError(f"{name} {value} exceeds the limit {MAX_DEPTH}")
+    return value
 
 
 def _extract_flags(args):
@@ -390,7 +392,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         report.add("depth", depth)
         report.add("verdict", str(pd_bounded(obj, depth)))
     elif cmd == "ext":
-        i = int(rest[1])
+        i = _checked_depth(int(rest[1]), "ext degree")
         result = ext_module(obj, FPModule.free(obj.ring, 1), i)
         report.add("degree", i)
         report.add("is_zero", result.is_zero)
@@ -424,7 +426,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 w.add("ext_gens", data.module.ngens)
                 _matrix_block(w, "ext_relations", data.module.relation_rows())
     elif cmd == "gpd":
-        n = int(rest[1])
+        n = _checked_depth(int(rest[1]), "gpd syzygy index")
         verdict = gpd_bounded(obj, n, depth)
         report.add("n", n)
         report.add("depth", depth)

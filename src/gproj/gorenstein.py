@@ -33,7 +33,7 @@ from .modules import (
     transpose,
 )
 from .rings import QuotRing
-from .resolutions import FreeResolution, _distinct_nodes, first_inexact_node, free_resolution
+from .resolutions import FreeResolution, first_inexact_node, free_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +61,13 @@ def _hom_free_into(N: FPModule, a: int) -> list[Column]:
             for t in range(a) for rel in N.canonical_relations]
 
 
-def _hom_induced_columns(R: QuotRing, d_cols, rank_from: int, g: int) -> tuple:
-    """Columns of Hom(d, N): Hom(R^rank_from, N) -> Hom(R^len(d_cols), N)
-    for N on g generators; with g = 1 this is `transpose(d_cols, rank_from)`."""
-    a_to = len(d_cols)
-    cols = []
-    for l in range(rank_from):
-        for b in range(g):
-            col = [R.zero()] * (a_to * g)
-            for t in range(a_to):
-                col[t * g + b] = d_cols[t][l]
-            cols.append(tuple(col))
-    return tuple(cols)
+def _hom_induced_columns(R: QuotRing, dual_cols, g: int) -> tuple:
+    """Columns of Hom(d, N) = Hom(d, R) (x) I_g for N on g generators, from
+    dual_cols = Hom(d, R), the resolution's dual map: column (l, b) holds
+    dual column l at the positions t*g + b."""
+    zero = R.zero()
+    return tuple(tuple(p if c == b else zero for p in col for c in range(g))
+                 for col in dual_cols for b in range(g))
 
 
 @span_scope
@@ -88,7 +83,8 @@ def ext_module(M: FPModule, N: FPModule, i: int) -> ExtResult:
 def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
     """Ext^i(res.module, N) from a resolution of depth at least i + 1.
 
-    Only d_i and d_{i+1} are read, so a deeper resolution gives the same bytes.
+    Only the dual maps d_i^T and d_{i+1}^T of the resolution's Hom(F., R)
+    are read, so a deeper resolution gives the same bytes.
     """
     R = N.ring
     g = N.ngens
@@ -96,12 +92,12 @@ def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
     if x_dim == 0:
         return ExtResult(i, FPModule(R, 0, ()), True)
     # u = Hom(d_{i+1}, N): Hom(F_i, N) -> Hom(F_{i+1}, N)
-    u_cols = _hom_induced_columns(R, res.map(i), res.rank(i), g)
+    u_cols = _hom_induced_columns(R, res.dual_map(i), g)
     kernel_gens = colon_generators(R, res.rank(i + 1) * g, u_cols,
                                    _hom_free_into(N, res.rank(i + 1)))
     denominator = _hom_free_into(N, res.rank(i))
     if i >= 1:  # plus the image of Hom(d_i, N)
-        denominator += _hom_induced_columns(R, res.map(i - 1), res.rank(i - 1), g)
+        denominator += _hom_induced_columns(R, res.dual_map(i - 1), g)
     ext = subquotient(SubmoduleOfFree(R, x_dim, kernel_gens), denominator)
     return ExtResult(i, ext, ext.is_zero())
 
@@ -148,12 +144,6 @@ class CompleteResolutionFailure(NamedTuple):
     detail: str
 
 
-def _dual_chain(ranks, maps):
-    """Apply Hom(-, R): reverse the node order and transpose every matrix."""
-    dmaps = tuple(transpose(maps[k], ranks[k + 1]) for k in range(len(ranks) - 2, -1, -1))
-    return tuple(reversed(ranks)), dmaps
-
-
 def ring_is_self_injective_catalog(R: QuotRing) -> bool:
     """Quasi-Frobenius catalog flag: k[x]/(f) with f nonzero."""
     return R.base.nvars == 1 and not R.modulus.is_zero()
@@ -192,15 +182,18 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     and a resolution of the dual M* of depth at least window. The splice
     F_0 -> G_0* is K^T, K the dual's evaluation, the matrix whose two nodes
     `double_duality_verdict` checked, so within one call they are memo hits.
+
+    Each window map keeps its dual beside it, read from what is already
+    built: `res.dual_maps`, K, the dual's resolution maps. Every scan reads
+    its whole chain; `first_inexact_node` checks each distinct node once, so
+    a chain that repeats by reference costs one period at any window.
     """
     M = res.module
     R = M.ring
 
     # dual exactness of the left tail alone, node s of Hom(F., R) being step
-    # s; failures here are nonzero Ext^s. Node s > s0 + p repeats node s - p,
-    # so the scan stops after node s0 + p
-    nodes = _distinct_nodes(len(res.ranks), res.periodicity)
-    step = first_inexact_node(R, res.ranks[:nodes], res.dual_maps[:nodes - 1])
+    # s; failures here are nonzero Ext^s
+    step = first_inexact_node(R, res.ranks, res.dual_maps)
     if step is not None:
         return CompleteResolutionFailure(
             "left_dual_exactness", step,
@@ -211,44 +204,41 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     module_position = min(window, len(res.maps))
     nodes_ltr = [res.ranks[s] for s in range(module_position, -1, -1)]
     maps_ltr = [res.maps[s] for s in range(module_position - 1, -1, -1)]
+    duals_ltr = [res.dual_maps[s] for s in range(module_position - 1, -1, -1)]
     n = M.ngens
     if not M.canonical_relations:
         route = "trivial_projective"
+        one, to_zero = identity(R, n), transpose((), n)
         nodes_ltr = [0, n, n, 0]
-        maps_ltr = [(), identity(R, n), transpose((), n)]  # the last is F_0 -> 0
+        maps_ltr = [(), one, to_zero]  # the last is F_0 -> 0
+        duals_ltr = [to_zero, one, ()]
         module_position = 1
     elif res.periodicity is not None and res.periodicity[0] == 0:
         route = "periodic"
         _, p = res.periodicity
         # after F_0 the ranks cycle F_{p-1}, ..., F_0 with the splice d_p first
-        splice = res.maps[p - 1]
-        cycle_maps = [splice] + [res.maps[s] for s in range(p - 2, -1, -1)]
-        cycle_ranks = [res.ranks[p - 1 - j] for j in range(p)]
         for j in range(window):
-            maps_ltr.append(cycle_maps[j % p])
-            nodes_ltr.append(cycle_ranks[j % p])
+            s = p - 1 - j % p
+            maps_ltr.append(res.maps[s])
+            duals_ltr.append(res.dual_maps[s])
+            nodes_ltr.append(res.ranks[s])
     else:
         D, dual_res = dual_side()
         route = "dual_of_dual_resolution"
         maps_ltr.append(transpose(D.evaluation, n))
+        duals_ltr.append(D.evaluation)
         nodes_ltr.append(dual_res.rank(0))
-        for s, d in enumerate(dual_res.dual_maps):
-            if len(nodes_ltr) - module_position > window:
-                break
+        for s, d in enumerate(dual_res.dual_maps[:window - 1]):
             maps_ltr.append(d)
+            duals_ltr.append(dual_res.maps[s])
             nodes_ltr.append(dual_res.rank(s + 1))
 
-    # the periodic route's window, periodicity (0, p), repeats with period p
-    # from its first node, so its first p + 2 nodes hold every distinct node,
-    # and its last p + 2 dualize to the first p + 2 of the dual window
     ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
-    nodes = _distinct_nodes(len(ranks_t), res.periodicity if route == "periodic" else None)
-    bad = first_inexact_node(R, ranks_t[:nodes], maps_t[:nodes - 1])
+    bad = first_inexact_node(R, ranks_t, maps_t)
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
-    dranks, dmaps = _dual_chain(ranks_t[-nodes:], maps_t[len(maps_t) - nodes + 1:])
-    bad = first_inexact_node(R, dranks, dmaps)
+    bad = first_inexact_node(R, ranks_t[::-1], duals_ltr[::-1])
     if bad is not None:
         return CompleteResolutionFailure(
             "window_dual_exactness", bad,
@@ -300,10 +290,11 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     isomorphism, decided by `double_duality_verdict`'s two node checks with
     no double dual built. A full pass upgrades to certified when a two-sided
     window with verified dual exactness exists or the ring is a
-    self-injective catalog ring. A resolution periodic from s with period p is computed to
-    its first repeat only; Ext^m for m > s + p and every window node past the
-    first period are read by the period's index, so the work does not grow
-    with the depth.
+    self-injective catalog ring. A resolution periodic from s with period p
+    is computed to its first repeat only; Ext^m for m > s + p is read by the
+    period's index, and the window scans meet the repeated maps by reference
+    and check each distinct node once, so the work does not grow with the
+    depth on any window route.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")

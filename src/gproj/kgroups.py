@@ -51,9 +51,9 @@ class _Euclid(NamedTuple):
     s*a - q*b with s a nonzero integer, a unit. A remainder of either kind is
     zero exactly when b divides a, and a row or column operation by a token is
     invertible. Where `scale` is set it takes each changed row or column to a
-    unit multiple with smaller coefficients."""
+    unit multiple with smaller coefficients. An entry, a native int or a
+    coefficient dict, is zero exactly when it is falsy."""
 
-    is_zero: Callable
     size: Callable  # Euclidean size of a nonzero element
     divmod: Callable  # (token, remainder): remainder zero or of smaller size than b
     associate: Callable  # the canonical associate of a nonzero element
@@ -62,7 +62,7 @@ class _Euclid(NamedTuple):
     scale: Optional[Callable] = None  # a unit multiple of a row or column; None: none
 
 
-_INTEGERS = _Euclid(operator.not_, abs, divmod, abs)
+_INTEGERS = _Euclid(abs, divmod, abs)
 
 
 def _subtract(r, b, shift, c):  # r -= c * x^shift * b, in place, on integers
@@ -113,8 +113,8 @@ def _monic(a):  # the diagonal's only fractions
 
 
 # QQ[x] (and QQ) on integer coefficient dicts keyed by degree
-_RATIONAL_POLYS = _Euclid(operator.not_, max, _pseudo_divmod, _monic, (1, {0: -1}),
-                          _pseudo_sub_mul, _primitive)
+_RATIONAL_POLYS = _Euclid(max, _pseudo_divmod, _monic, (1, {0: -1}), _pseudo_sub_mul,
+                          _primitive)
 
 
 def _catalog_ring(field, n: float = inf) -> _Euclid:
@@ -160,7 +160,7 @@ def _catalog_ring(field, n: float = inf) -> _Euclid:
         inv = field.inv(a[max(a)])
         return {d: mul(c, inv) for d, c in a.items()}
 
-    return _Euclid(operator.not_, pick, divide, associate, {0: field.neg(one)}, sub_mul)
+    return _Euclid(pick, divide, associate, {0: field.neg(one)}, sub_mul)
 
 
 def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
@@ -170,7 +170,7 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
     associates, S = U*A*V, and the unimodular integer transforms U and V,
     which are None unless `transforms` is set (integer matrices only).
     """
-    is_zero, size, divide, associate, minus_one, sub_mul, scale = ring
+    size, divide, associate, minus_one, sub_mul, scale = ring
     S = [list(r) for r in rows]
     nrows = len(S)
     ncols = len(S[0]) if nrows else 0
@@ -212,22 +212,22 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         while dirty:
             dirty = False
             for i in range(nrows):
-                if i != t and not is_zero(S[i][t]):
+                if i != t and S[i][t]:
                     row_sub(i, t, divide(S[i][t], S[t][t])[0])
-                    if not is_zero(S[i][t]):
+                    if S[i][t]:
                         row_swap(i, t)
                         dirty = True
             for j in range(ncols):
-                if j != t and not is_zero(S[t][j]):
+                if j != t and S[t][j]:
                     col_sub(j, t, divide(S[t][j], S[t][t])[0])
-                    if not is_zero(S[t][j]):
+                    if S[t][j]:
                         col_swap(j, t)
                         dirty = True
 
     def offending_row(t):
         for i in range(t + 1, nrows):
             for j in range(t + 1, ncols):
-                if not is_zero(divide(S[i][j], S[t][t])[1]):
+                if divide(S[i][j], S[t][t])[1]:
                     return i
         return None
 
@@ -237,7 +237,7 @@ def _diagonalize(rows, ring: _Euclid, transforms: bool = False):
         best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
-                if not is_zero(S[i][j]):
+                if S[i][j]:
                     s = size(S[i][j])
                     if best is None or s < best:
                         best, pivot = s, (i, j)

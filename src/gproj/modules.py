@@ -285,9 +285,10 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
 
     The one exactness checker. A verdict depends only on its key, and a span
     scope asks each key once. A periodic chain (a resolution, its dual, a
-    periodic window) is never asked past its first period: its callers read
-    later nodes by the period's index. One engine per map serves its kernel
-    here and its image at the next node.
+    window spliced from them) is never asked past its first period: Ext
+    reads later degrees by the period's index, and `first_inexact_node`
+    skips a node whose ranks and map objects are an earlier node's. One
+    engine per map serves its kernel here and its image at the next node.
     """
     if rank_here == 0:
         return ()

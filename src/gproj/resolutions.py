@@ -6,8 +6,9 @@ the kernel of d_s. Every matrix is the canonical (reduced-basis) generating
 set of its syzygy module, so equal presentations repeat verbatim and
 periodicity detection is a literal matrix comparison. Each step is a function
 of the map before it, so a resolution stops computing at its first repeat
-d_{s+p+1} = d_{s+1}: every later map, dual map, Ext group, split and node
-check is read by the period's index, s + (k - s) % p.
+d_{s+p+1} = d_{s+1}: every later map, dual map, Ext group and split is read
+by the period's index, s + (k - s) % p, and a node check meets the repeated
+maps by reference.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class FreeResolution:
         """d_{s+1}: F_{s+1} -> F_s; () past the end of the resolution."""
         return self.maps[s] if s < len(self.maps) else ()
 
-    @cached_property  # Hom(F., R), built once and read by every Ext and window check
+    @cached_property  # Hom(F., R), built once: every Ext, Hom(d, N) and window scan reads it
     def dual_maps(self) -> tuple:
         """dual_maps[s] = d_{s+1}^T: F_s* -> F_{s+1}*, so node s of the dual
         chain is resolution step s. Only d_1..d_{s+p} are transposed; later
@@ -166,17 +167,20 @@ def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
 
     Reads the chain left to right: maps[j] sends node j to node j+1 as a
     column list. Each node is checked by `exact_kernel`, not by the
-    construction that produced the maps."""
-    return next((node for node in range(1, len(ranks) - 1)
-                 if exact_kernel(R, ranks[node], ranks[node + 1],
-                                 maps[node - 1], maps[node]) is None), None)
-
-
-def _distinct_nodes(length: int, periodicity) -> int:
-    """How many leading nodes of a chain of `length` nodes a scan must read
-    when its maps repeat from map s with period p: node j > s + p is node j - p,
-    so an inexact node first shows among nodes 1..s+p."""
-    return min(length, sum(periodicity) + 2) if periodicity else length
+    construction that produced the maps. Its verdict is a function of the
+    node's two ranks and two maps, so a node whose ranks and map objects (by
+    identity; the ranks because () is one shared object) are an earlier
+    node's is skipped: a chain that repeats its maps by reference, as a
+    periodic resolution, its dual maps and the windows spliced from them do,
+    is checked once per distinct node at any length."""
+    seen = set()
+    for node in range(1, len(ranks) - 1):
+        key = (ranks[node], ranks[node + 1], id(maps[node - 1]), id(maps[node]))
+        if key not in seen:
+            seen.add(key)
+            if exact_kernel(R, ranks[node], ranks[node + 1], maps[node - 1], maps[node]) is None:
+                return node
+    return None
 
 
 @span_scope
@@ -185,9 +189,9 @@ def verify_exactness(res: FreeResolution) -> bool:
 
     The kernel of F_0 ->> M must equal the relation span, and every interior
     node of F_L -> ... -> F_0 must pass `first_inexact_node`. A stated
-    periodicity (s, p) is first confirmed literally, maps[k] equal to
-    maps[s + (k - s) % p] for every k >= s + p; then only steps 1..s+p are
-    checked, the later ones repeating them.
+    periodicity (s, p) is first confirmed literally, as `FreeResolution`
+    defines it: the repeat maps[s + p] is in the chain, maps[s] is nonzero,
+    and maps[k] equals maps[s + (k - s) % p] for every k >= s + p.
     """
     R = res.module.ring
     maps, per = res.maps, res.periodicity
@@ -197,10 +201,10 @@ def verify_exactness(res: FreeResolution) -> bool:
         eng = span_engine(R, res.module.ngens, maps[0])
         if not all(eng.contains(col) for col in res.module.relations):
             return False
-    if per is not None and maps != _by_period(maps[:sum(per)], len(maps), per):
+    if per is not None and not (sum(per) < len(maps) and maps[per[0]]
+                                and maps == _by_period(maps[:sum(per)], len(maps), per)):
         return False  # the stated repeat is not there
-    nodes = _distinct_nodes(len(res.ranks), per)
-    return first_inexact_node(R, res.ranks[:nodes][::-1], maps[:nodes - 1][::-1]) is None
+    return first_inexact_node(R, res.ranks[::-1], maps[::-1]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ def gclass_ring(key, guard=32):
     return PolyRing(field, variables, degree_guard=guard).quotient(modulus)
 
 
+def late_period_module():
+    """coker [[1, 0], [x, x^2]] over GF(5)[x]/(x^4), as in
+    demos/late_period.model: R/(x^2) on a redundant presentation, d_2 =
+    (0, x^2), then x^2 forever, so its resolution repeats from step 2."""
+    R = gclass_ring("chain4")
+    x = R.poly("x")
+    return FPModule(R, 2, [(R.one(), x), (R.zero(), x * x)])
+
+
 # ---------------------------------------------------------------------------
 # enumeration of finite quotient rings and their modules
 # ---------------------------------------------------------------------------

@@ -494,6 +494,29 @@ def test_a_depth_above_the_limit_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("depth = 1000000\nverdict = InfinitePeriodic(0,1)\n")
 
 
+def test_an_ext_degree_or_gpd_index_above_the_limit_is_an_input_error(tmp_path, capsys):
+    # each is the length of a resolution, as --depth is: ext at degree 10**20
+    # ran until memory ran out, and gpd at 10**7 printed AtMost(10000000)
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    huge = str(10**20)
+    for cmd, args, name in (("ext", ["I", huge], "ext degree"),
+                            ("gpd", ["I", huge, "--depth", "4"], "gpd syzygy index")):
+        assert main([cmd, str(path), *args]) == 2
+        assert capsys.readouterr().err == f"input error: {name} {huge} exceeds the limit 1000000\n"
+    path.write_text(FLAGSHIP + "task ext I 1000001\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: ext degree 1000001 exceeds the limit 1000000\n"
+    model = parse_model_file(FLAGSHIP)
+    with pytest.raises(InputError, match="^gpd syzygy index 1000001 exceeds the limit 1000000$"):
+        run_command("gpd", ["I", "1000001"], model)
+    limit = str(cli.MAX_DEPTH)
+    assert main(["ext", str(path), "I", limit, "--format", "machine"]) == 0
+    assert "degree = 1000000\nis_zero = True\n" in capsys.readouterr().out
+    assert main(["gpd", str(path), "I", limit, "--depth", "4", "--format", "machine"]) == 0
+    assert capsys.readouterr().out.endswith("n = 1000000\ndepth = 4\nverdict = AtMost(1000000)\n")
+
+
 def test_surplus_arguments_are_an_input_error(tmp_path, capsys):
     # each surplus argument used to be dropped: pd ran on I, snf reduced the
     # first matrix, nf read x^2 + 1 as x^2, a misspelt flag ran at depth 8

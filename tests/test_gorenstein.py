@@ -15,16 +15,18 @@ from gproj import (
     double_dual_map,
     dual_module,
     ext_module,
+    free_resolution,
     g_class_test,
     gpd_bounded,
     gpd_extension_compare,
     polynomial_ring,
 )
 from gproj import gorenstein
-from gproj.modules import SubmoduleEngine, double_duality_verdict, mat_vec
+from gproj.modules import SubmoduleEngine, double_duality_verdict, mat_vec, transpose
 from gproj.rings import FreeModuleGB, QuotRing
 
-from helpers import GCLASS_RINGS, gclass_ring, module_cosets, random_module, ring_elements
+from helpers import (GCLASS_RINGS, gclass_ring, late_period_module, module_cosets, random_module,
+                     ring_elements)
 
 
 def R4():
@@ -607,3 +609,77 @@ def test_hom_free_into_is_the_canonical_presentation_of_the_sum(ring):
     blocks = [zero * t + rel + zero * (2 - t)
               for t in range(3) for rel in N.relations]
     assert tuple(_hom_free_into(N, 3)) == FPModule(R, 6, blocks).canonical_relations
+
+
+# ----- Hom(F., R) read once: the window duals and Hom(d, N) -----
+
+def _transposed_chain(ranks, maps):
+    """Hom(-, R) of a chain read left to right, computed here: the nodes in
+    reverse order and each map transposed."""
+    return (tuple(reversed(ranks)),
+            tuple(transpose(maps[k], ranks[k + 1]) for k in reversed(range(len(maps)))))
+
+
+def _unsymmetric_period_two_module():
+    # over GF(5)[x]/(x^4), d_1 = [[x, 0], [2, x]] and d_2 = [[x^3, 0], [3x^2,
+    # x^3]] repeat from step 0, and neither is its own transpose
+    R = gclass_ring("chain4")
+    x = R.poly("x")
+    return FPModule(R, 2, [(x, R.poly("2")), (R.zero(), x)])
+
+
+@pytest.mark.parametrize("build, window, route", [
+    (lambda: FPModule.free(R4(), 2), 3, "trivial_projective"),
+    (lambda: _principal_quotient(R4()), 4, "periodic"),
+    (lambda: _principal_quotient(PolyRing(GF(2), ("x", "y")).quotient(["x*y"])), 5, "periodic"),
+    (_unsymmetric_period_two_module, 5, "periodic"),
+    (_residue_field_of_xy_squares, 4, "dual_of_dual_resolution"),
+    (late_period_module, 6, "dual_of_dual_resolution"),
+], ids=["trivial", "period-1", "period-2", "period-2-rank-2", "residue-field", "late-period"])
+def test_each_window_scans_its_transpose_as_the_dual_chain(build, window, route, monkeypatch):
+    # the scans read maps already built (the resolution's dual maps, the
+    # evaluation K, the dual's resolution maps); what they read must be the
+    # transposes, computed here from the window itself
+    scans, scan = [], gorenstein.first_inexact_node
+
+    def recording(R, ranks, maps):
+        scans.append((tuple(ranks), tuple(maps)))
+        return scan(R, ranks, maps)
+
+    monkeypatch.setattr(gorenstein, "first_inexact_node", recording)
+    M = build()
+    w = complete_resolution_check(M, window)
+    assert isinstance(w, CompleteResolutionWindow) and w.route == route
+    res = free_resolution(M, window + 1)
+    assert scans == [_transposed_chain(res.ranks[::-1], res.maps[::-1]),
+                     (w.ranks, w.maps), _transposed_chain(w.ranks, w.maps)]
+
+
+def _hom_induced_columns_of_the_map(R, d_cols, rank_from, g):
+    """Hom(d, N) for N on g generators read entry by entry from d itself:
+    column (l, b) holds row l of d at the positions t*g + b."""
+    cols = []
+    for l in range(rank_from):
+        for b in range(g):
+            col = [R.zero()] * (len(d_cols) * g)
+            for t in range(len(d_cols)):
+                col[t * g + b] = d_cols[t][l]
+            cols.append(tuple(col))
+    return tuple(cols)
+
+
+@pytest.mark.parametrize("key", sorted(GCLASS_RINGS))
+def test_hom_induced_columns_from_the_dual_map_read_the_map(key):
+    # Hom(d, N) = Hom(d, R) (x) I_g, built from the resolution's dual map,
+    # against the map read entry by entry, for g = 1, 2 and 3 and past the end
+    rng = random.Random(f"hom:{key}")
+    R = gclass_ring(key)
+    modules = [random_module(R, rng) for _ in range(4)]
+    if key == "chain4":
+        modules.append(late_period_module())
+    for M in modules:
+        res = free_resolution(M, 3)
+        for i in range(len(res.maps) + 1):
+            for g in (1, 2, 3):
+                assert (gorenstein._hom_induced_columns(R, res.dual_map(i), g)
+                        == _hom_induced_columns_of_the_map(R, res.map(i), res.rank(i), g))

@@ -24,15 +24,15 @@ from gproj import (
     verify_exactness,
     verify_short_exact,
 )
-from gproj import g_class_test, modules, resolutions
+from gproj import complete_resolution_check, g_class_test, modules, resolutions
 from gproj.cli import main
 from gproj.errors import DegreeGuardExceeded
 from gproj.modules import colon_generators, mat_vec, span_engine
 from gproj.resolutions import first_inexact_node, split_surjection_onto_kernel
 from gproj.rings import FreeModuleGB, QuotRing
 
-from helpers import (GCLASS_RINGS, gclass_ring, random_module, ring_elements, span_of_columns,
-                     vector_space)
+from helpers import (GCLASS_RINGS, gclass_ring, late_period_module, random_module, ring_elements,
+                     span_of_columns, vector_space)
 
 
 def R4():
@@ -541,14 +541,6 @@ def _iterated_kernels(M, depth, max_rank=6):
     return tuple(maps)
 
 
-def _late_period_module():
-    # over GF(5)[x]/(x^4), coker [[1, 0], [x, x^2]] is R/(x^2) on a redundant
-    # presentation: d_2 = (0, x^2), then x^2 forever, so the repeat starts at 2
-    R = gclass_ring("chain4")
-    x = R.poly("x")
-    return FPModule(R, 2, [(R.one(), x), (R.zero(), x * x)])
-
-
 def _flagship_module():
     R = R4()
     return FPModule(R, 1, [(R.poly("x"),)])
@@ -556,7 +548,7 @@ def _flagship_module():
 
 # periodic modules and the (start, period) of their resolutions
 PERIODIC = {"flagship": (_flagship_module, (0, 1)), "cross": (_cross_ring_module, (0, 2)),
-            "late": (_late_period_module, (2, 1))}
+            "late": (late_period_module, (2, 1))}
 
 
 @pytest.mark.parametrize("ring", [*GCLASS_RINGS, *PERIODIC])
@@ -634,26 +626,34 @@ def _work(fn, *args):
     ("flagship", pd_bounded, "InfinitePeriodic(0,1)"),
     ("cross", g_class_test, "Certified(complete_resolution)"),
     ("cross", pd_bounded, "InfinitePeriodic(0,2)"),
-], ids=["flagship-gclass", "flagship-pd", "cross-gclass", "cross-pd"])
+    ("late", g_class_test, "Certified(complete_resolution)"),
+    ("late", complete_resolution_check, "dual_of_dual_resolution"),
+], ids=["flagship-gclass", "flagship-pd", "cross-gclass", "cross-pd", "late-gclass",
+        "late-crc"])
 def test_a_periodic_chain_does_the_same_work_at_any_depth(module, fn, verdict):
-    # past the first repeat every map, Ext, split and node check is read by
-    # the period's index, so nothing counted here grows with the depth
+    # past the first repeat every map, Ext and split is read by the period's
+    # index and every node check meets the repeated maps by reference, so
+    # nothing counted here grows with the depth. The late module's chain
+    # repeats from step 2, so its window takes the dual-of-dual route, where
+    # no scan is cut to a period
     M = PERIODIC[module][0]()
     (shallow, few), (deep, many) = (_work(fn, M, depth) for depth in (50, 5000))
-    for result in (shallow, deep):
-        assert (result.verdict_str() if fn is g_class_test else str(result)) == verdict
+    read = {g_class_test: lambda r: r.verdict_str(),
+            complete_resolution_check: lambda r: r.route}.get(fn, str)
+    assert read(shallow) == read(deep) == verdict
     assert few == many
     assert few["lookups"] > 0
-    if fn is g_class_test:
-        assert few["exact_kernel"] > 0 and few["zero"] > 0
-    else:
+    if fn is pd_bounded:
         assert few["split"] > 0
+    else:
+        assert few["exact_kernel"] > 0 and (fn is not g_class_test or few["zero"] > 0)
 
 
 @pytest.mark.parametrize("module", sorted(PERIODIC))
 def test_verify_exactness_does_the_same_work_at_any_depth(module):
-    # a confirmed periodicity leaves only steps 1..s+p to check, so the
-    # span-cache lookups and node checks do not grow with the depth
+    # past s + p the chain repeats its maps by reference, so the scan checks
+    # steps 1..s+p only and the span-cache lookups and node checks do not
+    # grow with the depth
     M = PERIODIC[module][0]()
     (shallow, few), (deep, many) = (_work(verify_exactness, free_resolution(M, depth))
                                     for depth in (50, 5000))
@@ -664,8 +664,8 @@ def test_verify_exactness_does_the_same_work_at_any_depth(module):
 
 def test_verify_exactness_rejects_a_false_periodicity():
     # a hand-built chain that states period 1 from 0 but breaks at F_4: the
-    # steps 1..s+p pass, so only the literal check of the stated repeat can
-    # reject it, as the whole-chain scan does when no periodicity is stated
+    # literal check of the stated repeat rejects it, as the whole-chain scan
+    # does when no periodicity is stated
     R = R4()
     M = _flagship_module()
     x, one = M.canonical_relations, ((R.one(),),)  # maps d = x and d = 1
@@ -677,6 +677,20 @@ def test_verify_exactness_rejects_a_false_periodicity():
     cross = free_resolution(_cross_ring_module(), 7)
     assert cross.periodicity == (0, 2) and verify_exactness(cross)
     assert not verify_exactness(FreeResolution(cross.module, cross.maps, 7, (0, 1)))
+
+
+def test_verify_exactness_rejects_a_periodicity_whose_repeat_is_missing():
+    # FreeResolution states (s, p) only with the repeat maps[s + p] == maps[s]
+    # in the chain and maps[s] nonzero; a chain shorter than s + p + 1, or
+    # one that "repeats" a zero map, holds no such repeat
+    M = _flagship_module()
+    two = free_resolution(M, 1)
+    assert len(two.maps) == 2 and two.periodicity == (0, 1) and verify_exactness(two)
+    assert not verify_exactness(FreeResolution(M, two.maps, 1, (0, 5)))
+    assert not verify_exactness(FreeResolution(M, two.maps, 1, (1, 1)))
+    free = FPModule.free(M.ring, 1)
+    assert verify_exactness(FreeResolution(free, ((),), 0))
+    assert not verify_exactness(FreeResolution(free, ((), ()), 1, (0, 1)))
 
 
 def test_ranks_are_computed_once():

@@ -77,7 +77,6 @@ from .gorenstein import (
     g_class_test,
     gpd_bounded,
     gpd_extension_compare,
-    ring_is_self_injective_catalog,
 )
 from .kgroups import (
     AbGroupPresentation,

@@ -30,8 +30,8 @@ def is_prime(n: int) -> bool:
 
 class Field:
     """Common interface for exact coefficient fields. Each field defines
-    `kind`, `from_int`, `from_fraction`, `add`, `sub`, `mul`, `neg` and `inv`;
-    the methods here are built on those."""
+    `kind`, the values `zero` and `one`, `from_int`, `from_fraction`, `add`,
+    `sub`, `mul`, `neg` and `inv`; the methods here are built on those."""
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -39,17 +39,10 @@ class Field:
     def coeff_str(self, a) -> str:
         return str(a)
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
 
 class RationalField(Field):
     kind = "rationals"
+    zero, one = Fraction(0), Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -100,6 +93,7 @@ class PrimeField(Field):
         if p >= _PRIME_CAP:
             raise InputError(f"prime {p} exceeds the 2^31 cap")
         self.p = p
+        self.zero, self.one = 0, 1
 
     def from_int(self, n):
         return n % self.p

@@ -7,9 +7,9 @@ whenever a two-sided window of width d around M verifies, exact and dual
 exact. Its right side is an identity splice (M free), the repeated period (a
 resolution periodic from M), or the dualized resolution of M* spliced on by
 the double-duality map; on that last route the resolution need not be
-periodic, and the certificate covers the window of width d only. When no
-window verifies, a self-injective catalog ring certifies, and otherwise the
-run passes up to depth d.
+periodic, and the certificate covers the window of width d only. The
+window's left dual scan reads Hom(F., R) through node d + 1, so it also
+needs Ext^{d+1}(M, R) = 0; any other clean run passes up to depth d.
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ class CompleteResolutionFailure(NamedTuple):
     stage: str  # "left_dual_exactness" | "window_exactness" | "window_dual_exactness"
     node: int
     detail: str
-
-
-def ring_is_self_injective_catalog(R: QuotRing) -> bool:
-    """Quasi-Frobenius catalog flag: k[x]/(f) with f nonzero."""
-    return R.base.nvars == 1 and not R.modulus.is_zero()
 
 
 @span_scope
@@ -289,8 +284,9 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     for the dual module. Condition 3: the double-duality map is an
     isomorphism, decided by `double_duality_verdict`'s two node checks with
     no double dual built. A full pass upgrades to certified when a two-sided
-    window with verified dual exactness exists or the ring is a
-    self-injective catalog ring. A resolution periodic from s with period p
+    window with verified dual exactness exists; its left dual scan reads
+    Hom(F., R) through node depth + 1 of the resolution, so this also needs
+    Ext^{depth+1}(M, R) = 0. A resolution periodic from s with period p
     is computed to its first repeat only; Ext^m for m > s + p is read by the
     period's index, and the window scans meet the repeated maps by reference
     and check each distinct node once, so the work does not grow with the
@@ -298,7 +294,6 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
-    R = M.ring
     res = free_resolution(M, depth + 1)
     cond1 = _exts_into_ring(res, depth)
     D = dual_module(M)
@@ -315,13 +310,9 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
 
     if isinstance(_complete_window(res, depth, lambda: (D, dual_res)),
                   CompleteResolutionWindow):
-        certified_by = "complete_resolution"
-    elif ring_is_self_injective_catalog(R):
-        certified_by = "self_injective_catalog"
-    else:
-        certified_by = None
-    kind = "certified" if certified_by else "pass_up_to_depth"
-    return GClassReport(depth, cond1, cond2, cond3, D, kind, certified_by, None)
+        return GClassReport(depth, cond1, cond2, cond3, D, "certified",
+                            "complete_resolution", None)
+    return GClassReport(depth, cond1, cond2, cond3, D, "pass_up_to_depth", None, None)
 
 
 class GpdVerdict(NamedTuple):
@@ -342,11 +333,7 @@ def gpd_bounded(M: FPModule, n: int, depth: int) -> GpdVerdict:
     """Test whether the n-th syzygy passes the three-condition test."""
     if n < 0:
         raise InputError("negative syzygy index")
-    res = free_resolution(M, n + 1)
-    if n > len(res.maps):
-        omega = FPModule(M.ring, 0, ())  # resolution terminated: zero syzygy
-    else:
-        omega = res.syzygy_module(n)
+    omega = free_resolution(M, n + 1).syzygy_module(n)
     try:
         report = g_class_test(omega, depth)
     except DegreeGuardExceeded:

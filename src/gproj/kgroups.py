@@ -362,10 +362,7 @@ class KClass:
         return KClass(out)
 
     def __sub__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, 0) - v
-        return KClass(out)
+        return self + KClass({k: -v for k, v in other.coords.items()})
 
     def __eq__(self, other):
         return isinstance(other, KClass) and self.coords == other.coords
@@ -496,15 +493,16 @@ def class_decompose(M: FPModule) -> KClass:
 def euler_class(M: FPModule, depth: int = 8) -> KClass:
     """Alternating sum of free ranks of a finite free resolution, as m*[R].
 
-    Requires a Finite projective-dimension verdict; anything else raises
-    PdInfiniteOrUnresolved.
+    Requires a Finite projective-dimension verdict whose resolution ends in a
+    free tail; anything else raises PdInfiniteOrUnresolved.
     """
     verdict = pd_bounded(M, depth)
     if verdict.kind != "finite":
         raise PdInfiniteOrUnresolved(f"pd verdict is {verdict}")
     res = free_resolution(M, max(verdict.n + 2, 2))
-    if res.maps and res.maps[-1]:
-        raise InputError("resolution did not terminate with a free tail")
+    if res.maps and res.maps[-1]:  # a projective syzygy that is not free
+        raise PdInfiniteOrUnresolved(
+            f"pd verdict is {verdict}, but the resolution has no free tail")
     ranks = res.ranks[:-1] if res.maps else res.ranks
     total = sum((-1) ** s * r for s, r in enumerate(ranks))
     label = "[k]" if M.ring.base.nvars == 0 else "[R]"

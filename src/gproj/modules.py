@@ -82,6 +82,19 @@ def _nf_column(R: QuotRing, col) -> Column:
     return tuple(p if p.is_zero() and p.ring == R.base else R.nf(p) for p in col)
 
 
+def _nonzero_columns(R: QuotRing, rank: int, columns, mismatch: str) -> tuple[Column, ...]:
+    """The columns in normal form, zero ones dropped; InputError(mismatch)
+    on a column whose length is not rank."""
+    out = []
+    for col in columns:
+        if len(col) != rank:
+            raise InputError(mismatch)
+        col = _nf_column(R, col)
+        if any(not p.is_zero() for p in col):
+            out.append(col)
+    return tuple(out)
+
+
 def _zero_column(R: QuotRing, rank: int) -> Column:
     return tuple(R.zero() for _ in range(rank))
 
@@ -311,17 +324,11 @@ class FPModule:
     def __init__(self, ring: QuotRing, ngens: int, relations=()):
         if ngens < 0:
             raise InputError("negative generator count")
-        cols = []
-        for col in relations:
-            if len(col) != ngens:
-                raise InputError("relation column length does not match ngens")
-            col = _nf_column(ring, col)
-            if any(not p.is_zero() for p in col):
-                cols.append(col)
         self.ring = ring
         self.ngens = ngens
-        self.relations = tuple(cols)
-        self.canonical_relations = canonical_generators(ring, ngens, cols)
+        self.relations = _nonzero_columns(ring, ngens, relations,
+                                          "relation column length does not match ngens")
+        self.canonical_relations = canonical_generators(ring, ngens, self.relations)
         self._span = span_engine(ring, ngens, self.canonical_relations)
 
     @property
@@ -354,9 +361,7 @@ class FPModule:
         width = {len(row) for row in parsed}
         if len(width) > 1:
             raise InputError("ragged relation matrix")
-        m = width.pop() if width else 0
-        cols = [tuple(parsed[i][j] for i in range(ngens)) for j in range(m)]
-        return cls(ring, ngens, cols)
+        return cls(ring, ngens, transpose(parsed, width.pop()))
 
     def rel_span_contains(self, column) -> bool:
         return self._engine.contains(_nf_column(self.ring, column))
@@ -383,8 +388,8 @@ class FPModule:
         return (self.ring == other.ring and self.ngens == other.ngens
                 and self.canonical_relations == other.canonical_relations)
 
-    def relation_rows(self) -> list[list[Poly]]:
-        return [[col[i] for col in self.relations] for i in range(self.ngens)]
+    def relation_rows(self) -> tuple[tuple[Poly, ...], ...]:
+        return transpose(self.relations, self.ngens)
 
     def __repr__(self):
         return (f"FPModule({self.ring!r}, gens={self.ngens}, "
@@ -432,11 +437,6 @@ class ModuleMap:
         return cls(module, module, identity(module.ring, module.ngens), check=False)
 
     @classmethod
-    def zero(cls, source: FPModule, target: FPModule) -> "ModuleMap":
-        cols = [_zero_column(source.ring, target.ngens) for _ in range(source.ngens)]
-        return cls(source, target, cols, check=False)
-
-    @classmethod
     def from_strings(cls, source: FPModule, target: FPModule, rows) -> "ModuleMap":
         R = source.ring
         if len(rows) != target.ngens:
@@ -445,9 +445,7 @@ class ModuleMap:
         for row in parsed:
             if len(row) != source.ngens:
                 raise InputError(f"expected {source.ngens} columns")
-        cols = [tuple(parsed[i][j] for i in range(target.ngens))
-                for j in range(source.ngens)]
-        return cls(source, target, cols)
+        return cls(source, target, transpose(parsed, source.ngens))
 
     def apply_to_vector(self, vec) -> Column:
         if len(vec) != self.source.ngens:
@@ -461,8 +459,8 @@ class ModuleMap:
         cols = [self.apply_to_vector(c) for c in other.columns]
         return ModuleMap(other.source, self.target, cols)
 
-    def rows(self) -> list[list[Poly]]:
-        return [[col[i] for col in self.columns] for i in range(self.target.ngens)]
+    def rows(self) -> tuple[tuple[Poly, ...], ...]:
+        return transpose(self.columns, self.target.ngens)
 
     @property
     def _image(self) -> SubmoduleEngine:
@@ -510,17 +508,11 @@ class SubmoduleOfFree:
     __slots__ = ("ring", "ambient_rank", "generators", "_engine")
 
     def __init__(self, ring: QuotRing, ambient_rank: int, generators=()):
-        gens = []
-        for g in generators:
-            if len(g) != ambient_rank:
-                raise InputError("generator length does not match ambient rank")
-            g = _nf_column(ring, g)
-            if any(not p.is_zero() for p in g):
-                gens.append(g)
         self.ring = ring
         self.ambient_rank = ambient_rank
-        self.generators = tuple(gens)
-        self._engine = span_engine(ring, ambient_rank, gens)
+        self.generators = _nonzero_columns(ring, ambient_rank, generators,
+                                           "generator length does not match ambient rank")
+        self._engine = span_engine(ring, ambient_rank, self.generators)
 
     def contains_vector(self, column) -> bool:
         return self._engine.contains(_nf_column(self.ring, column))
@@ -903,5 +895,4 @@ def intersection_criterion_check(A: SubmoduleOfFree, B: SubmoduleOfFree,
     h = ModuleMap(Q, Q1, B1._engine.lift(B.generators))
     mono = h.kernel_is_zero()
     inter = A1.intersect(B)
-    equal = inter.contains_submodule(A) and A.contains_submodule(inter)
-    return IntersectionCriterionResult(mono, equal, h)
+    return IntersectionCriterionResult(mono, inter.equals(A), h)

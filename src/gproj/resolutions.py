@@ -90,10 +90,14 @@ class FreeResolution:
         return maps[s] if s < len(maps) else transpose((), self.rank(s))
 
     def syzygy_module(self, n: int) -> FPModule:
-        """The n-th syzygy as an abstract f.p. module (n = 0 gives the module)."""
+        """The n-th syzygy as an abstract f.p. module (n = 0 gives the module).
+        Past the end of a terminated resolution, whose last map is empty, it
+        is the zero module; past the end of a truncated one, InputError."""
         if n == 0:
             return self.module
         if n > len(self.maps):
+            if self.maps and not self.maps[-1]:
+                return FPModule(self.module.ring, 0, ())
             raise InputError(f"resolution too short for syzygy {n}")
         gens = len(self.maps[n - 1])
         rels = self.maps[n] if n < len(self.maps) else \
@@ -332,8 +336,7 @@ def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     wit = span_engine(R, q * w, sys_cols).witness(u)
     if wit is None:
         return None
-    H = [[wit[i * q + j] for j in range(q)] for i in range(w)]
-    return tuple(tuple(row) for row in H)
+    return tuple(tuple(wit[i * q:(i + 1) * q]) for i in range(w))
 
 
 # pd_bounded asks each distinct map once, and a later pd verdict on the same

@@ -182,6 +182,15 @@ def test_gpd_examples():
     assert str(gpd_bounded(I, 0, 5)) == "AtMost(0)"
 
 
+def test_gpd_past_a_terminated_resolution_reads_the_zero_syzygy():
+    R, Qx = R4(), QxQ()
+    k = FPModule(Qx, 1, [(Qx.poly("x"),)])  # pd 1: d_2 is the empty map
+    for M, n in ((FPModule.free(R, 1), 3), (k, 2), (k, 5)):
+        verdict = gpd_bounded(M, n, 2)
+        assert str(verdict) == f"AtMost({n})"
+        assert verdict.report.verdict_kind == "certified"
+
+
 def test_gpd_polynomial_comparison_matches():
     Qx = QxQ()
     k = FPModule(Qx, 1, [(Qx.poly("x"),)])
@@ -294,6 +303,18 @@ def test_g_class_robust_on_random_small_modules():
         assert rep.verdict_kind in ("certified", "pass_up_to_depth", "fail")
         if rep.verdict_kind == "fail":
             assert rep.fail_witness is not None
+
+
+@pytest.mark.parametrize("key", ["chain2", "chain4", "chain5", "x^2 - x"])
+def test_every_module_over_a_self_injective_ring_is_certified_by_its_window(key):
+    # over k[x]/(f), f nonzero, Hom(-, R) is exact and every module is
+    # reflexive, so all three conditions hold and every node of the
+    # complete-resolution window is exact and dual exact
+    R = gclass_ring(key) if key in GCLASS_RINGS else PolyRing(GF(7), ("x",)).quotient([key])
+    rng = random.Random(32)
+    for _ in range(12):
+        assert g_class_test(random_module(R, rng), 3).verdict_str() == \
+            "Certified(complete_resolution)"
 
 
 # ----- g_class_test against the standalone routes -----

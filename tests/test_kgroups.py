@@ -370,6 +370,17 @@ def test_euler_class_rejects_infinite_pd():
         euler_class(I)
 
 
+def test_euler_class_of_a_projective_module_that_is_not_free_is_unresolved():
+    # R/(x) over GF(7)[x]/(x^2 - x) is a summand of R, so pd is 0, but its
+    # resolution repeats with period 2 and never ends in a free tail; that
+    # is a pd verdict euler_class cannot use, not malformed input
+    R = PolyRing(GF(7), ("x",)).quotient(["x^2 - x"])
+    M = FPModule(R, 1, [(R.poly("x"),)])
+    assert str(pd_bounded(M, 8)) == "Finite(0)"
+    with pytest.raises(PdInfiniteOrUnresolved, match=r"pd verdict is Finite\(0\)"):
+        euler_class(M)
+
+
 def test_euler_error_exactly_on_infinite_verdicts():
     from gproj import pd_bounded
     R = R4()

@@ -70,6 +70,23 @@ def test_koszul_resolution_of_residue_field():
     assert res.periodicity is None
 
 
+def test_the_syzygy_past_a_terminated_end_is_the_zero_module():
+    Qx = QxQ()
+    k = FPModule(Qx, 1, [(Qx.poly("x"),)])
+    for M in (k, FPModule.free(R4(), 2)):
+        res = free_resolution(M, 5)
+        assert not res.maps[-1]  # terminated: the last map has no columns
+        for n in range(len(res.maps), len(res.maps) + 3):
+            omega = res.syzygy_module(n)
+            assert (omega.ring, omega.ngens, omega.relations) == (M.ring, 0, ())
+    # a chain cut before its end says nothing past it
+    _, _, res = _residue_field_resolution(3)
+    short = res.truncated(2)
+    assert short.syzygy_module(2).ngens == res.ranks[2]
+    with pytest.raises(InputError, match="too short for syzygy 3"):
+        short.syzygy_module(3)
+
+
 def test_resolution_homology_cross_checked_by_enumeration():
     R = R4()
     elements = ring_elements(R)

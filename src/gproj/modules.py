@@ -18,8 +18,8 @@ linear, so sums and negations of reduced columns are reduced.
 `_read_columns` unpacks only the reducers of a basis from a given position
 on (a kernel is read from the tag block, never the ambient block), less the
 rows g*e_p that interreduction left as they were, which are zero over R; and
-each row of `mat_vec` is one call of the product kernel `rings._dot` and one
-normal form.
+each `mat_vec` is one call of the product kernel `rings._dot`, which reduces
+each row whose sum does not cancel once on the modulus's rank-1 basis.
 
 Values are immutable after construction, save idempotent writes: an engine
 keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import wraps
-from operator import sub
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -58,7 +57,8 @@ from .rings import (
     QuotRing,
     Vec,
     _dot,
-    _integer_terms,
+    _layout,
+    _width,
     coeffs_by_variable,
     embed_poly,
     extend_ring,
@@ -292,9 +292,13 @@ def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols=()
 def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
                  ) -> Optional[tuple[Column, ...]]:
     """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
-    outgoing is exact at this node (image inside kernel, then kernel inside
-    image, both by membership), else None. outgoing holds rank_here columns,
-    empty ones when rank_next is 0: () would be a map with no source.
+    outgoing is exact at this node, else None. outgoing holds rank_here
+    columns, empty ones when rank_next is 0: () would be a map with no source.
+    Image inside kernel is always checked, by the products outgoing *
+    incoming: that certifies syzygies read off an engine independently.
+    Kernel inside image is asked by membership, except when the kernel's
+    generators are the incoming columns themselves, as at every node of a
+    resolution, whose maps are the kernels of the maps before them.
 
     The one exactness checker. A verdict depends only on its key, and a span
     scope asks each key once. A periodic chain (a resolution, its dual, a
@@ -308,6 +312,8 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
     if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col, rank_next)):
         return None
     kernel = colon_generators(R, rank_next, outgoing)
+    if kernel == tuple(incoming):  # each kernel generator is an image generator
+        return kernel
     image = span_engine(R, rank_here, incoming)
     return kernel if all(image.contains(kg) for kg in kernel) else None
 
@@ -398,14 +404,10 @@ class FPModule:
 
 def mat_vec(R: QuotRing, columns, vec, nrows: int) -> Column:
     """Apply the column-major matrix with nrows rows to a coefficient vector;
-    no columns give nrows zeros. Each row is one call of the product kernel
-    `rings._dot`, and a nonzero row gets one normal form."""
-    scaled = [(columns[j], _integer_terms(c)) for j, c in enumerate(vec) if c.terms]
-    rows = []
-    for i in range(nrows):
-        p = _dot(R.base, [(_integer_terms(col[i]), b) for col, b in scaled if col[i].terms])
-        rows.append(p if p.is_zero() else R.nf(p))
-    return tuple(rows)
+    no columns give nrows zeros. The whole product is one call of the product
+    kernel `rings._dot`, which reduces each row that does not cancel once on
+    the modulus's rank-1 basis, as `QuotRing.nf` would."""
+    return _dot(R.base, columns, vec, nrows, R.modulus._gb)
 
 
 class ModuleMap:
@@ -759,14 +761,27 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
 
 
 def _exact_quotient(a: Poly, b: Poly) -> Poly:
-    """a / b in P, for b dividing a: one lead term of the quotient per step."""
-    ring, field, lead = a.ring, a.ring.field, b.lead_monomial()
-    inv, quotient = field.inv(b.lead_coeff()), ring.zero()
-    while not a.is_zero():
-        e, c = a.terms[0]
-        t = Poly(ring, ((tuple(map(sub, e, lead)), field.mul(c, inv)),))
-        quotient, a = quotient + t, a - t * b
-    return quotient
+    """a / b in P, for b dividing a, on one dict of a's terms packed as the
+    engine packs them, at a width that holds deg a, which no term here
+    passes: each step takes the largest term left (the smallest int),
+    divides it by LT(b) into the next quotient term and subtracts that
+    multiple of b's tail."""
+    ring, field = a.ring, a.ring.field
+    p = field.p if field.kind == "prime_field" else None
+    layout = _layout(ring.nvars, ring.order, _width(a.total_degree()))
+    lead, inv = layout.pack(0, b.lead_monomial()), field.inv(b.lead_coeff())
+    tail = [(layout.pack(0, e), -c) for e, c in b.terms[1:]]
+    work, quotient = {layout.pack(0, e): c for e, c in a.terms}, []
+    while work:
+        c = work.pop(m := min(work)) * inv
+        if p:
+            c %= p
+        if c:  # else the term cancelled
+            shift = m - lead  # the packed quotient term, less the packed monomial 1
+            quotient.append((layout.unpack(shift + layout.lift(0))[1], c))
+            for t, cc in tail:
+                work[t + shift] = work.get(t + shift, 0) + cc * c
+    return Poly(ring, tuple(quotient))
 
 
 def _bareiss(rows) -> tuple[int, Optional[Poly]]:

@@ -155,33 +155,43 @@ class PolyRing:
         return QuotRing(self, Ideal(self, gens))
 
 
-def _integer_terms(f: "Poly") -> tuple[list, int]:
-    """(terms, d): the terms of d*f, all with integer coefficients, d the least
-    common denominator; over a prime field, f's own terms and d = 1."""
-    if f.ring.field.kind != "rationals":
-        return f.terms, 1
-    d = lcm(*(c.denominator for _, c in f.terms))
-    return [(e, c.numerator * (d // c.denominator)) for e, c in f.terms], d
-
-
-def _dot(ring: PolyRing, products) -> "Poly":
-    """The one product kernel: the sum of the products a*b, each factor given
-    as its `_integer_terms`, summed on integer numerators over the lcm of the
-    products' denominators; then one field element per term."""
-    den = 1
-    for (_, da), (_, db) in products:
-        den = lcm(den, da * db)
-    acc: dict = {}
-    for (a, da), (b, db) in products:
-        if (scale := den // (da * db)) != 1:  # 1 over a prime field and for one product
-            a = [(e, c * scale) for e, c in a]
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-    if den != 1:
-        acc = {e: Fraction(n, den) for e, n in acc.items()}
-    return ring.from_dict(acc)  # maps the ints into the field, drops zeros
+def _dot(ring: PolyRing, columns, vec, nrows: int,
+         gb: Optional["FreeModuleGB"] = None) -> tuple["Poly", ...]:
+    """The one product kernel: the nrows rows of sum_j vec_j * columns_j,
+    summed column by column into one dict per row on exponent tuples, zero
+    entries skipped. Over QQ the columns and the vector are each scaled to
+    integer numerators over their lcm of denominators, so every sum is of
+    ints over one common denominator and each output term makes one
+    Fraction; over GF(p) the sums are unreduced ints. Given gb, the rank-1
+    basis of a modulus, each row that does not cancel is packed once and
+    reduced once, as `QuotRing.nf` reduces it; with none, it is sorted into
+    a Poly.
+    A Poly product is the 1x1 case with no modulus."""
+    field = ring.field
+    if p := field.p if field.kind == "prime_field" else None:
+        pairs = [([f.terms for f in col], b.terms) for col, b in zip(columns, vec) if b.terms]
+    else:
+        pairs = [(col, b.terms) for col, b in zip(columns, vec) if b.terms]
+        dc = lcm(*(c.denominator for col, _ in pairs for f in col for _, c in f.terms))
+        dv = lcm(*(c.denominator for _, b in pairs for _, c in b))
+        pairs = [([[(e, c.numerator * (dc // c.denominator)) for e, c in f.terms] for f in col],
+                  [(e, c.numerator * (dv // c.denominator)) for e, c in b]) for col, b in pairs]
+    rows = [{} for _ in range(nrows)]
+    for col, b in pairs:
+        for acc, a in zip(rows, col):
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    if not p:  # one Fraction per sum that does not cancel
+        den = dc * dv
+        rows = [{e: Fraction(c, den) for e, c in acc.items() if c} for acc in rows]
+    if gb is None:
+        return tuple(map(ring.from_dict, rows))  # over GF(p) it takes each sum mod p
+    rows = [{e: c for e, c in acc.items() if (c % p if p else c)} for acc in rows]
+    return tuple(Poly(ring, _normal_form(gb, acc.items(), max(map(sum, acc)),
+                                         ring.degree_guard)) if acc else ring.zero()
+                 for acc in rows)
 
 
 class Poly:
@@ -243,7 +253,7 @@ class Poly:
             return self.scale(other)
         if self.ring is not other.ring and self.ring != other.ring:  # no call when shared
             raise RingMismatch("polynomial rings differ")
-        return _dot(self.ring, [(_integer_terms(self), _integer_terms(other))])
+        return _dot(self.ring, ((self,),), (other,), 1)[0]
 
     def scale(self, c) -> "Poly":
         f = self.ring.field
@@ -826,12 +836,20 @@ class FreeModuleGB:
         return index
 
 
+def _normal_form(gb: FreeModuleGB, terms, degree: int, guard: int) -> tuple:
+    """The terms, descending, of the full normal form modulo the rank-1 basis
+    gb of the polynomial with these (exponent, coeff) terms and this total
+    degree: packed once, in a layout that holds the degree, and reduced once,
+    tripping past guard. Over GF(p) the coefficients may be unreduced ints."""
+    gb = gb._holding(max(guard, degree))
+    pack, unpack = gb._layout.pack, gb._layout.unpack
+    r = gb.reduce({pack(0, e): c for e, c in terms}, guard)
+    return tuple((unpack(m)[1], c) for m, c in r.items())
+
+
 def reduce_poly(f: Poly, gb: FreeModuleGB, guard: int) -> Poly:
     """Full normal form of f modulo the rank-1 basis gb, tripping past guard."""
-    gb = gb._holding(max(guard, f.total_degree()))
-    pack, unpack = gb._layout.pack, gb._layout.unpack
-    r = gb.reduce({pack(0, e): c for e, c in f.terms}, guard)
-    return Poly(f.ring, tuple((unpack(m)[1], c) for m, c in r.items()))
+    return Poly(f.ring, _normal_form(gb, f.terms, f.total_degree(), guard))
 
 
 def groebner_basis(gens: Iterable[Poly], ring: Optional[PolyRing] = None) -> tuple[Poly, ...]:

@@ -15,6 +15,7 @@ from math import gcd
 from operator import add, sub
 
 from gproj import GF, QQ, FPModule, Poly, PolyRing, QuotRing
+from gproj.modules import SubmoduleEngine, colon_generators
 
 # the rings of the gclass benchmark workload: field, variables, modulus
 GCLASS_RINGS = {
@@ -113,6 +114,20 @@ def matrix_image(R, columns, v, nrows):
     for c, col in zip(v, columns):
         out = [a + R.mul(c, p) for a, p in zip(out, col)]
     return tuple(out)
+
+
+def exact_kernel_reference(R, rank_here, rank_next, incoming, outgoing):
+    """The verdict of `modules.exact_kernel` with every question asked: the
+    image inside the kernel by `matrix_image`, then the kernel inside the
+    image by membership on a fresh engine, also where the kernel's
+    generators are the incoming columns themselves."""
+    if rank_here == 0:
+        return ()
+    if any(any(p.terms for p in matrix_image(R, outgoing, col, rank_next)) for col in incoming):
+        return None
+    kernel = colon_generators(R, rank_next, outgoing)
+    image = SubmoduleEngine(R, rank_here, list(incoming))
+    return kernel if all(image.contains(k) for k in kernel) else None
 
 
 def kernel_vectors(R, columns, nrows, modifiers, elements):
@@ -500,6 +515,26 @@ def schoolbook_product(a, b):
             out[e] = field.add(out.get(e, field.zero), field.mul(c1, c2))
     return tuple(sorted(((e, c) for e, c in out.items() if c != field.zero),
                         key=lambda t: ring.key(t[0]), reverse=True))
+
+
+def low_rank_product(R: QuotRing, rng, n=7, rank=4, degrees=(1, 2)):
+    """A seeded n x n matrix B*C over R, as rows: B is n x rank and C is
+    rank x n, each entry a dense polynomial of degree at most degrees[0]
+    (in B) or degrees[1] (in C): every monomial of such a degree present,
+    with a nonzero coefficient in -5..5. So B*C has rank at most rank and
+    entries of degree degrees[0] + degrees[1]; its products are schoolbook
+    ones."""
+    base, n_vars = R.base, R.base.nvars
+
+    def entry(d):
+        monos = [e for e in product(range(d + 1), repeat=n_vars) if sum(e) <= d]
+        return base.from_dict({e: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+                               for e in monos})
+
+    B = [[entry(degrees[0]) for _ in range(rank)] for _ in range(n)]
+    C = [[entry(degrees[1]) for _ in range(n)] for _ in range(rank)]
+    return [[sum((Poly(base, schoolbook_product(B[i][k], C[k][j])) for k in range(rank)),
+                 base.zero()) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

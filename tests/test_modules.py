@@ -10,6 +10,7 @@ from gproj import (
     FPModule,
     ModuleMap,
     NotRegularOnModule,
+    Poly,
     PolyRing,
     RingNotRecognizedAsDomain,
     SubmoduleOfFree,
@@ -541,15 +542,18 @@ def test_graph_basis_makes_the_pinned_number_of_reductions(key, calls, zeros):
 
 def test_zero_polynomials_skip_normal_form(count_calls):
     # a zero polynomial is its own normal form; only the nonzero entries of
-    # a column, or of a matrix-vector product, go to QuotRing.nf
+    # a column go to QuotRing.nf, and only the rows of a matrix-vector
+    # product whose sums do not cancel are reduced, once each, with no nf
     from gproj.modules import _nf_column, mat_vec
     from gproj.rings import QuotRing
     R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
     x, y, z = R.poly("x"), R.poly("y"), R.zero()
     col, calls = count_calls(QuotRing, "nf", _nf_column, R, (x, z, y * y, z))
     assert col == (x, z, z, z) and calls == 2
-    prod, calls = count_calls(QuotRing, "nf", mat_vec, R, [(x, z, z), (y, z, x)], (x, y), 3)
+    args = (R, [(x, z, z), (y, z, x)], (x, y), 3)
+    prod, calls = count_calls(FreeModuleGB, "reduce", mat_vec, *args)
     assert prod == (z, z, x * y) and calls == 2  # x^2 + y^2 was not yet zero
+    assert count_calls(QuotRing, "nf", mat_vec, *args) == (prod, 0)
     other = PolyRing(GF(2), ("u",))
     with pytest.raises(RingMismatch):
         _nf_column(R, (other.zero(),))
@@ -629,10 +633,10 @@ def test_a_query_of_the_wrong_length_is_an_input_error():
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_vec_is_the_sum_of_its_products(field, count_calls):
-    # one dict per row, over QQ integer numerators over the lcm of the
-    # denominators; a row that cancels to zero takes no normal form
+    # one dict per row, over QQ integer numerators over one common
+    # denominator; a row whose sum does not cancel is reduced once, one that
+    # cancels to zero is not reduced
     from gproj.modules import mat_vec
-    from gproj.rings import QuotRing
     R = PolyRing(field, ("x", "y")).quotient(["x^3", "x*y^2"])
     rng = random.Random(field.kind)
 
@@ -654,12 +658,53 @@ def test_mat_vec_is_the_sum_of_its_products(field, count_calls):
         sums = [R.base.zero()] * nrows
         for col, c in zip(columns, vec):
             sums = [s + p * c for s, p in zip(sums, col)]
-        got, calls = count_calls(QuotRing, "nf", mat_vec, R, columns, vec, nrows)
+        got, calls = count_calls(FreeModuleGB, "reduce", mat_vec, R, columns, vec, nrows)
         assert got == tuple(R.nf(s) for s in sums)
         assert calls == sum(not s.is_zero() for s in sums)
         cancelled += sum(s.is_zero() and any(not p.is_zero() for p in row)
                          for s, row in zip(sums, zip(*columns)))
     assert cancelled
+
+
+@pytest.mark.parametrize("field, modulus", [
+    (GF(2), ["x^2+y", "y^3"]), (GF(7), ["x^3", "x*y^2+3*y"]),
+    (GF(32003), ["x^2-5*y", "y^3"]), (QQ, ["2*x^2-y", "x*y^2"]), (QQ, [])], ids=str)
+def test_mat_vec_matches_schoolbook_sums_in_normal_form(field, modulus):
+    # each row is the sum of the schoolbook products of its entries and the
+    # vector, taken to R.nf; unreduced entries are allowed
+    from gproj.modules import mat_vec
+    from helpers import schoolbook_product
+    R = PolyRing(field, ("x", "y")).quotient(modulus)
+    rng = random.Random(f"{field}{modulus}")
+
+    def coefficient():
+        n = rng.randrange(-6, 7)
+        return Fraction(n, rng.randrange(1, 5)) if field.kind == "rationals" else n
+
+    def poly():
+        return R.base.from_dict({(rng.randrange(4), rng.randrange(4)): coefficient()
+                                 for _ in range(rng.randrange(5))})
+
+    for _ in range(40):
+        nrows, ncols = rng.randrange(4), rng.randrange(4)
+        columns = [tuple(poly() for _ in range(nrows)) for _ in range(ncols)]
+        vec = [poly() for _ in range(ncols)]
+        sums = [sum((Poly(R.base, schoolbook_product(c, col[i])) for col, c in zip(columns, vec)),
+                    R.base.zero()) for i in range(nrows)]
+        assert mat_vec(R, columns, vec, nrows) == tuple(R.nf(s) for s in sums)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(32003), QQ], ids=str)
+def test_mat_vec_trips_the_guard_as_the_normal_form_of_its_row(field):
+    # x*y^4 + x*y^2 reduces by y^3 - x^2 through x*y times it, of degree 5
+    from gproj.modules import mat_vec
+    R = PolyRing(field, ("x", "y"), degree_guard=3).quotient(["y^3-x^2"])
+    x, y = R.poly("x"), R.poly("y")
+    with pytest.raises(DegreeGuardExceeded) as want:
+        R.nf(x * y ** 4 + x * y * y)
+    with pytest.raises(DegreeGuardExceeded) as got:
+        mat_vec(R, [(x * y * y,), (y * y,)], (y * y, x), 1)
+    assert str(got.value) == str(want.value) == "normal form: term degree 5 exceeds guard 3"
 
 
 def _random_module(R, elements, rng):

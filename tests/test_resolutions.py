@@ -31,8 +31,9 @@ from gproj.modules import colon_generators, mat_vec, span_engine
 from gproj.resolutions import first_inexact_node, split_surjection_onto_kernel
 from gproj.rings import FreeModuleGB, QuotRing
 
-from helpers import (GCLASS_RINGS, gclass_ring, late_period_module, random_module, ring_elements,
-                     span_of_columns, vector_space)
+from helpers import (GCLASS_RINGS, exact_kernel_reference, gclass_ring, late_period_module,
+                     low_rank_product, random_module, ring_elements, span_of_columns,
+                     vector_space)
 
 
 def R4():
@@ -160,6 +161,67 @@ def test_exactness_checker_rejects_a_wrong_presentation_at_f0():
     assert not verify_exactness(FreeResolution(k, (outside,), 0))
 
 
+def _primal_nodes(res):
+    """(rank_here, rank_next, incoming, outgoing) of each node F_s, s >= 1."""
+    return [(res.rank(s), res.rank(s - 1), res.map(s), res.map(s - 1))
+            for s in range(1, len(res.maps))]
+
+
+def _dual_nodes(res):
+    """The same for each node F_s* of the dual chain, s >= 1."""
+    return [(res.rank(s), res.rank(s + 1), res.dual_map(s - 1), res.dual_map(s))
+            for s in range(1, len(res.maps))]
+
+
+def test_a_literal_kernel_asks_no_membership(count_calls):
+    # at a primal node of a resolution the kernel of d_s is d_{s+1} itself,
+    # so exact_kernel returns it with no witness; a node whose kernel has
+    # other generators, here the dual of a redundant presentation, still asks
+    from gproj.modules import SubmoduleEngine, exact_kernel
+    R, _, res = _residue_field_resolution(5)
+    for node in _primal_nodes(res):
+        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node)
+        assert kernel == node[2] and asked == 0
+    res = free_resolution(late_period_module(), 4)
+    R, differ = res.module.ring, 0
+    for node in _primal_nodes(res) + _dual_nodes(res):
+        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node)
+        literal = colon_generators(R, node[1], node[3]) == node[2]
+        assert (asked == 0) == literal and kernel == exact_kernel_reference(R, *node)
+        differ += not literal
+    assert differ
+
+
+@pytest.mark.parametrize("key", sorted(GCLASS_RINGS))
+def test_exact_kernel_matches_the_reference_that_always_asks(key):
+    # random modules' resolutions, their dual chains, and the same nodes
+    # with one map perturbed by a monomial in one entry
+    from gproj.modules import exact_kernel
+    R = gclass_ring(key)
+    rng = random.Random(key)
+    monomials = [R.one()] + list(R.base.gens())
+    verdicts = set()
+    for _ in range(6):
+        res = free_resolution(random_module(R, rng), 4)
+        for rank_here, rank_next, incoming, outgoing in _primal_nodes(res) + _dual_nodes(res):
+            maps = [incoming, outgoing]
+            perturbed = [list(incoming), list(outgoing)]
+            k = rng.randrange(2)
+            if perturbed[k]:
+                j = rng.randrange(len(perturbed[k]))
+                col = list(perturbed[k][j])
+                if col:
+                    i = rng.randrange(len(col))
+                    col[i] = R.nf(col[i] + rng.choice(monomials))
+                perturbed[k][j] = tuple(col)
+            for chain in (maps, [tuple(m) for m in perturbed]):
+                node = (rank_here, rank_next, *chain)
+                want = exact_kernel_reference(R, *node)
+                assert exact_kernel(R, *node) == want
+                verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
 # ----- pd verdicts -----
 
 def test_pd_examples():
@@ -279,6 +341,22 @@ def test_bareiss_finds_the_rank_and_ends_on_the_determinant():
                                default=0)
             if rank == q == w:
                 assert last in (_det(rows), -_det(rows))
+
+
+def test_bareiss_ends_on_the_determinant_of_a_low_rank_product():
+    # 4 x 4 minors of degree-3 entries of a rank-4 product B*C over QQ[x,y]:
+    # each exact quotient is taken on one term dict, and the last pivot is
+    # the cofactor-expansion determinant up to sign; a 5 x 5 minor has rank 4
+    R = polynomial_ring(QQ, ("x", "y"))
+    A = low_rank_product(R, random.Random(34))
+    rng = random.Random(34)
+    for size in (4, 4, 4, 5):
+        picked, cols = sorted(rng.sample(range(7), size)), sorted(rng.sample(range(7), size))
+        rows = [[A[i][j] for j in cols] for i in picked]
+        rank, last = modules._bareiss(rows)
+        assert rank == 4
+        if size == 4:
+            assert last in (_det(rows), -_det(rows))
 
 
 @pytest.mark.parametrize("ring", ["QQ[x]", "GF(3)[x]", "chain2", "A"])

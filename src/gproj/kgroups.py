@@ -34,6 +34,7 @@ from .modules import (
     _tower,
     colon_generators,
     span_scope,
+    transpose,
 )
 from .resolutions import free_resolution, pd_bounded, verify_short_exact
 from .rings import QuotRing, coeffs_by_variable, format_poly, restrict_poly
@@ -464,12 +465,14 @@ def catalog_for(R: QuotRing) -> Catalog:
 
 def class_decompose(M: FPModule) -> KClass:
     """Coordinates of M against the generators of its ring's catalog, via
-    canonical forms."""
+    canonical forms: the diagonal of M's canonical relations, a reduced basis
+    of the relation submodule, already triangular with monic pivots, so it
+    has the invariant factors of the relations as given at less work."""
     cat = catalog_for(M.ring)
     base = M.ring.base
     n = cat.chain_power if cat.family == "chain" else inf
     rows = [[{d: c for e, c in p.terms if (d := sum(e)) < n} for p in row]
-            for row in M.relation_rows()]
+            for row in transpose(M.canonical_relations, M.ngens)]
     ring = _catalog_ring(base.field, n)
     if ring is _RATIONAL_POLYS:  # a unit scaling clears each row's denominators
         for row in rows:

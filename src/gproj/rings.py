@@ -18,14 +18,17 @@ one add, the heap pops the smallest int first, divisibility is
 Fields hold twice the larger of the degree guard and the degree of the inputs
 and the modulus, the most an S-vector or lcm reaches; a wider query meets the
 reducers repacked at its width. FreeModuleGB.reduce is the one reduction loop:
-normal forms and ideal membership run it on the rank-1 basis each Ideal keeps.
+normal forms and ideal membership run it on the rank-1 basis each Ideal keeps,
+and a finished basis remembers which reducer divides each term it has met.
 It calls no Field method: over GF(p) a coefficient is a plain int, left
 unreduced as steps add products to it and taken mod p once, when it is popped.
 A step past the degree guard trips, naming the largest degree it would reach,
 and so does a new basis element past it; the inputs themselves may pass it.
 Every value here is immutable after construction; ideals compute their reduced
-Groebner basis at construction time, never lazily, so instances can be shared
-freely across threads.
+Groebner basis at construction time, never lazily. A basis's reducer memo
+caches a pure function of a term and the frozen basis, so a concurrent miss
+only computes the same entry twice, and instances can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import lcm
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, le, mul, neg
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -53,6 +56,7 @@ from .fields import Field
 Monomial = tuple[int, ...]
 
 DEFAULT_DEGREE_GUARD = 32
+_MEMO_SIZE = 1 << 16  # a basis's reducer memo is cleared when it holds this many terms
 
 
 def _key_lex(expt: Monomial):
@@ -62,7 +66,7 @@ def _key_lex(expt: Monomial):
 def _key_grevlex(expt: Monomial):
     # total degree first; ties: smaller exponent in the last differing
     # variable wins, encoded by negating the reversed vector
-    return (sum(expt),) + tuple(-e for e in reversed(expt))
+    return (sum(expt), *map(neg, reversed(expt)))
 
 
 _ORDER_KEYS = {"lex": _key_lex, "grevlex": _key_grevlex}
@@ -475,6 +479,15 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
     return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
 
 
+def _divisor(m: int, reducers, guards: int) -> Optional[tuple]:
+    """The first of the reducers whose lead divides the term m, or None."""
+    mg = m | guards
+    for g in reducers:
+        if (mg - g[0]) & guards == guards:
+            return g
+    return None
+
+
 class FreeModuleGB:
     """Reduced Groebner basis of span(vectors) + I*P^rank in P^rank (POT
     order), where modulus is the reduced Groebner basis of an ideal I of P.
@@ -496,7 +509,9 @@ class FreeModuleGB:
     under operators, not Field methods: ints in [0, p) over GF(p), Fractions
     over QQ; only reduce() holds unreduced sums. The guard bounds the
     products a completion makes and the basis elements it adds; the inputs
-    themselves may pass it.
+    themselves may pass it. _memo maps each packed term an unbounded
+    reduction has met to its reducer in _index (see _reducer), and is
+    replaced with the index it serves.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec],
@@ -517,7 +532,7 @@ class FreeModuleGB:
             if basis is not None:
                 break
             width *= 2
-        self._index = basis
+        self._index, self._memo = basis, {}
         self._operation = "normal form"
 
     @property
@@ -535,12 +550,14 @@ class FreeModuleGB:
         return {gb._layout.unpack(m): c for m, c in r.items()}
 
     def _holding(self, degree: int) -> "FreeModuleGB":
-        """self, or if degree is too wide for it, a copy repacked to hold degree."""
+        """self, or if degree is too wide for it, a copy repacked to hold degree,
+        with its own memo: its terms are packed differently, so it must never
+        share self's."""
         if degree <= self._layout.cap:
             return self
         gb = copy(self)
-        gb._layout, gb._index, gb._fixed = (
-            _layout(self.ring.nvars, self.ring.order, _width(degree)), {}, set())
+        gb._layout, gb._index, gb._fixed, gb._memo = (
+            _layout(self.ring.nvars, self.ring.order, _width(degree)), {}, set(), {})
         for v in self.basis:  # in basis order
             g = gb._element(gb._packed(v))
             gb._index.setdefault(g[0] >> gb._layout.pshift, []).append(g)
@@ -567,10 +584,13 @@ class FreeModuleGB:
         only grow and, within one, reducers only ever join the list. Under a
         bound it reduces inputs too, which may pass the guard, so there a
         step by a reducer with no tail, which only cancels the term, never
-        trips."""
+        trips. With no bound the reducer of m is read from the memo (see
+        _reducer): the reducer the scan would pick, so the steps, the result
+        and any guard trip are the scan's. A bound changes the reducers, so
+        there each term is scanned."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        lookup, limit = self._index.get, 0  # limit: the first term past the position
+        reducer, limit = self._reducer, 0  # limit: the first term past the position
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
@@ -582,21 +602,19 @@ class FreeModuleGB:
                 c %= p
             if not c:
                 continue  # cancelled after it was queued
-            mg = m | guards
             if bound is None:
-                reducers = lookup(m >> pshift, ())
+                g = reducer(m)
             else:
                 if m >= limit:  # the first term at its position
                     limit = (m >> pshift) + 1 << pshift
                     reducers, waiting, ib = self._rows[:], self._ratios[m >> pshift][::-1], self._ib
                 while waiting and waiting[-1][0] < (m << ib) + bound:
                     reducers.append(waiting.pop()[1])
-            for lead, tail, top in reducers:
-                if (mg - lead) & guards == guards:  # lead divides m
-                    break
-            else:
+                g = _divisor(m, reducers, guards)
+            if g is None:
                 remainder[m] = c
                 continue
+            lead, tail, top = g
             shift = m - lead  # the packed quotient m / lead
             if top + (shift & degree) > guard and (tail or bound is None):
                 raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
@@ -610,6 +628,21 @@ class FreeModuleGB:
                 else:
                     work[t] = old + cc * c
         return remainder
+
+    def _reducer(self, m: int) -> Optional[tuple]:
+        """The first reducer in self._index at the position of the term m whose
+        lead divides m, or None, remembered in self._memo: the index is frozen
+        while its memo lives, so an entry never goes stale, and a normal form
+        that meets the term again on this basis makes no scan. The memo is
+        cleared when it reaches _MEMO_SIZE terms. Two threads that miss on one
+        term only compute the same entry twice."""
+        memo = self._memo
+        if (g := memo.get(m, memo)) is memo:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            g = memo[m] = _divisor(m, self._index.get(m >> self._layout.pshift, ()),
+                                   self._layout.guards)
+        return g
 
     def _element(self, v: dict) -> tuple:
         """The monic reducer (lead, tail, top) of a packed vector whose terms
@@ -813,17 +846,16 @@ class FreeModuleGB:
         against all reducers leaves the reduced basis, leads unchanged. Only
         a tail with a term that some lead at that term's position divides is
         reduced; any other is its own normal form, so its reducer tuple is
-        kept as it is and no step is made. self._fixed keeps the leads of the
+        kept as it is and no step is made. The test and the reductions share
+        one memo of the minimal index, dropped when the reduced index
+        replaces it. self._fixed keeps the leads of the
         placed modulus rows g*e_p whose tails were kept: those rows are g*e_p
         itself, and a reduced basis has one reducer per lead."""
-        guard, guards = self.ring.degree_guard, self._layout.guards
-        degree, pshift, minimal = self._layout.degree, self._layout.pshift, self._index
-        index = {}
-        for pos, reducers in minimal.items():  # in ascending position order
+        guard, degree, index, self._memo = self.ring.degree_guard, self._layout.degree, {}, {}
+        for pos, reducers in self._index.items():  # in ascending position order
             reduced = []
             for g in reducers:
-                if any(((m | guards) - h[0]) & guards == guards
-                       for m, _ in g[1] for h in minimal.get(m >> pshift, ())):
+                if any(self._reducer(m) for m, _ in g[1]):
                     lead, tail = g[0], self.reduce(dict(g[1]), guard)
                     top = max([lead & degree] + [m & degree for m in tail])
                     g = (lead, tuple(tail.items()), top)

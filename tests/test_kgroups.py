@@ -28,9 +28,9 @@ from gproj import (
     smith_normal_form,
 )
 from gproj.fields import RationalField
-from gproj.kgroups import _catalog_ring, int_mat_mul
+from gproj.kgroups import _RATIONAL_POLYS, _catalog_ring, _diagonalize, int_mat_mul
 from gproj.resolutions import pd_bounded
-from gproj.rings import FreeModuleGB, QuotRing, restrict_poly, substitute_zero
+from gproj.rings import FreeModuleGB, QuotRing, format_poly, restrict_poly, substitute_zero
 
 from helpers import int_determinant, minors_gcd_invariant_factors, univariate_gcd
 
@@ -167,6 +167,63 @@ def test_decompose_over_chain_ring():
     # units of the chain ring cancel generators: x+1 is a unit
     N = FPModule.from_strings(R, 1, [["x+1"]])
     assert str(class_decompose(N)) == "0"
+
+
+def _class_from_relation_rows(M):
+    """class_decompose as it was when it diagonalized the relations as given,
+    M.relation_rows(), not the canonical relations."""
+    cat = catalog_for(M.ring)
+    base = M.ring.base
+    n = cat.chain_power if cat.family == "chain" else inf
+    rows = [[{d: c for e, c in p.terms if (d := sum(e)) < n} for p in row]
+            for row in M.relation_rows()]
+    ring = _catalog_ring(base.field, n)
+    if ring is _RATIONAL_POLYS:
+        for row in rows:
+            m = lcm(*(c.denominator for a in row for c in a.values()))
+            row[:] = [{d: c.numerator * (m // c.denominator) for d, c in a.items()} for a in row]
+    diagonal, *_ = _diagonalize(rows, ring)
+    coords = {cat.unit_label: M.ngens - len(diagonal)}
+    for d in diagonal:
+        if max(d):
+            d = base.from_dict({(k,) * base.nvars: c for k, c in d.items()})
+            label = f"[R/({format_poly(d)})]"
+            coords[label] = coords.get(label, 0) + 1
+    return KClass(coords)
+
+
+@pytest.mark.parametrize("ring", ["QQ[]", "QQ[x]", "GF(5)[x]/(x^3)", "GF(2)[x]/(x^4)"])
+def test_canonical_relations_give_the_class_of_the_relations_as_given(ring):
+    # free modules, and relation matrices of lower rank than ngens (a zero row,
+    # a column that is a multiple of another) are among the draws
+    rng = random.Random(35)
+    field = QQ if ring.startswith("QQ") else GF(int(ring[3]))
+    variables = () if ring == "QQ[]" else ("x",)
+    R = PolyRing(field, variables).quotient([ring[-4:-1]] if "/" in ring else [])
+    base = R.base
+
+    def entry():
+        d = {(rng.randint(0, 2),) * base.nvars: (Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                                 if field == QQ else rng.randrange(field.p))
+             for _ in range(rng.randint(0, 2))}
+        return R.nf(base.from_dict(d))
+
+    free = deficient = 0
+    for _ in range(40):
+        ngens, nrels = rng.randint(1, 4), rng.randint(0, 4)
+        cols = [[entry() for _ in range(ngens)] for _ in range(nrels)]
+        if cols and rng.random() < 0.3:  # a zero row: rank below ngens
+            i = rng.randrange(ngens)
+            for col in cols:
+                col[i] = base.zero()
+            deficient += 1
+        if len(cols) > 1 and rng.random() < 0.3:
+            c = entry()
+            cols[1] = [R.nf(c * a) for a in cols[0]]
+        M = FPModule(R, ngens, [tuple(col) for col in cols])
+        free += not M.canonical_relations
+        assert class_decompose(M) == _class_from_relation_rows(M), cols
+    assert free and deficient
 
 
 def test_chain_decomposition_cardinality_by_enumeration():

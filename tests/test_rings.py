@@ -21,6 +21,7 @@ from gproj.rings import (
     FreeModuleGB,
     format_poly,
     QuotRing,
+    _key_grevlex,
     _layout,
     _width,
     monomial_divides,
@@ -514,6 +515,12 @@ def test_packing_is_order_isomorphic_additive_and_invertible(case):
     divides = ((layout.pack(p, b) | layout.guards) - x) & layout.guards == layout.guards
     assert divides == monomial_divides(a, b)
     assert layout.lcm(x, layout.pack(p, b)) == layout.pack(p, tuple(map(max, a, b))) & layout.low
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 50), max_size=6).map(tuple))
+def test_grevlex_key_is_the_negated_reversed_vector(expt):
+    assert _key_grevlex(expt) == (sum(expt),) + tuple(-e for e in reversed(expt))
 
 
 def _cyclic(n):

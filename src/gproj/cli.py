@@ -348,7 +348,8 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         depth = flag_depth
     wanted = ARGUMENTS[cmd]
     if len(rest) < len(wanted):
-        raise InputError(f"{cmd} needs a {wanted[len(rest)]} argument")
+        need = wanted[len(rest)]
+        raise InputError(f"{cmd} needs {'an' if need[0] in 'aeiou' else 'a'} {need} argument")
     if len(rest) > len(wanted):
         raise InputError(f"{cmd} takes {len(wanted)} argument(s) "
                          f"({', '.join(wanted) or 'none'}), got {len(rest)}: {' '.join(rest)}")

@@ -26,11 +26,15 @@ keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
 Inside one top-level call of a `span_scope` entry point, each engine,
 canonical generating set, node verdict of `exact_kernel` and
-split verdict of `resolutions.split_surjection_onto_kernel` is built once;
-nothing is shared across calls or threads. A reduced basis is unique, so a
+split verdict of `resolutions.split_surjection_onto_kernel` is built once.
+A scope starts with the engines its FPModule arguments own, with their
+canonical relations and the syzygies those engines have read; nothing else
+is shared across calls or threads. A reduced basis is unique, so a
 canonical set is its own canonical set: every column tuple that
 `canonical_generators` or `SubmoduleEngine.syzygies()` returns is cached as
-that too, and a module presented on it builds no second basis.
+that too, and a module presented on it builds no second basis. Those
+tuples, the relations a module keeps, `transpose` and `identity` are
+`Matrix` values, which hash once.
 """
 
 from __future__ import annotations
@@ -70,6 +74,17 @@ from .rings import (
 Column = tuple  # tuple[Poly, ...]
 
 
+class Matrix(tuple):
+    """A tuple of columns that computes its hash once: the tuple's hash, so a
+    Matrix and a plain tuple of the same columns find each other in a dict."""
+    _hash = None
+
+    def __hash__(self):
+        if self._hash is None:  # a racing thread stores the same value
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+
 def _column_to_vec(col: Column) -> Vec:
     v: Vec = {}
     for pos, p in enumerate(col):
@@ -82,7 +97,7 @@ def _nf_column(R: QuotRing, col) -> Column:
     return tuple(p if p.is_zero() and p.ring == R.base else R.nf(p) for p in col)
 
 
-def _nonzero_columns(R: QuotRing, rank: int, columns, mismatch: str) -> tuple[Column, ...]:
+def _nonzero_columns(R: QuotRing, rank: int, columns, mismatch: str) -> Matrix:
     """The columns in normal form, zero ones dropped; InputError(mismatch)
     on a column whose length is not rank."""
     out = []
@@ -92,23 +107,23 @@ def _nonzero_columns(R: QuotRing, rank: int, columns, mismatch: str) -> tuple[Co
         col = _nf_column(R, col)
         if any(not p.is_zero() for p in col):
             out.append(col)
-    return tuple(out)
+    return Matrix(out)
 
 
 def _zero_column(R: QuotRing, rank: int) -> Column:
     return tuple(R.zero() for _ in range(rank))
 
 
-def identity(R: QuotRing, n: int, u: Optional[Poly] = None) -> tuple[Column, ...]:
+def identity(R: QuotRing, n: int, u: Optional[Poly] = None) -> Matrix:
     """The n columns of u times the identity matrix; u = 1 when omitted."""
     u = R.one() if u is None else u
-    return tuple(tuple(u if j == i else R.zero() for j in range(n)) for i in range(n))
+    return Matrix(tuple(u if j == i else R.zero() for j in range(n)) for i in range(n))
 
 
-def transpose(columns, nrows: int) -> tuple[Column, ...]:
+def transpose(columns, nrows: int) -> Matrix:
     """The transpose of a matrix given as columns of length nrows: nrows
     columns, each as long as the column list (empty when it is)."""
-    return tuple(tuple(col[i] for col in columns) for i in range(nrows))
+    return Matrix(tuple(col[i] for col in columns) for i in range(nrows))
 
 
 # the running top-level call's span cache, None outside any scope
@@ -118,12 +133,25 @@ _MISS = object()  # a key not built yet: a cached build may be None
 
 def span_scope(fn):
     """Run fn inside a span cache: opened by the outermost scoped call, joined
-    by nested ones, and dropped when the outermost call returns or raises."""
+    by nested ones, and dropped when the outermost call returns or raises.
+    The outermost call opens it with what each FPModule argument owns, under
+    the keys their builds would have: the engine (unless FPModule.zero still
+    defers it), the canonical relations, which are their own canonical set,
+    and the engine's syzygies once read, which are theirs too."""
     @wraps(fn)
     def scoped(*args, **kwargs):
         if _SPANS.get() is not None:
             return fn(*args, **kwargs)
-        token = _SPANS.set({})
+        spans = {}
+        for M in (*args, *kwargs.values()):
+            eng = M._span if isinstance(M, FPModule) else None
+            if eng is not None:
+                R, cols, syz = M.ring, M.canonical_relations, eng._syzygies
+                spans[_span_key(SubmoduleEngine, R, (M.ngens, cols))] = eng
+                spans[_span_key(_canonical_generators, R, (M.ngens, cols))] = cols
+                if syz is not None:
+                    spans[_span_key(_canonical_generators, R, (eng.m, syz))] = syz
+        token = _SPANS.set(spans)
         try:
             return fn(*args, **kwargs)
         finally:
@@ -131,17 +159,22 @@ def span_scope(fn):
     return scoped
 
 
+def _span_key(build, R: QuotRing, args: tuple) -> tuple:
+    """The span cache's key of build(R, *args); it holds the degree guard
+    because ring equality ignores it."""
+    return (build, R, R.base.degree_guard, args)
+
+
 def _per_scope(build):
-    """build(R, *args), memoised in the span cache with list arguments keyed
-    (and passed) as tuples; the key holds the degree guard because ring
-    equality ignores it."""
+    """build(R, *args), memoised in the span cache under `_span_key`, with
+    list arguments keyed (and passed) as a Matrix."""
     @wraps(build, updated=())
     def memo(R: QuotRing, *args):
-        args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+        args = tuple(Matrix(a) if isinstance(a, list) else a for a in args)
         spans = _SPANS.get()
         if spans is None:
             return build(R, *args)
-        key = (build, R, R.base.degree_guard, args)
+        key = _span_key(build, R, args)
         hit = spans.get(key, _MISS)
         if hit is _MISS:
             hit = spans[key] = build(R, *args)
@@ -167,7 +200,7 @@ def _canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]
 canonical_generators = _per_scope(_canonical_generators)
 
 
-def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple[Column, ...]:
+def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> Matrix:
     """The nonzero columns in R^rank of the elements of the reduced basis gb led
     at position start or later, in basis order; only those reducers of gb's
     packed index are unpacked. gb's basis holds the modulus times P^rank, so
@@ -193,9 +226,9 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> tuple
                 col = _nf_column(R, col)
             if any(not p.is_zero() for p in col):
                 out.append(col)
-    out = tuple(out)
+    out = Matrix(out)
     if (spans := _SPANS.get()) is not None:
-        spans[(_canonical_generators, R, R.base.degree_guard, (rank, out))] = out
+        spans[_span_key(_canonical_generators, R, (rank, out))] = out
     return out
 
 
@@ -282,7 +315,7 @@ def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols=()
         return ()
     if rank == 0:
         return identity(R, n)
-    eng = span_engine(R, rank, list(image_cols) + list(modifier_cols))
+    eng = span_engine(R, rank, [*image_cols, *modifier_cols] if modifier_cols else image_cols)
     if not modifier_cols:  # the syzygies are already canonical in R^n
         return eng.syzygies()
     return canonical_generators(R, n, [tuple(s[:n]) for s in eng.syzygies()])

@@ -310,6 +310,10 @@ def test_missing_command_argument_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: pd needs a module argument\n"
     assert main(["ext", str(path), "I", "--depth", "3"]) == 2
     assert capsys.readouterr().err == "input error: ext needs a degree argument\n"
+    # the article follows the argument's name
+    for cmd in ("ann", "lemma45"):
+        assert main([cmd, str(path), "R2"]) == 2
+        assert capsys.readouterr().err == f"input error: {cmd} needs an element argument\n"
 
 
 def test_degree_guard_trip_while_parsing_is_a_rejection(tmp_path, capsys, monkeypatch):

@@ -531,13 +531,20 @@ def test_double_dual_map_builds_no_basis_for_the_duals_relations(count_calls):
 
 
 def test_g_class_test_of_a_chain_ring_module_builds_one_basis(count_calls):
-    # R/(x^2) over GF(5)[x]/(x^4), built outside the call, resolves with
-    # period 1 from 0 and is its own dual: every node, the dual's relations
-    # and both double-duality checks read the one engine of the map x^2
-    M = _x_squared_over_gf5_chain_ring()
-    rep, builds = count_calls(FreeModuleGB, "__init__", g_class_test, M, 4)
+    # R/(x^2) over GF(5)[x]/(x^4) resolves with period 1 from 0 and is its
+    # own dual: every node, the dual's relations and both double-duality
+    # checks read the one engine of the map x^2. Counted from before M is
+    # built, that engine is the only one: it is M's own, which the call's
+    # span cache starts with, so the call alone builds no basis
+    def build_and_test():
+        M = _x_squared_over_gf5_chain_ring()
+        return M, g_class_test(M, 4)
+
+    (M, rep), engines = count_calls(SubmoduleEngine, "__init__", build_and_test)
     assert rep.verdict_str() == "Certified(complete_resolution)"
-    assert builds == 1
+    assert engines == 1
+    again, builds = count_calls(FreeModuleGB, "__init__", g_class_test, M, 4)
+    assert again.verdict_str() == rep.verdict_str() and builds == 0
 
 
 def test_g_class_test_makes_one_dual_and_no_module_map():

@@ -455,15 +455,17 @@ def test_euler_error_exactly_on_infinite_verdicts():
 
 def test_euler_class_resolves_once(count_calls):
     # the pd scan and the resolution read off its ranks share one span cache,
-    # so euler_class builds no more module bases than pd_bounded alone: the
-    # resolution's one kernel, d_1 being rejected by det d_1 with no basis
+    # so euler_class builds no more module bases than pd_bounded alone: none,
+    # since the resolution's one kernel is read off the engine M built with
+    # its presentation, which the call's cache starts with, and d_1 is
+    # rejected by det d_1 with no basis
     Qx = QxQ()
     M = FPModule.from_strings(Qx, 3, [["x^2-1", "x+1", "1/2*x^2"], ["2*x+3", "-x^2+x", "x-2"],
                                       ["x", "3", "x^2+x+1"]])
     verdict, pd_builds = count_calls(FreeModuleGB, "__init__", pd_bounded, M, 8)
     cls, builds = count_calls(FreeModuleGB, "__init__", euler_class, M, 8)
     assert str(verdict) == "Finite(1)" and cls.is_zero()
-    assert builds == pd_builds == 1
+    assert builds == pd_builds == 0
 
 
 # ----- pushdown and extension -----

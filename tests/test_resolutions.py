@@ -542,11 +542,9 @@ def test_a_fitting_rejection_spares_a_product_system_that_trips_the_guard(relati
 def test_pd_of_a_square_torsion_module_builds_no_basis_above_rank_6(monkeypatch):
     # shaped like the CLI's k0 modules over QQ[x]: 3 x 3 of degree 2 with
     # nonzero determinant, so the presentation is injective and its
-    # splitting needs a rank-6 basis; the product system needed rank 18
-    Qx = QxQ()
-    M = FPModule.from_strings(Qx, 3, [["x^2 + 2", "3*x - 1", "2*x^2"],
-                                      ["x - 3", "x^2 + x", "1"],
-                                      ["2", "x^2 - 1", "3*x"]])
+    # splitting needs a rank-6 basis; the product system needed rank 18.
+    # The bases are recorded from before M is built: its own engine, which
+    # the call reuses, is one of them
     ranks = []
     build = FreeModuleGB.__init__
 
@@ -555,6 +553,10 @@ def test_pd_of_a_square_torsion_module_builds_no_basis_above_rank_6(monkeypatch)
         build(self, ring, rank, vectors, modulus)
 
     monkeypatch.setattr(FreeModuleGB, "__init__", recording)
+    Qx = QxQ()
+    M = FPModule.from_strings(Qx, 3, [["x^2 + 2", "3*x - 1", "2*x^2"],
+                                      ["x - 3", "x^2 + x", "1"],
+                                      ["2", "x^2 - 1", "3*x"]])
     assert str(pd_bounded(M, 4)) == "Finite(1)"
     assert max(ranks) == 6
 

@@ -1,6 +1,8 @@
-"""The per-call span cache: scoped to one top-level call, never shared across
-calls or threads, keyed on the degree guard, and invisible in every output."""
+"""The per-call span cache: scoped to one top-level call, started with what
+its module arguments own and otherwise never shared across calls or threads,
+keyed on the degree guard, and invisible in every output."""
 
+import random
 import sys
 import threading
 
@@ -11,16 +13,22 @@ from gproj import (
     DegreeGuardExceeded,
     FPModule,
     ModuleMap,
+    Poly,
     PolyRing,
     complete_resolution_check,
+    euler_class,
+    ext_module,
+    free_resolution,
     g_class_test,
     gpd_bounded,
+    pd_bounded,
 )
 from gproj import modules
-from gproj.modules import canonical_generators, span_engine, span_scope
+from gproj.modules import (Matrix, SubmoduleEngine, canonical_generators, span_engine,
+                           span_scope)
 from gproj.rings import FreeModuleGB
 
-from helpers import GCLASS_RINGS as RINGS, gclass_ring as ring
+from helpers import GCLASS_RINGS as RINGS, gclass_ring as ring, random_module
 
 def residue_field(R):
     return FPModule(R, 1, [(v,) for v in R.base.gens()])
@@ -172,3 +180,113 @@ def test_a_canonical_set_is_its_own_canonical_set_in_a_scope(count_calls):
     assert again == [(canonical, 0), (syzygies, 0)]
     rebuilt = count_calls(FreeModuleGB, "__init__", canonical_generators, R, 2, canonical)
     assert rebuilt == (canonical, 1)
+
+
+# ----- a scope starts with what its module arguments own -----
+
+def module_outputs(M) -> list:
+    """The verdicts, resolution report and Ext presentations of M, each call
+    its own top-level call; a trip or a rejection is an output too."""
+    def present(ext):
+        rels = [[str(p) for p in col] for col in ext.module.canonical_relations]
+        return ext.i, ext.is_zero, ext.module.ngens, rels
+
+    return [outcome(call) for call in (
+        lambda: g_class_test(M, 3).verdict_str(),
+        lambda: str(pd_bounded(M, 3)),
+        lambda: free_resolution(M, 3).report_lines(),
+        lambda: present(ext_module(M, FPModule.free(M.ring, 1), 1)),
+        lambda: present(ext_module(M, N=M, i=2)))]
+
+
+@pytest.mark.parametrize("key", sorted(RINGS))
+def test_module_built_outside_the_call_gives_the_outputs_built_inside(key):
+    # outside: M's engine, canonical relations and syzygies seed each call's
+    # cache; inside: M is built in the scope, whose calls join it unseeded
+    R = ring(key)
+    for seed in range(3):
+        M = random_module(R, random.Random(seed))
+        outside, again = module_outputs(M), module_outputs(M)
+
+        @span_scope
+        def inside():
+            return module_outputs(random_module(R, random.Random(seed)))
+
+        assert outside == again == inside()
+
+
+def test_no_engine_is_built_on_a_module_argument_s_relations(monkeypatch):
+    built = []
+    init = SubmoduleEngine.__init__
+
+    def recording(self, R, rank, columns):
+        built.append((rank, tuple(columns)))
+        init(self, R, rank, columns)
+
+    R = ring("A")
+    M = random_module(R, random.Random(4))
+    M.rel_span_contains((R.zero(),) * M.ngens)
+    monkeypatch.setattr(SubmoduleEngine, "__init__", recording)
+    for call in (lambda: g_class_test(M, 3), lambda: pd_bounded(M, 3),
+                 lambda: free_resolution(M, 3), lambda: euler_class(M, 3),
+                 lambda: ext_module(M, M, 1), lambda: gpd_bounded(M, 1, 3)):
+        call()
+    assert built and (M.ngens, M.canonical_relations) not in built
+
+
+def test_a_zero_module_with_a_deferred_engine_passes_through_a_scoped_call():
+    R = ring("E")
+    Z = FPModule.zero(R, 2)
+    assert Z._span is None
+    built = FPModule(R, 2, Z.relations)
+    expected = [canon(fn(built, 2)) for fn in (g_class_test, pd_bounded)]
+    assert [canon(fn(Z, 2)) for fn in (g_class_test, pd_bounded)] == expected
+    assert Z.is_zero() and Z._span is not None  # asked now, so it seeds
+    assert [canon(fn(Z, 2)) for fn in (g_class_test, pd_bounded)] == expected
+
+
+def test_threads_on_one_module_built_outside_match_a_serial_run():
+    M = residue_field(ring("B"))
+    serial = canon(g_class_test(M, 4)), canon(pd_bounded(M, 4))
+    barrier = threading.Barrier(4)
+    got = {}
+
+    def worker(j):
+        barrier.wait()
+        got[j] = canon(g_class_test(M, 4)), canon(pd_bounded(M, 4))
+
+    threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert [got[j] for j in range(4)] == [serial] * 4
+
+
+# ----- matrices hash once -----
+
+def test_a_matrix_is_its_tuple_as_a_key(monkeypatch):
+    R = ring("A")
+    x, y = R.poly("x"), R.poly("y")
+    cols = ((x, y), (y, R.zero()))
+    m = Matrix(cols)
+    assert m == cols and cols == m and hash(m) == hash(cols)
+    assert {cols: 1}[m] == 1 and {m: 2}[cols] == 2
+    calls = []
+    poly_hash = Poly.__hash__
+
+    def counting(p):
+        calls.append(p)
+        return poly_hash(p)
+
+    monkeypatch.setattr(Poly, "__hash__", counting)
+    assert hash(Matrix(cols)) == hash(cols) and calls
+    calls.clear()
+    hash(m)
+    assert not calls

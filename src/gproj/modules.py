@@ -13,8 +13,11 @@ SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
 ring's modulus. Only new polynomials are reduced: products, base changes,
 parses, the basis elements led by a modulus lead that `_read_columns` reads
 out (the rows g*e_p that the basis's interreduction changed), and the
-columns a caller hands to a public constructor or query. Normal form is
-linear, so sums and negations of reduced columns are reduced.
+columns a caller hands to a public constructor or query. A `Matrix` that
+`_read_columns` returns records the ring it was read over, and a
+constructor handed one over that very ring object keeps it as it is, so
+the relations of a dual or a syzygy module are not reduced twice. Normal
+form is linear, so sums and negations of reduced columns are reduced.
 `_read_columns` unpacks only the reducers of a basis from a given position
 on (a kernel is read from the tag block, never the ambient block), less the
 rows g*e_p that interreduction left as they were, which are zero over R; and
@@ -26,15 +29,17 @@ keeps its syzygies and `FPModule.zero` its engine once asked. Every operation
 is a pure function of its inputs, so concurrent read-only sharing is safe.
 Inside one top-level call of a `span_scope` entry point, each engine,
 canonical generating set, node verdict of `exact_kernel` and
-split verdict of `resolutions.split_surjection_onto_kernel` is built once.
-A scope starts with the engines its FPModule arguments own, with their
-canonical relations and the syzygies those engines have read; nothing else
-is shared across calls or threads. A reduced basis is unique, so a
-canonical set is its own canonical set: every column tuple that
-`canonical_generators` or `SubmoduleEngine.syzygies()` returns is cached as
-that too, and a module presented on it builds no second basis. Those
-tuples, the relations a module keeps, `transpose` and `identity` are
-`Matrix` values, which hash once.
+split verdict of `resolutions.split_surjection_onto_kernel` is built once;
+a hit builds one key and makes one dict probe. A scope starts with the
+engines its FPModule arguments own, and those of each ModuleMap argument's
+source and target, with their canonical relations and the syzygies those
+engines have read; nothing else is shared across calls or threads. A
+reduced basis is unique, so a canonical set is its own canonical set:
+every column tuple that `canonical_generators` or
+`SubmoduleEngine.syzygies()` returns is cached as that too, and a module
+presented on it builds no second basis. Those tuples, the relations a
+module keeps, `transpose` and `identity` are `Matrix` values, which hash
+once.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ Column = tuple  # tuple[Poly, ...]
 
 class Matrix(tuple):
     """A tuple of columns that computes its hash once: the tuple's hash, so a
-    Matrix and a plain tuple of the same columns find each other in a dict."""
-    _hash = None
+    Matrix and a plain tuple of the same columns find each other in a dict.
+    `ring` is the QuotRing of the reduced basis `_read_columns` read the
+    columns off, which left them nonzero and in normal form over it."""
+    _hash = ring = None
 
     def __hash__(self):
         if self._hash is None:  # a racing thread stores the same value
@@ -99,7 +106,12 @@ def _nf_column(R: QuotRing, col) -> Column:
 
 def _nonzero_columns(R: QuotRing, rank: int, columns, mismatch: str) -> Matrix:
     """The columns in normal form, zero ones dropped; InputError(mismatch)
-    on a column whose length is not rank."""
+    on a column whose length is not rank. Columns read off a basis over this
+    very ring object are already both, and are kept as they are."""
+    if type(columns) is Matrix and columns.ring is R:
+        if any(len(col) != rank for col in columns):
+            raise InputError(mismatch)
+        return columns
     out = []
     for col in columns:
         if len(col) != rank:
@@ -134,7 +146,8 @@ _MISS = object()  # a key not built yet: a cached build may be None
 def span_scope(fn):
     """Run fn inside a span cache: opened by the outermost scoped call, joined
     by nested ones, and dropped when the outermost call returns or raises.
-    The outermost call opens it with what each FPModule argument owns, under
+    The outermost call opens it with what each FPModule argument, and the
+    source and target of each ModuleMap argument, own, under
     the keys their builds would have: the engine (unless FPModule.zero still
     defers it), the canonical relations, which are their own canonical set,
     and the engine's syzygies once read, which are theirs too."""
@@ -143,14 +156,15 @@ def span_scope(fn):
         if _SPANS.get() is not None:
             return fn(*args, **kwargs)
         spans = {}
-        for M in (*args, *kwargs.values()):
-            eng = M._span if isinstance(M, FPModule) else None
-            if eng is not None:
-                R, cols, syz = M.ring, M.canonical_relations, eng._syzygies
-                spans[_span_key(SubmoduleEngine, R, (M.ngens, cols))] = eng
-                spans[_span_key(_canonical_generators, R, (M.ngens, cols))] = cols
-                if syz is not None:
-                    spans[_span_key(_canonical_generators, R, (eng.m, syz))] = syz
+        for arg in (*args, *kwargs.values()):
+            for M in (arg.source, arg.target) if isinstance(arg, ModuleMap) else (arg,):
+                eng = M._span if isinstance(M, FPModule) else None
+                if eng is not None:
+                    R, cols, syz = M.ring, M.canonical_relations, eng._syzygies
+                    spans[_span_key(SubmoduleEngine, R, (M.ngens, cols))] = eng
+                    spans[_span_key(_canonical_generators, R, (M.ngens, cols))] = cols
+                    if syz is not None:
+                        spans[_span_key(_canonical_generators, R, (eng.m, syz))] = syz
         token = _SPANS.set(spans)
         try:
             return fn(*args, **kwargs)
@@ -167,10 +181,12 @@ def _span_key(build, R: QuotRing, args: tuple) -> tuple:
 
 def _per_scope(build):
     """build(R, *args), memoised in the span cache under `_span_key`, with
-    list arguments keyed (and passed) as a Matrix."""
+    list arguments keyed (and passed) as a Matrix; with none, the arguments
+    are the key as passed."""
     @wraps(build, updated=())
     def memo(R: QuotRing, *args):
-        args = tuple(Matrix(a) if isinstance(a, list) else a for a in args)
+        if list in map(type, args):
+            args = tuple(Matrix(a) if type(a) is list else a for a in args)
         spans = _SPANS.get()
         if spans is None:
             return build(R, *args)
@@ -227,6 +243,7 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> Matri
             if any(not p.is_zero() for p in col):
                 out.append(col)
     out = Matrix(out)
+    out.ring = R
     if (spans := _SPANS.get()) is not None:
         spans[_span_key(_canonical_generators, R, (rank, out))] = out
     return out

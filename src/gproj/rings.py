@@ -957,7 +957,7 @@ class Ideal:
 class QuotRing:
     """base / modulus; elements are represented by unique normal forms."""
 
-    __slots__ = ("base", "modulus", "_hash")
+    __slots__ = ("base", "modulus", "_hash", "_one")
 
     def __init__(self, base: PolyRing, modulus: Ideal):
         if modulus.ring != base:
@@ -965,6 +965,8 @@ class QuotRing:
         self.base = base
         self.modulus = modulus
         self._hash = hash((base, modulus))
+        # a proper ideal's reduced basis has no constant lead, so 1 is reduced
+        self._one = base.zero() if modulus.contains_one() else base.one()
 
     def nf(self, f: Poly) -> Poly:
         if f.ring != self.base:
@@ -980,8 +982,7 @@ class QuotRing:
         return self.base.zero()
 
     def one(self) -> Poly:
-        # a proper ideal's reduced basis has no constant lead, so 1 is reduced
-        return self.base.zero() if self.modulus.contains_one() else self.base.one()
+        return self._one
 
     def add(self, a: Poly, b: Poly) -> Poly:
         return self.nf(a + b)

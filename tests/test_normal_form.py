@@ -13,6 +13,7 @@ from gproj import (
     GF,
     DegreeGuardExceeded,
     FPModule,
+    InputError,
     ModuleMap,
     PolyRing,
     SubmoduleOfFree,
@@ -20,11 +21,12 @@ from gproj import (
     ext_module,
     free_resolution,
     g_class_test,
+    quotient_by_regular_element,
 )
 from gproj import modules
-from gproj.modules import SubmoduleEngine, canonical_generators, span_engine
+from gproj.modules import SubmoduleEngine, canonical_generators, colon_generators, span_engine
 from gproj.resolutions import FreeResolution
-from gproj.rings import Poly
+from gproj.rings import Poly, QuotRing
 
 from helpers import GCLASS_RINGS, gclass_ring
 
@@ -189,3 +191,49 @@ def test_ordered_builds_equal_sorted_builds(monkeypatch, tmp_path):
     _, _, sub = workloads.standing_inputs()["sub_qq"]
     sub.as_fpmodule()
     assert not unordered
+
+
+# ----- columns read off a basis are not reduced again -----
+
+@pytest.mark.parametrize("key", ["A", "chain4", "D"])
+def test_columns_read_off_a_basis_over_the_same_ring_skip_normal_form(key, monkeypatch):
+    # monomial moduli: building on the columns reads no changed modulus row,
+    # so every nf call counted is one of the columns handed in
+    R = gclass_ring(key)
+    x, y = R.poly("x"), R.nf(R.base.gens()[-1])
+    kernel = colon_generators(R, 1, [(x,), (x * y,), (y * y,)])
+    syz = colon_generators(R, 3, kernel)
+    assert kernel and syz and kernel.ring is syz.ring is R
+    calls, nf = [], QuotRing.nf
+    monkeypatch.setattr(QuotRing, "nf", lambda R, f: calls.append(f) or nf(R, f))
+    built = [FPModule(R, len(kernel), syz), SubmoduleOfFree(R, 3, kernel)]
+    assert not calls
+    assert built[0].relations is syz and built[1].generators is kernel
+    # the same columns as a plain tuple, or over an equal but distinct ring,
+    # are normalized as any caller's columns are: one nf per nonzero entry
+    twin = gclass_ring(key)
+    assert twin == R and twin is not R
+    entries = sum(not p.is_zero() for col in kernel for p in col)
+    for ring, cols in ((R, tuple(kernel)), (twin, kernel)):
+        calls.clear()
+        sub = SubmoduleOfFree(ring, 3, cols)
+        assert len(calls) == entries and sub.generators == kernel
+    with pytest.raises(InputError, match="generator length"):
+        SubmoduleOfFree(R, 2, kernel)
+    with pytest.raises(InputError, match="relation column length"):
+        FPModule(R, len(kernel) + 1, syz)
+
+
+def test_a_module_moved_to_a_quotient_ring_is_reduced_there():
+    # M's relations were read off a basis over R: over R/(y) they are not
+    # reduced, and the moved module holds their normal forms
+    R = PolyRing(GF(5), ("x", "y")).quotient(["x^3"])
+    x, y = R.poly("x"), R.poly("y")
+    rels = colon_generators(R, 1, [(x * x,), (y,)])
+    assert rels.ring is R
+    Q = quotient_by_regular_element(FPModule(R, 2, rels), y)
+    assert Q.ring != R and any(Q.ring.nf(p) != p for col in rels for p in col)
+    assert Q.relations == tuple(
+        c for c in (tuple(Q.ring.nf(p) for p in col) for col in rels)
+        if any(not p.is_zero() for p in c))
+    assert all(Q.ring.nf(p) == p for col in Q.relations for p in col)

@@ -400,6 +400,17 @@ def test_one_is_the_normal_form_of_one():
     assert P.quotient(["x^2"]).one() == P.one()
 
 
+def test_one_is_stored_at_construction(monkeypatch):
+    # identity and FPModule.zero ask R.one() per call: it scans nothing
+    P = PolyRing(GF(3), ("x", "y"))
+    rings = [P.quotient(gens) for gens in (["x^2", "y^3"], ["x*y - 1", "x"], [])]
+    asked = []
+    monkeypatch.setattr(Ideal, "contains_one", lambda self: asked.append(self))
+    monkeypatch.setattr("gproj.rings.reduce_poly", lambda *a: asked.append(a))
+    assert [R.one() for R in rings] == [P.one(), P.zero(), P.one()]
+    assert rings[1].one().is_zero() and not asked
+
+
 def test_from_dict_maps_int_coefficients_into_the_field():
     P = PolyRing(GF(2), ("x", "y"))
     assert P.from_dict({(1, 0): 2}).is_zero()

@@ -21,7 +21,9 @@ from gproj import (
     free_resolution,
     g_class_test,
     gpd_bounded,
+    horseshoe_resolution,
     pd_bounded,
+    verify_short_exact,
 )
 from gproj import modules
 from gproj.modules import (Matrix, SubmoduleEngine, canonical_generators, span_engine,
@@ -290,3 +292,34 @@ def test_a_matrix_is_its_tuple_as_a_key(monkeypatch):
     calls.clear()
     hash(m)
     assert not calls
+
+
+def test_a_map_argument_seeds_its_source_and_target(monkeypatch):
+    # 0 -> (x) -> R -> R/(x) -> 0 over GF(5)[x]/(x^4), (x) = R/(x^3), each
+    # module and map built before the call
+    def sequence():
+        R = ring("chain4")
+        x = R.poly("x")
+        A, B, C = FPModule(R, 1, [(x ** 3,)]), FPModule.free(R, 1), FPModule(R, 1, [(x,)])
+        return ModuleMap(A, B, [(x,)]), ModuleMap(B, C, [(R.one(),)])
+
+    @span_scope
+    def inside(call, *args):  # every module built in the scope: nothing seeded
+        return canon(call(*sequence(), *args))
+
+    expected = [inside(verify_short_exact), inside(horseshoe_resolution, 5)]
+    built = []
+    init = SubmoduleEngine.__init__
+
+    def recording(self, R, rank, columns):
+        built.append((rank, tuple(columns)))
+        init(self, R, rank, columns)
+
+    incl, proj = sequence()
+    owned = {(M.ngens, M.canonical_relations) for M in (incl.source, incl.target, proj.target)}
+    monkeypatch.setattr(SubmoduleEngine, "__init__", recording)
+    got = [canon(verify_short_exact(incl, proj))]
+    assert len(built) == 1  # incl's image
+    got.append(canon(horseshoe_resolution(incl, proj, 5)))
+    assert got == expected
+    assert len(built) == 1 + 3 and not owned & set(built)

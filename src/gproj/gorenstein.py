@@ -93,8 +93,7 @@ def _ext_from_resolution(res: FreeResolution, N: FPModule, i: int) -> ExtResult:
         return ExtResult(i, FPModule(R, 0, ()), True)
     # u = Hom(d_{i+1}, N): Hom(F_i, N) -> Hom(F_{i+1}, N)
     u_cols = _hom_induced_columns(R, res.dual_map(i), g)
-    kernel_gens = colon_generators(R, res.rank(i + 1) * g, u_cols,
-                                   _hom_free_into(N, res.rank(i + 1)))
+    kernel_gens = colon_generators(R, u_cols, _hom_free_into(N, res.rank(i + 1)))
     denominator = _hom_free_into(N, res.rank(i))
     if i >= 1:  # plus the image of Hom(d_i, N)
         denominator += _hom_induced_columns(R, res.dual_map(i - 1), g)
@@ -106,8 +105,7 @@ def _ext_into_ring(res: FreeResolution, m: int) -> ExtResult:
     """Ext^m(res.module, R), m >= 1: zero, certified by membership, when
     Hom(F_., R) is exact at F_m; else the `_ext_from_resolution` subquotient."""
     R = res.module.ring
-    kernel = exact_kernel(R, res.rank(m), res.rank(m + 1),
-                          res.dual_map(m - 1), res.dual_map(m))
+    kernel = exact_kernel(R, res.dual_map(m - 1), res.dual_map(m))
     if kernel is not None:
         return ExtResult(m, FPModule.zero(R, len(kernel)), True)
     return _ext_from_resolution(res, FPModule.free(R, 1), m)
@@ -188,7 +186,7 @@ def _complete_window(res: FreeResolution, window: int, dual_side
 
     # dual exactness of the left tail alone, node s of Hom(F., R) being step
     # s; failures here are nonzero Ext^s
-    step = first_inexact_node(R, res.ranks, res.dual_maps)
+    step = first_inexact_node(R, res.dual_maps)
     if step is not None:
         return CompleteResolutionFailure(
             "left_dual_exactness", step,
@@ -197,14 +195,12 @@ def _complete_window(res: FreeResolution, window: int, dual_side
     # splice a right tail onto F_depth, ..., F_0, still reading left to
     # right; a free module instead gets a trivial window of its own
     module_position = min(window, len(res.maps))
-    nodes_ltr = [res.ranks[s] for s in range(module_position, -1, -1)]
     maps_ltr = [res.maps[s] for s in range(module_position - 1, -1, -1)]
     duals_ltr = [res.dual_maps[s] for s in range(module_position - 1, -1, -1)]
     n = M.ngens
     if not M.canonical_relations:
         route = "trivial_projective"
         one, to_zero = identity(R, n), transpose((), n)
-        nodes_ltr = [0, n, n, 0]
         maps_ltr = [(), one, to_zero]  # the last is F_0 -> 0
         duals_ltr = [to_zero, one, ()]
         module_position = 1
@@ -216,30 +212,27 @@ def _complete_window(res: FreeResolution, window: int, dual_side
             s = p - 1 - j % p
             maps_ltr.append(res.maps[s])
             duals_ltr.append(res.dual_maps[s])
-            nodes_ltr.append(res.ranks[s])
     else:
         D, dual_res = dual_side()
         route = "dual_of_dual_resolution"
         maps_ltr.append(transpose(D.evaluation, n))
         duals_ltr.append(D.evaluation)
-        nodes_ltr.append(dual_res.rank(0))
         for s, d in enumerate(dual_res.dual_maps[:window - 1]):
             maps_ltr.append(d)
             duals_ltr.append(dual_res.maps[s])
-            nodes_ltr.append(dual_res.rank(s + 1))
 
-    ranks_t, maps_t = tuple(nodes_ltr), tuple(maps_ltr)
-    bad = first_inexact_node(R, ranks_t, maps_t)
+    maps_t = tuple(maps_ltr)
+    bad = first_inexact_node(R, maps_t)
     if bad is not None:
         return CompleteResolutionFailure(
             "window_exactness", bad, "two-sided window is not exact")
-    bad = first_inexact_node(R, ranks_t[::-1], duals_ltr[::-1])
+    bad = first_inexact_node(R, duals_ltr[::-1])
     if bad is not None:
         return CompleteResolutionFailure(
             "window_dual_exactness", bad,
             "Hom(-, R) loses exactness on the two-sided window")
-    return CompleteResolutionWindow(route, ranks_t, maps_t,
-                                    module_position, window)
+    ranks = tuple(map(len, maps_t)) + (len(maps_t[-1][0]) if maps_t[-1] else 0,)
+    return CompleteResolutionWindow(route, ranks, maps_t, module_position, window)
 
 
 # ---------------------------------------------------------------------------

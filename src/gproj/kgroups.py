@@ -526,7 +526,7 @@ def pushdown_class(M: FPModule) -> KClass:
     a_cols = M.canonical_relations
     if not a_cols:
         return free_class
-    a_rels = colon_generators(S, M.ngens, a_cols)
+    a_rels = colon_generators(S, a_cols)
     small, zero = R.base, S.zero()
     reduced_cols = [  # each entry at x = 0
         tuple(restrict_poly(coeffs_by_variable(p, idx).get(0, zero), small) for p in col)

@@ -8,6 +8,12 @@ The module layer hands the modulus's reduced basis to `rings.FreeModuleGB`,
 which alone decides how it enters a basis; no caller appends modulus
 multiples of the unit vectors.
 
+A matrix is a tuple of dense columns, so a routine handed a nonempty one
+reads both its ranks off it, len(cols) columns of length len(cols[0]):
+`colon_generators`, `canonical_generators` and `exact_kernel` take no rank.
+A row count is passed only where a matrix may have no columns, which state
+none: `transpose`, `mat_vec`, `identity` and an engine take one.
+
 Every Poly in a column held by an FPModule, ModuleMap, SubmoduleOfFree,
 SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
 ring's modulus. Only new polynomials are reduced: products, base changes,
@@ -162,9 +168,9 @@ def span_scope(fn):
                 if eng is not None:
                     R, cols, syz = M.ring, M.canonical_relations, eng._syzygies
                     spans[_span_key(SubmoduleEngine, R, (M.ngens, cols))] = eng
-                    spans[_span_key(_canonical_generators, R, (M.ngens, cols))] = cols
+                    spans[_span_key(_canonical_generators, R, (cols,))] = cols
                     if syz is not None:
-                        spans[_span_key(_canonical_generators, R, (eng.m, syz))] = syz
+                        spans[_span_key(_canonical_generators, R, (syz,))] = syz
         token = _SPANS.set(spans)
         try:
             return fn(*args, **kwargs)
@@ -198,34 +204,35 @@ def _per_scope(build):
     return memo
 
 
-def _canonical_generators(R: QuotRing, rank: int, columns) -> tuple[Column, ...]:
+def _canonical_generators(R: QuotRing, columns) -> tuple[Column, ...]:
     """Unique reduced generating set of the R-submodule spanned by columns.
 
     Computed as the reduced Groebner basis of the preimage submodule of
-    P^rank (the given columns plus the modulus times P^rank, which the
-    engine holds as its modulus reducers), with the pure modulus part
-    discarded. Canonical: depends only on the submodule, not on the
-    generating set handed in.
+    P^rank, rank the columns' length (the given columns plus the modulus
+    times P^rank, which the engine holds as its modulus reducers), with the
+    pure modulus part discarded. Canonical: depends only on the submodule,
+    not on the generating set handed in. With no nonzero column it is the
+    empty Matrix at every rank, and no basis is built.
     """
     vectors = [v for v in map(_column_to_vec, columns) if v]
-    if rank == 0 or (not vectors and R.modulus.is_zero()):
-        return ()
-    return _read_columns(R, FreeModuleGB(R.base, rank, vectors, R.modulus.reduced_gb), 0, rank)
+    if not vectors:
+        return Matrix()
+    return _read_columns(R, FreeModuleGB(R.base, len(columns[0]), vectors, R.modulus.reduced_gb), 0)
 
 
 canonical_generators = _per_scope(_canonical_generators)
 
 
-def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> Matrix:
-    """The nonzero columns in R^rank of the elements of the reduced basis gb led
-    at position start or later, in basis order; only those reducers of gb's
-    packed index are unpacked. gb's basis holds the modulus times P^rank, so
-    only a lead equal to some LM(g), g in the modulus, can be unreduced. A
-    reducer whose lead is in gb._fixed is a row g*e_p that interreduction
-    left as it was, whose column is zero in R^rank, so it is skipped unread;
-    the rows it changed are read and reduced. Reduced bases are unique, so
-    inside a span scope the columns are also cached as their own
-    canonical_generators."""
+def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int) -> Matrix:
+    """The nonzero columns in R^rank, rank = gb.rank - start, of the elements
+    of the reduced basis gb led at position start or later, in basis order;
+    only those reducers of gb's packed index are unpacked. gb's basis holds
+    the modulus times P^gb.rank, so only a lead equal to some LM(g), g in the
+    modulus, can be unreduced. A reducer whose lead is in gb._fixed is a row
+    g*e_p that interreduction left as it was, whose column is zero in R^rank,
+    so it is skipped unread; the rows it changed are read and reduced.
+    Reduced bases are unique, so inside a span scope the columns are also
+    cached as their own canonical_generators."""
     modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
     base, one, unpack, fixed = R.base, R.base.field.one, gb._layout.unpack, gb._fixed
     out = []
@@ -233,7 +240,7 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> Matri
         for lead, tail, _ in reducers if pos >= start else ():
             if lead in fixed:
                 continue
-            per_pos: list[list] = [[] for _ in range(rank)]
+            per_pos: list[list] = [[] for _ in range(gb.rank - start)]
             for m, c in ((lead, one),) + tail:  # descending POT order, from position pos
                 p, e = unpack(m)
                 per_pos[p - start].append((e, c))
@@ -245,7 +252,7 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int, rank: int) -> Matri
     out = Matrix(out)
     out.ring = R
     if (spans := _SPANS.get()) is not None:
-        spans[_span_key(_canonical_generators, R, (rank, out))] = out
+        spans[_span_key(_canonical_generators, R, (out,))] = out
     return out
 
 
@@ -314,7 +321,7 @@ class SubmoduleEngine:
             # by POT elimination the tag block is the reduced basis of the
             # preimage {s : sum s_j*col_j in I*P^rank}, which is unique, so
             # these are canonical_generators' columns, in its order
-            self._syzygies = _read_columns(self.R, self.gb, self.rank, self.m)
+            self._syzygies = _read_columns(self.R, self.gb, self.rank)
         return self._syzygies
 
 
@@ -322,30 +329,31 @@ class SubmoduleEngine:
 span_engine = _per_scope(SubmoduleEngine)
 
 
-def colon_generators(R: QuotRing, rank: int, image_cols, modifier_cols=()
-                     ) -> tuple[Column, ...]:
+def colon_generators(R: QuotRing, image_cols, modifier_cols=()) -> tuple[Column, ...]:
     """Generators of {v : sum v_j * image_j lies in span(modifiers)} in R^len(image);
-    with no modifiers, the one kernel routine for a column matrix into R^rank.
-    No columns (a map from R^0) gives (); rank 0 gives R^len(image), no engine."""
+    with no modifiers, the one kernel routine for a column matrix into R^rank,
+    rank the columns' length. No columns (a map from R^0) gives (); empty
+    columns (rank 0) give R^len(image), no engine."""
     n = len(image_cols)
     if n == 0:
         return ()
+    rank = len(image_cols[0])
     if rank == 0:
         return identity(R, n)
     eng = span_engine(R, rank, [*image_cols, *modifier_cols] if modifier_cols else image_cols)
     if not modifier_cols:  # the syzygies are already canonical in R^n
         return eng.syzygies()
-    return canonical_generators(R, n, [tuple(s[:n]) for s in eng.syzygies()])
+    return canonical_generators(R, [tuple(s[:n]) for s in eng.syzygies()])
 
 
 @_per_scope
-def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
-                 ) -> Optional[tuple[Column, ...]]:
+def exact_kernel(R: QuotRing, incoming, outgoing) -> Optional[tuple[Column, ...]]:
     """ker(outgoing: R^rank_here -> R^rank_next) if the chain incoming,
-    outgoing is exact at this node, else None. outgoing holds rank_here
-    columns, empty ones when rank_next is 0: () would be a map with no source.
-    Image inside kernel is always checked, by the products outgoing *
-    incoming: that certifies syzygies read off an engine independently.
+    outgoing is exact at this node, else None. Both ranks are read off
+    outgoing, which holds rank_here columns, empty ones when rank_next is 0:
+    () is the map from R^0, whose kernel is (). Image inside kernel is
+    always checked, by the products outgoing * incoming: that certifies
+    syzygies read off an engine independently.
     Kernel inside image is asked by membership, except when the kernel's
     generators are the incoming columns themselves, as at every node of a
     resolution, whose maps are the kernels of the maps before them.
@@ -354,17 +362,18 @@ def exact_kernel(R: QuotRing, rank_here: int, rank_next: int, incoming, outgoing
     scope asks each key once. A periodic chain (a resolution, its dual, a
     window spliced from them) is never asked past its first period: Ext
     reads later degrees by the period's index, and `first_inexact_node`
-    skips a node whose ranks and map objects are an earlier node's. One
-    engine per map serves its kernel here and its image at the next node.
+    skips a node whose map objects are an earlier node's. One engine per map
+    serves its kernel here and its image at the next node.
     """
-    if rank_here == 0:
+    if not outgoing:
         return ()
+    rank_next = len(outgoing[0])
     if any(not p.is_zero() for col in incoming for p in mat_vec(R, outgoing, col, rank_next)):
         return None
-    kernel = colon_generators(R, rank_next, outgoing)
+    kernel = colon_generators(R, outgoing)
     if kernel == tuple(incoming):  # each kernel generator is an image generator
         return kernel
-    image = span_engine(R, rank_here, incoming)
+    image = span_engine(R, len(outgoing), incoming)
     return kernel if all(image.contains(kg) for kg in kernel) else None
 
 
@@ -384,7 +393,7 @@ class FPModule:
         self.ngens = ngens
         self.relations = _nonzero_columns(ring, ngens, relations,
                                           "relation column length does not match ngens")
-        self.canonical_relations = canonical_generators(ring, ngens, self.relations)
+        self.canonical_relations = canonical_generators(ring, self.relations)
         self._span = span_engine(ring, ngens, self.canonical_relations)
 
     @property
@@ -593,11 +602,9 @@ class SubmoduleOfFree:
         if not self.generators or not other.generators:
             return SubmoduleOfFree(self.ring, self.ambient_rank, ())
         n = len(self.generators)
-        syz = colon_generators(self.ring, self.ambient_rank,
-                               self.generators + other.generators)
-        cols = canonical_generators(self.ring, self.ambient_rank,
-                                    [mat_vec(self.ring, self.generators, s[:n], self.ambient_rank)
-                                     for s in syz])
+        syz = colon_generators(self.ring, self.generators + other.generators)
+        cols = canonical_generators(self.ring, [mat_vec(self.ring, self.generators, s[:n],
+                                                        self.ambient_rank) for s in syz])
         return SubmoduleOfFree(self.ring, self.ambient_rank, cols)
 
     def __repr__(self):
@@ -614,7 +621,7 @@ def annihilator_of_element(a: Poly, R: QuotRing) -> tuple[Poly, ...]:
     rank-1 engine of (a). Membership in it is asked on
     `span_engine(R, 1, [(g,) for g in ann])`, whose modulus makes it an ideal
     of R, not of the polynomial ring."""
-    return tuple(col[0] for col in colon_generators(R, 1, [(R.nf(a),)]))
+    return tuple(col[0] for col in colon_generators(R, [(R.nf(a),)]))
 
 
 def is_regular_element(u: Poly, M: FPModule) -> bool:
@@ -638,8 +645,8 @@ def dual_module(M: FPModule) -> DualModule:
     which is exactly its evaluation data.
     """
     R, cols = M.ring, M.canonical_relations
-    kernel = colon_generators(R, len(cols), transpose(cols, M.ngens))
-    rels = colon_generators(R, M.ngens, kernel)
+    kernel = colon_generators(R, transpose(cols, M.ngens))
+    rels = colon_generators(R, kernel)
     return DualModule(FPModule(R, len(kernel), rels), kernel)
 
 
@@ -671,11 +678,11 @@ def double_duality_verdict(M: FPModule, D: DualModule) -> str:
     and Ext^2 of the transpose of M (Auslander-Bridger), the homology of
     F_1 -> F_0 -> G_0* -> G_1* at F_0 and at G_0*.
     """
-    R, n, k, rels = M.ring, M.ngens, D.module.ngens, D.module.canonical_relations
-    splice = transpose(D.evaluation, n)
-    if exact_kernel(R, n, k, M.canonical_relations, splice) is None:
+    R, rels = M.ring, D.module.canonical_relations
+    splice = transpose(D.evaluation, M.ngens)
+    if exact_kernel(R, M.canonical_relations, splice) is None:
         return "not_mono"
-    onto = exact_kernel(R, k, len(rels), splice, transpose(rels, k)) is not None
+    onto = exact_kernel(R, splice, transpose(rels, D.module.ngens)) is not None
     return "iso" if onto else "mono_not_iso"
 
 
@@ -807,7 +814,7 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
     if not f.source.is_free_presentation() or not f.target.is_free_presentation():
         raise InputError("kernel_of_map expects free source and target")
     R = f.source.ring
-    return SubmoduleOfFree(R, f.source.ngens, colon_generators(R, f.target.ngens, f.columns))
+    return SubmoduleOfFree(R, f.source.ngens, colon_generators(R, f.columns))
 
 
 def _exact_quotient(a: Poly, b: Poly) -> Poly:
@@ -906,8 +913,8 @@ def intersect_with_truncation(Msub: SubmoduleOfFree, k: int) -> SubmoduleOfFree:
 
     high = [coords(w, k, bound + 1) for w in multiples]
     lows = [coords(w, 0, k) for w in multiples]
-    cols = [mat_vec(R, lows, s, r * k) for s in colon_generators(R, (bound + 1 - k) * r, high)]
-    return SubmoduleOfFree(R, r * k, canonical_generators(R, r * k, cols))
+    cols = [mat_vec(R, lows, s, r * k) for s in colon_generators(R, high)]
+    return SubmoduleOfFree(R, r * k, canonical_generators(R, cols))
 
 
 def window_vector_to_ambient(col, r: int, S: QuotRing) -> Column:

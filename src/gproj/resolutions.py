@@ -101,7 +101,7 @@ class FreeResolution:
             raise InputError(f"resolution too short for syzygy {n}")
         gens = len(self.maps[n - 1])
         rels = self.maps[n] if n < len(self.maps) else \
-            colon_generators(self.module.ring, self.ranks[n - 1], self.maps[n - 1])
+            colon_generators(self.module.ring, self.maps[n - 1])
         return FPModule(self.module.ring, gens, rels)
 
     def report_lines(self) -> list[str]:
@@ -152,37 +152,35 @@ def free_resolution(M: FPModule, depth: int) -> FreeResolution:
     R = M.ring
     maps = [M.canonical_relations]
     first = {maps[0]: 0} if maps[0] else {}
-    rank = M.ngens
     for t in range(1, depth + 1):
         current = maps[-1]
         if not current:
             break  # previous kernel was zero; the resolution has terminated
-        nxt = colon_generators(R, rank, current)
+        nxt = colon_generators(R, current)
         if nxt and (s := first.setdefault(nxt, t)) < t:
             return FreeResolution(M, _by_period(maps, depth + 1, (s, t - s)), depth, (s, t - s))
         maps.append(nxt)
-        rank = len(current)
     return FreeResolution(M, tuple(maps), depth)
 
 
 @span_scope
-def first_inexact_node(R: QuotRing, ranks, maps) -> Optional[int]:
-    """First interior node (1..len-2) where the chain is not exact, or None.
+def first_inexact_node(R: QuotRing, maps) -> Optional[int]:
+    """First interior node (1..len(maps)-1) where the chain is not exact, or None.
 
     Reads the chain left to right: maps[j] sends node j to node j+1 as a
-    column list. Each node is checked by `exact_kernel`, not by the
+    column list, so node j's rank is len(maps[j]), and a map to R^0 holds
+    empty columns. Each node is checked by `exact_kernel`, not by the
     construction that produced the maps. Its verdict is a function of the
-    node's two ranks and two maps, so a node whose ranks and map objects (by
-    identity; the ranks because () is one shared object) are an earlier
-    node's is skipped: a chain that repeats its maps by reference, as a
-    periodic resolution, its dual maps and the windows spliced from them do,
-    is checked once per distinct node at any length."""
+    node's two maps, so a node whose map objects (by identity) are an
+    earlier node's is skipped: a chain that repeats its maps by reference,
+    as a periodic resolution, its dual maps and the windows spliced from
+    them do, is checked once per distinct node at any length."""
     seen = set()
-    for node in range(1, len(ranks) - 1):
-        key = (ranks[node], ranks[node + 1], id(maps[node - 1]), id(maps[node]))
+    for node in range(1, len(maps)):
+        key = (id(maps[node - 1]), id(maps[node]))
         if key not in seen:
             seen.add(key)
-            if exact_kernel(R, ranks[node], ranks[node + 1], maps[node - 1], maps[node]) is None:
+            if exact_kernel(R, maps[node - 1], maps[node]) is None:
                 return node
     return None
 
@@ -208,7 +206,7 @@ def verify_exactness(res: FreeResolution) -> bool:
     if per is not None and not (sum(per) < len(maps) and maps[per[0]]
                                 and maps == _by_period(maps[:sum(per)], len(maps), per)):
         return False  # the stated repeat is not there
-    return first_inexact_node(R, res.ranks[::-1], maps[::-1]) is None
+    return first_inexact_node(R, maps[::-1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +236,13 @@ class PdVerdict(NamedTuple):
 _MINORS_BOUND = 1000
 
 
-def _fitting_rejects(R: QuotRing, q: int, U) -> bool:
+def _fitting_rejects(R: QuotRing, U) -> bool:
     """True only on a proof that M = coker(U) is not projective, U the q x w
-    matrix whose columns are U; False proves nothing. A projective module has
-    idempotent Fitting ideals, Fitt_j(M) being the ideal of the (q - j)-minors
-    of any presentation matrix of M (H. Lombardi and C. Quitte, Commutative
-    Algebra: Constructive Methods, 2015, ch. IV; D. Eisenbud, Commutative
-    Algebra, GTM 150, 1995, ch. 20).
+    matrix whose w > 0 columns, each of length q, are U; False proves
+    nothing. A projective module has idempotent Fitting ideals, Fitt_j(M)
+    being the ideal of the (q - j)-minors of any presentation matrix of M
+    (H. Lombardi and C. Quitte, Commutative Algebra: Constructive Methods,
+    2015, ch. IV; D. Eisenbud, Commutative Algebra, GTM 150, 1995, ch. 20).
     - Units: a nonzero constant entry is a unit pivot; its row and column are
       eliminated, which keeps M, until the matrix V has no constant entry.
       A zero or empty V presents a free M.
@@ -261,7 +259,7 @@ def _fitting_rejects(R: QuotRing, q: int, U) -> bool:
     A check that trips the degree guard proves nothing, so the routes after
     it trip as they did, with the same message."""
     try:
-        rows = list(transpose(U, q))
+        rows = list(transpose(U, len(U[0])))
         while unit := next(((i, j) for i, row in enumerate(rows) for j, p in enumerate(row)
                             if p.is_constant() and not p.is_zero()), None):
             i, j = unit
@@ -292,9 +290,9 @@ def _fitting_rejects(R: QuotRing, q: int, U) -> bool:
         return False
 
 
-def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
-                                  ) -> Optional[tuple]:
-    """Retraction of R^ambient onto the span of kernel_gens, or None.
+def _split_surjection_onto_kernel(R: QuotRing, kernel_gens) -> Optional[tuple]:
+    """Retraction of R^q onto the span of kernel_gens, or None, q the
+    columns' length.
 
     Solves U*H*U = U over R, U the q x w matrix whose columns are kernel_gens;
     a solution certifies that the cokernel of the inclusion is projective (the
@@ -317,10 +315,10 @@ def _split_surjection_onto_kernel(R: QuotRing, ambient_rank: int, kernel_gens
     w = len(kernel_gens)
     if w == 0:
         return ()
-    q = ambient_rank
-    if _fitting_rejects(R, q, kernel_gens):
+    q = len(kernel_gens[0])
+    if _fitting_rejects(R, kernel_gens):
         return None
-    if not colon_generators(R, q, kernel_gens):
+    if not colon_generators(R, kernel_gens):
         return span_engine(R, w, transpose(kernel_gens, q)).lift(identity(R, w))
     # unknowns H[i][j], i < w, j < q; equation vec(U H U) = vec(U) with
     # U[a][i] = kernel_gens[i][a] at index a*w + i of u = vec(U). Entry (a, l)
@@ -360,7 +358,7 @@ def pd_bounded(M: FPModule, depth: int) -> PdVerdict:
     res = free_resolution(M, depth + 1)
     per = res.periodicity
     for s in range(sum(per) if per else min(depth + 1, len(res.maps))):
-        H = split_surjection_onto_kernel(R, res.rank(s), res.maps[s])
+        H = split_surjection_onto_kernel(R, res.maps[s])
         if H is not None:
             return PdVerdict("finite", s, None, None, res, H)
     # a periodic chain has s + p <= len(res.maps) - 1 <= depth + 1: the loop

@@ -125,7 +125,7 @@ def exact_kernel_reference(R, rank_here, rank_next, incoming, outgoing):
         return ()
     if any(any(p.terms for p in matrix_image(R, outgoing, col, rank_next)) for col in incoming):
         return None
-    kernel = colon_generators(R, rank_next, outgoing)
+    kernel = colon_generators(R, outgoing)
     image = SubmoduleEngine(R, rank_here, list(incoming))
     return kernel if all(image.contains(k) for k in kernel) else None
 

@@ -222,6 +222,12 @@ def test_trivial_window_for_free_module():
     w = complete_resolution_check(FPModule.free(QxQ(), 2), 3)
     assert isinstance(w, CompleteResolutionWindow)
     assert w.route == "trivial_projective"
+    assert w.ranks == (0, 2, 2, 0)
+    # each node's rank is read off its outgoing map; with no generators the
+    # identity and the map to zero have no columns either
+    w = complete_resolution_check(FPModule(R4(), 0, ()), 3)
+    assert isinstance(w, CompleteResolutionWindow) and w.route == "trivial_projective"
+    assert w.ranks == (0, 0, 0, 0) and w.maps == ((), (), ())
 
 
 def test_window_fails_for_residue_field():
@@ -670,17 +676,18 @@ def test_each_window_scans_its_transpose_as_the_dual_chain(build, window, route,
     # transposes, computed here from the window itself
     scans, scan = [], gorenstein.first_inexact_node
 
-    def recording(R, ranks, maps):
-        scans.append((tuple(ranks), tuple(maps)))
-        return scan(R, ranks, maps)
+    def recording(R, maps):
+        scans.append(tuple(maps))
+        return scan(R, maps)
 
     monkeypatch.setattr(gorenstein, "first_inexact_node", recording)
     M = build()
     w = complete_resolution_check(M, window)
     assert isinstance(w, CompleteResolutionWindow) and w.route == route
     res = free_resolution(M, window + 1)
-    assert scans == [_transposed_chain(res.ranks[::-1], res.maps[::-1]),
-                     (w.ranks, w.maps), _transposed_chain(w.ranks, w.maps)]
+    ranks, duals = _transposed_chain(w.ranks, w.maps)
+    assert scans == [_transposed_chain(res.ranks[::-1], res.maps[::-1])[1], w.maps, duals]
+    assert ranks[:-1] == tuple(map(len, duals))  # each dual node's rank is its map's width
 
 
 def _hom_induced_columns_of_the_map(R, d_cols, rank_from, g):

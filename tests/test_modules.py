@@ -80,7 +80,7 @@ def test_annihilator_is_an_ideal_of_the_quotient():
         assert engine.contains((R.base.poly(f),)), f
     for f in ("y", "1", "x + y"):
         assert not engine.contains((R.base.poly(f),)), f
-    assert ann == tuple(col[0] for col in colon_generators(R, 1, [(R.poly("x"),)]))
+    assert ann == tuple(col[0] for col in colon_generators(R, [(R.poly("x"),)]))
 
 
 def test_annihilator_times_element_is_zero():
@@ -571,21 +571,34 @@ def test_submodule_is_zero_builds_no_basis(count_calls):
 
 
 def test_one_kernel_routine_and_its_edge_maps(count_calls):
-    # no columns is the map out of R^0, with no kernel generators; rank 0
-    # is the map onto R^0, whose kernel is all of the source, found with no
-    # engine; otherwise it agrees with the kernel read off an engine
+    # no columns is the map out of R^0, with no kernel generators; empty
+    # columns are the map onto R^0, whose kernel is all of the source, found
+    # with no engine; otherwise it agrees with the kernel read off an engine
     from gproj.modules import SubmoduleEngine, colon_generators, identity, transpose
     R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
     x, y, z = R.poly("x"), R.poly("y"), R.zero()
-    assert colon_generators(R, 2, ()) == ()
-    kernel, builds = count_calls(SubmoduleEngine, "__init__", colon_generators, R, 0, ((),) * 3)
+    assert colon_generators(R, ()) == ()
+    kernel, builds = count_calls(SubmoduleEngine, "__init__", colon_generators, R, ((),) * 3)
     assert kernel == identity(R, 3) and builds == 0
     cols = ((x, y), (y, z), (x * y, x))
-    assert colon_generators(R, 2, cols) == SubmoduleEngine(R, 2, cols).syzygies()
+    assert colon_generators(R, cols) == SubmoduleEngine(R, 2, cols).syzygies()
     assert identity(R, 2) == ((R.one(), z), (z, R.one()))
     assert identity(R, 2, y) == ((y, z), (z, y))
     assert transpose(cols, 2) == ((x, y, x * y), (y, z, x))
     assert transpose((), 2) == ((), ())
+
+
+def test_no_nonzero_column_builds_no_basis(count_calls):
+    # with no nonzero column the canonical set is the empty Matrix at any
+    # rank, read off no basis of the modulus rows: a free module's engine is
+    # the one basis it builds
+    from gproj.modules import Matrix, canonical_generators
+    R = PolyRing(GF(2), ("x", "y")).quotient(["x^2", "y^2"])
+    F, builds = count_calls(FreeModuleGB, "__init__", FPModule.free, R, 3)
+    assert builds == 1 and F.canonical_relations == () and type(F.canonical_relations) is Matrix
+    zeros = [(R.zero(),) * 3] * 2
+    cols, builds = count_calls(FreeModuleGB, "__init__", canonical_generators, R, zeros)
+    assert builds == 0 and cols == () and type(cols) is Matrix
 
 
 def test_lift_is_the_one_solver():

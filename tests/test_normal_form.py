@@ -112,9 +112,9 @@ def test_unreduced_columns_give_the_answers_of_their_normal_forms(case):
     # the internal builders take held, reduced columns; on unreduced ones
     # they reach the same answer (v - nf(v) lies in the preimage module
     # each basis is built from) but may trip the guard elsewhere
-    for build in (canonical_generators, lambda *a: span_engine(*a).syzygies()):
-        raw = outcome(lambda: build(R, n, cols))
-        reduced = outcome(lambda: build(R, n, [nf(c) for c in cols]))
+    for build in (lambda c: canonical_generators(R, c), lambda c: span_engine(R, n, c).syzygies()):
+        raw = outcome(lambda: build(cols))
+        reduced = outcome(lambda: build([nf(c) for c in cols]))
         if not isinstance(raw, str) and not isinstance(reduced, str):
             assert raw == reduced
 
@@ -139,9 +139,9 @@ def test_the_builders_are_handed_reduced_columns(key, monkeypatch):
         handed.append(column)
         return witness(self, column)
 
-    def recording_canonical(R, rank, columns):
+    def recording_canonical(R, columns):
         handed.extend(columns)
-        return canonical(R, rank, columns)
+        return canonical(R, columns)
 
     monkeypatch.setattr(SubmoduleEngine, "__init__", recording_init)
     monkeypatch.setattr(SubmoduleEngine, "witness", recording_witness)
@@ -201,8 +201,8 @@ def test_columns_read_off_a_basis_over_the_same_ring_skip_normal_form(key, monke
     # so every nf call counted is one of the columns handed in
     R = gclass_ring(key)
     x, y = R.poly("x"), R.nf(R.base.gens()[-1])
-    kernel = colon_generators(R, 1, [(x,), (x * y,), (y * y,)])
-    syz = colon_generators(R, 3, kernel)
+    kernel = colon_generators(R, [(x,), (x * y,), (y * y,)])
+    syz = colon_generators(R, kernel)
     assert kernel and syz and kernel.ring is syz.ring is R
     calls, nf = [], QuotRing.nf
     monkeypatch.setattr(QuotRing, "nf", lambda R, f: calls.append(f) or nf(R, f))
@@ -229,7 +229,7 @@ def test_a_module_moved_to_a_quotient_ring_is_reduced_there():
     # reduced, and the moved module holds their normal forms
     R = PolyRing(GF(5), ("x", "y")).quotient(["x^3"])
     x, y = R.poly("x"), R.poly("y")
-    rels = colon_generators(R, 1, [(x * x,), (y,)])
+    rels = colon_generators(R, [(x * x,), (y,)])
     assert rels.ring is R
     Q = quotient_by_regular_element(FPModule(R, 2, rels), y)
     assert Q.ring != R and any(Q.ring.nf(p) != p for col in rels for p in col)

@@ -114,7 +114,7 @@ def _residue_field_resolution(depth):
 
 
 def _first_inexact(res):
-    return first_inexact_node(res.module.ring, res.ranks[::-1], res.maps[::-1])
+    return first_inexact_node(res.module.ring, res.maps[::-1])
 
 
 def test_exactness_checker_accepts_the_intact_resolution():
@@ -149,8 +149,7 @@ def test_exactness_checker_reports_the_first_inexact_node():
     broken = FreeResolution(k, (res.maps[0], d2) + res.maps[2:], 3)
     assert not verify_exactness(broken)
     assert _first_inexact(broken) == 2
-    ranks, maps = broken.ranks[::-1], broken.maps[::-1]
-    assert first_inexact_node(R, ranks[2:], maps[2:]) == 1  # F_1 fails too
+    assert first_inexact_node(R, broken.maps[::-1][2:]) == 1  # F_1 fails too
 
 
 def test_exactness_checker_rejects_a_wrong_presentation_at_f0():
@@ -180,13 +179,13 @@ def test_a_literal_kernel_asks_no_membership(count_calls):
     from gproj.modules import SubmoduleEngine, exact_kernel
     R, _, res = _residue_field_resolution(5)
     for node in _primal_nodes(res):
-        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node)
+        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node[2:])
         assert kernel == node[2] and asked == 0
     res = free_resolution(late_period_module(), 4)
     R, differ = res.module.ring, 0
     for node in _primal_nodes(res) + _dual_nodes(res):
-        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node)
-        literal = colon_generators(R, node[1], node[3]) == node[2]
+        kernel, asked = count_calls(SubmoduleEngine, "witness", exact_kernel, R, *node[2:])
+        literal = colon_generators(R, node[3]) == node[2]
         assert (asked == 0) == literal and kernel == exact_kernel_reference(R, *node)
         differ += not literal
     assert differ
@@ -215,9 +214,8 @@ def test_exact_kernel_matches_the_reference_that_always_asks(key):
                     col[i] = R.nf(col[i] + rng.choice(monomials))
                 perturbed[k][j] = tuple(col)
             for chain in (maps, [tuple(m) for m in perturbed]):
-                node = (rank_here, rank_next, *chain)
-                want = exact_kernel_reference(R, *node)
-                assert exact_kernel(R, *node) == want
+                want = exact_kernel_reference(R, rank_here, rank_next, *chain)
+                assert exact_kernel(R, *chain) == want
                 verdicts.add(want is None)
     assert verdicts == {True, False}
 
@@ -301,7 +299,7 @@ def test_splitting_matches_the_full_system(ring):
         gens = [tuple(entry() for _ in range(q)) for _ in range(w)]
         if rng.random() < 0.4:  # a unit column makes a split more likely
             gens[0] = tuple(R.one() if a == 0 else R.zero() for a in range(q))
-        H = split_surjection_onto_kernel(R, q, gens)
+        H = split_surjection_onto_kernel(R, gens)
         assert H == _split_by_the_full_system(R, q, gens)
         found.add(H is None)
     assert found == {True, False}
@@ -400,7 +398,7 @@ def test_splitting_of_an_injective_map_matches_the_full_system(ring):
         rows = block(w) + [[entry() for _ in range(w)] for _ in range(q - w)]
         rng.shuffle(rows)
         gens = [tuple(row[i] for row in rows) for i in range(w)]
-        H = split_surjection_onto_kernel(R, q, gens)
+        H = split_surjection_onto_kernel(R, gens)
         assert (H is None) == (_split_by_the_full_system(R, q, gens) is None)
         if H is not None:
             hu, _ = _products(R, q, gens, H)
@@ -453,11 +451,11 @@ def test_fitting_rejections_are_full_system_nones(monkeypatch):
     for R, q, U in _fitting_corpus():
         routes.clear()
         full = _split_by_the_full_system(R, q, U)
-        if resolutions._fitting_rejects(R, q, U):
+        if resolutions._fitting_rejects(R, U):
             assert full is None, (R, U)
             route = routes[-1] if routes else "shortcut"
             rejected[route] = rejected.get(route, 0) + 1
-        assert (split_surjection_onto_kernel(R, q, U) is None) == (full is None), (R, U)
+        assert (split_surjection_onto_kernel(R, U) is None) == (full is None), (R, U)
     assert set(rejected) == {"shortcut", "_bareiss", "reduce_poly"}, rejected
 
 
@@ -465,8 +463,8 @@ def test_the_zero_map_is_projective():
     # U = 0 presents the free module R^q: its empty minor is 1
     for R in (polynomial_ring(QQ, ("x", "y")), gclass_ring("A")):
         U = [(R.zero(), R.zero())]
-        assert not resolutions._fitting_rejects(R, 2, U)
-        assert split_surjection_onto_kernel(R, 2, U) is not None
+        assert not resolutions._fitting_rejects(R, U)
+        assert split_surjection_onto_kernel(R, U) is not None
 
 
 @pytest.mark.parametrize("ring, q, columns", [
@@ -477,8 +475,8 @@ def test_the_zero_map_is_projective():
 def test_a_unit_entry_falls_through(ring, q, columns):
     R = polynomial_ring(QQ, ("x", "y")) if ring == "QQ[x,y]" else gclass_ring(ring)
     U = [tuple(R.poly(p) for p in col) for col in columns]
-    assert not resolutions._fitting_rejects(R, q, U)
-    H = split_surjection_onto_kernel(R, q, U)
+    assert not resolutions._fitting_rejects(R, U)
+    H = split_surjection_onto_kernel(R, U)
     assert H is not None and _retracts(R, q, U, H)
 
 
@@ -489,7 +487,7 @@ def test_a_modulus_with_a_linear_term_never_fires_the_shortcut(entry, count_call
     R = PolyRing(GF(3), ("x", "y")).quotient(["x - y^2"])
     U = [(R.poly(entry),)]
     rejects, reductions = count_calls(resolutions, "reduce_poly", resolutions._fitting_rejects,
-                                      R, 1, U)
+                                      R, U)
     assert rejects and reductions > 0
     assert _split_by_the_full_system(R, 1, U) is None
 
@@ -511,12 +509,12 @@ def test_a_fitting_check_that_trips_the_guard_falls_through(monkeypatch):
             raise
 
     monkeypatch.setattr(resolutions, "Ideal", tripping)
-    assert not resolutions._fitting_rejects(R, 2, U)
+    assert not resolutions._fitting_rejects(R, U)
     assert trips == ["Groebner basis: term degree 6 exceeds guard 4"]
 
     def outcome():
         try:
-            return split_surjection_onto_kernel(R, 2, U)
+            return split_surjection_onto_kernel(R, U)
         except DegreeGuardExceeded as exc:
             return str(exc)
 
@@ -591,7 +589,7 @@ def test_splitting_over_a_chain_ring_stays_below_the_guard(columns):
     # polynomials stay reduced; unseeded, these trip at degree 34 and 42
     R = gclass_ring("chain4")
     kernel_gens = [tuple(R.poly(p) for p in col) for col in columns]
-    assert split_surjection_onto_kernel(R, 3, kernel_gens) is None
+    assert split_surjection_onto_kernel(R, kernel_gens) is None
 
 
 def _find_periodicity(maps):
@@ -631,10 +629,9 @@ def _iterated_kernels(M, depth, max_rank=6):
     """The maps of a depth-`depth` resolution of M by colon_generators alone,
     step by step, with no repeat detected and nothing filled; it stops early,
     with the maps so far, once a rank passes max_rank."""
-    maps, rank = [M.canonical_relations], M.ngens
+    maps = [M.canonical_relations]
     while len(maps) <= depth and maps[-1] and len(maps[-1]) <= max_rank:
-        maps.append(colon_generators(M.ring, rank, maps[-1]))
-        rank = len(maps[-2])
+        maps.append(colon_generators(M.ring, maps[-1]))
     return tuple(maps)
 
 

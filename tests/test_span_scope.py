@@ -87,15 +87,15 @@ def test_lower_guard_copy_of_the_ring_still_trips_in_one_scope():
     def columns(R):  # reduced, of degree 3; their reduced basis holds y^4
         return [(R.poly("x^2*y"),), (R.poly("x^3+y^3"),)]
 
-    assert [str(c[0]) for c in canonical_generators(high, 1, columns(high))] == [
+    assert [str(c[0]) for c in canonical_generators(high, columns(high))] == [
         "y^4", "x^3+y^3", "x^2*y"]
 
     @span_scope
     def both():
-        for build in (span_engine, canonical_generators):
-            build(high, 1, columns(high))
+        for build in (lambda R, cols: span_engine(R, 1, cols), canonical_generators):
+            build(high, columns(high))
             with pytest.raises(DegreeGuardExceeded):
-                build(low, 1, columns(low))
+                build(low, columns(low))
 
     both()
 
@@ -171,16 +171,16 @@ def test_a_canonical_set_is_its_own_canonical_set_in_a_scope(count_calls):
 
     @span_scope
     def rebuild():
-        canonical = canonical_generators(R, 2, cols)
+        canonical = canonical_generators(R, cols)
         syzygies = span_engine(R, 2, cols).syzygies()
-        again = [count_calls(FreeModuleGB, "__init__", canonical_generators, R, n, list(c))
-                 for n, c in ((2, canonical), (len(cols), syzygies))]
+        again = [count_calls(FreeModuleGB, "__init__", canonical_generators, R, list(c))
+                 for c in (canonical, syzygies)]
         return canonical, syzygies, again
 
     canonical, syzygies, again = rebuild()
     assert canonical and syzygies
     assert again == [(canonical, 0), (syzygies, 0)]
-    rebuilt = count_calls(FreeModuleGB, "__init__", canonical_generators, R, 2, canonical)
+    rebuilt = count_calls(FreeModuleGB, "__init__", canonical_generators, R, canonical)
     assert rebuilt == (canonical, 1)
 
 

@@ -68,8 +68,8 @@ def test_read_off_syzygies_equal_a_second_basis(key):
         syz = eng.syzygies()
         # the route a second basis takes: the rows not led by a modulus
         # lead, handed to canonical_generators
-        assert syz == canonical_generators(R, eng.m, tag_rows(eng, lambda t: t not in leads))
-        assert canonical_generators(R, eng.m, syz) == syz
+        assert syz == canonical_generators(R, tag_rows(eng, lambda t: t not in leads))
+        assert canonical_generators(R, syz) == syz
         assert all(R.nf(p) == p for col in syz for p in col)
         if key == "zero ring":
             assert syz == ()
@@ -153,7 +153,7 @@ def _both_read_offs(R, rank, columns, seen):
     a guard-trip message; seen[0] counts the changed modulus rows met."""
     def library():
         return (SubmoduleEngine(R, rank, columns).syzygies(),
-                canonical_generators(R, rank, columns))
+                canonical_generators(R, columns))
 
     def reference():
         eng = SubmoduleEngine(R, rank, columns)

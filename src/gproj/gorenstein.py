@@ -10,6 +10,12 @@ the double-duality map; on that last route the resolution need not be
 periodic, and the certificate covers the window of width d only. The
 window's left dual scan reads Hom(F., R) through node d + 1, so it also
 needs Ext^{d+1}(M, R) = 0; any other clean run passes up to depth d.
+
+A resolution and its Ext groups are functions of the ring, the generator
+count and the canonical relations. So when `dual_module` presents M* as M,
+as for a free module, or k over GF(2)[x,y]/(x^2, y^2), the dual side is
+read off M's own resolution: neither `g_class_test` nor
+`complete_resolution_check` resolves one presentation twice.
 """
 
 from __future__ import annotations
@@ -152,18 +158,23 @@ def complete_resolution_check(M: FPModule, window: int
     through double duality when the evaluation map is an isomorphism; raises
     NoCoresolutionAvailable when none applies. Check failures (for example a
     nonzero Ext breaking dual exactness) come back as a failure value.
+    M is resolved once, to depth window + 1; on the double-duality route a
+    dual presented as M takes that resolution, which covers the window's
+    reads of it, and any other dual is resolved to depth window.
     """
     if window < 1:
         raise InputError("window must be at least 1")
+
+    res = free_resolution(M, window + 1)
 
     def dual_side():
         D = dual_module(M)
         if double_duality_verdict(M, D) != "iso":
             raise NoCoresolutionAvailable(
                 "no periodicity and the double-duality map is not an isomorphism")
-        return D, free_resolution(D.module, window)
+        return D, res if D.module.same_presentation(M) else free_resolution(D.module, window)
 
-    return _complete_window(free_resolution(M, window + 1), window, dual_side)
+    return _complete_window(res, window, dual_side)
 
 
 def _complete_window(res: FreeResolution, window: int, dual_side
@@ -274,24 +285,25 @@ def g_class_test(M: FPModule, depth: int) -> GClassReport:
     """Run the three conditions to the given depth; certify when possible.
 
     Condition 1: Ext^m(M, R) = 0 for 1 <= m <= depth. Condition 2: the same
-    for the dual module. Condition 3: the double-duality map is an
-    isomorphism, decided by `double_duality_verdict`'s two node checks with
-    no double dual built. A full pass upgrades to certified when a two-sided
-    window with verified dual exactness exists; its left dual scan reads
-    Hom(F., R) through node depth + 1 of the resolution, so this also needs
-    Ext^{depth+1}(M, R) = 0. A resolution periodic from s with period p
-    is computed to its first repeat only; Ext^m for m > s + p is read by the
-    period's index, and the window scans meet the repeated maps by reference
-    and check each distinct node once, so the work does not grow with the
-    depth on any window route.
+    for the dual module, read off M's resolution and condition 1 when the
+    dual is presented as M, else off a resolution of its own. Condition 3:
+    the double-duality map is an isomorphism, decided by
+    `double_duality_verdict`'s two node checks with no double dual built. A
+    full pass upgrades to certified when a two-sided window with verified
+    dual exactness exists; its left dual scan reads Hom(F., R) through node
+    depth + 1 of the resolution, so this also needs Ext^{depth+1}(M, R) = 0.
+    A resolution periodic from s with period p is computed to its first
+    repeat only; Ext^m for m > s + p is read by the period's index, and the
+    window scans meet the repeated maps by reference and check each distinct
+    node once, so the work does not grow with the depth on any window route.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     res = free_resolution(M, depth + 1)
     cond1 = _exts_into_ring(res, depth)
     D = dual_module(M)
-    dual_res = free_resolution(D.module, depth + 1)
-    cond2 = _exts_into_ring(dual_res, depth)
+    dual_res = res if D.module.same_presentation(M) else free_resolution(D.module, depth + 1)
+    cond2 = cond1 if dual_res is res else _exts_into_ring(dual_res, depth)
     cond3 = double_duality_verdict(M, D)
 
     witnesses = [(kind, r.i, r) for kind, results in (("cond1", cond1), ("cond2", cond2))

@@ -529,7 +529,7 @@ class ModuleMap:
         in the target's free module. Its syzygies give the kernel, and its
         membership the cokernel and the image of a short exact sequence."""
         T = self.target
-        return span_engine(T.ring, T.ngens, self.columns + T.canonical_relations)
+        return span_engine(T.ring, T.ngens, Matrix(self.columns + T.canonical_relations))
 
     def kernel_preimage_generators(self) -> tuple[Column, ...]:
         """Generators in R^{source.ngens} of the preimage of the kernel: the
@@ -546,7 +546,7 @@ class ModuleMap:
 
     def cokernel_is_zero(self) -> bool:
         T = self.target
-        return T.ngens == 0 or all(self._image.contains(e) for e in identity(T.ring, T.ngens))
+        return T.ngens == 0 or all(map(self._image.contains, identity(T.ring, T.ngens)))
 
     def __repr__(self):
         return f"ModuleMap({self.source.ngens} gens -> {self.target.ngens} gens)"

@@ -444,7 +444,7 @@ def verify_short_exact(incl: ModuleMap, proj: ModuleMap) -> ShortExactReport:
     injective = incl.kernel_is_zero()
     surjective = proj.cokernel_is_zero()
     # kernel of proj inside the image of incl (plus target relations of B)
-    kernel_in_image = all(incl._image.contains(g) for g in proj.kernel_preimage_generators())
+    kernel_in_image = all(map(incl._image.contains, proj.kernel_preimage_generators()))
     return ShortExactReport(injective, composite_zero, kernel_in_image, surjective)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -391,6 +392,120 @@ def test_g_class_test_matches_standalone_routes(key, build):
     M = build(gclass_ring(key))
     for depth in range(1, 5):
         _assert_report_matches_standalone_routes(M, depth, g_class_test(M, depth))
+
+
+# ----- the dual side read off M's resolution when M* presents M -----
+
+def _dual_side_draws(key):
+    """The residue field and 25 random modules over a catalog ring; about a
+    third of the random ones have M* presented as M."""
+    R = gclass_ring(key)
+    rng = random.Random(f"dual-side:{key}")
+    return [_residue_field(R)] + [random_module(R, rng) for _ in range(25)]
+
+
+def _entries(conds):
+    return [(r.i, r.is_zero, r.module.ngens, r.module.canonical_relations) for r in conds]
+
+
+def _reference_g_class(M, depth):
+    """The verdict and both conditions with M* resolved in its own top-level
+    call and its Ext read off that resolution, whatever presents it."""
+    res = free_resolution(M, depth + 1)
+    D = dual_module(M)
+    dual_res = free_resolution(D.module, depth + 1)
+    cond1 = gorenstein._exts_into_ring(res, depth)
+    cond2 = gorenstein._exts_into_ring(dual_res, depth)
+    fails = [f"{kind} at m={r.i}" for kind, conds in (("cond1", cond1), ("cond2", cond2))
+             for r in conds if not r.is_zero]
+    if double_duality_verdict(M, D) != "iso":
+        fails.append("cond3")
+    if fails:
+        verdict = f"Fail({fails[0]})"
+    elif isinstance(gorenstein._complete_window(res, depth, lambda: (D, dual_res)),
+                    CompleteResolutionWindow):
+        verdict = "Certified(complete_resolution)"
+    else:
+        verdict = f"PassUpToDepth({depth})"
+    return verdict, _entries(cond1), _entries(cond2)
+
+
+def _window_outcome(check, M, window):
+    """What a window check gives, comparable across calls: the route, ranks,
+    maps and module position of a window, a failure as it is, or the class
+    of the exception raised."""
+    try:
+        w = check(M, window)
+    except NoCoresolutionAvailable as exc:
+        return type(exc)
+    if isinstance(w, CompleteResolutionWindow):
+        return w.route, w.ranks, w.maps, w.module_position
+    return w
+
+
+def _reference_window(M, window):
+    """complete_resolution_check with M* resolved in its own top-level call."""
+    def dual_side():
+        D = dual_module(M)
+        if double_duality_verdict(M, D) != "iso":
+            raise NoCoresolutionAvailable("the double-duality map is not an isomorphism")
+        return D, free_resolution(D.module, window)
+
+    return gorenstein._complete_window(free_resolution(M, window + 1), window, dual_side)
+
+
+@pytest.mark.parametrize("key", sorted(GCLASS_RINGS))
+def test_dual_side_matches_a_separately_resolved_dual(key):
+    branches = set()
+    for M in _dual_side_draws(key):
+        branches.add(dual_module(M).module.same_presentation(M))
+        rep = g_class_test(M, 2)
+        assert (rep.verdict_str(), _entries(rep.cond1), _entries(rep.cond2)) == \
+            _reference_g_class(M, 2)
+        assert _window_outcome(complete_resolution_check, M, 2) == \
+            _window_outcome(_reference_window, M, 2)
+    assert branches == {True, False}  # M* presents M, and it does not
+
+
+def test_residue_field_duals_take_each_branch():
+    # k over the Gorenstein ring A is its own dual; over E its dual is the
+    # socle (x, y), presented as k^2, so only there is M* resolved again
+    k_a, k_e = _residue_field(gclass_ring("A")), _residue_field(gclass_ring("E"))
+    assert dual_module(k_a).module.same_presentation(k_a)
+    assert dual_module(k_e).module.ngens == 2
+    assert _window_outcome(complete_resolution_check, k_a, 3)[0] == "dual_of_dual_resolution"
+
+
+@pytest.mark.parametrize("key", sorted(GCLASS_RINGS))
+def test_no_call_resolves_a_presentation_twice(key, monkeypatch):
+    # keyed as the benchmark tracer keys a resolution: a call that asks for
+    # a presentation it already resolved at least as deep is a rebuild
+    calls = []
+    original = gorenstein.free_resolution
+
+    def recording(M, depth):
+        calls.append(((M.ring, M.ngens, M.canonical_relations), depth))
+        return original(M, depth)
+
+    monkeypatch.setattr(gorenstein, "free_resolution", recording)
+    runs = (g_class_test, complete_resolution_check, lambda M, d: gpd_bounded(M, 1, d))
+    for M in _dual_side_draws(key):
+        for run in runs:
+            calls.clear()
+            with contextlib.suppress(NoCoresolutionAvailable):
+                run(M, 2)
+            deepest = {}
+            for presentation, depth in calls:
+                assert deepest.get(presentation, -1) < depth
+                deepest[presentation] = depth
+
+
+@pytest.mark.parametrize("key, depth, entries", [("A", 4, 1), ("E", 1, 2)])
+def test_g_class_test_resolves_the_dual_only_when_it_presents_another_module(
+        key, depth, entries, count_calls):
+    M = _residue_field(gclass_ring(key))
+    _, calls = count_calls(gorenstein, "free_resolution", g_class_test, M, depth)
+    assert calls == entries
 
 
 # ----- condition 3 against the double dual built as a module -----

@@ -761,6 +761,19 @@ def test_kernel_is_zero_matches_the_brute_force_kernel(key):
     assert True in verdicts and False in verdicts
 
 
+def test_cokernel_is_zero_builds_one_image_basis(count_calls):
+    # outside a span scope each engine is built afresh, so the image engine
+    # is bound once per call: one basis for all the target generators
+    R = PolyRing(GF(5), ("x", "y")).quotient(["x^2", "y^2"])
+    x, y, z = R.poly("x"), R.poly("y"), R.zero()
+    M = FPModule(R, 3, [(x, z, z), (z, y, x)])
+    onto, builds = count_calls(FreeModuleGB, "__init__", ModuleMap.identity(M).cokernel_is_zero)
+    assert onto is True and builds == 1
+    to_x = ModuleMap(FPModule.free(R, 1), M, [(x, z, z)])
+    onto, builds = count_calls(FreeModuleGB, "__init__", to_x.cokernel_is_zero)
+    assert onto is False and builds == 1
+
+
 @pytest.mark.parametrize("key", ["A", "E"])
 def test_verify_short_exact_matches_brute_force(key):
     R = gclass_ring(key)

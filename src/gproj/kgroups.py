@@ -497,12 +497,14 @@ def euler_class(M: FPModule, depth: int = 8) -> KClass:
     """Alternating sum of free ranks of a finite free resolution, as m*[R].
 
     Requires a Finite projective-dimension verdict whose resolution ends in a
-    free tail; anything else raises PdInfiniteOrUnresolved.
+    free tail; anything else raises PdInfiniteOrUnresolved. The resolution
+    to depth n + 2 is the verdict's own, cut, unless n + 2 passes its depth.
     """
     verdict = pd_bounded(M, depth)
     if verdict.kind != "finite":
         raise PdInfiniteOrUnresolved(f"pd verdict is {verdict}")
-    res = free_resolution(M, max(verdict.n + 2, 2))
+    res, n = verdict.resolution, verdict.n + 2
+    res = res.truncated(n + 1) if n <= res.verified_depth else free_resolution(M, n)
     if res.maps and res.maps[-1]:  # a projective syzygy that is not free
         raise PdInfiniteOrUnresolved(
             f"pd verdict is {verdict}, but the resolution has no free tail")

@@ -22,6 +22,9 @@ normal forms and ideal membership run it on the rank-1 basis each Ideal keeps,
 and a finished basis remembers which reducer divides each term it has met.
 It calls no Field method: over GF(p) a coefficient is a plain int, left
 unreduced as steps add products to it and taken mod p once, when it is popped.
+Over QQ a completion holds each vector as a primitive integer multiple, which
+has the same support and so takes the same steps; its reducers become monic
+Fractions once, when the reduced basis is done, so every query reads those.
 A step past the degree guard trips, naming the largest degree it would reach,
 and so does a new basis element past it; the inputs themselves may pass it.
 Every value here is immutable after construction; ideals compute their reduced
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter, le, mul, neg
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -479,6 +482,16 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
     return DegreeGuardExceeded(f"{operation}: {what} degree {degree} exceeds guard {guard}")
 
 
+def _primitive(v: dict) -> dict:
+    """A vector over QQ, its coefficients Fractions or ints, as the integer
+    multiple with coprime coefficients and a positive first one."""
+    d = lcm(*[c.denominator for c in v.values()])
+    v = {m: c.numerator * (d // c.denominator) for m, c in v.items()}
+    g = gcd(*v.values())
+    g = -g if next(iter(v.values())) < 0 else g
+    return {m: c // g for m, c in v.items()} if g != 1 else v
+
+
 def _divisor(m: int, reducers, guards: int) -> Optional[tuple]:
     """The first of the reducers whose lead divides the term m, or None."""
     mg = m | guards
@@ -505,9 +518,13 @@ class FreeModuleGB:
     every term is a packed int (see the module docstring) and a reducer is
     a tuple (lead, tail, top): its monic lead term, the other terms as
     (term, coeff) pairs in descending POT order, and the largest total
-    degree among them. Coefficients are plain values
-    under operators, not Field methods: ints in [0, p) over GF(p), Fractions
-    over QQ; only reduce() holds unreduced sums. The guard bounds the
+    degree among them. Coefficients are plain values under operators, not
+    Field methods: ints in [0, p) over GF(p), Fractions over QQ; only
+    reduce() holds unreduced sums. While the completion runs (_completing),
+    a reducer is (lead, tail, top, a), a its lead coefficient: a = 1 over
+    GF(p), and over QQ every vector is a primitive integer one (_primitive)
+    with a > 0, so no Fraction is made until the reduced basis is made
+    monic, once, as it leaves _interreduced. The guard bounds the
     products a completion makes and the basis elements it adds; the inputs
     themselves may pass it. _memo maps each packed term an unbounded
     reduction has met to its reducer in _index (see _reducer), and is
@@ -524,15 +541,17 @@ class FreeModuleGB:
                         (g.total_degree() for g in modulus)), default=0)
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
-        width = 2 * max(top, ring.degree_guard)
+        width, self._completing = 2 * max(top, ring.degree_guard), True
         while True:  # a signature, unlike a term, is not bounded by the guard
             self._layout = _layout(ring.nvars, ring.order, _width(width))
             self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
-            basis = self._signature_buchberger([self._packed(v) for v in vectors if v], modulus)
+            packed = [self._packed(v) for v in vectors if v]
+            basis = self._signature_buchberger(
+                packed if self._p else list(map(_primitive, packed)), modulus)
             if basis is not None:
                 break
             width *= 2
-        self._index, self._memo = basis, {}
+        self._index, self._memo, self._completing = basis, {}, False
         self._operation = "normal form"
 
     @property
@@ -558,16 +577,19 @@ class FreeModuleGB:
         gb = copy(self)
         gb._layout, gb._index, gb._fixed, gb._memo = (
             _layout(self.ring.nvars, self.ring.order, _width(degree)), {}, set(), {})
-        for v in self.basis:  # in basis order
-            g = gb._element(gb._packed(v))
-            gb._index.setdefault(g[0] >> gb._layout.pshift, []).append(g)
+        mask = gb._layout.degree
+        for v in self.basis:  # in basis order, each monic
+            terms = tuple(gb._packed(v).items())
+            gb._index.setdefault(terms[0][0] >> gb._layout.pshift, []).append(
+                (terms[0][0], terms[1:], max([m & mask for m, _ in terms])))
         return gb
 
     def _packed(self, v: Vec) -> dict:
         pack = self._layout.pack
         return {pack(p, e): c for (p, e), c in v.items()}
 
-    def reduce(self, v: dict, guard: int, bound: Optional[int] = None) -> dict:
+    def reduce(self, v: dict, guard: int, bound: Optional[int] = None,
+               head: Iterable = ()) -> dict:
         """Full normal form of a packed vector {term: coeff}: every term gets
         reduced, the result is unique and lists its terms in descending POT
         order. The degree guard must not pass the layout's cap. A popped
@@ -587,14 +609,20 @@ class FreeModuleGB:
         trips. With no bound the reducer of m is read from the memo (see
         _reducer): the reducer the scan would pick, so the steps, the result
         and any guard trip are the scan's. A bound changes the reducers, so
-        there each term is scanned."""
+        there each term is scanned. During the completion a reducer carries
+        its lead coefficient a: where a does not divide the popped c, the
+        work and the remainder are scaled by a / gcd(a, c) first, so the
+        step stays in integers (a pseudo-reduction; over GF(p) a = 1). The
+        result is then an integer multiple of the normal form. It starts with
+        the (term, coeff) pairs of head, each larger than every term of v,
+        scaled with the rest."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        reducer, limit = self._reducer, 0  # limit: the first term past the position
+        reducer, limit, integral = self._reducer, 0, self._completing
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
-        remainder = {}
+        remainder = dict(head)
         while heap:
             m = heappop(heap)
             c = work.pop(m)  # queued once: every term queued after m is smaller
@@ -614,7 +642,16 @@ class FreeModuleGB:
             if g is None:
                 remainder[m] = c
                 continue
-            lead, tail, top = g
+            if integral:
+                lead, tail, top, a = g
+                if a != 1:  # scale by s = a / gcd(a, c): the step then cancels m in integers
+                    d = gcd(a, c)
+                    if (s := a // d) != 1:
+                        work = {t: x * s for t, x in work.items()}
+                        remainder = {t: x * s for t, x in remainder.items()}
+                    c //= d
+            else:
+                lead, tail, top = g
             shift = m - lead  # the packed quotient m / lead
             if top + (shift & degree) > guard and (tail or bound is None):
                 raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
@@ -645,25 +682,31 @@ class FreeModuleGB:
         return g
 
     def _element(self, v: dict) -> tuple:
-        """The monic reducer (lead, tail, top) of a packed vector whose terms
-        ascend, as reduce() returns them: its lead comes first."""
-        terms = tuple(v.items())
-        if (c := terms[0][1]) != 1:
-            c, p = self.ring.field.inv(c), self._p
-            terms = tuple([(m, cc * c % p) for m, cc in terms] if p else
-                          [(m, cc * c) for m, cc in terms])
+        """The completion's reducer (lead, tail, top, a) of a packed vector
+        whose terms ascend, as reduce() returns them: its lead comes first.
+        Over GF(p) it is monic, a = 1; over QQ it is the primitive integer
+        multiple (see _primitive) with lead coefficient a > 0."""
+        if p := self._p:
+            terms = tuple(v.items())
+            if (c := terms[0][1]) != 1:
+                c = self.ring.field.inv(c)
+                terms = tuple([(m, cc * c % p) for m, cc in terms])
+        else:
+            terms = tuple(_primitive(v).items())
         degree = self._layout.degree
-        return terms[0][0], terms[1:], max([m & degree for m in v])
+        return terms[0][0], terms[1:], max([m & degree for m in v]), terms[0][1]
 
     def _svector(self, f: tuple, g: tuple, lcm: int) -> dict:
-        """lcm/LM(f)*f - lcm/LM(g)*g; the leads cancel, so only tails are read.
-        Over GF(p) each coefficient is taken mod p, a cancelled one dropped."""
-        p = self._p
-        sf, sg = lcm - f[0], lcm - g[0]
-        out = {m + sf: c for m, c in f[1]}
+        """b*lcm/LM(f)*f - a*lcm/LM(g)*g for the lead coefficients a of f and
+        b of g over their gcd; the leads cancel, so only tails are read. Over
+        GF(p) a = b = 1 and each coefficient is taken mod p, a cancelled one
+        dropped."""
+        p, d = self._p, gcd(f[3], g[3])
+        a, b, sf, sg = f[3] // d, g[3] // d, lcm - f[0], lcm - g[0]
+        out = {m + sf: c * b for m, c in f[1]}
         for m, c in g[1]:
             m += sg
-            s = out.get(m, 0) - c
+            s = out.get(m, 0) - c * a
             if p:
                 s %= p
             if s:
@@ -783,7 +826,7 @@ class FreeModuleGB:
             h = self._element(r)
             if upper <= 0 and h[2] > guard:  # inputs are exempt
                 raise _guard_exceeded(self._operation, "basis element", h[2], guard)
-            k, (lead, tail, _) = len(elements), h
+            k, (lead, tail, _, _) = len(elements), h
             pos, hl, ratio = lead >> pshift, lead & low, T + (lead << ib)
             elements.append(h)
             minimal.append(True)
@@ -834,8 +877,8 @@ class FreeModuleGB:
         for pos, here in enumerate(at):
             kept, s = [g for _, g, k, _ in here if minimal[k]] if here else [], pos << pshift
             index[pos] = kept + [
-                (lead + s, tuple([(m + s, c) for m, c in tail]) if tail else (), top)
-                for lead, tail, top in rows
+                (lead + s, tuple([(m + s, c) for m, c in tail]) if tail else (), top, a)
+                for lead, tail, top, a in rows
                 if not kept or not any(((lead | guards) - h[0]) & guards == guards for h in kept)]
             placed.update(g[0] for g in index[pos][len(kept):])
         return self._interreduced(placed)
@@ -850,17 +893,19 @@ class FreeModuleGB:
         one memo of the minimal index, dropped when the reduced index
         replaces it. self._fixed keeps the leads of the
         placed modulus rows g*e_p whose tails were kept: those rows are g*e_p
-        itself, and a reduced basis has one reducer per lead."""
-        guard, degree, index, self._memo = self.ring.degree_guard, self._layout.degree, {}, {}
+        itself, and a reduced basis has one reducer per lead. Each reducer
+        leaves as a monic (lead, tail, top); over QQ its integer tail over a
+        becomes Fractions, the only ones the completion makes."""
+        guard, index, self._memo = self.ring.degree_guard, {}, {}
         for pos, reducers in self._index.items():  # in ascending position order
             reduced = []
             for g in reducers:
                 if any(self._reducer(m) for m, _ in g[1]):
-                    lead, tail = g[0], self.reduce(dict(g[1]), guard)
-                    top = max([lead & degree] + [m & degree for m in tail])
-                    g = (lead, tuple(tail.items()), top)
-                    placed.discard(lead)
-                reduced.append(g)
+                    placed.discard(g[0])
+                    g = self._element(self.reduce(dict(g[1]), guard, head=((g[0], g[3]),)))
+                lead, tail, top, a = g  # made monic once, as it leaves the completion
+                reduced.append((lead, tail, top) if self._p else
+                               (lead, tuple([(m, Fraction(c, a)) for m, c in tail]), top))
             if reduced:
                 reduced.sort()  # by lead: no two reducers share one
                 index[pos] = reduced

@@ -468,6 +468,30 @@ def test_euler_class_resolves_once(count_calls):
     assert builds == pd_builds == 0
 
 
+
+@pytest.mark.parametrize("depth, resolved", [(8, [9]), (1, [2, 3])])
+def test_euler_class_reads_the_resolution_off_its_pd_verdict(depth, resolved, monkeypatch):
+    # the resolution to depth n + 2 is the Finite(n) verdict's own, cut:
+    # free_resolution is entered once, by pd_bounded, and again only when
+    # n + 2 passes the verdict's depth + 1, as Finite(1) at depth 1 does
+    from gproj import kgroups, resolutions
+    original, calls = resolutions.free_resolution, []
+
+    def recording(M, d):
+        calls.append(d)
+        return original(M, d)
+
+    monkeypatch.setattr(resolutions, "free_resolution", recording)
+    monkeypatch.setattr(kgroups, "free_resolution", recording)
+    Qx = QxQ()
+    M = FPModule.from_strings(Qx, 3, [["x^2-1", "x+1", "1/2*x^2"], ["2*x+3", "-x^2+x", "x-2"],
+                                      ["x", "3", "x^2+x+1"]])
+    cases = [(M, KClass({}), resolved), (FPModule(Qx, 1, [(Qx.poly("x^2-1"),)]), KClass({}), resolved),
+             (FPModule.free(Qx, 2), KClass({"[R]": 2}), [depth + 1])]  # Finite(1), (1), (0)
+    for N, cls, entries in cases:
+        calls.clear()
+        assert euler_class(N, depth) == cls and calls == entries
+
 # ----- pushdown and extension -----
 
 def test_pushdown_examples():

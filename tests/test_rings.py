@@ -1,5 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -564,8 +568,8 @@ def test_groebner_basis_makes_the_pinned_number_of_reductions(system, n, calls, 
     results = []
     original = FreeModuleGB.reduce
 
-    def recording(self, v, guard, bound=None):
-        results.append((bound, original(self, v, guard, bound)))
+    def recording(self, v, guard, bound=None, **head):
+        results.append((bound, original(self, v, guard, bound, **head)))
         return results[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -598,6 +602,119 @@ def test_the_reduction_loop_makes_no_field_method_calls():
     assert calls == []
     assert gb == R.modulus.reduced_gb
     assert sum(not f.is_zero() for f in forms) == len(variables)
+
+
+def _k0_poly_vectors(rng):
+    """A 3x3 module over QQ[x] shaped as the benchmark's k0 poly ops: three
+    columns of entries of degree <= 2 with coefficients -5..5, as Fractions."""
+    return [{(i, (d,)): Fraction(c) for i in range(3) for d in range(3)
+             if (c := rng.randint(-5, 5))} for _ in range(3)]
+
+
+def test_a_rational_completion_makes_no_fraction_arithmetic():
+    # over QQ the completion holds primitive integer vectors and makes its
+    # reducers monic once, by Fraction(c, a) as they leave it: completing
+    # katsura-3 and a k0-shaped module makes no Fraction sum, difference or
+    # product, while the same patch counts one made outside
+    variables, eqs = _katsura(3)
+    P = PolyRing(QQ, variables)
+    ideal = [{(0, e): c for e, c in P.poly(f).terms} for f in eqs]
+    Qx = PolyRing(QQ, ("x",))
+    module = _k0_poly_vectors(random.Random(40))
+    calls = []
+
+    def counting(name):
+        original = getattr(Fraction, name)
+        return lambda self, other: calls.append(name) or original(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            patch.setattr(Fraction, name, counting(name))
+        bases = [FreeModuleGB(P, 1, ideal).basis, FreeModuleGB(Qx, 3, module).basis]
+        assert calls == []
+        assert Fraction(1, 2) * 3 and calls == ["__mul__"]
+    assert _listed(bases[0]) == _listed(reference_module_basis(P, 1, ideal))
+    assert _listed(bases[1]) == _listed(reference_module_basis(Qx, 3, module))
+    assert all(type(c) is Fraction for v in bases[0] + bases[1] for c in v.values())
+
+
+def _completion_digest(ring, rank, vectors, modulus=()):
+    """sha256 of every reduction a completion makes under a signature bound,
+    in order, of its final packed index and of its placed modulus leads."""
+    reduced = []
+    original = FreeModuleGB.reduce
+
+    def recording(self, v, guard, bound=None, **head):
+        r = original(self, v, guard, bound, **head)
+        if bound is not None:
+            reduced.append(tuple(r.items()))
+        return r
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeModuleGB, "reduce", recording)
+        gb = FreeModuleGB(ring, rank, vectors, modulus)
+    text = repr((reduced, sorted(gb._index.items()), sorted(gb._fixed)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_a_prime_field_completion_builds_the_reducers_it_built_before():
+    # over GF(p) every reducer is monic, so no scaling step fires: each
+    # reduction under a signature and the finished reducer tuples give the
+    # digests recorded while rational completions still ran on Fractions
+    variables, eqs = _katsura(3)
+    P = PolyRing(GF(32003), variables)
+    ideal = [{(0, e): c for e, c in P.poly(f).terms} for f in eqs]
+    ring, rank, vectors, modulus = next(
+        d for k in range(100) if (d := random_submodule(random.Random(k)))[0].field == GF(32003)
+        and d[1] == 3 and d[0].degree_guard >= 12)
+    modulus = Ideal(ring, modulus).reduced_gb
+    assert _completion_digest(P, 1, ideal) == "450e1bb302150a08"
+    assert _completion_digest(ring, rank, vectors, modulus) == "c4e53ad4acb8568f"
+
+
+def _qq_draws(draw, n):
+    """The first n draws over QQ of random_ideal or random_submodule, by seed."""
+    draws = ((k, draw(random.Random(k))) for k in range(10**4))
+    return list(islice(((k, d) for k, d in draws if d[0].field == QQ), n))
+
+
+def test_rational_bases_and_guard_trips_match_the_reference_and_the_record():
+    # 200 rational draws each of random_ideal and random_submodule at their
+    # own guard, and 24 k0-shaped modules, give the plain Buchberger's bases
+    # where they do not trip. Rerun at guards 4-8, every draw trips where it
+    # tripped when the completion ran on Fractions, with the same message:
+    # a trip follows the reduction path, which integer scaling keeps
+    trips, compared = {}, 0
+    for kind, draw in (("ideal", random_ideal), ("submodule", random_submodule)):
+        for k, d in _qq_draws(draw, 200):
+            ring, rank, vectors, modulus = d if kind == "submodule" else (
+                d[0], 1, [{(0, e): c for e, c in g.terms} for g in d[1]], [])
+
+            def basis(guard):
+                r = PolyRing(QQ, ring.variables, ring.order, guard)
+                return FreeModuleGB(r, rank, vectors, Ideal(r, modulus).reduced_gb).basis
+
+            for guard in range(4, 9):
+                try:
+                    basis(guard)
+                except DegreeGuardExceeded as exc:
+                    trips[f"{kind} {k} {guard}"] = str(exc)
+            try:
+                got = basis(ring.degree_guard)
+            except DegreeGuardExceeded:
+                continue
+            assert _listed(got) == _listed(
+                reference_module_basis(ring, rank, vectors, modulus)), (kind, k)
+            compared += 1
+    rng = random.Random(24)
+    Qx = PolyRing(QQ, ("x",))
+    for _ in range(24):
+        vectors = _k0_poly_vectors(rng)
+        assert _listed(FreeModuleGB(Qx, 3, vectors).basis) == _listed(
+            reference_module_basis(Qx, 3, vectors))
+    assert compared >= 350
+    recorded = json.loads((Path(__file__).parent / "golden" / "qq_guard_trips.json").read_text())
+    assert trips == recorded
 
 
 def _graph_basis(guard):

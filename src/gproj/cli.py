@@ -286,19 +286,32 @@ def parse_model_file(text: str, degree_guard: int = DEFAULT_DEGREE_GUARD) -> Mod
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _integer(text, message: str) -> int:
+    """int(text), or an InputError of message, its {!r} filled with text,
+    when text is not an integer literal."""
+    try:
+        return int(text)
+    except ValueError:
+        if text.strip().lstrip("+-").replace("_", "").isdecimal():
+            raise  # digits past the interpreter's limit for integer strings
+        raise InputError(message.format(text)) from None
+
+
 # a resolution holds one map reference per step, so --depth, the ext degree
 # and the gpd syzygy index, each the length of a resolution, are bounded
 MAX_DEPTH = 10**6
 
 
-def _checked_depth(value: int, name: str = "--depth") -> int:
-    if value > MAX_DEPTH:
+def _checked_depth(text, name: str = "--depth") -> int:
+    """The integer text (or int) as a resolution length, at most MAX_DEPTH."""
+    if (value := _integer(text, name + " must be an integer, got {!r}")) > MAX_DEPTH:
         raise InputError(f"{name} {value} exceeds the limit {MAX_DEPTH}")
     return value
 
 
-def _extract_flags(args):
-    depth = None
+def _extract_flags(args, depth: int):
+    """The --depth given in args, else depth, and the other arguments, with
+    --format and its value left out."""
     rest = []
     i = 0
     while i < len(args):
@@ -306,7 +319,7 @@ def _extract_flags(args):
         if a == "--depth":
             if i + 1 >= len(args):
                 raise InputError("--depth needs a value")
-            depth = _checked_depth(int(args[i + 1]))
+            depth = _checked_depth(args[i + 1])
             i += 2
         elif a == "--degree-guard":
             raise InputError("--degree-guard is set on the command line, "
@@ -343,9 +356,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
     its table once, and its name is the report's second line."""
     if cmd not in ARGUMENTS:
         raise InputError(f"unknown command {cmd!r}")
-    flag_depth, rest = _extract_flags(list(args))
-    if flag_depth is not None:
-        depth = flag_depth
+    depth, rest = _extract_flags(list(args), depth)
     wanted = ARGUMENTS[cmd]
     if len(rest) < len(wanted):
         need = wanted[len(rest)]
@@ -393,7 +404,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         report.add("depth", depth)
         report.add("verdict", str(pd_bounded(obj, depth)))
     elif cmd == "ext":
-        i = _checked_depth(int(rest[1]), "ext degree")
+        i = _checked_depth(rest[1], "ext degree")
         result = ext_module(obj, FPModule.free(obj.ring, 1), i)
         report.add("degree", i)
         report.add("is_zero", result.is_zero)
@@ -427,7 +438,7 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
                 w.add("ext_gens", data.module.ngens)
                 _matrix_block(w, "ext_relations", data.module.relation_rows())
     elif cmd == "gpd":
-        n = _checked_depth(int(rest[1]), "gpd syzygy index")
+        n = _checked_depth(rest[1], "gpd syzygy index")
         verdict = gpd_bounded(obj, n, depth)
         report.add("n", n)
         report.add("depth", depth)
@@ -462,7 +473,8 @@ def run_command(cmd: str, args, model: ModelFile, depth: int = 8) -> tuple[Repor
         except PdInfiniteOrUnresolved as exc:
             report.add("euler_class", f"unresolved ({exc})")
     elif cmd == "snf":
-        matrix = [[int(v) for v in row] for row in _parse_matrix(rest[0])]
+        matrix = [[_integer(v, "matrix entry {!r} is not an integer") for v in row]
+                  for row in _parse_matrix(rest[0])]
         result = smith_normal_form(matrix)
         try:
             report.add("diagonal", list(result.diagonal))
@@ -520,11 +532,7 @@ def main(argv=None) -> int:
         guard, source = ns.degree_guard, "--degree-guard"
         if guard is None:
             raw, source = os.environ.get(ENV_GUARD, str(DEFAULT_DEGREE_GUARD)), ENV_GUARD
-            try:
-                guard = int(raw)
-            except ValueError:
-                raise InputError(
-                    f"{ENV_GUARD} must be an integer, got {raw!r}") from None
+            guard = _integer(raw, ENV_GUARD + " must be an integer, got {!r}")
         if guard < 0:
             raise InputError(f"{source} must be a non-negative integer, got {guard}")
         report, code = _load_and_run(ns, guard)

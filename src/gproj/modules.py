@@ -237,7 +237,7 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int) -> Matrix:
     base, one, unpack, fixed = R.base, R.base.field.one, gb._layout.unpack, gb._fixed
     out = []
     for pos, reducers in gb._index.items():  # in ascending position order
-        for lead, tail, _ in reducers if pos >= start else ():
+        for lead, tail, _, _ in reducers if pos >= start else ():
             if lead in fixed:
                 continue
             per_pos: list[list] = [[] for _ in range(gb.rank - start)]

@@ -25,6 +25,7 @@ unreduced as steps add products to it and taken mod p once, when it is popped.
 Over QQ a completion holds each vector as a primitive integer multiple, which
 has the same support and so takes the same steps; its reducers become monic
 Fractions once, when the reduced basis is done, so every query reads those.
+A reducer has one shape throughout, (lead, tail, top, a), a = 1 once finished.
 A step past the degree guard trips, naming the largest degree it would reach,
 and so does a new basis element past it; the inputs themselves may pass it.
 Every value here is immutable after construction; ideals compute their reduced
@@ -516,19 +517,20 @@ class FreeModuleGB:
     LM(g)*e_i. _fixed holds the packed leads of the rows g*e_p that the
     reduced basis keeps as they are (empty in a repacked copy). Inside,
     every term is a packed int (see the module docstring) and a reducer is
-    a tuple (lead, tail, top): its monic lead term, the other terms as
-    (term, coeff) pairs in descending POT order, and the largest total
-    degree among them. Coefficients are plain values under operators, not
-    Field methods: ints in [0, p) over GF(p), Fractions over QQ; only
-    reduce() holds unreduced sums. While the completion runs (_completing),
-    a reducer is (lead, tail, top, a), a its lead coefficient: a = 1 over
-    GF(p), and over QQ every vector is a primitive integer one (_primitive)
-    with a > 0, so no Fraction is made until the reduced basis is made
-    monic, once, as it leaves _interreduced. The guard bounds the
-    products a completion makes and the basis elements it adds; the inputs
-    themselves may pass it. _memo maps each packed term an unbounded
-    reduction has met to its reducer in _index (see _reducer), and is
-    replaced with the index it serves.
+    one tuple (lead, tail, top, a), from the completion to the last query:
+    its lead term, the other terms as (term, coeff) pairs in descending POT
+    order, the largest total degree among them, and a, the lead's
+    coefficient. Coefficients are plain values under operators, not Field
+    methods: ints in [0, p) over GF(p), where a = 1 throughout; only
+    reduce() holds unreduced sums. Over QQ the completion holds every
+    vector as a primitive integer one (_primitive) with a > 0, so no
+    Fraction is made until _interreduced makes each reducer monic, once,
+    with Fraction tail coefficients and a = 1. So every finished reducer is
+    monic over either field. The guard bounds the products a completion
+    makes and the basis elements it adds; the inputs themselves may pass
+    it. _memo maps each packed term an unbounded reduction has met to its
+    reducer in _index (see _reducer), and is replaced with the index it
+    serves.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[Vec],
@@ -541,7 +543,7 @@ class FreeModuleGB:
                         (g.total_degree() for g in modulus)), default=0)
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
-        width, self._completing = 2 * max(top, ring.degree_guard), True
+        width = 2 * max(top, ring.degree_guard)
         while True:  # a signature, unlike a term, is not bounded by the guard
             self._layout = _layout(ring.nvars, ring.order, _width(width))
             self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
@@ -551,7 +553,7 @@ class FreeModuleGB:
             if basis is not None:
                 break
             width *= 2
-        self._index, self._memo, self._completing = basis, {}, False
+        self._index, self._memo = basis, {}
         self._operation = "normal form"
 
     @property
@@ -560,7 +562,7 @@ class FreeModuleGB:
         each lists its lead, then its tail in descending POT order."""
         one, unpack = self.ring.field.one, self._layout.unpack
         return [{unpack(m): c for m, c in chain(((lead, one),), tail)}
-                for lead, tail, _ in chain.from_iterable(self._index.values())]
+                for lead, tail, _, _ in chain.from_iterable(self._index.values())]
 
     def reduce_vec(self, v: Vec) -> Vec:
         """reduce() on {(position, exponent): coeff} vectors."""
@@ -571,17 +573,18 @@ class FreeModuleGB:
     def _holding(self, degree: int) -> "FreeModuleGB":
         """self, or if degree is too wide for it, a copy repacked to hold degree,
         with its own memo: its terms are packed differently, so it must never
-        share self's."""
+        share self's. Each reducer keeps its order, coefficients, top and a;
+        only its terms are repacked, since top is a total degree, the same in
+        any layout."""
         if degree <= self._layout.cap:
             return self
         gb = copy(self)
-        gb._layout, gb._index, gb._fixed, gb._memo = (
-            _layout(self.ring.nvars, self.ring.order, _width(degree)), {}, set(), {})
-        mask = gb._layout.degree
-        for v in self.basis:  # in basis order, each monic
-            terms = tuple(gb._packed(v).items())
-            gb._index.setdefault(terms[0][0] >> gb._layout.pshift, []).append(
-                (terms[0][0], terms[1:], max([m & mask for m, _ in terms])))
+        gb._layout, gb._fixed, gb._memo = (
+            _layout(self.ring.nvars, self.ring.order, _width(degree)), set(), {})
+        unpack, pack = self._layout.unpack, gb._layout.pack
+        gb._index = {pos: [(pack(*unpack(lead)), tuple([(pack(*unpack(m)), c) for m, c in tail]),
+                            top, a) for lead, tail, top, a in reducers]
+                     for pos, reducers in self._index.items()}
         return gb
 
     def _packed(self, v: Vec) -> dict:
@@ -609,16 +612,16 @@ class FreeModuleGB:
         trips. With no bound the reducer of m is read from the memo (see
         _reducer): the reducer the scan would pick, so the steps, the result
         and any guard trip are the scan's. A bound changes the reducers, so
-        there each term is scanned. During the completion a reducer carries
-        its lead coefficient a: where a does not divide the popped c, the
-        work and the remainder are scaled by a / gcd(a, c) first, so the
-        step stays in integers (a pseudo-reduction; over GF(p) a = 1). The
-        result is then an integer multiple of the normal form. It starts with
-        the (term, coeff) pairs of head, each larger than every term of v,
-        scaled with the rest."""
+        there each term is scanned. A reducer carries its lead coefficient
+        a, which is 1 except inside a completion over QQ: where a does not
+        divide the popped c, the work and the remainder are scaled by
+        a / gcd(a, c) first, so the step stays in integers (a
+        pseudo-reduction). The result is then an integer multiple of the
+        normal form. It starts with the (term, coeff) pairs of head, each
+        larger than every term of v, scaled with the rest."""
         p = self._p
         guards, degree, pshift = self._layout.guards, self._layout.degree, self._layout.pshift
-        reducer, limit, integral = self._reducer, 0, self._completing
+        reducer, limit = self._reducer, 0
         work = dict(v)
         heap = list(work)  # the smallest int is the largest term
         heapify(heap)
@@ -642,16 +645,13 @@ class FreeModuleGB:
             if g is None:
                 remainder[m] = c
                 continue
-            if integral:
-                lead, tail, top, a = g
-                if a != 1:  # scale by s = a / gcd(a, c): the step then cancels m in integers
-                    d = gcd(a, c)
-                    if (s := a // d) != 1:
-                        work = {t: x * s for t, x in work.items()}
-                        remainder = {t: x * s for t, x in remainder.items()}
-                    c //= d
-            else:
-                lead, tail, top = g
+            lead, tail, top, a = g
+            if a != 1:  # scale by s = a / gcd(a, c): the step then cancels m in integers
+                d = gcd(a, c)
+                if (s := a // d) != 1:
+                    work = {t: x * s for t, x in work.items()}
+                    remainder = {t: x * s for t, x in remainder.items()}
+                c //= d
             shift = m - lead  # the packed quotient m / lead
             if top + (shift & degree) > guard and (tail or bound is None):
                 raise _guard_exceeded(self._operation, "term", top + (shift & degree), guard)
@@ -682,8 +682,8 @@ class FreeModuleGB:
         return g
 
     def _element(self, v: dict) -> tuple:
-        """The completion's reducer (lead, tail, top, a) of a packed vector
-        whose terms ascend, as reduce() returns them: its lead comes first.
+        """The reducer (lead, tail, top, a) of a packed vector whose terms
+        ascend, as reduce() returns them: its lead comes first.
         Over GF(p) it is monic, a = 1; over QQ it is the primitive integer
         multiple (see _primitive) with lead coefficient a > 0."""
         if p := self._p:
@@ -893,9 +893,10 @@ class FreeModuleGB:
         one memo of the minimal index, dropped when the reduced index
         replaces it. self._fixed keeps the leads of the
         placed modulus rows g*e_p whose tails were kept: those rows are g*e_p
-        itself, and a reduced basis has one reducer per lead. Each reducer
-        leaves as a monic (lead, tail, top); over QQ its integer tail over a
-        becomes Fractions, the only ones the completion makes."""
+        itself, and a reduced basis has one reducer per lead. Over GF(p) each
+        reducer is already monic and leaves as the very tuple the completion
+        built; over QQ it is made monic once, its integer tail over a becoming
+        Fractions (the only ones the completion makes), with a = 1."""
         guard, index, self._memo = self.ring.degree_guard, {}, {}
         for pos, reducers in self._index.items():  # in ascending position order
             reduced = []
@@ -903,9 +904,10 @@ class FreeModuleGB:
                 if any(self._reducer(m) for m, _ in g[1]):
                     placed.discard(g[0])
                     g = self._element(self.reduce(dict(g[1]), guard, head=((g[0], g[3]),)))
-                lead, tail, top, a = g  # made monic once, as it leaves the completion
-                reduced.append((lead, tail, top) if self._p else
-                               (lead, tuple([(m, Fraction(c, a)) for m, c in tail]), top))
+                if not self._p:
+                    lead, tail, top, a = g
+                    g = lead, tuple([(m, Fraction(c, a)) for m, c in tail]), top, 1
+                reduced.append(g)
             if reduced:
                 reduced.sort()  # by lead: no two reducers share one
                 index[pos] = reduced

@@ -486,7 +486,7 @@ def reference_read_off(R: QuotRing, gb, start, rank):
     leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
     out = []
     for pos in sorted(gb._index):
-        for lead, tail, _ in gb._index[pos] if pos >= start else ():
+        for lead, tail, _, _ in gb._index[pos] if pos >= start else ():
             terms = [[] for _ in range(rank)]
             for m, c in ((lead, R.base.field.one),) + tail:
                 p, e = gb._layout.unpack(m)

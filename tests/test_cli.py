@@ -521,6 +521,39 @@ def test_an_ext_degree_or_gpd_index_above_the_limit_is_an_input_error(tmp_path, 
     assert capsys.readouterr().out.endswith("n = 1000000\ndepth = 4\nverdict = AtMost(1000000)\n")
 
 
+@pytest.mark.parametrize("task, message", [
+    ("pd --depth two I", "--depth must be an integer, got 'two'"),
+    ("ext I x", "ext degree must be an integer, got 'x'"),
+    ("gpd I 1.5", "gpd syzygy index must be an integer, got '1.5'"),
+])
+def test_a_non_integer_depth_degree_or_index_is_named(tmp_path, capsys, task, message):
+    # each printed int()'s own message, "invalid literal for int() with base 10"
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP + f"task {task}\n")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    cmd, *args = task.split()
+    if cmd != "pd":  # on the command line argparse reads --depth itself
+        assert main([cmd, str(path), *args]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_an_integer_past_the_digit_limit_keeps_the_interpreters_message(tmp_path, capsys):
+    # it is an integer literal, so it is not reported as a non-integer
+    path = tmp_path / "m.model"
+    path.write_text(FLAGSHIP)
+    assert main(["ext", str(path), "I", "1" * 5000]) == 2
+    assert capsys.readouterr().err.startswith("input error: Exceeds the limit (4300 digits)")
+
+
+def test_a_non_integer_snf_entry_is_named(capsys):
+    # as smith_normal_form names it; signs and digit separators still parse
+    assert main(["snf", "-", "[[a]]"]) == 2
+    assert capsys.readouterr().err == "input error: matrix entry 'a' is not an integer\n"
+    assert main(["snf", "-", "[[+2, 1_0]]", "--format", "machine"]) == 0
+    assert capsys.readouterr().out.startswith("command = snf\ndiagonal = [2]\n")
+
+
 def test_surplus_arguments_are_an_input_error(tmp_path, capsys):
     # each surplus argument used to be dropped: pd ran on I, snf reduced the
     # first matrix, nf read x^2 + 1 as x^2, a misspelt flag ran at depth 8

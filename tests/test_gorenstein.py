@@ -1,5 +1,6 @@
 import contextlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from gproj import (
 )
 from gproj import gorenstein
 from gproj.modules import SubmoduleEngine, double_duality_verdict, mat_vec, transpose
+from gproj.resolutions import FreeResolution
 from gproj.rings import FreeModuleGB, QuotRing
 
 from helpers import (GCLASS_RINGS, gclass_ring, late_period_module, module_cosets, random_module,
@@ -465,6 +467,28 @@ def test_dual_side_matches_a_separately_resolved_dual(key):
         assert _window_outcome(complete_resolution_check, M, 2) == \
             _window_outcome(_reference_window, M, 2)
     assert branches == {True, False}  # M* presents M, and it does not
+
+
+def test_window_checks_fail_on_a_dual_resolution_with_one_map_zeroed():
+    # k over GF(2)[x,y]/(x^2, y^2) is its own dual and takes the dual-of-dual
+    # route, whose window reads the dual's resolution twice: its transposes
+    # in the window, its maps in the window's dual. Zeroing its d_2 breaks
+    # the window at G_1*, node 5 of F_3 F_2 F_1 F_0 G_0* G_1* G_2*, where
+    # d_2^T leaves; with the transposes left intact only Hom(-, R) of the
+    # window breaks, at its first node, G_1, where d_2 arrives
+    k = _residue_field(gclass_ring("A"))
+    res, D = free_resolution(k, 4), dual_module(k)
+    assert D.module.same_presentation(k)
+    assert gorenstein._complete_window(res, 3, lambda: (D, res)).route == \
+        "dual_of_dual_resolution"
+    zero = tuple(tuple(k.ring.zero() for _ in col) for col in res.maps[1])
+    broken = FreeResolution(k, (res.maps[0], zero) + res.maps[2:], res.verified_depth)
+    assert gorenstein._complete_window(res, 3, lambda: (D, broken)) == \
+        CompleteResolutionFailure("window_exactness", 5, "two-sided window is not exact")
+    maps_only = SimpleNamespace(maps=broken.maps, dual_maps=res.dual_maps)
+    assert gorenstein._complete_window(res, 3, lambda: (D, maps_only)) == \
+        CompleteResolutionFailure("window_dual_exactness", 1,
+                                  "Hom(-, R) loses exactness on the two-sided window")
 
 
 def test_residue_field_duals_take_each_branch():

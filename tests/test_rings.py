@@ -653,7 +653,9 @@ def _completion_digest(ring, rank, vectors, modulus=()):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FreeModuleGB, "reduce", recording)
         gb = FreeModuleGB(ring, rank, vectors, modulus)
-    text = repr((reduced, sorted(gb._index.items()), sorted(gb._fixed)))
+    assert all(g[3] == 1 for reducers in gb._index.values() for g in reducers)
+    index = sorted((pos, [g[:3] for g in reducers]) for pos, reducers in gb._index.items())
+    text = repr((reduced, index, sorted(gb._fixed)))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -670,6 +672,65 @@ def test_a_prime_field_completion_builds_the_reducers_it_built_before():
     modulus = Ideal(ring, modulus).reduced_gb
     assert _completion_digest(P, 1, ideal) == "450e1bb302150a08"
     assert _completion_digest(ring, rank, vectors, modulus) == "c4e53ad4acb8568f"
+
+
+def _assert_finished_shape(gb, coefficient):
+    """Every reducer of gb is (lead, tail, top, 1): monic, top the largest
+    total degree of its terms, each tail coefficient a nonzero `coefficient`."""
+    degree = gb._layout.degree
+    for pos, reducers in gb._index.items():
+        for g in reducers:
+            lead, tail, top, a = g
+            terms = [lead] + [t for t, _ in tail]
+            assert type(a) is int and a == 1
+            assert lead >> gb._layout.pshift == pos
+            assert terms == sorted(set(terms))  # distinct, descending in POT order
+            assert top == max(m & degree for m in terms)
+            assert all(type(c) is coefficient and c for _, c in tail)
+
+
+def test_a_finished_reducer_is_monic_with_a_one_also_in_a_repacked_copy():
+    # one reducer shape from the completion to the last query: a finished
+    # basis over GF(p) or QQ holds (lead, tail, top, 1), and so does a copy
+    # repacked for a wider query, with the same coefficients and tops
+    variables, eqs = _katsura(3)
+    for field, coefficient in ((GF(32003), int), (QQ, Fraction)):
+        P = PolyRing(field, variables)
+        gb = FreeModuleGB(P, 1, [{(0, e): c for e, c in P.poly(f).terms} for f in eqs])
+        wide = gb._holding(gb._layout.cap + 1)
+        assert wide._layout.cap > gb._layout.cap
+        for basis in (gb, wide):
+            _assert_finished_shape(basis, coefficient)
+        unpack, wide_unpack = gb._layout.unpack, wide._layout.unpack
+        assert [[(unpack(lead), [(unpack(m), c) for m, c in tail], top)
+                 for lead, tail, top, _ in gb._index[pos]] for pos in gb._index] == \
+            [[(wide_unpack(lead), [(wide_unpack(m), c) for m, c in tail], top)
+              for lead, tail, top, _ in wide._index[pos]] for pos in wide._index]
+        assert wide.basis == gb.basis
+
+
+def test_a_prime_field_reducer_needing_no_step_leaves_interreduction_as_built():
+    # over GF(p) the completion's reducers are monic already, so one whose
+    # tail no lead divides leaves _interreduced as the very tuple built, and
+    # only the others are rebuilt; over QQ each is made monic once, anew
+    variables, eqs = _katsura(3)
+    for field in (GF(32003), QQ):
+        P = PolyRing(field, variables)
+        ideal = [{(0, e): c for e, c in P.poly(f).terms} for f in eqs]
+        built = {}
+        original = FreeModuleGB._interreduced
+
+        def recording(self, placed):
+            built.update((g[0], g) for reducers in self._index.values() for g in reducers)
+            return original(self, placed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FreeModuleGB, "_interreduced", recording)
+            gb = FreeModuleGB(P, 1, ideal)
+        finished = [g for reducers in gb._index.values() for g in reducers]
+        kept = [g for g in finished if g[1] == built[g[0]][1]]
+        assert 0 < len(kept) < len(finished)  # some reducers take steps, some do not
+        assert all((g is built[g[0]]) == (field == GF(32003)) for g in kept)
 
 
 def _qq_draws(draw, n):

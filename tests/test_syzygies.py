@@ -101,7 +101,7 @@ def changed_rows(eng):
     interreduction changed, each as (packed lead, tail)."""
     gb, leads = eng.gb, modulus_leads(eng.R)
     return [(lead, tail) for pos, reducers in gb._index.items() if pos >= eng.rank
-            for lead, tail, _ in reducers
+            for lead, tail, _, _ in reducers
             if gb._layout.unpack(lead)[1] in leads and lead not in gb._fixed]
 
 

@@ -504,8 +504,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("model", help="model file path, or - for none")
     parser.add_argument("args", nargs="*", help="command arguments")
-    parser.add_argument("--depth", type=int, default=8)
-    parser.add_argument("--degree-guard", type=int, default=None)
+    # read as text and checked as a task's own flags are, with the same messages
+    parser.add_argument("--depth", default=8)
+    parser.add_argument("--degree-guard", default=None)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
 
@@ -514,13 +515,13 @@ def _parser() -> argparse.ArgumentParser:
 def _load_and_run(ns, guard: int) -> tuple[Report, int]:
     """Parse the model and run the command in one span scope, so the command
     reuses the module bases that the declarations built."""
-    _checked_depth(ns.depth)
+    depth = _checked_depth(ns.depth)
     if ns.model == "-":
         model = ModelFile({}, {}, {}, {}, [])
     else:
         with open(ns.model, "r", encoding="utf-8") as fh:
             model = parse_model_file(fh.read(), guard)
-    return run_command(ns.command, ns.args, model, ns.depth)
+    return run_command(ns.command, ns.args, model, depth)
 
 
 def main(argv=None) -> int:
@@ -529,10 +530,10 @@ def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
 
     try:
-        guard, source = ns.degree_guard, "--degree-guard"
-        if guard is None:
+        raw, source = ns.degree_guard, "--degree-guard"
+        if raw is None:
             raw, source = os.environ.get(ENV_GUARD, str(DEFAULT_DEGREE_GUARD)), ENV_GUARD
-            guard = _integer(raw, ENV_GUARD + " must be an integer, got {!r}")
+        guard = _integer(raw, source + " must be an integer, got {!r}")
         if guard < 0:
             raise InputError(f"{source} must be a non-negative integer, got {guard}")
         report, code = _load_and_run(ns, guard)

@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import wraps
+from heapq import heapify, heappop, heappush
+from math import lcm, prod
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -817,52 +819,84 @@ def kernel_of_map(f: ModuleMap) -> SubmoduleOfFree:
     return SubmoduleOfFree(R, f.source.ngens, colon_generators(R, f.columns))
 
 
-def _exact_quotient(a: Poly, b: Poly) -> Poly:
-    """a / b in P, for b dividing a, on one dict of a's terms packed as the
-    engine packs them, at a width that holds deg a, which no term here
-    passes: each step takes the largest term left (the smallest int),
-    divides it by LT(b) into the next quotient term and subtracts that
-    multiple of b's tail."""
-    ring, field = a.ring, a.ring.field
-    p = field.p if field.kind == "prime_field" else None
-    layout = _layout(ring.nvars, ring.order, _width(a.total_degree()))
-    lead, inv = layout.pack(0, b.lead_monomial()), field.inv(b.lead_coeff())
-    tail = [(layout.pack(0, e), -c) for e, c in b.terms[1:]]
-    work, quotient = {layout.pack(0, e): c for e, c in a.terms}, []
-    while work:
-        c = work.pop(m := min(work)) * inv
-        if p:
-            c %= p
-        if c:  # else the term cancelled
-            shift = m - lead  # the packed quotient term, less the packed monomial 1
-            quotient.append((layout.unpack(shift + layout.lift(0))[1], c))
+def _exact_quotient(a: dict, b: dict, p: Optional[int]) -> dict:
+    """a / b for integer polynomials {term: coeff} packed as _bareiss packs
+    them, b dividing a: each step pops the largest term left (the smallest
+    int), divides its coefficient by b's lead coefficient, exactly over ZZ or
+    mod p over GF(p), into the next quotient term, and subtracts that
+    multiple of b's tail. a may hold zero or, over GF(p), unreduced
+    coefficients; the quotient holds neither, so over b = 1 this cleans a."""
+    lead = min(b)
+    lc, tail = b[lead], [(m - lead, -c) for m, c in b.items() if m != lead]
+    inv = pow(lc, -1, p) if p else None
+    work, quotient = dict(a), {}
+    heap = list(work)
+    heapify(heap)
+    while heap:
+        c = work.pop(m := heappop(heap))
+        if c := c * inv % p if p else c // lc:  # else the term cancelled
+            quotient[m - lead] = c
             for t, cc in tail:
-                work[t + shift] = work.get(t + shift, 0) + cc * c
-    return Poly(ring, tuple(quotient))
+                if (old := work.get(t := t + m)) is None:
+                    heappush(heap, t)  # below m: tail terms are smaller than b's lead
+                    work[t] = cc * c
+                else:
+                    work[t] = old + cc * c
+    return quotient
 
 
 def _bareiss(rows) -> tuple[int, Optional[Poly]]:
     """Rank over the fraction field of the matrix with these rows, and its
-    last pivot, by fraction-free (Bareiss) elimination: each step divides
-    exactly by the pivot before it, so every entry is a minor of the input
-    (Sylvester's identity) and a square matrix of full rank ends on its
-    determinant, up to sign."""
-    A, rank, last = [list(r) for r in rows], 0, None
-    for c in range(len(A[0]) if A else 0):
-        pivot = next((r for r in range(rank, len(A)) if not A[r][c].is_zero()), None)
+    last pivot, by fraction-free (Bareiss) elimination (E. H. Bareiss, Math.
+    Comp. 22, 1968): each step divides exactly by the pivot before it, 1
+    before the first, so every entry is a minor of the input (Sylvester's
+    identity) and a square matrix of full rank ends on its determinant, up to
+    sign. Each row is converted once to integer polynomials {term: coeff},
+    a term being the engine's packed monomial less the packed 1, so a
+    product of two is their sum, at a width that holds twice the sum of the
+    rows' degrees, which no product passes. Over QQ a row is scaled by the
+    lcm of its denominators, which scales each minor on it alike; over GF(p)
+    the coefficients stay residues. The elimination makes integer products
+    and exact quotients alone, and the last pivot leaves as a Poly divided
+    by the scales of the pivot rows, so it is the pivot the same elimination
+    over the field reaches."""
+    if not rows or not rows[0]:
+        return 0, None
+    ring = rows[0][0].ring
+    p = ring.field.p if ring.field.kind == "prime_field" else None
+    degree = sum(max(0, *(f.total_degree() for f in row)) for row in rows)
+    layout = _layout(ring.nvars, ring.order, _width(2 * degree))
+    pack, origin = layout.pack, layout.lift(0)
+    A, scales, rank, last = [], [], 0, {0: 1}
+    for row in rows:  # ints have a numerator and a denominator 1 too
+        scales.append(s := lcm(*(c.denominator for f in row for _, c in f.terms)))
+        A.append([{pack(0, e) - origin: c.numerator * (s // c.denominator) for e, c in f.terms}
+                  for f in row])
+    for c in range(len(A[0])):
+        pivot = next((r for r in range(rank, len(A)) if A[r][c]), None)
         if pivot is None:
             continue
         A[rank], A[pivot] = A[pivot], A[rank]
+        scales[rank], scales[pivot] = scales[pivot], scales[rank]
         head = A[rank][c]
         for r in range(rank + 1, len(A)):  # columns up to c are read no more
-            entry = A[r][c]
-            A[r][c + 1:] = [head * x - entry * y for x, y in zip(A[r][c + 1:], A[rank][c + 1:])]
-            if last is not None:
-                A[r][c + 1:] = [_exact_quotient(x, last) for x in A[r][c + 1:]]
+            entry = {m: -x for m, x in A[r][c].items()}
+            for j in range(c + 1, len(A[r])):  # A[r][j] = (head*A[r][j] - entry*A[rank][j]) / last
+                work = {}
+                for f, g in ((head, A[r][j]), (entry, A[rank][j])):
+                    for m1, c1 in f.items():
+                        for m2, c2 in g.items():
+                            m = m1 + m2
+                            work[m] = work.get(m, 0) + c1 * c2
+                A[r][j] = _exact_quotient(work, last, p)
         rank, last = rank + 1, head
         if rank == len(A):
             break
-    return rank, last
+    if not rank:
+        return 0, None
+    unpack, den, field = layout.unpack, prod(scales[:rank]), ring.field
+    return rank, Poly(ring, tuple((unpack(m + origin)[1], field.from_fraction(c, den))
+                                  for m, c in sorted(last.items())))
 
 
 def module_rank(M: FPModule) -> int:

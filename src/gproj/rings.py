@@ -22,9 +22,13 @@ normal forms and ideal membership run it on the rank-1 basis each Ideal keeps,
 and a finished basis remembers which reducer divides each term it has met.
 It calls no Field method: over GF(p) a coefficient is a plain int, left
 unreduced as steps add products to it and taken mod p once, when it is popped.
-Over QQ a completion holds each vector as a primitive integer multiple, which
-has the same support and so takes the same steps; its reducers become monic
-Fractions once, when the reduced basis is done, so every query reads those.
+Over QQ a completion clears denominators once, for each input vector and
+modulus row, and then holds each vector as a primitive integer multiple,
+which has the same support and so takes the same steps: every vector it
+forms has integer coefficients, so each is made primitive by its content
+alone. Its reducers become monic Fractions once, when the reduced basis is
+done, so every query reads those. The parser, likewise, reads each term of a
+text into integers and makes one field value per term.
 A reducer has one shape throughout, (lead, tail, top, a), a = 1 once finished.
 A step past the degree guard trips, naming the largest degree it would reach,
 and so does a new basis element past it; the inputs themselves may pass it.
@@ -340,89 +344,76 @@ def format_poly(p: Poly) -> str:
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
+# a factor and the operator before it: sign or '*', integer[/integer], var[^k]
+_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:(\d+)(?:\s*/\s*(\d+))?"
+                     r"|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?)")
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
     """Parse the polynomial grammar: sums of `coeff`, `mono`, `coeff*mono`.
-    Each term is read into one coefficient and one exponent list and added
-    into one dict of terms."""
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            bad = len(text) - len(rest)  # the first non-space character
-            raise ParseError(f"unexpected character {text[bad]!r}", col=bad + 1)
-        pos = m.end()
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-    if not tokens:
-        raise ParseError("empty polynomial")
-
-    field, index = ring.field, ring._varindex
-    terms: dict[Monomial, object] = {}
-    i = 0
-    n = len(tokens)
-
-    def parse_factor(i, coeff, expt):
-        # one factor: integer, integer/integer, or var[^k]; a number scales
-        # the coefficient and a power adds to the exponent list
-        kind, val, col = tokens[i]
-        if kind == "num":
-            num = int(val)
-            i += 1
-            if i + 1 < n and tokens[i][1] == "/" and tokens[i + 1][0] == "num":
-                try:  # a zero denominator is reported at its numerator
-                    value = field.from_fraction(num, int(tokens[i + 1][1]))
-                except InputError as exc:
-                    raise ParseError(str(exc), col=col + 1) from None
-                return field.mul(coeff, value), i + 2
-            return field.mul(coeff, field.from_int(num)), i
-        if kind == "name":
-            if val not in index:
-                raise ParseError(f"undeclared variable {val!r}", col=col + 1)
-            i += 1
-            k = 1
-            if i + 1 < n and tokens[i][1] == "^":
-                if tokens[i + 1][0] != "num":
-                    raise ParseError("exponent must be an integer", col=tokens[i][2] + 1)
-                k = int(tokens[i + 1][1])
-                i += 2
-            expt[index[val]] += k
-            return coeff, i
-        raise ParseError(f"unexpected {val!r}", col=col + 1)
-
-    sign = 1
-    first = True
-    while i < n:
-        kind, val, col = tokens[i]
-        if kind == "op" and val in "+-":
-            if not first and i > 0 and tokens[i - 1][0] == "op":
-                raise ParseError("two consecutive operators", col=col + 1)
-            sign = 1 if val == "+" else -1
-            i += 1
-            if i >= n:
-                raise ParseError("dangling sign", col=col + 1)
-        expt = [0] * ring.nvars
-        coeff, i = parse_factor(i, field.one, expt)
-        while i < n and tokens[i][1] == "*":
-            if i + 1 == n:
-                raise ParseError("dangling '*'", col=tokens[i][2] + 1)
-            coeff, i = parse_factor(i + 1, coeff, expt)
-        if sign < 0:
-            coeff = field.neg(coeff)
+    One regex scan reads the text a factor at a time, each term into an
+    integer numerator, an integer denominator and an exponent list; a term
+    becomes one field value only as the terms are summed, and an integer
+    one only in from_dict. On an error the rest of the text is scanned again
+    by tokens (see _parse_error) for the message and column."""
+    field, index, nvars = ring.field, ring._varindex, ring.nvars
+    terms: list[list] = []  # [numerator, denominator, exponents] per term
+    pos, m = 0, None
+    while f := _FACTOR.match(text, pos):
+        op, num, den, name, k = f.groups()
+        if op == "*" if m is None else op is None:
+            break  # a '*' before the first factor, or no operator between two
+        if op != "*":
+            terms.append(term := [-1 if op == "-" else 1, 1, [0] * nvars])
+        if name is None:
+            term[0] *= int(num)
+            if den is not None:
+                if not field.from_int(den := int(den)):  # reported at its numerator
+                    try:
+                        field.from_fraction(int(num), den)
+                    except InputError as exc:
+                        raise _parse_error(text, pos, m, str(exc), f.start(2) + 1) from None
+                term[1] *= den
+        elif (i := index.get(name)) is None:
+            raise _parse_error(text, pos, m, f"undeclared variable {name!r}", f.start(4) + 1)
+        else:
+            term[2][i] += int(k) if k else 1
+        pos, m = f.end(), f
+    if m is None or text[pos:].strip():
+        raise _parse_error(text, pos, m)
+    summed: dict[Monomial, object] = {}
+    for num, den, expt in terms:
         e = tuple(expt)
-        terms[e] = field.add(terms[e], coeff) if e in terms else coeff
-        sign = 1
-        first = False
-        if i < n and tokens[i][0] != "op":
-            raise ParseError(f"expected operator before {tokens[i][1]!r}",
-                             col=tokens[i][2] + 1)
-        if i < n and tokens[i][1] in "*/^":
-            raise ParseError(f"misplaced {tokens[i][1]!r}", col=tokens[i][2] + 1)
-    return ring.from_dict(terms)
+        summed[e] = summed.get(e, 0) + (num if den == 1 else field.from_fraction(num, den))
+    return ring.from_dict(summed)
+
+
+def _parse_error(text: str, pos: int, last, message: Optional[str] = None,
+                 col: Optional[int] = None) -> ParseError:
+    """The error of the polynomial grammar in text whose factors before pos
+    parsed, last the match of the one just before pos (None at the start): a
+    character past pos that starts no token, if any, else message at col,
+    else the error the next two tokens show."""
+    tokens = []
+    while t := _TOKEN.match(text, pos):
+        tokens.append((t.group(t.lastgroup), t.start(t.lastgroup) + 1))
+        pos = t.end()
+    if rest := text[pos:].lstrip():
+        return ParseError(f"unexpected character {rest[0]!r}", col=len(text) - len(rest) + 1)
+    if message or not tokens:
+        return ParseError(message or "empty polynomial", col=col)
+    (t0, c0), (t1, c1) = tokens[0], tokens[1] if len(tokens) > 1 else (None, None)
+    if t0 in ("+", "-") or t0 == "*" and last:  # the operator before a factor
+        if t1 is None:
+            return ParseError("dangling sign" if t0 != "*" else "dangling '*'", col=c0)
+        return ParseError(f"unexpected {t1!r}", col=c1)
+    if last is None:
+        return ParseError(f"unexpected {t0!r}", col=c0)
+    if t0 not in ("/", "^"):
+        return ParseError(f"expected operator before {t0!r}", col=c0)
+    if t0 == "^" and t1 and last.group(4) and not last.group(5):
+        return ParseError("exponent must be an integer", col=c0)
+    return ParseError(f"misplaced {t0!r}", col=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +475,16 @@ def _guard_exceeded(operation: str, what: str, degree: int, guard: int):
 
 
 def _primitive(v: dict) -> dict:
-    """A vector over QQ, its coefficients Fractions or ints, as the integer
-    multiple with coprime coefficients and a positive first one."""
+    """A nonzero vector over QQ, its coefficients Fractions or ints, as the
+    integer multiple with coprime coefficients and a positive first one: its
+    denominators cleared, then its content divided out (_content_free)."""
     d = lcm(*[c.denominator for c in v.values()])
-    v = {m: c.numerator * (d // c.denominator) for m, c in v.items()}
+    return _content_free({m: c.numerator * (d // c.denominator) for m, c in v.items()})
+
+
+def _content_free(v: dict) -> dict:
+    """A nonzero integer vector over its content, the gcd of its coefficients,
+    signed so that its first coefficient is positive."""
     g = gcd(*v.values())
     g = -g if next(iter(v.values())) < 0 else g
     return {m: c // g for m, c in v.items()} if g != 1 else v
@@ -522,10 +519,12 @@ class FreeModuleGB:
     order, the largest total degree among them, and a, the lead's
     coefficient. Coefficients are plain values under operators, not Field
     methods: ints in [0, p) over GF(p), where a = 1 throughout; only
-    reduce() holds unreduced sums. Over QQ the completion holds every
-    vector as a primitive integer one (_primitive) with a > 0, so no
-    Fraction is made until _interreduced makes each reducer monic, once,
-    with Fraction tail coefficients and a = 1. So every finished reducer is
+    reduce() holds unreduced sums. Over QQ __init__ clears the denominators
+    of each input vector and modulus row once (_primitive), and the
+    completion holds every vector as a primitive integer one with a > 0,
+    which _element keeps so by dividing out the content, so no Fraction is
+    made until _interreduced makes each reducer monic, once, with Fraction
+    tail coefficients and a = 1. So every finished reducer is
     monic over either field. The guard bounds the products a completion
     makes and the basis elements it adds; the inputs themselves may pass
     it. _memo maps each packed term an unbounded reduction has met to its
@@ -543,13 +542,16 @@ class FreeModuleGB:
                         (g.total_degree() for g in modulus)), default=0)
         self._operation = "Groebner basis" if rank == 1 else f"module basis at rank {rank}"
         self._p = ring.field.p if ring.field.kind == "prime_field" else None  # None over QQ
+        vectors = [v for v in vectors if v]
+        rows = [{(0, e): c for e, c in g.terms} for g in modulus]  # the rows g*e_0
+        if not self._p:  # the one place a completion clears denominators
+            vectors, rows = list(map(_primitive, vectors)), list(map(_primitive, rows))
         width = 2 * max(top, ring.degree_guard)
         while True:  # a signature, unlike a term, is not bounded by the guard
             self._layout = _layout(ring.nvars, ring.order, _width(width))
             self._index: dict[int, list[tuple]] = {}  # position -> reducers, kept current
-            packed = [self._packed(v) for v in vectors if v]
-            basis = self._signature_buchberger(
-                packed if self._p else list(map(_primitive, packed)), modulus)
+            basis = self._signature_buchberger(list(map(self._packed, vectors)),
+                                               list(map(self._packed, rows)))
             if basis is not None:
                 break
             width *= 2
@@ -684,15 +686,17 @@ class FreeModuleGB:
     def _element(self, v: dict) -> tuple:
         """The reducer (lead, tail, top, a) of a packed vector whose terms
         ascend, as reduce() returns them: its lead comes first.
-        Over GF(p) it is monic, a = 1; over QQ it is the primitive integer
-        multiple (see _primitive) with lead coefficient a > 0."""
+        Over GF(p) it is monic, a = 1; over QQ, where every vector of a
+        completion has integer coefficients, it is v over its content (see
+        _content_free), with lead coefficient a > 0: no denominator is
+        cleared here, since __init__ cleared them all once."""
         if p := self._p:
             terms = tuple(v.items())
             if (c := terms[0][1]) != 1:
                 c = self.ring.field.inv(c)
                 terms = tuple([(m, cc * c % p) for m, cc in terms])
         else:
-            terms = tuple(_primitive(v).items())
+            terms = tuple(_content_free(v).items())
         degree = self._layout.degree
         return terms[0][0], terms[1:], max([m & degree for m in v]), terms[0][1]
 
@@ -715,7 +719,7 @@ class FreeModuleGB:
                 del out[m]
         return out
 
-    def _signature_buchberger(self, vectors: list[dict], modulus: tuple[Poly, ...]
+    def _signature_buchberger(self, vectors: list[dict], modulus: list[dict]
                               ) -> Optional[dict[int, list[tuple]]]:
         """RB with signatures in the Schreyer order: the indexed reduced basis,
         or None when a signature outgrows the packing.
@@ -757,8 +761,7 @@ class FreeModuleGB:
         # the modulus reducers g*e_p: the rows of g*e_0 serve every position,
         # since divisibility and the shift m - LM(g) carry a term to its own
         # position; the minimal basis places them at each p
-        rows = self._rows = [self._element(self._packed({(0, e): c for e, c in g.terms}))
-                             for g in modulus]
+        rows = self._rows = list(map(self._element, modulus))
         # per position p: its reducers (the rows, then G there) for the input
         # test, and G there as (ratio, element, index in G, pure) by
         # ascending ratio key + (lead << ib), sig(a) / LM(a), for reduce();

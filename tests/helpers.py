@@ -3,18 +3,21 @@ internals: brute-force enumeration over finite rings, a Groebner-free
 linear-algebra ideal-membership oracle, a plain module Buchberger, a plain
 read-off of a module basis's columns, a schoolbook polynomial product,
 classic integer-matrix oracles, and a reference top-level comma splitter
-for model-file matrices;
+for model-file matrices
+and a reference token-list polynomial parser;
 also the rings of the gclass benchmark workload, which several tests share.
 """
 
 from __future__ import annotations
 
+import re
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd
 from operator import add, sub
 
 from gproj import GF, QQ, FPModule, Poly, PolyRing, QuotRing
+from gproj.errors import InputError, ParseError
 from gproj.modules import SubmoduleEngine, colon_generators
 
 # the rings of the gclass benchmark workload: field, variables, modulus
@@ -628,3 +631,91 @@ def split_top_level_reference(text):
     if tail:
         parts.append(tail)
     return parts
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
+
+
+def parse_poly_reference(text: str, ring: PolyRing) -> Poly:
+    """The token-list parser of the polynomial grammar, one Field call per
+    factor: the reference for `parse_poly`'s results, its errors' types,
+    messages and columns included. It lexes the whole text first, so a stray
+    character anywhere is the error it reports."""
+    tokens: list[tuple[str, str, int]] = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            bad = len(text) - len(rest)  # the first non-space character
+            raise ParseError(f"unexpected character {text[bad]!r}", col=bad + 1)
+        pos = m.end()
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+    if not tokens:
+        raise ParseError("empty polynomial")
+
+    field, index = ring.field, ring._varindex
+    terms: dict[tuple, object] = {}
+    i = 0
+    n = len(tokens)
+
+    def parse_factor(i, coeff, expt):
+        # one factor: integer, integer/integer, or var[^k]; a number scales
+        # the coefficient and a power adds to the exponent list
+        kind, val, col = tokens[i]
+        if kind == "num":
+            num = int(val)
+            i += 1
+            if i + 1 < n and tokens[i][1] == "/" and tokens[i + 1][0] == "num":
+                try:  # a zero denominator is reported at its numerator
+                    value = field.from_fraction(num, int(tokens[i + 1][1]))
+                except InputError as exc:
+                    raise ParseError(str(exc), col=col + 1) from None
+                return field.mul(coeff, value), i + 2
+            return field.mul(coeff, field.from_int(num)), i
+        if kind == "name":
+            if val not in index:
+                raise ParseError(f"undeclared variable {val!r}", col=col + 1)
+            i += 1
+            k = 1
+            if i + 1 < n and tokens[i][1] == "^":
+                if tokens[i + 1][0] != "num":
+                    raise ParseError("exponent must be an integer", col=tokens[i][2] + 1)
+                k = int(tokens[i + 1][1])
+                i += 2
+            expt[index[val]] += k
+            return coeff, i
+        raise ParseError(f"unexpected {val!r}", col=col + 1)
+
+    sign = 1
+    first = True
+    while i < n:
+        kind, val, col = tokens[i]
+        if kind == "op" and val in "+-":
+            if not first and i > 0 and tokens[i - 1][0] == "op":
+                raise ParseError("two consecutive operators", col=col + 1)
+            sign = 1 if val == "+" else -1
+            i += 1
+            if i >= n:
+                raise ParseError("dangling sign", col=col + 1)
+        expt = [0] * ring.nvars
+        coeff, i = parse_factor(i, field.one, expt)
+        while i < n and tokens[i][1] == "*":
+            if i + 1 == n:
+                raise ParseError("dangling '*'", col=tokens[i][2] + 1)
+            coeff, i = parse_factor(i + 1, coeff, expt)
+        if sign < 0:
+            coeff = field.neg(coeff)
+        e = tuple(expt)
+        terms[e] = field.add(terms[e], coeff) if e in terms else coeff
+        sign = 1
+        first = False
+        if i < n and tokens[i][0] != "op":
+            raise ParseError(f"expected operator before {tokens[i][1]!r}",
+                             col=tokens[i][2] + 1)
+        if i < n and tokens[i][1] in "*/^":
+            raise ParseError(f"misplaced {tokens[i][1]!r}", col=tokens[i][2] + 1)
+    return ring.from_dict(terms)

@@ -527,15 +527,21 @@ def test_an_ext_degree_or_gpd_index_above_the_limit_is_an_input_error(tmp_path, 
     ("gpd I 1.5", "gpd syzygy index must be an integer, got '1.5'"),
 ])
 def test_a_non_integer_depth_degree_or_index_is_named(tmp_path, capsys, task, message):
-    # each printed int()'s own message, "invalid literal for int() with base 10"
+    # each printed int()'s own message, "invalid literal for int() with base 10";
+    # on the command line --depth and --degree-guard are read as text and
+    # checked as in a task, where argparse's type=int printed its usage text;
+    # the guard is checked before the command runs
     path = tmp_path / "m.model"
     path.write_text(FLAGSHIP + f"task {task}\n")
     assert main(["report", str(path)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     cmd, *args = task.split()
-    if cmd != "pd":  # on the command line argparse reads --depth itself
-        assert main([cmd, str(path), *args]) == 2
-        assert capsys.readouterr().err == f"input error: {message}\n"
+    if args[0] == "--depth":  # on the command line the flags follow the arguments
+        args = args[2:] + args[:2]
+    assert main([cmd, str(path), *args]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert main([cmd, str(path), *args, "--degree-guard", "x"]) == 2
+    assert capsys.readouterr().err == "input error: --degree-guard must be an integer, got 'x'\n"
 
 
 def test_an_integer_past_the_digit_limit_keeps_the_interpreters_message(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from gproj import (
     InputError,
     ModuleMap,
     NotRegularOnQuotient,
+    Poly,
     PolyRing,
     SubmoduleOfFree,
     free_resolution,
@@ -32,8 +34,8 @@ from gproj.resolutions import first_inexact_node, split_surjection_onto_kernel
 from gproj.rings import FreeModuleGB, QuotRing
 
 from helpers import (GCLASS_RINGS, exact_kernel_reference, gclass_ring, late_period_module,
-                     low_rank_product, random_module, ring_elements, span_of_columns,
-                     vector_space)
+                     low_rank_product, random_module, ring_elements, schoolbook_product,
+                     span_of_columns, vector_space)
 
 
 def R4():
@@ -355,6 +357,76 @@ def test_bareiss_ends_on_the_determinant_of_a_low_rank_product():
         assert rank == 4
         if size == 4:
             assert last in (_det(rows), -_det(rows))
+
+
+def _laplace(rows):
+    """Determinant by Laplace expansion along the first row, each product a
+    schoolbook one, made through the field's own mul and add."""
+    if len(rows) == 1:
+        return rows[0][0]
+    ring = rows[0][0].ring
+    total = ring.zero()
+    for j, a in enumerate(rows[0]):
+        term = Poly(ring, schoolbook_product(a, _laplace([r[:j] + r[j + 1:] for r in rows[1:]])))
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _laplace_rank(rows):
+    """The size of the largest square submatrix whose Laplace determinant is
+    not zero."""
+    n = len(rows)
+    return next((k for k in range(n, 0, -1) for picked in combinations(range(n), k)
+                 for cols in combinations(range(n), k)
+                 if not _laplace([[rows[i][j] for j in cols] for i in picked]).is_zero()), 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_bareiss_matches_a_laplace_expansion_on_low_rank_products(field):
+    # seeded square submatrices of sizes 2 to 4 of 6 x 6 products B*C of
+    # inner size 4 (full rank) and 2 (deficient from size 3 on): the rank is
+    # the size of the largest nonzero Laplace minor, and a minor of full rank
+    # is the Laplace determinant up to sign, so up to a nonzero scalar
+    R = polynomial_ring(field, ("x", "y"))
+    rng = random.Random(42)
+    seen = set()
+    for inner in (4, 2):
+        A = low_rank_product(R, rng, n=6, rank=inner)
+        for size in (2, 3, 4) * 3:
+            picked, cols = sorted(rng.sample(range(6), size)), sorted(rng.sample(range(6), size))
+            rows = [[A[i][j] for j in cols] for i in picked]
+            rank, last = modules._bareiss(rows)
+            assert rank == _laplace_rank(rows), (inner, size)
+            if rank == size:
+                det = _laplace(rows)
+                assert not det.is_zero() and last in (det, -det)
+            seen.add((size, rank == size))
+    assert seen == {(2, True), (3, True), (4, True), (3, False), (4, False)}
+
+
+def test_a_rational_bareiss_call_makes_no_fraction_arithmetic():
+    # each row is scaled to integer numerators once, by the lcm of its
+    # denominators, so the elimination makes no Fraction sum, difference or
+    # product; the last pivot leaves over the pivot rows' scales, and is the
+    # determinant up to sign
+    R = polynomial_ring(QQ, ("x", "y"))
+    A = low_rank_product(R, random.Random(34))
+    rows = [[f.scale(Fraction(i + 1, j + 2)) for j, f in enumerate(row[:4])]
+            for i, row in enumerate(A[:4])]
+    det = _laplace(rows)
+    calls = []
+
+    def counting(name):
+        original = getattr(Fraction, name)
+        return lambda self, other: calls.append(name) or original(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            patch.setattr(Fraction, name, counting(name))
+        rank, last = modules._bareiss(rows)
+        assert calls == []
+        assert Fraction(1, 2) * 3 and calls == ["__mul__"]
+    assert rank == 4 and last in (det, -det)
 
 
 @pytest.mark.parametrize("ring", ["QQ[x]", "GF(3)[x]", "chain2", "A"])

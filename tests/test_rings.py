@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from gproj import (
     groebner_basis,
     polynomial_ring,
 )
+from gproj import rings
 from gproj.fields import PrimeField
 from gproj.modules import SubmoduleEngine
 from gproj.rings import (
@@ -29,11 +30,13 @@ from gproj.rings import (
     _layout,
     _width,
     monomial_divides,
+    parse_poly,
     reduce_by_monic_in_var,
 )
 
 from helpers import (
     LinearMembershipOracle,
+    parse_poly_reference,
     poly_to_int_dict,
     random_ideal,
     random_submodule,
@@ -201,6 +204,30 @@ def test_parse_rejects_bad_syntax():
     for bad in ("x +", "* x", "x ^ y", "x 2"):
         with pytest.raises(ParseError):
             P.poly(bad)
+
+
+def _parse_outcome(text, ring, parse):
+    try:
+        return parse(text, ring).terms
+    except InputError as exc:
+        return type(exc), str(exc), exc.col
+
+
+def test_parse_poly_matches_the_reference_on_random_texts():
+    # the one-scan parser against the token-list one it replaced: the same
+    # terms, or the same error type, message and column, over QQ and GF(5).
+    # The pieces include zero denominators mod 5 and over QQ, an undeclared
+    # variable, stray and non-ASCII characters, a dangling operator and
+    # Unicode spaces and digits
+    over = [PolyRing(QQ, ("x", "y")), PolyRing(GF(5), ("x", "y"))]
+    pieces = ["x", "y", "z", "x2", "1", "2", "0", "3", "10", "25", "+", "-", "*", "/", "^",
+              " ", "\t", "\u00a0", "\u0663", "$", "(", ".", "3/5", "2/0", "1/10", "x^", "^2"]
+    rng = random.Random(42)
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        for ring in over:
+            assert (_parse_outcome(text, ring, parse_poly)
+                    == _parse_outcome(text, ring, parse_poly_reference)), (text, ring)
 
 
 def test_gf_coefficients_normalized():
@@ -612,30 +639,44 @@ def _k0_poly_vectors(rng):
 
 
 def test_a_rational_completion_makes_no_fraction_arithmetic():
-    # over QQ the completion holds primitive integer vectors and makes its
-    # reducers monic once, by Fraction(c, a) as they leave it: completing
-    # katsura-3 and a k0-shaped module makes no Fraction sum, difference or
-    # product, while the same patch counts one made outside
+    # over QQ the completion clears denominators once, by _primitive, for
+    # each input vector and each modulus row, holds primitive integer vectors
+    # and makes its reducers monic once, by Fraction(c, a) as they leave it:
+    # completing katsura-3, a k0-shaped module and a module over a quotient
+    # whose modulus rows have denominators makes no Fraction sum, difference
+    # or product, while the same patch counts one made outside
     variables, eqs = _katsura(3)
     P = PolyRing(QQ, variables)
     ideal = [{(0, e): c for e, c in P.poly(f).terms} for f in eqs]
     Qx = PolyRing(QQ, ("x",))
     module = _k0_poly_vectors(random.Random(40))
-    calls = []
+    R = PolyRing(QQ, ("x", "y")).quotient(["2*x^2 - y", "3*y^3 + x*y"])
+    modulus = R.modulus.reduced_gb
+    assert any(c.denominator > 1 for g in modulus for _, c in g.terms)
+    columns = [("1/2*x*y + 3", "x^2"), ("y^2", "2/3*x - y"), ("x", "0")]
+    quotient = [{(i, e): c for i, text in enumerate(col) for e, c in R.poly(text).terms}
+                for col in columns]
+    calls, cleared = [], []
 
     def counting(name):
         original = getattr(Fraction, name)
         return lambda self, other: calls.append(name) or original(self, other)
 
+    primitive = rings._primitive
     with pytest.MonkeyPatch.context() as patch:
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
             patch.setattr(Fraction, name, counting(name))
-        bases = [FreeModuleGB(P, 1, ideal).basis, FreeModuleGB(Qx, 3, module).basis]
+        patch.setattr(rings, "_primitive", lambda v: cleared.append(len(v)) or primitive(v))
+        bases = [FreeModuleGB(P, 1, ideal).basis, FreeModuleGB(Qx, 3, module).basis,
+                 FreeModuleGB(R.base, 2, quotient, modulus).basis]
         assert calls == []
+        assert cleared == ([len(v) for v in ideal + module + quotient]
+                           + [len(g.terms) for g in modulus])
         assert Fraction(1, 2) * 3 and calls == ["__mul__"]
     assert _listed(bases[0]) == _listed(reference_module_basis(P, 1, ideal))
     assert _listed(bases[1]) == _listed(reference_module_basis(Qx, 3, module))
-    assert all(type(c) is Fraction for v in bases[0] + bases[1] for c in v.values())
+    assert _listed(bases[2]) == _listed(reference_module_basis(R.base, 2, quotient, modulus))
+    assert all(type(c) is Fraction for v in chain(*bases) for c in v.values())
 
 
 def _completion_digest(ring, rank, vectors, modulus=()):

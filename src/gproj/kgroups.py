@@ -456,9 +456,8 @@ def catalog_for(R: QuotRing) -> Catalog:
     if base.nvars == 1 and R.modulus.is_zero():
         return Catalog("poly", R, 0)
     if base.nvars == 1 and not R.modulus.is_zero():
-        gb = R.modulus.reduced_gb
-        if len(gb) == 1 and len(gb[0].terms) == 1:
-            n = gb[0].degree_in(0)
+        gb = R.modulus.reduced_gb  # (x^n) with n > 0: the zero ring (1) is no chain ring
+        if len(gb) == 1 and len(gb[0].terms) == 1 and (n := gb[0].degree_in(0)) > 0:
             return Catalog("chain", R, n)
     raise RingNotInCatalog(f"no catalog family for {R!r}")
 

@@ -19,11 +19,17 @@ SubmoduleEngine, FreeResolution or DualModule is in normal form modulo the
 ring's modulus. Only new polynomials are reduced: products, base changes,
 parses, the basis elements led by a modulus lead that `_read_columns` reads
 out (the rows g*e_p that the basis's interreduction changed), and the
-columns a caller hands to a public constructor or query. A `Matrix` that
-`_read_columns` returns records the ring it was read over, and a
-constructor handed one over that very ring object keeps it as it is, so
-the relations of a dual or a syzygy module are not reduced twice. Normal
-form is linear, so sums and negations of reduced columns are reduced.
+entries of the columns a caller hands to a public constructor or query that
+carry no mark. A polynomial the library makes reduced over exactly
+R.modulus records that Ideal (`Poly.mod`): the results of `QuotRing.nf`,
+so of parses too, the rows of `mat_vec`, the entries `_read_columns` reads
+off and the parts of a witness. `QuotRing.nf` returns such a polynomial as
+it is, so a column built from them is not reduced again in a query, a
+constructor or a ModuleMap; a caller's unmarked polynomial is reduced. A
+`Matrix` that `_read_columns` returns records the ring it was read over,
+and a constructor handed one over that very ring object keeps it as it is,
+with no normal-form call at all. Normal form is linear, so sums and
+negations of reduced columns are reduced.
 `_read_columns` unpacks only the reducers of a basis from a given position
 on (a kernel is read from the tag block, never the ambient block), less the
 rows g*e_p that interreduction left as they were, which are zero over R; and
@@ -232,9 +238,11 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int) -> Matrix:
     the modulus times P^gb.rank, so only a lead equal to some LM(g), g in the
     modulus, can be unreduced. A reducer whose lead is in gb._fixed is a row
     g*e_p that interreduction left as it was, whose column is zero in R^rank,
-    so it is skipped unread; the rows it changed are read and reduced.
-    Reduced bases are unique, so inside a span scope the columns are also
-    cached as their own canonical_generators."""
+    so it is skipped unread; the rows it changed are read and reduced. The
+    entries of every other element are reduced already, and are marked with
+    R.modulus, over which gb was built (see `Poly`). Reduced bases are
+    unique, so inside a span scope the columns are also cached as their own
+    canonical_generators."""
     modulus_leads = {g.lead_monomial() for g in R.modulus.reduced_gb}
     base, one, unpack, fixed = R.base, R.base.field.one, gb._layout.unpack, gb._fixed
     out = []
@@ -246,9 +254,10 @@ def _read_columns(R: QuotRing, gb: FreeModuleGB, start: int) -> Matrix:
             for m, c in ((lead, one),) + tail:  # descending POT order, from position pos
                 p, e = unpack(m)
                 per_pos[p - start].append((e, c))
-            col = tuple(Poly(base, tuple(terms)) for terms in per_pos)
             if unpack(lead)[1] in modulus_leads:
-                col = _nf_column(R, col)
+                col = _nf_column(R, [Poly(base, tuple(terms)) for terms in per_pos])
+            else:
+                col = tuple(Poly(base, tuple(terms), R.modulus) for terms in per_pos)
             if any(not p.is_zero() for p in col):
                 out.append(col)
     out = Matrix(out)
@@ -296,12 +305,13 @@ class SubmoduleEngine:
         if any(pos < self.rank for (pos, _) in r):
             return None
         # reduced and in POT order: the module holds g*e_(rank+j) for each
-        # modulus element g, so no tag term is divisible by a modulus lead
+        # modulus element g, so no tag term is divisible by a modulus lead,
+        # and each part is marked as reduced over R.modulus
         neg = self.R.base.field.neg
         parts: list[list] = [[] for _ in range(self.m)]
         for (pos, e), c in r.items():
             parts[pos - self.rank].append((e, neg(c)))
-        return [Poly(self.R.base, tuple(terms)) for terms in parts]
+        return [Poly(self.R.base, tuple(terms), self.R.modulus) for terms in parts]
 
     def contains(self, column) -> bool:
         return self.witness(column) is not None
@@ -468,7 +478,7 @@ def mat_vec(R: QuotRing, columns, vec, nrows: int) -> Column:
     no columns give nrows zeros. The whole product is one call of the product
     kernel `rings._dot`, which reduces each row that does not cancel once on
     the modulus's rank-1 basis, as `QuotRing.nf` would."""
-    return _dot(R.base, columns, vec, nrows, R.modulus._gb)
+    return _dot(R.base, columns, vec, nrows, R.modulus._gb, R.modulus)
 
 
 class ModuleMap:

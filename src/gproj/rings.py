@@ -32,11 +32,12 @@ text into integers and makes one field value per term.
 A reducer has one shape throughout, (lead, tail, top, a), a = 1 once finished.
 A step past the degree guard trips, naming the largest degree it would reach,
 and so does a new basis element past it; the inputs themselves may pass it.
-Every value here is immutable after construction; ideals compute their reduced
-Groebner basis at construction time, never lazily. A basis's reducer memo
-caches a pure function of a term and the frozen basis, so a concurrent miss
-only computes the same entry twice, and instances can be shared freely
-across threads.
+Every value here is immutable after construction, save the mark (Poly.mod)
+that QuotRing.nf sets on the normal form it made before returning it;
+ideals compute their reduced Groebner basis at construction time, never
+lazily. A basis's reducer memo caches a pure function of a term and the
+frozen basis, so a concurrent miss only computes the same entry twice, and
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class PolyRing:
         return QuotRing(self, Ideal(self, gens))
 
 
-def _dot(ring: PolyRing, columns, vec, nrows: int,
-         gb: Optional["FreeModuleGB"] = None) -> tuple["Poly", ...]:
+def _dot(ring: PolyRing, columns, vec, nrows: int, gb: Optional["FreeModuleGB"] = None,
+         mod: Optional["Ideal"] = None) -> tuple["Poly", ...]:
     """The one product kernel: the nrows rows of sum_j vec_j * columns_j,
     summed column by column into one dict per row on exponent tuples, zero
     entries skipped. Over QQ the columns and the vector are each scaled to
@@ -176,8 +177,8 @@ def _dot(ring: PolyRing, columns, vec, nrows: int,
     ints over one common denominator and each output term makes one
     Fraction; over GF(p) the sums are unreduced ints. Given gb, the rank-1
     basis of a modulus, each row that does not cancel is packed once and
-    reduced once, as `QuotRing.nf` reduces it; with none, it is sorted into
-    a Poly.
+    reduced once, as `QuotRing.nf` reduces it, and marked with mod, the
+    Ideal gb belongs to; with none, it is sorted into a Poly.
     A Poly product is the 1x1 case with no modulus."""
     field = ring.field
     if p := field.p if field.kind == "prime_field" else None:
@@ -202,18 +203,22 @@ def _dot(ring: PolyRing, columns, vec, nrows: int,
         return tuple(map(ring.from_dict, rows))  # over GF(p) it takes each sum mod p
     rows = [{e: c for e, c in acc.items() if (c % p if p else c)} for acc in rows]
     return tuple(Poly(ring, _normal_form(gb, acc.items(), max(map(sum, acc)),
-                                         ring.degree_guard)) if acc else ring.zero()
+                                         ring.degree_guard), mod) if acc else ring.zero()
                  for acc in rows)
 
 
 class Poly:
-    """Sparse multivariate polynomial over a PolyRing."""
+    """Sparse multivariate polynomial over a PolyRing. `mod` is the modulus
+    Ideal it is known to be reduced over, or None: set only where the library
+    makes it a normal form over exactly that Ideal object, before it is
+    shared, and ignored by equality and hashing."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "mod")
 
-    def __init__(self, ring: PolyRing, terms: tuple):
+    def __init__(self, ring: PolyRing, terms: tuple, mod: Optional["Ideal"] = None):
         self.ring = ring
         self.terms = terms
+        self.mod = mod
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -1019,11 +1024,18 @@ class QuotRing:
         self._one = base.zero() if modulus.contains_one() else base.one()
 
     def nf(self, f: Poly) -> Poly:
+        """The normal form of f, marked with this modulus (see Poly). f itself
+        when it is zero, the modulus is zero, or f is marked with this very
+        Ideal object: reducing it again would make no step, so no answer and
+        no guard trip changes. A mark of an equal modulus held by another
+        Ideal object is not trusted, and f is reduced."""
         if f.ring != self.base:
             raise RingMismatch("variable mismatch with the base ring")
-        if f.is_zero() or self.modulus.is_zero():
+        if f.mod is self.modulus or f.is_zero() or self.modulus.is_zero():
             return f
-        return reduce_poly(f, self.modulus._gb, self.base.degree_guard)
+        r = reduce_poly(f, self.modulus._gb, self.base.degree_guard)
+        r.mod = self.modulus
+        return r
 
     def poly(self, text: str) -> Poly:
         return self.nf(self.base.poly(text))

@@ -222,6 +222,19 @@ def test_k0_and_ext_and_dual_commands():
     assert "dual_gens = 1" in rep3.render("machine")
 
 
+@pytest.mark.parametrize("ring, relation", [("QQ[x] mod [1]", "x"), ("GF(3)[x] mod [2]", "x"),
+                                            ("QQ[] mod [1]", "1")])
+def test_k0_over_a_zero_ring_is_not_in_the_catalog(tmp_path, capsys, ring, relation):
+    # the modulus (1) has one single-term generator, as (x^n) does, but the
+    # zero ring is no chain ring k[x]/(x^n): it has no catalog family
+    path = tmp_path / "zero.model"
+    path.write_text(f"ring R = {ring}\nmodule M over R gens 1 relations [[{relation}]]\n")
+    assert main(["k0", str(path), "M"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rejected: RingNotInCatalog: no catalog family for ")
+
+
 def test_lemma312_command():
     text = ("ring S = QQ[x]\n"
             "submodule W over S ambient 2 gens [[x, 1]]\n")

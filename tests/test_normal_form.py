@@ -172,8 +172,8 @@ def test_ordered_builds_equal_sorted_builds(monkeypatch, tmp_path):
     init = Poly.__init__
     unordered, busy = [], []
 
-    def checked_init(self, ring, terms):
-        init(self, ring, terms)
+    def checked_init(self, ring, terms, mod=None):
+        init(self, ring, terms, mod)
         if not busy:
             busy.append(None)
             try:
